@@ -29,7 +29,7 @@ def apply_drift(core, delta_kelvin):
     for planes in core.multipliers:
         for multiplier in planes:
             multiplier.ring.delta_temperature = delta_kelvin
-    core.load_weights(core.weights)  # rebuild the transmission cache
+    core.invalidate_ring_table()  # loads select from the table; re-read the rings
 
 
 def apply_lock(core, delta_kelvin):
@@ -41,7 +41,7 @@ def apply_lock(core, delta_kelvin):
             drift = ring.thermal.wavelength_shift(delta_kelvin)
             residual = locker.lock(drift, iterations=25)
             ring.heater_shift = residual - drift
-    core.load_weights(core.weights)
+    core.invalidate_ring_table()
 
 
 def test_thermal_drift_and_lock(benchmark, report, tech):
@@ -66,7 +66,7 @@ def test_thermal_drift_and_lock(benchmark, report, tech):
             for multiplier in planes:
                 multiplier.ring.heater_shift = 0.0
                 multiplier.ring.delta_temperature = 0.0
-    core.load_weights(core.weights)
+        core.invalidate_ring_table()
 
     benchmark.pedantic(measure_linearity, args=(core,), rounds=3, iterations=1)
 

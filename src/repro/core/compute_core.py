@@ -18,6 +18,10 @@ function is evaluated at every channel wavelength, reproducing the
 paper's all-rings-in-testbench methodology; the per-channel PDK mode
 (:meth:`compute_per_channel`) mirrors the paper's one-wavelength-at-a-
 time workaround and agrees with the joint evaluation by linearity.
+A pSRAM latch drives each ring rail to rail, so a ring shows only two
+transfers; they are tabulated once per core
+(:attr:`VectorComputeCore.ring_table`) and a weight load selects from
+the table.
 """
 
 from __future__ import annotations
@@ -93,8 +97,47 @@ class VectorComputeCore:
             self.multipliers.append(planes)
 
         self._weights = np.zeros(vector_length, dtype=int)
+        self._bits = np.zeros((vector_length, self.weight_bits), dtype=int)
+        # Both are evaluated on first use, so the rows that
+        # identical_rows() builds can share one ring table.
+        self._ring_table: np.ndarray | None = None
         self._transmission_cache: np.ndarray | None = None
-        self.load_weights(self._weights)
+
+    @classmethod
+    def identical_rows(
+        cls,
+        rows: int,
+        vector_length: int,
+        weight_bits: int | None,
+        technology: Technology,
+        label: str,
+    ) -> list[VectorComputeCore]:
+        """``rows`` cores built alike, labelled ``{label}.row{r}``.
+
+        Freshly built, the rings on one channel are identical in every
+        row, element and plane, so the rows share one ring table
+        evaluated from the first row's ring of each channel.  A row's
+        :meth:`invalidate_ring_table` later re-evaluates that row's own
+        rings into a table of its own and leaves the others untouched.
+        """
+        cores = [
+            cls(vector_length, weight_bits, technology, label=f"{label}.row{row}")
+            for row in range(rows)
+        ]
+        first = cores[0]
+        channels = first.channels_per_macro
+        per_channel = [
+            first._ring_transfers(first.multipliers[channel][0])
+            for channel in range(min(channels, vector_length))
+        ]
+        table = np.array(
+            [[per_channel[element % channels]] * first.weight_bits
+             for element in range(vector_length)]
+        )
+        table.flags.writeable = False
+        for core in cores:
+            core._ring_table = table
+        return cores
 
     # -- weight handling ------------------------------------------------------
     @property
@@ -105,6 +148,48 @@ class VectorComputeCore:
     @property
     def max_weight(self) -> int:
         return 2**self.weight_bits - 1
+
+    @property
+    def ring_table(self) -> np.ndarray:
+        """Every weight ring's bus transmission in both pSRAM states.
+
+        Entry [i, j, b, c] is the plane-j ring of element i at channel
+        c's wavelength with its bit at b.  A pSRAM latch drives each
+        ring rail to rail (bit 0 resonant, bit 1 detuned), so these are
+        the only two transfers a ring ever shows: a weight load selects
+        from this table instead of re-evaluating the rings.
+        """
+        if self._ring_table is None:
+            self.invalidate_ring_table()
+        return self._ring_table
+
+    def invalidate_ring_table(self) -> None:
+        """Re-evaluate the ring table from this core's rings.
+
+        Loads select from the table, so they no longer re-read ring
+        state: call this after changing a weight ring in place (thermal
+        drift, heater or trim shifts).  The loaded weights' bus
+        transmissions are rebuilt from the fresh table on next use.
+        Each evaluation is a new read-only array of this core's own, so
+        rows that shared the old table keep it unchanged.
+        """
+        table = np.array(
+            [[self._ring_transfers(multiplier) for multiplier in planes]
+             for planes in self.multipliers]
+        )
+        table.flags.writeable = False
+        self._ring_table = table
+        self._transmission_cache = None
+
+    def _ring_transfers(self, multiplier: OneBitPhotonicMultiplier) -> np.ndarray:
+        """One ring's bus transmission at every channel, bit 0 then 1."""
+        vdd = self.technology.psram.vdd
+        return np.array(
+            [
+                multiplier.ring.thru_transmission(self.plan.wavelengths, voltage=vdd * bit)
+                for bit in (0, 1)
+            ]
+        )
 
     def load_weights(self, weights) -> None:
         """Write a weight vector into the pSRAM planes and ring drives."""
@@ -117,29 +202,44 @@ class VectorComputeCore:
             raise ConfigurationError(
                 f"weights must lie in [0, {self.max_weight}] for {self.weight_bits} bits"
             )
-        self.weight_memory.write_all(int(w) for w in weights)
-        for element, planes in enumerate(self.multipliers):
-            bits = self.weight_memory.word_bits(element)
-            for plane, multiplier in enumerate(planes):
-                multiplier.bit = bits[plane]
+        # bits[i, j]: plane j of word i, MSB first (the pSRAM bit order).
+        shifts = np.arange(self.weight_bits - 1, -1, -1)
+        bits = (weights[:, None] >> shifts) & 1
+        self.weight_memory.write_bits(bits)
+        for planes, word in zip(self.multipliers, bits.tolist()):
+            for multiplier, bit in zip(planes, word):
+                multiplier.bit = bit
         self._weights = weights
-        self._transmission_cache = self._build_transmission_cache()
+        self._bits = bits
+        self._transmission_cache = None
 
-    def _build_transmission_cache(self) -> np.ndarray:
+    def _transmissions(self) -> np.ndarray:
         """Per-(macro, plane, channel) bus transmission with crosstalk.
 
         Entry [g, j, c] is the product of every ring transfer on macro
-        g's plane-j bus, evaluated at channel c's wavelength.
+        g's plane-j bus at channel c's wavelength, each ring's selected
+        from the ring table by its loaded bit.  Built on first use after
+        a load or a table change.
         """
-        wavelengths = self.plan.wavelengths
-        cache = np.ones(
-            (self.macro_count, self.weight_bits, self.channels_per_macro), dtype=float
-        )
-        for element, planes in enumerate(self.multipliers):
-            macro = element // self.channels_per_macro
-            for plane, multiplier in enumerate(planes):
-                cache[macro, plane, :] *= multiplier.thru_transmission(wavelengths)
-        return cache
+        if self._transmission_cache is None:
+            table = self.ring_table
+            self._transmission_cache = self._macro_products(
+                np.where(self._bits[:, :, None] == 1, table[:, :, 1], table[:, :, 0])
+            )
+        return self._transmission_cache
+
+    def _macro_products(self, rings: np.ndarray) -> np.ndarray:
+        """Multiply per-ring transfers, shape (element, plane, channel),
+        along each macro's buses in element order -> (macro, plane,
+        channel).  Elements past the vector's end transmit 1."""
+        channels = self.channels_per_macro
+        padded = np.ones((self.macro_count * channels,) + rings.shape[1:])
+        padded[: self.vector_length] = rings
+        grouped = padded.reshape((self.macro_count, channels) + rings.shape[1:])
+        product = grouped[:, 0]
+        for position in range(1, channels):
+            product = product * grouped[:, position]
+        return product
 
     # -- evaluation ---------------------------------------------------------------
     def _validated_inputs(self, inputs) -> np.ndarray:
@@ -154,7 +254,11 @@ class VectorComputeCore:
 
     def compute(self, inputs) -> float:
         """Photocurrent [A] of the full vector multiplication."""
-        inputs = self._validated_inputs(inputs)
+        return self._photocurrent(self._transmissions(), self._validated_inputs(inputs))
+
+    def _photocurrent(self, transmissions: np.ndarray, inputs: np.ndarray) -> float:
+        """Summed plane photocurrent [A] of ``inputs`` through per-(macro,
+        plane, channel) bus ``transmissions``."""
         fractions = np.asarray(self.splitter_tree.branch_fractions())
         power_per_channel = self.technology.compute.channel_power
         responsivity = self.photodiode.spec.responsivity
@@ -167,7 +271,7 @@ class VectorComputeCore:
             macro_inputs[: stop - start] = inputs[start:stop]
             channel_powers = power_per_channel * macro_inputs
             # plane currents: R * sum_c P_c * frac_j * T[g, j, c]
-            plane_powers = self._transmission_cache[macro] @ channel_powers
+            plane_powers = transmissions[macro] @ channel_powers
             current += responsivity * float(fractions @ plane_powers)
         return current
 
@@ -182,9 +286,12 @@ class VectorComputeCore:
         the shared buses), the channel power and the photodiode
         responsivity into one coefficient.  This is the hook the
         :mod:`repro.runtime` compiler uses to turn the device loop into
-        a dense matrix row; it is rebuilt implicitly on every
-        :meth:`load_weights` via the transmission cache.
+        a dense matrix row.  It reads the bus transmissions that
+        :meth:`load_weights` selects from the ring table, so it follows
+        every load but not in-place ring changes until
+        :meth:`invalidate_ring_table`.
         """
+        transmissions = self._transmissions()
         fractions = np.asarray(self.splitter_tree.branch_fractions())
         power_per_channel = self.technology.compute.channel_power
         responsivity = self.photodiode.spec.responsivity
@@ -195,7 +302,7 @@ class VectorComputeCore:
             responses[element] = (
                 responsivity
                 * power_per_channel
-                * float(fractions @ self._transmission_cache[macro, :, channel])
+                * float(fractions @ transmissions[macro, :, channel])
             )
         return responses
 
@@ -218,33 +325,14 @@ class VectorComputeCore:
     def full_scale_current(self) -> float:
         """Photocurrent with all inputs at 1 and all weights at max.
 
-        Evaluated analytically (rings probed at the VDD drive) so this
-        calibration probe does not spend pSRAM write energy.
+        Read from the ring table's bit-1 slice (every ring at the VDD
+        drive), so this calibration probe neither rewrites the pSRAM
+        nor spends its write energy.
         """
-        wavelengths = self.plan.wavelengths
-        vdd = self.technology.psram.vdd
-        cache = np.ones(
-            (self.macro_count, self.weight_bits, self.channels_per_macro), dtype=float
+        return self._photocurrent(
+            self._macro_products(self.ring_table[:, :, 1]),
+            np.ones(self.vector_length),
         )
-        for element, planes in enumerate(self.multipliers):
-            macro = element // self.channels_per_macro
-            for plane, multiplier in enumerate(planes):
-                cache[macro, plane, :] *= np.asarray(
-                    multiplier.ring.thru_transmission(wavelengths, voltage=vdd),
-                    dtype=float,
-                )
-        fractions = np.asarray(self.splitter_tree.branch_fractions())
-        power_per_channel = self.technology.compute.channel_power
-        responsivity = self.photodiode.spec.responsivity
-        current = 0.0
-        for macro in range(self.macro_count):
-            start = macro * self.channels_per_macro
-            stop = min(start + self.channels_per_macro, self.vector_length)
-            macro_inputs = np.zeros(self.channels_per_macro)
-            macro_inputs[: stop - start] = 1.0
-            plane_powers = cache[macro] @ (power_per_channel * macro_inputs)
-            current += responsivity * float(fractions @ plane_powers)
-        return current
 
     def unit_current(self) -> float:
         """Current corresponding to one unit of the ideal dot product.

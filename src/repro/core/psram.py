@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import Technology, default_technology
 from ..electronics.driver import InverterDriver
 from ..electronics.elements import StorageNode
@@ -235,29 +237,41 @@ class PsramBitcell:
 
     # -- energy / power accounting ------------------------------------------------
     def switching_energy_ledger(self, state_flipped: bool = True) -> EnergyLedger:
-        """Energy of one write event (paper: 0.5 pJ per switch).
-
-        Optical terms are wall-plug converted with the 0.23 efficiency;
-        the electrical term is the calibrated switched capacitance and
-        is only spent when the latch actually flips.
-        """
-        spec = self.spec
-        ledger = EnergyLedger(self.technology.wall_plug_efficiency)
-        cycle = 1.0 / spec.update_rate
-        ledger.add_optical("write pulse", spec.write_power * spec.write_pulse_width)
-        ledger.add_optical("hold bias (1 cycle)", spec.bias_power * cycle)
-        if state_flipped:
-            ledger.add_electrical(
-                "node/driver switching", spec.switched_capacitance * spec.vdd**2
-            )
-        return ledger
+        """Energy of one write event (paper: 0.5 pJ per switch)."""
+        return switching_energy_ledger(self.technology, state_flipped)
 
     def hold_power_ledger(self) -> PowerLedger:
         """Static power while holding a bit."""
-        ledger = PowerLedger(self.technology.wall_plug_efficiency)
-        ledger.add_optical("hold bias laser", self.spec.bias_power)
-        ledger.add_electrical("driver leakage", self.spec.hold_electrical_power)
-        return ledger
+        return hold_power_ledger(self.technology)
+
+
+def switching_energy_ledger(
+    technology: Technology, state_flipped: bool = True
+) -> EnergyLedger:
+    """Energy of one bitcell write event (paper: 0.5 pJ per switch).
+
+    Optical terms are wall-plug converted with the 0.23 efficiency;
+    the electrical term is the calibrated switched capacitance and
+    is only spent when the latch actually flips.
+    """
+    spec = technology.psram
+    ledger = EnergyLedger(technology.wall_plug_efficiency)
+    cycle = 1.0 / spec.update_rate
+    ledger.add_optical("write pulse", spec.write_power * spec.write_pulse_width)
+    ledger.add_optical("hold bias (1 cycle)", spec.bias_power * cycle)
+    if state_flipped:
+        ledger.add_electrical(
+            "node/driver switching", spec.switched_capacitance * spec.vdd**2
+        )
+    return ledger
+
+
+def hold_power_ledger(technology: Technology) -> PowerLedger:
+    """Static power of one bitcell while holding a bit."""
+    ledger = PowerLedger(technology.wall_plug_efficiency)
+    ledger.add_optical("hold bias laser", technology.psram.bias_power)
+    ledger.add_electrical("driver leakage", technology.psram.hold_electrical_power)
+    return ledger
 
 
 class PsramArray:
@@ -279,7 +293,7 @@ class PsramArray:
         self.technology = technology if technology is not None else default_technology()
         self.words = words
         self.bits_per_word = bits_per_word
-        self._bits = [[0] * bits_per_word for _ in range(words)]
+        self._bits = np.zeros((words, bits_per_word), dtype=int)
         self._write_events = 0
         self._switch_events = 0
 
@@ -289,15 +303,14 @@ class PsramArray:
 
     def word(self, index: int) -> int:
         """Stored unsigned integer value of word ``index``."""
-        bits = self._bits[index]
         value = 0
-        for bit in bits:
+        for bit in self.word_bits(index):
             value = (value << 1) | bit
         return value
 
     def word_bits(self, index: int) -> tuple[int, ...]:
         """Stored bits of a word, MSB first."""
-        return tuple(self._bits[index])
+        return tuple(self._bits[index].tolist())
 
     def write_word(self, index: int, value: int) -> int:
         """Store ``value``; returns the number of bitcells that flipped."""
@@ -308,9 +321,7 @@ class PsramArray:
         new_bits = [
             (value >> shift) & 1 for shift in range(self.bits_per_word - 1, -1, -1)
         ]
-        flips = sum(
-            1 for old, new in zip(self._bits[index], new_bits) if old != new
-        )
+        flips = int(np.count_nonzero(self._bits[index] != new_bits))
         self._bits[index] = new_bits
         self._write_events += self.bits_per_word
         self._switch_events += flips
@@ -323,6 +334,22 @@ class PsramArray:
             raise ConfigurationError(f"need {self.words} values, got {len(values)}")
         return sum(self.write_word(index, value) for index, value in enumerate(values))
 
+    def write_bits(self, bits) -> int:
+        """Store every word from its bits, ``bits[i]`` holding word i
+        MSB first; returns total flipped bitcells."""
+        bits = np.asarray(bits)
+        if bits.shape != self._bits.shape:
+            raise ConfigurationError(
+                f"need bits of shape {self._bits.shape}, got {bits.shape}"
+            )
+        if np.any((bits != 0) & (bits != 1)):
+            raise ConfigurationError("bits must be 0 or 1")
+        flips = int(np.count_nonzero(self._bits != bits))
+        self._bits = bits.astype(int)
+        self._write_events += bits.size
+        self._switch_events += flips
+        return flips
+
     def update_time(self) -> float:
         """Time [s] to rewrite the full array, one bit per cell cycle.
 
@@ -334,14 +361,12 @@ class PsramArray:
 
     def write_energy(self) -> float:
         """Wall-plug energy [J] of all switch events so far (0.5 pJ each)."""
-        template = PsramBitcell(self.technology)
-        per_switch = template.switching_energy_ledger(state_flipped=True).total
+        per_switch = switching_energy_ledger(self.technology, state_flipped=True).total
         return self._switch_events * per_switch
 
     def hold_power(self) -> float:
         """Static hold power [W] of the whole array."""
-        template = PsramBitcell(self.technology)
-        return template.hold_power_ledger().total * self.cell_count
+        return hold_power_ledger(self.technology).total * self.cell_count
 
     @property
     def switch_events(self) -> int:

@@ -62,15 +62,10 @@ class PhotonicTensorCore:
             raise ConfigurationError("tensor core needs at least 1 row and 1 column")
         self.label = label
 
-        self.row_cores = [
-            VectorComputeCore(
-                vector_length=self.columns,
-                weight_bits=self.weight_bits,
-                technology=tech,
-                label=f"{label}.row{row}",
-            )
-            for row in range(self.rows)
-        ]
+        # One ring table for all rows: it is evaluated once, not per row.
+        self.row_cores = VectorComputeCore.identical_rows(
+            self.rows, self.columns, self.weight_bits, tech, label
+        )
         self.row_adcs = [
             EoAdc(tech, bits=adc_bits, label=f"{label}.adc{row}")
             for row in range(self.rows)

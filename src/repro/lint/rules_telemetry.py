@@ -305,6 +305,8 @@ INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     "weight_scale": ("invalidate_runtime",),
     # The cross-compiler ladder memo itself.
     "runtime_ladder_cache": ("invalidate_ladders",),
+    # Two-state ring transmissions: weight loads select from them.
+    "_ring_table": ("invalidate_ring_table",),
 }
 
 
@@ -317,8 +319,9 @@ class MutateMustInvalidate(Rule):
     contract = (
         "a method assigning a registered compiled-state attribute "
         "(trim_errors, spec, q_positive/q_negative/float_weights/"
-        "weight_scale, runtime_ladder_cache) on a class that defines "
-        "the matching invalidate_* hook must call that hook"
+        "weight_scale, runtime_ladder_cache, _ring_table) on a class "
+        "that defines the matching invalidate_* hook must call that "
+        "hook; only __init__ and the hook itself assign freely"
     )
     rationale = (
         "PRs 2 and 5 both shipped stale-cache bugs: compiled engines "

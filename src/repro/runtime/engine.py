@@ -17,8 +17,10 @@ static functions of the input:
 :class:`CompiledCore` snapshots both at weight-load time and replays
 them vectorized, matching the device loop code-for-code.  Compilation
 costs one ladder bisection per distinct ADC trim (cached on the ADC)
-plus a cheap response-matrix rebuild per weight program, so schedulers
-can recompile on every cache miss.
+plus, per weight program, a pSRAM write and a response-matrix rebuild
+that selects each ring's transfer from the core's two-state ring table
+instead of re-evaluating the rings, so schedulers can recompile on
+every cache miss.
 """
 
 from __future__ import annotations

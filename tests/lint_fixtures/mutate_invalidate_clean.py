@@ -43,6 +43,20 @@ class DenseLayer:
         self.invalidate_runtime()
 
 
+class RingCore:
+    def __init__(self, rings):
+        self.rings = rings
+        self._ring_table = None
+
+    def invalidate_ring_table(self):
+        self._ring_table = [ring.transmission() for ring in self.rings]
+
+    def heat(self, delta_kelvin):
+        for ring in self.rings:
+            ring.delta_temperature = delta_kelvin
+        self.invalidate_ring_table()
+
+
 class NoHooksNoContract:
     """A class without invalidate_* hooks is out of contract scope."""
 

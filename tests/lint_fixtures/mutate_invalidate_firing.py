@@ -1,4 +1,4 @@
-"""Fixture: compiled-state mutations that skip the hook (3 findings)."""
+"""Fixture: compiled-state mutations that skip the hook (4 findings)."""
 
 import numpy as np
 
@@ -28,3 +28,15 @@ class DenseLayer:
 
     def set_weights(self, weights):
         self.q_positive = np.asarray(weights)  # firing: engine stays stale
+
+
+class RingCore:
+    def __init__(self, rings):
+        self.rings = rings
+        self._ring_table = None  # clean: __init__ is exempt
+
+    def invalidate_ring_table(self):
+        self._ring_table = [ring.transmission() for ring in self.rings]
+
+    def adopt_table(self, table):
+        self._ring_table = table  # firing: bypasses the hook

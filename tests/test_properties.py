@@ -1,11 +1,15 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import default_technology
+from repro.core.compute_core import VectorComputeCore
+from repro.core.tensor_core import PhotonicTensorCore
 from repro.core.quantization import (
     dequantize_weights,
     encode_inputs,
@@ -18,6 +22,7 @@ from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bit
 from repro.photonics.coupler import BinaryScaledSplitterTree, PowerSplitter
 from repro.photonics.mrr import AddDropMRR
 from repro.photonics.signal import WDMSignal, merge_signals
+from repro.photonics.wdm import usable_channels
 from repro.sim.transient import FirstOrderLag
 
 TECH = default_technology()
@@ -202,3 +207,104 @@ def test_dnl_sums_to_span_error(edges):
     assert dnl.sum() == pytest.approx(
         (max(edges) - min(edges)) / lsb - 2.0, abs=1e-9
     )
+
+
+# -- two-state ring table vs the per-ring walk --------------------------------
+
+
+def _spacing_technology(spacing, channels):
+    """The modified channel plan bench_ablation_wdm_crosstalk builds."""
+    compute = dataclasses.replace(
+        TECH.compute,
+        channel_spacing=spacing,
+        wavelengths_per_macro=channels,
+        length_adjust_step=68e-9 * spacing / 2.33e-9,
+    )
+    return TECH.replace(compute=compute)
+
+
+CHANNEL_PLANS = [TECH] + [
+    _spacing_technology(spacing, min(usable_channels(9.36e-9, spacing), 8))
+    for spacing in (1.5e-9, 1.0e-9, 0.5e-9)
+]
+
+
+def per_ring_reference(core, voltage=None):
+    """Per-(macro, plane, channel) bus transmission, walking every ring
+    in element order from ones: each ring at its set bit, or at
+    ``voltage`` when given."""
+    wavelengths = core.plan.wavelengths
+    cache = np.ones((core.macro_count, core.weight_bits, core.channels_per_macro))
+    for element, planes in enumerate(core.multipliers):
+        macro = element // core.channels_per_macro
+        for plane, multiplier in enumerate(planes):
+            cache[macro, plane, :] *= np.asarray(
+                multiplier.ring.thru_transmission(wavelengths, voltage=voltage),
+                dtype=float,
+            )
+    return cache
+
+
+def reference_current(core, cache, inputs):
+    fractions = np.asarray(core.splitter_tree.branch_fractions())
+    power = core.technology.compute.channel_power
+    responsivity = core.photodiode.spec.responsivity
+    current = 0.0
+    for macro in range(core.macro_count):
+        start = macro * core.channels_per_macro
+        stop = min(start + core.channels_per_macro, core.vector_length)
+        macro_inputs = np.zeros(core.channels_per_macro)
+        macro_inputs[: stop - start] = inputs[start:stop]
+        plane_powers = cache[macro] @ (power * macro_inputs)
+        current += responsivity * float(fractions @ plane_powers)
+    return current
+
+
+def reference_responses(core, cache):
+    fractions = np.asarray(core.splitter_tree.branch_fractions())
+    power = core.technology.compute.channel_power
+    responsivity = core.photodiode.spec.responsivity
+    responses = np.empty(core.vector_length)
+    for element in range(core.vector_length):
+        macro = element // core.channels_per_macro
+        channel = element % core.channels_per_macro
+        responses[element] = (
+            responsivity * power * float(fractions @ cache[macro, :, channel])
+        )
+    return responses
+
+
+def assert_matches_per_ring_walk(core, inputs):
+    """Transmissions, responses, compute and full scale equal the
+    per-ring walk bit for bit."""
+    cache = per_ring_reference(core)
+    assert np.array_equal(core._transmissions(), cache)
+    assert np.array_equal(core.element_responses(), reference_responses(core, cache))
+    assert core.compute(inputs) == reference_current(core, cache, inputs)
+    full = per_ring_reference(core, voltage=core.technology.psram.vdd)
+    ones = np.ones(core.vector_length)
+    assert core.full_scale_current() == reference_current(core, full, ones)
+
+
+@given(
+    length=st.integers(min_value=1, max_value=17),
+    bits=st.integers(min_value=1, max_value=4),
+    plan=st.sampled_from(range(len(CHANNEL_PLANS))),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_ring_table_loads_equal_per_ring_walk(length, bits, plan, data):
+    """A lone core (table walked ring by ring) and the rows of a tensor
+    core (one shared table) both load bit-for-bit like the walk."""
+    technology = CHANNEL_PLANS[plan]
+    tensor = PhotonicTensorCore(rows=2, columns=length, weight_bits=bits, technology=technology)
+    cores = [VectorComputeCore(length, bits, technology), *tensor.row_cores]
+    words = st.lists(
+        st.integers(min_value=0, max_value=2**bits - 1), min_size=length, max_size=length
+    )
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    for core in cores:
+        for _ in range(2):  # a reload from a non-zero state, too
+            core.load_weights(data.draw(words))
+            inputs = np.asarray(data.draw(st.lists(unit, min_size=length, max_size=length)))
+            assert_matches_per_ring_walk(core, inputs)
