@@ -117,7 +117,6 @@ from .health import (
 from .runtime import (
     BatchScheduler,
     CompiledCore,
-    InferenceServer,
     TiledMatmul,
     WeightProgramCache,
 )
@@ -171,7 +170,6 @@ __all__ = [
     "HealthPolicy",
     "HealthReport",
     "Histogram",
-    "InferenceServer",
     "LaserPowerDecay",
     "MetricsRegistry",
     "Model",

@@ -11,8 +11,7 @@ instead of returning ``None``.
 
 Each flush also produces one :class:`RunReport` — the unified
 accounting record (requests, batches, cache behaviour, modelled analog
-energy/latency) every future of that flush carries, replacing the
-scattered per-path stats objects of the legacy server.
+energy/latency) every future of that flush carries.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import PendingFlushError
+from ..errors import DeadlineExceededError, PendingFlushError
 from ..telemetry.export import ReportExport
 
 if TYPE_CHECKING:
@@ -232,8 +231,8 @@ class Future:
         self._done = False
         self._abandoned = False
         #: Modelled-clock submit/resolve timestamps [s] and the request
-        #: route — stamped only when the session carries a telemetry
-        #: binding, read back for request lifecycle spans.
+        #: route, read back for request lifecycle spans (the submit
+        #: stamp and route only with a telemetry binding attached).
         self._submitted_at: float | None = None
         self._resolved_at: float | None = None
         self._route: str | None = None
@@ -263,6 +262,18 @@ class Future:
         is over for it) but every payload read raises ``error``."""
         self._error = error
         self._done = True
+
+    def _expire(self) -> None:
+        """Shed this request past its deadline: reads raise the typed
+        :class:`~repro.errors.DeadlineExceededError`."""
+        self._fail(
+            DeadlineExceededError(
+                f"{self.label} shed: its deadline expired before its "
+                f"batch could complete (deadline t={self._deadline:.3g} s "
+                "on the session clock); re-submit with a later deadline "
+                "or a deadline-aware flush policy"
+            )
+        )
 
     def _abandon(self) -> None:
         """Mark this future dropped by a failed flush, so later reads

@@ -7,8 +7,9 @@ hand-placing ``flush()`` calls:
 
 * :meth:`FlushPolicy.explicit` — never auto-flush; only an explicit
   :meth:`~repro.api.PhotonicSession.flush` or a blocking
-  :meth:`~repro.api.Future.result` drains the queues (the legacy
-  ``InferenceServer`` behaviour).
+  :meth:`~repro.api.Future.result` drains the queues (the session
+  default, and the hand-flushed batching of the removed
+  ``InferenceServer``).
 * :meth:`FlushPolicy.max_batch` — flush as soon as the pending request
   count reaches the limit, bounding queue growth at a full batch.
 * :meth:`FlushPolicy.max_delay` — flush once the oldest pending

@@ -14,14 +14,16 @@ it and returns a :class:`~repro.api.futures.Future`:
   :class:`~repro.api.graph.Model` into a :class:`DeployedModel`
   endpoint whose ``submit(batch)`` serves whole network forwards.
 
-A pluggable :class:`~repro.api.policy.FlushPolicy` replaces hand-called
-``flush()``: requests queue until the policy trips (max_batch /
-max_delay) or a blocking ``Future.result()`` forces the evaluation.
-Each flush produces one unified :class:`~repro.api.futures.RunReport`
-carried by every future it resolves.
-
-The legacy :class:`repro.runtime.serving.InferenceServer` is a thin
-deprecation shim over this class — the engine room moved here.
+Dense and conv requests queue in the session's
+:class:`~repro.runtime.scheduler.BatchScheduler`, whose one flush loop
+compiles, sheds, evaluates and accounts every group on one modelled
+service clock; endpoint batches drain after it on the same clock and
+ledger.  A pluggable :class:`~repro.api.policy.FlushPolicy` replaces
+hand-called ``flush()``: requests queue until the policy trips
+(max_batch / max_delay) or a blocking ``Future.result()`` forces the
+evaluation.  Each flush produces one unified
+:class:`~repro.api.futures.RunReport` carried by every future it
+resolves.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from ..config import Technology, default_technology
 from ..core.quantization import quantize_weights_differential
 from ..elastic import ProgramStore, core_fingerprint
-from ..errors import ConfigurationError, DeadlineExceededError
+from ..errors import ConfigurationError
 from ..health.drift import DriftModel, DriftState
 from ..health.monitor import HealthMonitor, HealthPolicy, HealthReport
 from ..ml.convolution import (
@@ -47,10 +49,9 @@ from ..ml.convolution import (
     normalize_kernel_bank,
     output_shape,
 )
-from ..ml.layers import PhotonicDense, compile_differential_engines, relu
+from ..ml.layers import PhotonicDense, relu
 from ..runtime.engine import weight_key
 from ..runtime.scheduler import BatchScheduler, WeightProgramCache
-from ..runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from ..telemetry import MetricsRegistry, ModelClock, Telemetry, TraceRecorder
 from ..telemetry.profiling import wall_clock
 from .futures import Future, RunReport
@@ -63,11 +64,18 @@ if TYPE_CHECKING:
     from ..core.performance import PerformanceModel
     from ..core.tensor_core import PhotonicTensorCore
     from ..obs import Observer
-    from ..runtime.serving import ServerStats
 
 #: Everything the ``drift`` knob accepts: a ready state, one model, an
 #: iterable of models (wrapped into a fresh state), or None.
 DriftLike = DriftState | DriftModel | Iterable[DriftModel] | None
+
+#: The :class:`~repro.runtime.scheduler.SchedulerStats` ledger fields a
+#: :class:`~repro.api.futures.RunReport` carries.
+_LEDGER_FIELDS = (
+    "requests", "batches", "samples", "cache_hits", "cache_misses",
+    "cache_evictions", "weight_energy_spent", "weight_energy_saved",
+    "weight_time_spent", "analog_time", "analog_energy", "deadline_misses",
+)
 
 #: Everything the ``clock`` knob accepts: a shared
 #: :class:`~repro.telemetry.ModelClock`, any zero-argument callable
@@ -148,23 +156,15 @@ class DeployedModel:
         :meth:`PhotonicSession.submit` semantics — an endpoint batch
         whose deadline expires before its drain begins is shed."""
         batch = self._validated_batch(batch)
-        deadline_at = self._session._resolve_deadline(deadline)
+        session = self._session
         self._submitted += 1
-        future = Future(
-            self._session,
-            f"model '{self.label}' batch #{self._submitted}",
-            self._session.flushes + 1,
-        )
-        if deadline is not None and deadline <= 0.0:
-            future._deadline = deadline_at
-            future._tenant = tenant
-            self._session._shed_future(future)
+        label = f"model '{self.label}' batch #{self._submitted}"
+        future = session._new_future(label, deadline, tenant)
+        if future.done:
             return future
         self._queue.append((batch, future))
-        self._session._model_requests += 1
-        self._session._note_submit(future, "model", tenant)
-        self._session._note_deadline(future, deadline_at)
-        self._session._after_submit()
+        session.scheduler._stats.requests += 1
+        session._queued(future, "model")
         return future
 
     def predict(self, batch: ArrayLike) -> np.ndarray:
@@ -174,56 +174,51 @@ class DeployedModel:
     __call__ = predict
 
     # -- evaluation (session flush internals) --------------------------------
-    def _drain(
-        self, resolved_futures: list[Future], now: float | None = None
-    ) -> int:
-        if not self._queue:
-            return 0
+    def _drain(self) -> int:
+        """Serve the queue as one forward per input shape on the
+        scheduler's ledger and service clock; returns resolved count.
+
+        Endpoint batches shed on the simple rule: a deadline already
+        past when the drain begins cannot be met (whole-network
+        forwards have no cheap completion estimate).
+        """
         queue, self._queue = self._queue, []
-        if now is not None:
-            # Endpoint batches shed on the simple rule: a deadline
-            # already past when the drain begins cannot be met (whole-
-            # network forwards have no cheap completion estimate).
-            live = []
-            for batch, future in queue:
-                if future._deadline is not None and future._deadline < now:
-                    self._session._shed_future(future)
-                else:
-                    live.append((batch, future))
-            queue = live
-            if not queue:
-                return 0
+        scheduler = self._session.scheduler
+        live = scheduler._shed([future for _, future in queue], 0.0)
+        if live is not None:
+            queue = [queue[index] for index in live]
         groups: dict[tuple, list[tuple[np.ndarray, Future]]] = {}
         for batch, future in queue:
             groups.setdefault(batch.shape[1:], []).append((batch, future))
-        resolved = 0
         for entries in groups.values():
             stack = np.concatenate([batch for batch, _ in entries], axis=0)
             outputs = self._forward(stack)
-            self._session._model_batches += 1
+            scheduler._stats.batches += 1
             offset = 0
             for batch, future in entries:
                 future._resolve(outputs[offset : offset + len(batch)])
-                resolved_futures.append(future)
                 offset += len(batch)
-                resolved += 1
-        return resolved
+        resolved_at = scheduler._service_clock().now
+        for _, future in queue:
+            future._resolved_at = resolved_at
+        return len(queue)
 
     def _forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run the stage chain, accounting analog time/energy into the
-        session ledger as the compiled engines evaluate."""
-        session = self._session
+        """Run the stage chain, charging each compute stage's analog
+        passes to the scheduler ledger as the compiled engines evaluate:
+        one ADC sample period per pass per input column, the active
+        grid burning its tile count times one tile's power (the same
+        model as the conv route)."""
         current = batch
         for stage in self.stages:
             spec, layer = stage.spec, stage.layer
             if isinstance(spec, Dense):
                 samples = len(current)
                 current = layer.forward(current)
-                session._account_model_stage(layer, samples)
+                self._charge(layer, samples)
             elif isinstance(spec, Conv2d):
                 current = layer.forward_batch(current)
-                patches = len(current) * current.shape[2] * current.shape[3]
-                session._account_model_stage(layer, patches)
+                self._charge(layer, len(current) * current.shape[2] * current.shape[3])
             elif isinstance(spec, ReLU):
                 current = relu(current)
             elif isinstance(spec, AvgPool):
@@ -235,6 +230,12 @@ class DeployedModel:
                     f"no forward rule for layer spec {type(spec).__name__}"
                 )
         return current
+
+    def _charge(self, layer: PhotonicDense | PhotonicConv2d, samples: int) -> None:
+        positive, negative = layer.runtime_engines()
+        passes = 2 if negative is not None else 1
+        tiles = positive.tile_count + (negative.tile_count if negative else 0)
+        self._session.scheduler._charge(samples, passes, tiles)
 
     def __repr__(self) -> str:
         return (
@@ -368,40 +369,22 @@ class PhotonicSession:
             label="session",
         )
         self.scheduler.telemetry = self.telemetry
-        #: Shared LRU of tiled/conv/model weight programs.
-        self.tiled_cache = WeightProgramCache(tiled_cache_capacity)
-        self._native_pending: list[tuple[Future, object, int]] = []
-        self._tiled_pending: dict[tuple[bytes, float | str], dict] = {}
-        self._conv_pending: dict[tuple[bytes, float], dict] = {}
+        self.scheduler.tiled_cache = WeightProgramCache(tiled_cache_capacity)
         self._endpoints: list[DeployedModel] = []
+        #: Futures queued since the last flush, in submit order.
+        self._window: list[Future] = []
         self._oldest_pending: float | None = None
         #: Most urgent absolute deadline among pending requests (None =
         #: no pending request carries one); feeds the SLO-aware policy.
         self._earliest_deadline: float | None = None
-        #: Deadline misses the session shed itself (submit-time expiry
-        #: plus tiled/conv/model flush sheds); the scheduler counts its
-        #: own in :class:`~repro.runtime.scheduler.SchedulerStats`.
+        #: Requests shed at submit (already expired); flush-time sheds
+        #: count in :class:`~repro.runtime.scheduler.SchedulerStats`.
         self._deadline_misses = 0
         self._flushes = 0
-        #: Modelled-clock timestamp the current flush started at
-        #: (telemetry only; queue-wait = flush start - submit time).
+        #: Service-clock timestamp the current flush started at
+        #: (queue-wait = flush start - submit time).
         self._flush_started = 0.0
         self._submit_count = 0
-        self._tiled_requests = 0
-        self._tiled_batches = 0
-        self._tiled_samples = 0
-        self._tiled_analog_time = 0.0
-        self._tiled_analog_energy = 0.0
-        self._tiled_energy_spent = 0.0
-        self._tiled_energy_saved = 0.0
-        self._tiled_weight_time = 0.0
-        self._conv_requests = 0
-        self._conv_patches = 0
-        self._model_requests = 0
-        self._model_batches = 0
-        self._model_samples = 0
-        self._model_analog_time = 0.0
-        self._model_analog_energy = 0.0
 
         # -- health loop (repro.health) ----------------------------------
         #: Live degradation state of the core (None = ageless hardware).
@@ -485,6 +468,11 @@ class PhotonicSession:
         return self.scheduler.columns
 
     @property
+    def tiled_cache(self) -> WeightProgramCache:
+        """Shared LRU of tiled, conv and model-layer programs."""
+        return self.scheduler.tiled_cache
+
+    @property
     def flushes(self) -> int:
         """Completed flush count (futures name flush ``flushes + 1``)."""
         return self._flushes
@@ -492,11 +480,8 @@ class PhotonicSession:
     @property
     def pending(self) -> int:
         """Requests submitted but not yet flushed, across all routes."""
-        return (
-            self.scheduler.pending
-            + sum(len(group["futures"]) for group in self._tiled_pending.values())
-            + sum(len(group["futures"]) for group in self._conv_pending.values())
-            + sum(len(endpoint._queue) for endpoint in self._endpoints)
+        return self.scheduler.pending + sum(
+            len(endpoint._queue) for endpoint in self._endpoints
         )
 
     @property
@@ -517,10 +502,6 @@ class PhotonicSession:
         if gain <= 0.0:
             raise ConfigurationError(f"TIA gain must be positive, got {gain}")
         return float(gain)
-
-    def _auto_gain(self, weights: np.ndarray) -> float:
-        """The shared range-calibration rule applied to one padded tile."""
-        return auto_range_gain(weights, self.columns * self.core.max_weight)
 
     # -- raw dense route -----------------------------------------------------
     def submit(
@@ -548,83 +529,39 @@ class PhotonicSession:
         the miss counts on :attr:`RunReport.deadline_misses`.
         ``tenant`` labels the request for per-tenant telemetry.
         """
-        weights = np.asarray(weights, dtype=int)
+        weights = np.asarray(weights)
         if weights.ndim != 2:
             raise ConfigurationError(
                 f"weight matrix must be 2-D, got shape {weights.shape}"
             )
-        x = np.asarray(x, dtype=float)
+        # A private copy: the queue must not alias the caller's buffer.
+        x = np.array(x, dtype=float)
         out_features, in_features = weights.shape
         if x.shape != (in_features,):
             raise ConfigurationError(
                 f"input must have shape ({in_features},), got {x.shape}"
             )
         gain = self._validated_gain(gain)
-        deadline_at = self._resolve_deadline(deadline)
         self._submit_count += 1
         label = f"dense {out_features}x{in_features} request #{self._submit_count}"
-        if deadline is not None and deadline <= 0.0:
-            # Already expired at submit: never enters a queue.
-            future = Future(self, label, self._flushes + 1)
-            future._deadline = deadline_at
-            future._tenant = tenant
-            self._shed_future(future)
+        future = self._new_future(label, deadline, tenant)
+        if future.done:
             return future
-        if out_features <= self.rows and in_features <= self.columns:
-            padded_w = np.zeros((self.rows, self.columns), dtype=int)
-            padded_w[:out_features, :in_features] = weights
-            padded_x = np.zeros(self.columns)
-            padded_x[:in_features] = x
-            if gain is None:
-                gain = 1.0
-            elif gain == "auto":
-                gain = self._auto_gain(padded_w)
-            ticket = self.scheduler.submit(
-                padded_w, padded_x, gain=gain, deadline=deadline_at
-            )
-            future = Future(self, label, self._flushes + 1)
-            self._native_pending.append((future, ticket, out_features))
-            self._note_submit(future, "native", tenant)
-        else:
-            future = self._submit_tiled(weights, x, gain, label, tenant)
-        self._note_deadline(future, deadline_at)
-        self._after_submit()
-        return future
-
-    def _submit_tiled(
-        self,
-        weights: np.ndarray,
-        x: np.ndarray,
-        gain: float | str,
-        label: str,
-        tenant: str | None = None,
-    ) -> Future:
-        max_weight = self.core.max_weight
-        if np.any(weights < 0) or np.any(weights > max_weight):
-            raise ConfigurationError(
-                f"weights must lie in [0, {max_weight}], got range "
-                f"[{weights.min()}, {weights.max()}]"
-            )
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
-            raise ConfigurationError(
-                f"analog inputs must lie in [0, 1], got range "
-                f"[{x.min():.6g}, {x.max():.6g}]"
-            )
-        # Requests batch per (program, gain): mixed gains against the
-        # same weights must not share an evaluation.  None means native
-        # gain 1.0 (matching the single-tile path); "auto" defers to
-        # the grid's per-tile calibrated gains.
+        # None is the native gain 1.0 on both dense routes; the scheduler
+        # resolves "auto" by the one range-calibration rule (per tile on
+        # a grid).  Requests at different gains never share a batch.
         gain = 1.0 if gain is None else gain
-        key = (weight_key(weights), gain)
-        group = self._tiled_pending.get(key)
-        if group is None:
-            group = {"weights": weights.copy(), "inputs": [], "futures": [], "gain": gain}
-            self._tiled_pending[key] = group
-        future = Future(self, label, self._flushes + 1)
-        group["inputs"].append(x.copy())
-        group["futures"].append(future)
-        self._tiled_requests += 1
-        self._note_submit(future, "tiled", tenant)
+        if out_features <= self.rows and in_features <= self.columns:
+            if weights.shape != (self.rows, self.columns):
+                padded = np.zeros((self.rows, self.columns), dtype=weights.dtype)
+                padded[:out_features, :in_features] = weights
+                weights = padded
+                x = np.concatenate([x, np.zeros(self.columns - in_features)])
+            self.scheduler.enqueue("native", weights, x, future, gain, out_features)
+            self._queued(future, "native")
+        else:
+            self.scheduler.enqueue("tiled", weights, x, future, gain)
+            self._queued(future, "tiled")
         return future
 
     # -- conv route ----------------------------------------------------------
@@ -642,16 +579,17 @@ class PhotonicSession:
         ``kernels`` is a float bank of shape (n, k, k) — or
         (n, channels, k, k) — quantized here into a differential conv
         program keyed on the quantized integers, so repeated banks hit
-        the shared program cache; ``image`` is a non-negative (H, W) or
-        (channels, H, W) intensity map.  ``gain`` is the row-TIA range
-        setting applied to every tile (None = native 1.0); the per-tile
-        ``"auto"`` calibration is not offered here because differential
-        halves must digitize at one common gain to subtract exactly.
-        ``deadline`` / ``tenant`` follow the :meth:`submit` semantics.
+        the shared program cache; ``image`` is a finite, non-negative
+        (H, W) or (channels, H, W) intensity map.  ``gain`` is the
+        row-TIA range setting applied to every tile (None = native
+        1.0); the per-tile ``"auto"`` calibration is not offered here
+        because differential halves must digitize at one common gain to
+        subtract exactly.  ``deadline`` / ``tenant`` follow the
+        :meth:`submit` semantics; a request already expired at submit
+        is shed before any quantization or im2col work.
         """
         kernels = normalize_kernel_bank(kernels)
         gain = self._validated_gain(gain)
-        deadline_at = self._resolve_deadline(deadline)
         if gain == "auto":
             raise ConfigurationError(
                 "the conv route takes a numeric gain (or None for native 1.0)"
@@ -659,106 +597,30 @@ class PhotonicSession:
         gain = 1.0 if gain is None else float(gain)
         kernel_size = kernels.shape[2]
         image = normalize_image(image, kernels.shape[1])
-
-        flattened = kernels.reshape(kernels.shape[0], -1)
-        q_positive, q_negative, weight_scale = quantize_weights_differential(
-            flattened, self.core.weight_bits
-        )
-        patches = im2col_channels(image, kernel_size, stride)
         out_rows, out_cols = output_shape(image.shape[1:], kernel_size, stride)
-        encoded, scales = encode_patch_batch(patches)
-
-        # Conv programs share the tiled LRU; the prefix keeps a kernel
-        # bank from colliding with a plain weight matrix of equal bytes.
-        key = b"conv:" + weight_key(np.concatenate([q_positive, q_negative]))
-        group = self._conv_pending.get((key, gain))
-        if group is None:
-            group = {
-                "q_positive": q_positive,
-                "q_negative": q_negative,
-                "segments": [],
-                "futures": [],
-            }
-            self._conv_pending[(key, gain)] = group
         self._submit_count += 1
-        future = Future(
-            self,
-            f"conv {kernels.shape[0]}-kernel request #{self._submit_count}",
-            self._flushes + 1,
-            shape=(kernels.shape[0], out_rows, out_cols),
-        )
-        if deadline is not None and deadline <= 0.0:
-            future._deadline = deadline_at
-            future._tenant = tenant
-            self._shed_future(future)
+        label = f"conv {kernels.shape[0]}-kernel request #{self._submit_count}"
+        shape = (kernels.shape[0], out_rows, out_cols)
+        future = self._new_future(label, deadline, tenant, shape=shape)
+        if future.done:
             return future
-        group["segments"].append((encoded, scales, weight_scale))
-        group["futures"].append(future)
-        self._conv_requests += 1
-        self._note_submit(future, "conv", tenant)
-        self._note_deadline(future, deadline_at)
-        self._after_submit()
+        q_positive, q_negative, weight_scale = quantize_weights_differential(
+            kernels.reshape(kernels.shape[0], -1), self.core.weight_bits
+        )
+        encoded, scales = encode_patch_batch(
+            im2col_channels(image, kernel_size, stride)
+        )
+        # Conv programs share the tiled LRU under a "conv:" key prefix,
+        # so a kernel bank never collides with a plain weight matrix.
+        self.scheduler.enqueue(
+            "conv",
+            np.concatenate([q_positive, q_negative]),
+            (encoded, scales, weight_scale),
+            future,
+            gain,
+        )
+        self._queued(future, "conv")
         return future
-
-    def _differential_program(
-        self, key: bytes, q_positive: np.ndarray, q_negative: np.ndarray
-    ) -> DifferentialProgram:
-        """Fetch-or-compile a differential program in the shared cache,
-        charging the pSRAM streaming ledger on misses and crediting the
-        avoided reload on hits."""
-        tel = self.telemetry
-        program = self.tiled_cache.get(key)
-        if program is None:
-            # Warm start: restore a persisted compile of this program
-            # before paying the cold differential build.  The modelled
-            # streaming ledger is charged identically either way; only
-            # the host-side compile is skipped.
-            restored = self.tiled_cache.read_back(key)
-            if restored is not None:
-                self._tiled_energy_spent += restored.weight_update_energy
-                self._tiled_weight_time += restored.weight_update_time
-                self.tiled_cache.put(key, restored)
-                if tel is not None:
-                    restore_start = tel.clock.now
-                    tel.clock.advance(restored.weight_update_time)
-                    tel.metrics.counter("warm_starts").inc()
-                    tel.span(
-                        "warm start differential",
-                        "fleet",
-                        restore_start,
-                        restored.weight_update_time,
-                        args={
-                            "program": key[:12].hex(),
-                            "tiles": restored.tile_count,
-                        },
-                    )
-                return restored
-            positive, negative = compile_differential_engines(
-                q_positive, q_negative, self.core
-            )
-            program = DifferentialProgram(positive=positive, negative=negative)
-            self._tiled_energy_spent += program.weight_update_energy
-            self._tiled_weight_time += program.weight_update_time
-            self.tiled_cache.put(key, program)
-            if tel is not None:
-                compile_start = tel.clock.now
-                tel.clock.advance(program.weight_update_time)
-                tel.metrics.counter("cache_misses").inc()
-                tel.span(
-                    "compile differential",
-                    "compile",
-                    compile_start,
-                    program.weight_update_time,
-                    args={"program": key[:12].hex(), "tiles": program.tile_count},
-                )
-        else:
-            self._tiled_energy_saved += program.weight_update_energy
-            if tel is not None:
-                tel.metrics.counter("cache_hits").inc()
-                tel.instant(
-                    "cache_hit", "cache", args={"program": key[:12].hex()}
-                )
-        return program
 
     # -- model endpoints -----------------------------------------------------
     def compile(
@@ -820,10 +682,8 @@ class PhotonicSession:
         """Bind a quantized layer to cached compiled engines (the same
         key scheme as the conv route, so a served kernel bank and a
         compiled model layer share one program)."""
-        key = prefix + weight_key(
-            np.concatenate([layer.q_positive, layer.q_negative])
-        )
-        program = self._differential_program(key, layer.q_positive, layer.q_negative)
+        source = np.concatenate([layer.q_positive, layer.q_negative])
+        program = self.scheduler._program("conv", prefix + weight_key(source), source)
         layer.attach_engines(program.positive, program.negative)
 
     def _calibrate(self, stages: list[CompiledStage], batch: ArrayLike) -> None:
@@ -856,23 +716,6 @@ class PhotonicSession:
                 raise ConfigurationError(
                     f"no calibration rule for layer spec {type(spec).__name__}"
                 )
-
-    def _account_model_stage(
-        self, layer: PhotonicDense | PhotonicConv2d, samples: int
-    ) -> None:
-        """Charge one compute stage's analog passes to the ledger: one
-        ADC sample period per analog pass per input column, the active
-        grid burning tile_count times one tile's power (the same model
-        as the conv serving route)."""
-        positive, negative = layer.runtime_engines()
-        passes = 2 if negative is not None else 1
-        tiles = positive.tile_count + (negative.tile_count if negative else 0)
-        period = 1.0 / self.performance.sample_rate
-        self._model_samples += samples * passes
-        self._model_analog_time += samples * period * passes
-        self._model_analog_energy += samples * period * self.performance.total_power * tiles
-        if self.telemetry is not None:
-            self.telemetry.clock.advance(samples * period * passes)
 
     # -- health: drift, probes, recalibration --------------------------------
     @staticmethod
@@ -936,8 +779,7 @@ class PhotonicSession:
             raise ConfigurationError(f"age must be non-negative, got {seconds}")
         if self.drift is not None:
             self.drift.advance(seconds=seconds)
-        if self.telemetry is not None:
-            self.telemetry.clock.advance(seconds)
+        self.scheduler._service_clock().advance(seconds)
 
     def recalibrate(self) -> HealthReport | None:
         """Re-trim the core online and invalidate exactly the stale
@@ -974,10 +816,11 @@ class PhotonicSession:
         retrim_time = conversions / adc.sample_rate
         self._calibration_time += retrim_time
         self._calibration_energy += conversions * adc.energy_per_conversion
+        clock = self.scheduler._service_clock()
+        retrim_start = clock.now
+        clock.advance(retrim_time)
         tel = self.telemetry
         if tel is not None:
-            retrim_start = tel.clock.now
-            tel.clock.advance(retrim_time)
             tel.metrics.counter("recalibrations").inc()
             tel.span(
                 "recalibrate",
@@ -1057,12 +900,10 @@ class PhotonicSession:
         """The timestamp base ``deadline=`` offsets add onto: the
         injected clock first, else the telemetry clock (so deadlines
         and latency stamps share one timeline), else wall clock."""
-        if self.clock is not None:
-            return self._now()
         tel = self.telemetry
-        if tel is not None:
+        if self.clock is None and tel is not None:
             return tel.clock.now
-        return wall_clock()
+        return self._now()
 
     def _resolve_deadline(self, deadline: float | None) -> float | None:
         """Turn a relative ``deadline=`` [s] into an absolute timestamp
@@ -1077,73 +918,63 @@ class PhotonicSession:
             )
         return self._stamp_now() + float(deadline)
 
-    def _note_deadline(self, future: Future, deadline_at: float | None) -> None:
-        """Track the most urgent pending deadline for the SLO-aware
-        flush policy."""
+    def _new_future(
+        self,
+        label: str,
+        deadline: float | None,
+        tenant: str | None,
+        shape: tuple | None = None,
+    ) -> Future:
+        """A future for the next flush, carrying its absolute deadline;
+        shed at once (it never enters a queue) when the relative
+        ``deadline`` is already non-positive."""
+        deadline_at = self._resolve_deadline(deadline)
+        future = Future(self, label, self._flushes + 1, shape=shape)
         future._deadline = deadline_at
-        if deadline_at is not None and (
-            self._earliest_deadline is None
-            or deadline_at < self._earliest_deadline
-        ):
-            self._earliest_deadline = deadline_at
+        future._tenant = tenant
+        if deadline is not None and deadline <= 0.0:
+            self._shed_future(future)
+        return future
 
     def _shed_future(self, future: Future) -> None:
-        """Fail one request past its deadline: reads raise the typed
+        """Fail one request expired at submit: reads raise the typed
         error, the miss counts on this session's ledger."""
-        future._fail(
-            DeadlineExceededError(
-                f"{future.label} shed: its deadline expired before its "
-                f"batch could complete (deadline t={future._deadline:.3g} s "
-                "on the session clock); re-submit with a later deadline "
-                "or a deadline-aware flush policy"
-            )
-        )
+        future._expire()
         self._deadline_misses += 1
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("deadline_misses").inc()
 
-    def _fail_expired_ticket(self, future: Future) -> None:
-        """Mirror a scheduler-shed ticket onto its future (the
-        scheduler already counted the miss in its own stats)."""
-        future._fail(
-            DeadlineExceededError(
-                f"{future.label} shed: its deadline expired before its "
-                f"batch could complete (deadline t={future._deadline:.3g} s "
-                "on the session clock); re-submit with a later deadline "
-                "or a deadline-aware flush policy"
-            )
-        )
-
-    # -- telemetry -----------------------------------------------------------
-    def _note_submit(
-        self, future: Future, route: str, tenant: str | None = None
-    ) -> None:
-        """Stamp one queued request's modelled submit time (telemetry
-        only; the uninstrumented path never calls into telemetry)."""
-        future._tenant = tenant
+    def _queued(self, future: Future, route: str) -> None:
+        """Book one request into the flush window: its telemetry submit
+        stamp, the most urgent pending deadline (for the SLO-aware
+        flush policy), then the flush policy itself."""
+        self._window.append(future)
         tel = self.telemetry
         if tel is not None:
-            if self.clock is not None:
-                future._submitted_at = self._now()
-            else:
-                future._submitted_at = tel.clock.now
+            future._submitted_at = self._stamp_now()
             future._route = route
             tel.metrics.counter("requests").inc()
+        deadline_at = future._deadline
+        if deadline_at is not None and (
+            self._earliest_deadline is None
+            or deadline_at < self._earliest_deadline
+        ):
+            self._earliest_deadline = deadline_at
+        self._after_submit()
 
+    # -- telemetry -----------------------------------------------------------
     def _note_resolved(self, future: Future, resolved_at: float | None) -> None:
-        """Stamp one resolved request and add its modelled queue-wait
-        and end-to-end latency to the open flush window."""
+        """Add one resolved request's modelled queue-wait and
+        end-to-end latency to the open flush window (telemetry only;
+        the uninstrumented path never calls into telemetry)."""
         tel = self.telemetry
         if tel is None:
             return
-        future._resolved_at = (
-            resolved_at if resolved_at is not None else tel.clock.now
-        )
         if future._submitted_at is not None:
             tel.record_request(
                 self._flush_started - future._submitted_at,
-                future._resolved_at - future._submitted_at,
+                resolved_at - future._submitted_at,
                 label=future._tenant,
             )
 
@@ -1206,266 +1037,51 @@ class PhotonicSession:
     def flush(self) -> int:
         """Evaluate every pending request; returns resolved count.
 
-        Requests carrying a ``deadline=`` are shed instead of evaluated
-        when their batch's modelled completion time falls past the
-        deadline (the estimate uses the *pre-shed* batch size, so a
-        shed never resurrects a later request).  The service timeline
-        is the telemetry clock when a binding is attached; otherwise it
-        starts at the session clock's 'now' and accumulates modelled
-        batch/compile times per route.
+        The scheduler's one loop serves every dense and conv group, then
+        model endpoints drain, all on one modelled service clock: the
+        telemetry clock when a binding is attached, otherwise a clock
+        started at the session clock's 'now'.  Requests carrying a
+        ``deadline=`` are shed instead of evaluated when their batch's
+        modelled completion time falls past the deadline (the estimate
+        uses the *pre-shed* batch size, so a shed never resurrects a
+        later request).
         """
-        resolved_futures: list[Future] = []
-        resolved = 0
-        period = 1.0 / self.performance.sample_rate
         tel = self.telemetry
-        if tel is not None:
-            self._flush_started = tel.clock.now
-            flush_now = self._flush_started
-        else:
-            flush_now = self._now()
-        service_now = flush_now
+        now = tel.clock.now if tel is not None else self._now()
+        self._flush_started = now
+        window, self._window = self._window, []
         try:
-            if tel is None:
-                sched = self.scheduler._stats
-                sched_before = sched.analog_time + sched.weight_time_spent
-            resolved += self.scheduler.flush(now=flush_now)
-            if tel is None:
-                service_now += (
-                    sched.analog_time + sched.weight_time_spent - sched_before
-                )
-            for future, ticket, out_features in self._native_pending:
-                if ticket.result is not None:
-                    future._resolve(
-                        ticket.result.estimates[:out_features],
-                        codes=ticket.result.codes[:out_features],
-                    )
-                    resolved_futures.append(future)
-                    if tel is not None:
-                        self._note_resolved(future, ticket.resolved_at)
-                elif ticket.expired:
-                    self._fail_expired_ticket(future)
-            for (key, _), group in self._tiled_pending.items():
-                weight_before = self._tiled_weight_time
-                engine = self.tiled_cache.get(key)
-                if engine is None:
-                    # Warm start before cold compile: a persisted grid
-                    # restores in one read, still charging the modelled
-                    # streaming ledger.
-                    restored = self.tiled_cache.read_back(key)
-                    if restored is not None:
-                        engine = restored
-                    else:
-                        engine = TiledMatmul(
-                            group["weights"],
-                            tile_rows=self.rows,
-                            tile_columns=self.columns,
-                            weight_bits=self.core.weight_bits,
-                            adc_bits=self.core.row_adcs[0].bits,
-                            technology=self.technology,
-                            ladder_cache=self.core.runtime_ladder_cache,
-                            drift_state=self.core.drift_state,
-                        )
-                    self._tiled_energy_spent += engine.weight_update_energy
-                    self._tiled_weight_time += engine.weight_update_time
-                    self.tiled_cache.put(key, engine)
-                    if tel is not None:
-                        compile_start = tel.clock.now
-                        tel.clock.advance(engine.weight_update_time)
-                        tel.metrics.counter("cache_misses").inc()
-                        if restored is not None:
-                            tel.metrics.counter("warm_starts").inc()
-                        tel.span(
-                            "warm start tiled" if restored is not None
-                            else "compile tiled",
-                            "fleet" if restored is not None else "compile",
-                            compile_start,
-                            engine.weight_update_time,
-                            args={"tiles": engine.tile_count},
-                        )
-                else:
-                    self._tiled_energy_saved += engine.weight_update_energy
-                    if tel is not None:
-                        tel.metrics.counter("cache_hits").inc()
-                        tel.instant("cache_hit", "cache")
-                if tel is not None:
-                    service_now = tel.clock.now
-                else:
-                    service_now += self._tiled_weight_time - weight_before
-                futures = group["futures"]
-                if any(f._deadline is not None for f in futures):
-                    # Completion estimated from the pre-shed batch size.
-                    completion = service_now + len(group["inputs"]) * period
-                    live = [
-                        index
-                        for index, future in enumerate(futures)
-                        if future._deadline is None
-                        or future._deadline >= completion
-                    ]
-                    if len(live) < len(futures):
-                        survivors = set(live)
-                        for index, future in enumerate(futures):
-                            if index not in survivors:
-                                self._shed_future(future)
-                        group["inputs"] = [group["inputs"][i] for i in live]
-                        group["futures"] = [futures[i] for i in live]
-                        if not group["futures"]:
-                            continue
-                batch = np.stack(group["inputs"], axis=1)
-                gain = None if group["gain"] == "auto" else group["gain"]
-                if tel is not None:
-                    batch_start = tel.clock.now
-                estimates = engine.matmul(batch, gain=gain)
-                for index, future in enumerate(group["futures"]):
-                    future._resolve(estimates[:, index])
-                    resolved_futures.append(future)
-                resolved += len(group["futures"])
-                # Tiles digitize concurrently: one ADC sample period per
-                # input column, at tile_count times one tile's power.
-                samples = batch.shape[1]
-                power = self.performance.total_power * engine.tile_count
-                self._tiled_batches += 1
-                self._tiled_samples += samples
-                self._tiled_analog_time += samples * period
-                self._tiled_analog_energy += samples * period * power
-                if tel is not None:
-                    tel.clock.advance(samples * period)
-                    for future in group["futures"]:
-                        self._note_resolved(future, tel.clock.now)
-                    tel.metrics.counter("batches").inc()
-                    tel.span(
-                        f"tiled batch x{samples}",
-                        "batch",
-                        batch_start,
-                        tel.clock.now - batch_start,
-                        args={"tiles": engine.tile_count, "columns": samples},
-                    )
-                else:
-                    service_now += samples * period
-            for (key, gain), group in self._conv_pending.items():
-                if not group["segments"]:
-                    # Every request of this bank was shed at submit.
-                    continue
-                weight_before = self._tiled_weight_time
-                program = self._differential_program(
-                    key, group["q_positive"], group["q_negative"]
-                )
-                if tel is not None:
-                    service_now = tel.clock.now
-                else:
-                    service_now += self._tiled_weight_time - weight_before
-                futures = group["futures"]
-                if any(f._deadline is not None for f in futures):
-                    patches_est = sum(
-                        encoded.shape[1]
-                        for encoded, _, _ in group["segments"]
-                    )
-                    completion = (
-                        service_now + patches_est * period * program.passes
-                    )
-                    live = [
-                        index
-                        for index, future in enumerate(futures)
-                        if future._deadline is None
-                        or future._deadline >= completion
-                    ]
-                    if len(live) < len(futures):
-                        survivors = set(live)
-                        for index, future in enumerate(futures):
-                            if index not in survivors:
-                                self._shed_future(future)
-                        group["segments"] = [
-                            group["segments"][i] for i in live
-                        ]
-                        group["futures"] = [futures[i] for i in live]
-                        if not group["futures"]:
-                            continue
-                batch = np.concatenate(
-                    [encoded for encoded, _, _ in group["segments"]], axis=1
-                )
-                if tel is not None:
-                    batch_start = tel.clock.now
-                raw = program.matmul(batch, gain=gain)
-                offset = 0
-                for (encoded, scales, weight_scale), future in zip(
-                    group["segments"], group["futures"]
-                ):
-                    count = encoded.shape[1]
-                    maps = raw[:, offset : offset + count] * weight_scale * scales
-                    future._resolve(maps)
-                    resolved_futures.append(future)
-                    offset += count
-                resolved += len(group["futures"])
-                # Each patch column costs one ADC sample period per
-                # analog pass (two passes for differential banks); the
-                # active grid burns tile_count times one tile's power.
-                patches = batch.shape[1]
-                power = self.performance.total_power
-                self._conv_patches += patches
-                self._tiled_batches += 1
-                self._tiled_samples += patches * program.passes
-                self._tiled_analog_time += patches * period * program.passes
-                self._tiled_analog_energy += (
-                    patches * period * power * program.tile_count
-                )
-                if tel is not None:
-                    tel.clock.advance(patches * period * program.passes)
-                    for future in group["futures"]:
-                        self._note_resolved(future, tel.clock.now)
-                    tel.metrics.counter("batches").inc()
-                    tel.span(
-                        f"conv batch x{patches}",
-                        "batch",
-                        batch_start,
-                        tel.clock.now - batch_start,
-                        args={"patches": patches, "passes": program.passes},
-                    )
-                else:
-                    service_now += patches * period * program.passes
+            resolved = self.scheduler.flush(now=now)
             for endpoint in self._endpoints:
-                if endpoint._queue and endpoint._needs_rebind:
-                    self._rebind_endpoint(endpoint)
-                if tel is not None:
-                    service_now = tel.clock.now
-                    drained_from = len(resolved_futures)
-                    resolved += endpoint._drain(
-                        resolved_futures, now=service_now
-                    )
-                    for future in resolved_futures[drained_from:]:
-                        self._note_resolved(future, tel.clock.now)
-                else:
-                    resolved += endpoint._drain(
-                        resolved_futures, now=service_now
-                    )
+                if endpoint._queue:
+                    if endpoint._needs_rebind:
+                        self._rebind_endpoint(endpoint)
+                    resolved += endpoint._drain()
         finally:
             # Never leave a stale group behind: a failed evaluation must
             # not wedge every subsequent flush.  Futures the failure
             # left unresolved are marked abandoned so their reads say
             # "re-submit" instead of suggesting a futile re-flush.
-            for future, _, _ in self._native_pending:
-                if not future.done:
-                    future._abandon()
-            for pending in (self._tiled_pending, self._conv_pending):
-                for group in pending.values():
-                    for future in group["futures"]:
-                        if not future.done:
-                            future._abandon()
-            for endpoint in self._endpoints:
-                for _, future in endpoint._queue:
-                    if not future.done:
-                        future._abandon()
-            self._native_pending.clear()
-            self._tiled_pending.clear()
-            self._conv_pending.clear()
+            self.scheduler._clear_pending()
             for endpoint in self._endpoints:
                 endpoint._queue.clear()
+            served = []
+            for future in window:
+                if not future.done:
+                    future._abandon()
+                elif future._error is None:
+                    served.append(future)
+            if tel is not None:
+                for future in served:
+                    self._note_resolved(future, future._resolved_at)
             self._oldest_pending = None
             self._earliest_deadline = None
             self._flushes += 1
             report = self._delta_report()
-            for future in resolved_futures:
+            for future in served:
                 future._attach_report(report)
         if tel is not None:
-            self._emit_flush_telemetry(report, resolved_futures)
+            self._emit_flush_telemetry(report, served)
         # The flush's modelled serving time and conversions age the
         # core; the policy then probes (and maybe recalibrates) on its
         # cadence.  Skipped when the evaluation raised — a failed flush
@@ -1521,32 +1137,16 @@ class PhotonicSession:
 
     # -- reporting -----------------------------------------------------------
     def _totals(self) -> dict:
-        stats = self.scheduler.stats()
+        stats = self.scheduler._stats
+        totals = {name: getattr(stats, name) for name in _LEDGER_FIELDS}
+        totals["deadline_misses"] += self._deadline_misses
         return {
-            "requests": stats.requests
-            + self._tiled_requests
-            + self._conv_requests
-            + self._model_requests,
-            "batches": stats.batches + self._tiled_batches + self._model_batches,
-            "samples": stats.samples + self._tiled_samples + self._model_samples,
-            "cache_hits": stats.cache_hits + self.tiled_cache.hits,
-            "cache_misses": stats.cache_misses + self.tiled_cache.misses,
-            "cache_evictions": stats.cache_evictions + self.tiled_cache.evictions,
-            "weight_energy_spent": stats.weight_energy_spent + self._tiled_energy_spent,
-            "weight_energy_saved": stats.weight_energy_saved + self._tiled_energy_saved,
-            "weight_time_spent": stats.weight_time_spent + self._tiled_weight_time,
-            "analog_time": stats.analog_time
-            + self._tiled_analog_time
-            + self._model_analog_time,
-            "analog_energy": stats.analog_energy
-            + self._tiled_analog_energy
-            + self._model_analog_energy,
+            **totals,
             "probe_runs": self._probe_runs,
             "probe_vectors": self._probe_vectors,
             "recalibrations": self._recalibrations,
             "calibration_time": self._calibration_time,
             "calibration_energy": self._calibration_energy,
-            "deadline_misses": stats.deadline_misses + self._deadline_misses,
         }
 
     def _delta_report(self) -> RunReport:
@@ -1580,25 +1180,4 @@ class PhotonicSession:
             latency_quantiles=quantiles,
             tenant_quantiles=tenants,
             **self._totals(),
-        )
-
-    def server_stats(self) -> ServerStats:
-        """The legacy :class:`~repro.runtime.serving.ServerStats` view
-        (scheduler + tiled/conv route counters; model endpoint traffic
-        is reported only by :meth:`report`)."""
-        from ..runtime.serving import ServerStats
-
-        return ServerStats(
-            scheduler=self.scheduler.stats(),
-            tiled_requests=self._tiled_requests,
-            tiled_builds=self.tiled_cache.misses,
-            tiled_hits=self.tiled_cache.hits,
-            tiled_batches=self._tiled_batches,
-            tiled_samples=self._tiled_samples,
-            tiled_analog_time=self._tiled_analog_time,
-            tiled_analog_energy=self._tiled_analog_energy,
-            tiled_weight_energy_spent=self._tiled_energy_spent,
-            tiled_weight_energy_saved=self._tiled_energy_saved,
-            conv_requests=self._conv_requests,
-            conv_patches=self._conv_patches,
         )

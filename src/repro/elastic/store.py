@@ -288,8 +288,8 @@ class ProgramStore:
                 int(program.engine.calibration_epoch),
                 program.engine.state_dict(),
                 {
-                    "load_energy": float(program.load_energy),
-                    "load_time": float(program.load_time),
+                    "load_energy": float(program.weight_update_energy),
+                    "load_time": float(program.weight_update_time),
                 },
             )
         if isinstance(program, DifferentialProgram):
@@ -405,8 +405,8 @@ class ProgramStore:
                 )
                 return CachedProgram(
                     engine=engine,
-                    load_energy=float(manifest["load_energy"]),
-                    load_time=float(manifest["load_time"]),
+                    weight_update_energy=float(manifest["load_energy"]),
+                    weight_update_time=float(manifest["load_time"]),
                 )
             if kind == "tiled":
                 return TiledMatmul.from_state(

@@ -75,11 +75,11 @@ def _validate_window(image_shape, kernel_size: int, stride: int) -> None:
 
 
 def output_shape(image_shape, kernel_size: int, stride: int = 1) -> tuple[int, int]:
-    """Spatial output dimensions of a valid convolution."""
+    """Spatial output dimensions of a valid convolution (the kernel
+    must fit inside the image and the stride be >= 1)."""
+    _validate_window(image_shape, kernel_size, stride)
     rows = (image_shape[0] - kernel_size) // stride + 1
     cols = (image_shape[1] - kernel_size) // stride + 1
-    if rows < 1 or cols < 1:
-        raise ConfigurationError("kernel does not fit inside the image")
     return rows, cols
 
 
@@ -136,8 +136,10 @@ def normalize_image(
         raise ConfigurationError(
             f"image must be (H, W) or ({channels}, H, W), got shape {image.shape}"
         )
-    if require_non_negative and np.any(image < 0.0):
-        raise ConfigurationError("image intensities must be non-negative")
+    # A negated in-range test: NaN fails every comparison, so it is
+    # rejected too.
+    if require_non_negative and not np.all(np.isfinite(image) & (image >= 0.0)):
+        raise ConfigurationError("image intensities must be finite and non-negative")
     return image
 
 

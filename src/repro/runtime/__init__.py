@@ -13,15 +13,16 @@ it into one, in four layers:
   digital partial-sum accumulation, ragged-edge padding and per-tile
   TIA range calibration.
 * :mod:`~repro.runtime.scheduler` — :class:`BatchScheduler` +
-  :class:`WeightProgramCache`: request coalescing per weight program
-  and an LRU of compiled programs so repeated weights skip the 20 GHz
-  pSRAM re-streaming, with energy/latency accounting riding on the
-  device ledgers and :class:`~repro.core.performance.PerformanceModel`.
-* :mod:`~repro.runtime.serving` — legacy :class:`InferenceServer`
-  facade, now a thin deprecation shim over the single front door,
-  :class:`repro.api.PhotonicSession`, plus the ``python -m repro
-  serve-bench`` / ``serve-bench cnn`` traffic replays (both driven
-  through the session).
+  :class:`WeightProgramCache`: the one flush executor behind
+  :class:`repro.api.PhotonicSession`.  In-grid, tiled and conv
+  requests coalesce per (weight program, gain) and run as batched
+  matmuls on one modelled service clock; an LRU of compiled programs
+  lets repeated weights skip the 20 GHz pSRAM re-streaming, with
+  energy/latency accounting riding on the device ledgers and
+  :class:`~repro.core.performance.PerformanceModel`.
+* :mod:`~repro.runtime.serving` — the ``python -m repro serve-bench``
+  traffic replays (dense, cnn, cluster, drift, traffic, elastic), all
+  driven through the session and cluster front doors.
 """
 
 from .engine import BatchResult, CompiledCore, weight_key
@@ -33,11 +34,6 @@ from .scheduler import (
     WeightProgramCache,
 )
 from .serving import (
-    ConvProgram,
-    ConvTicket,
-    InferenceServer,
-    ServerStats,
-    ServerTicket,
     run_cluster_serve_bench,
     run_cnn_serve_bench,
     run_serve_bench,
@@ -50,16 +46,11 @@ __all__ = [
     "BatchScheduler",
     "CachedProgram",
     "CompiledCore",
-    "ConvProgram",
-    "ConvTicket",
     "DifferentialProgram",
-    "InferenceServer",
     "run_cluster_serve_bench",
     "run_cnn_serve_bench",
     "run_serve_bench",
     "SchedulerStats",
-    "ServerStats",
-    "ServerTicket",
     "synthetic_trace",
     "Ticket",
     "TiledMatmul",

@@ -19,8 +19,9 @@ them vectorized, matching the device loop code-for-code.  Compilation
 costs one ladder bisection per distinct ADC trim (cached on the ADC)
 plus, per weight program, a pSRAM write and a response-matrix rebuild
 that selects each ring's transfer from the core's two-state ring table
-instead of re-evaluating the rings, so schedulers can recompile on
-every cache miss.
+instead of re-evaluating the rings, so the flush executor
+(:class:`~repro.runtime.scheduler.BatchScheduler`) can recompile an
+in-grid program on every cache miss.
 """
 
 from __future__ import annotations

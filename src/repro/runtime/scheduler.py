@@ -1,4 +1,4 @@
-"""Request batching and weight-program caching for the serving path.
+"""Request batching, weight-program caching and the one flush executor.
 
 The physical core imposes two costs a naive caller pays on every
 request: streaming the weight matrix through the pSRAM arrays (one
@@ -9,18 +9,23 @@ sample period per input vector.  Traffic amortizes both:
   keyed on the matrix bytes.  A hit skips the pSRAM re-streaming
   entirely (the weights are already latched and compiled); only misses
   pay load energy and compile time.
-* :class:`BatchScheduler` — accepts many small matvec requests,
-  coalesces them per (weight program, TIA gain) and evaluates each
-  group as one batched :meth:`CompiledCore.matmul`, so the Python/ADC
-  dispatch overhead is paid once per batch instead of once per vector.
+* :class:`BatchScheduler` — the one pending-group executor behind
+  :class:`repro.api.PhotonicSession`.  Requests queue per (weight
+  program, TIA gain) in three group kinds: in-grid dense requests on
+  the core's own pSRAM (the only kind that returns ADC codes and
+  chunks at ``max_batch``), larger dense requests on cached
+  :class:`~repro.runtime.tiling.TiledMatmul` grids, and im2col
+  convolutions on cached
+  :class:`~repro.runtime.tiling.DifferentialProgram` pairs.  One
+  :meth:`~BatchScheduler.flush` loop evaluates every group as batched
+  matmuls, paying the Python/ADC dispatch once per batch.
 
-Energy and latency accounting rides on the existing device models:
-weight-load energy is the tensor core's own pSRAM ledger (measured
-across each reload), analog compute time/energy come from
+Accounting rides on the device models: weight-load energy is the pSRAM
+ledger of the compiling core, analog time/energy come from
 :class:`~repro.core.performance.PerformanceModel`, and every cache hit
-is credited with the re-streaming cost it avoided — so
-:meth:`BatchScheduler.stats` shows cache hits directly reducing the
-reported weight-update energy.
+is credited with the re-streaming cost it avoided.  Every load and
+batch advances one modelled service clock, which deadline shedding
+reads.
 """
 
 from __future__ import annotations
@@ -35,25 +40,31 @@ from ..config import Technology, default_technology
 from ..core.performance import PerformanceModel
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
+from ..ml.layers import compile_differential_engines
+from ..telemetry.clock import ModelClock
 from .engine import CompiledCore, weight_key
+from .tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 
 
 @dataclass
 class CachedProgram:
-    """A compiled weight program plus the load costs a hit avoids."""
+    """A compiled in-grid weight program plus the load costs a hit
+    avoids (one tile, one analog pass per input column)."""
 
     engine: CompiledCore
-    load_energy: float
-    load_time: float
+    weight_update_energy: float
+    weight_update_time: float
+    passes = 1
+    tile_count = 1
 
 
 class WeightProgramCache:
     """Least-recently-used cache of weight programs.
 
-    Generic over the cached value (the scheduler stores
-    :class:`CachedProgram`, the server also stores tiled engines); the
-    key is the canonical byte string of the weight matrix
-    (:func:`repro.runtime.engine.weight_key`).
+    Generic over the cached value (a scheduler keeps its in-grid
+    :class:`CachedProgram` programs in one cache and its tiled and
+    differential grids in another); the key is the canonical byte
+    string of the weight matrix (:func:`repro.runtime.engine.weight_key`).
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -131,9 +142,7 @@ class WeightProgramCache:
         self._programs.move_to_end(key)
         if self._store is not None:
             try:
-                self._store.save(
-                    _store_key(key), program, fingerprint=self._store_fingerprint
-                )
+                self._store.save(key, program, fingerprint=self._store_fingerprint)
             except ConfigurationError:
                 # A value kind the store does not persist (the cache is
                 # generic); keep it hot-tier only.
@@ -190,7 +199,7 @@ class WeightProgramCache:
         drift = self._store_drift() if self._store_drift is not None else None
         try:
             program = self._store.load(
-                _store_key(key),
+                key,
                 fingerprint=self._store_fingerprint,
                 epoch=self._store_epoch() if self._store_epoch is not None else 0,
                 technology=self._store_technology,
@@ -209,45 +218,61 @@ class WeightProgramCache:
         return self.hits / total if total else 0.0
 
 
-def _store_key(key) -> bytes:
-    """Canonical byte form of a cache key for the program store (the
-    tiled cache keys on ``(weight_key, gain)`` tuples; the store is
-    content-addressed on bytes)."""
-    if isinstance(key, bytes):
-        return key
-    if isinstance(key, tuple):
-        return b"|".join(
-            part if isinstance(part, bytes) else repr(part).encode()
-            for part in key
-        )
-    return repr(key).encode()
-
-
 class Ticket:
-    """Handle for one submitted request; resolved by the next flush."""
+    """Handle for one standalone :meth:`BatchScheduler.submit` request;
+    resolved by the next flush."""
 
-    __slots__ = ("result", "resolved_at", "deadline", "expired")
+    __slots__ = ("result", "expired", "_deadline", "_resolved_at")
 
     def __init__(self, deadline: float | None = None) -> None:
         self.result: MatvecResult | None = None
-        #: Modelled-clock resolution timestamp [s]; stamped only when a
-        #: telemetry binding is attached to the scheduler.
-        self.resolved_at: float | None = None
-        #: Absolute deadline [s] on the owning session's clock (None =
-        #: best effort, never shed).
-        self.deadline = deadline
         #: True when the flush shed this request: its batch's modelled
         #: completion time fell past the deadline.
         self.expired = False
+        self._deadline = deadline
+        self._resolved_at: float | None = None
 
     @property
     def done(self) -> bool:
         return self.result is not None
 
+    @property
+    def deadline(self) -> float | None:
+        """Absolute deadline [s] on the flush's service clock (None =
+        best effort, never shed)."""
+        return self._deadline
+
+    @property
+    def resolved_at(self) -> float | None:
+        """Service-clock timestamp [s] the request's batch completed at."""
+        return self._resolved_at
+
+    def _expire(self) -> None:
+        self.expired = True
+
+
+class _Group:
+    """One pending (program, gain) group: the weight source its program
+    compiles from, and per request its input, handle and kept rows."""
+
+    __slots__ = ("source", "inputs", "handles", "rows", "has_deadline")
+
+    def __init__(self, source: np.ndarray) -> None:
+        self.source = source
+        self.inputs: list = []
+        self.handles: list = []
+        self.rows: list[int | None] = []
+        self.has_deadline = False
+
+
+#: Group kinds in flush order: in-grid, tiled, then conv.
+_KINDS = ("native", "tiled", "conv")
+
 
 @dataclass
 class SchedulerStats:
-    """Aggregate accounting of a scheduler's traffic so far."""
+    """Aggregate accounting of a scheduler's traffic so far (every group
+    kind, plus whatever the owning session charges through it)."""
 
     requests: int = 0
     flushed: int = 0
@@ -266,10 +291,12 @@ class SchedulerStats:
     #: Weight streaming time actually spent [s] / avoided [s].
     weight_time_spent: float = 0.0
     weight_time_saved: float = 0.0
-    #: ADC sample slots consumed by batched evaluations.
+    #: Sequential ADC sample slots consumed: one per batched input
+    #: column and analog pass.
     samples: int = 0
     #: Analog compute time [s] and wall-plug energy [J] from the
-    #: PerformanceModel (one sample period per batched input column).
+    #: PerformanceModel (one sample period per column and pass, the
+    #: active grid burning its tile count times one tile's power).
     analog_time: float = 0.0
     analog_energy: float = 0.0
     #: Requests shed at flush because their batch's modelled completion
@@ -300,12 +327,14 @@ class SchedulerStats:
 
 
 class BatchScheduler:
-    """Coalesces matvec requests into batched compiled evaluations.
+    """Coalesces requests into batched compiled evaluations.
 
     One physical :class:`PhotonicTensorCore` backs the scheduler; each
-    distinct weight matrix becomes a compiled program in the LRU cache.
-    Requests queue per (weight program, gain) and :meth:`flush` runs
-    every group as dense batches of at most ``max_batch`` columns.
+    distinct in-grid weight matrix becomes a compiled program in the
+    LRU ``cache``, and tiled and differential programs live in
+    ``tiled_cache``.  Requests queue per (weight program, gain) and
+    :meth:`flush` runs every group: in-grid groups as dense batches of
+    at most ``max_batch`` columns, tiled and conv groups whole.
     """
 
     def __init__(
@@ -337,13 +366,19 @@ class BatchScheduler:
             weight_bits=self.core.weight_bits,
         )
         self.cache = WeightProgramCache(cache_capacity)
+        #: LRU of tiled and differential programs (the owning session
+        #: replaces it with one of its configured capacity).
+        self.tiled_cache = WeightProgramCache(4)
         self.max_batch = max_batch
-        self._pending: OrderedDict[tuple[bytes, float], dict] = OrderedDict()
+        self._pending: dict[str, dict[tuple, _Group]] = {kind: {} for kind in _KINDS}
+        self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
         #: Optional :class:`repro.telemetry.Telemetry` binding (set by
         #: the owning session).  None = zero telemetry calls on the
         #: flush path.
         self.telemetry = None
+        #: The service clock while no telemetry binding is attached.
+        self._clock = ModelClock()
 
     @property
     def rows(self) -> int:
@@ -356,233 +391,340 @@ class BatchScheduler:
     @property
     def pending(self) -> int:
         """Requests submitted but not yet flushed."""
-        return sum(len(group["tickets"]) for group in self._pending.values())
+        return self._queued
 
     # -- request path --------------------------------------------------------
     def submit(
         self, weights, x, gain: float = 1.0, deadline: float | None = None
     ) -> Ticket:
-        """Queue one matvec request; resolved by the next :meth:`flush`.
+        """Queue one in-grid matvec request; resolved by the next
+        :meth:`flush`.
 
-        ``deadline`` is an *absolute* timestamp on the owning session's
+        ``deadline`` is an *absolute* timestamp on the flush's service
         clock: if the request's batch cannot complete by then (see
         :meth:`flush`), the request is shed instead of evaluated.
         """
-        weights = np.asarray(weights, dtype=int)
+        weights = np.asarray(weights)
         if weights.shape != (self.rows, self.columns):
             raise ConfigurationError(
                 f"weight matrix must be {self.rows}x{self.columns}, "
                 f"got shape {weights.shape}"
             )
-        if np.any(weights < 0) or np.any(weights > self.core.max_weight):
-            raise ConfigurationError(
-                f"weights must lie in [0, {self.core.max_weight}], got range "
-                f"[{weights.min()}, {weights.max()}]"
-            )
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         if x.shape != (self.columns,):
             raise ConfigurationError(
                 f"input must have shape ({self.columns},), got {x.shape}"
             )
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if gain <= 0.0:
+            raise ConfigurationError(f"TIA gain must be positive, got {gain}")
+        ticket = Ticket(deadline)
+        self.enqueue("native", weights, x, ticket, float(gain))
+        return ticket
+
+    def enqueue(
+        self,
+        kind: str,
+        source: np.ndarray,
+        column,
+        handle,
+        gain: float | str = 1.0,
+        rows: int | None = None,
+    ) -> None:
+        """Queue one request on its (program, gain) group.
+
+        ``kind`` says what the other arguments hold: ``"native"`` — the
+        weight matrix and input padded to the tile; ``"tiled"`` — both
+        as given (larger than one tile); ``"conv"`` — the quantized pair
+        W+ stacked over W-, and one image's ``(encoded patches, patch
+        scales, weight scale)``.  Dense requests are validated here, and
+        a dense ``gain="auto"`` is range-calibrated from the weights
+        (per tile on a grid).  ``handle`` is what the flush resolves (a
+        session future or a :class:`Ticket`); ``rows`` keeps that many
+        outputs of a native request (None: a Ticket, given the whole
+        :class:`MatvecResult`).  The caller hands over ``column``.
+        """
+        if kind == "conv":
+            key = b"conv:" + weight_key(source)
+        else:
+            source = self._checked_dense(source, column)
+            key = weight_key(source)
+            if kind == "native" and gain == "auto":
+                gain = auto_range_gain(source, self.columns * self.core.max_weight)
+        table = self._pending[kind]
+        group = table.get((key, gain))
+        if group is None:
+            # Copy: an in-place change to the caller's array before the
+            # flush would compile other weights under this key and
+            # poison the program cache for every later request.
+            group = table[key, gain] = _Group(source.copy())
+        group.inputs.append(column)
+        group.handles.append(handle)
+        group.rows.append(rows)
+        if handle._deadline is not None:
+            group.has_deadline = True
+        self._queued += 1
+        self._stats.requests += 1
+
+    def _checked_dense(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The dense-request check every dense route shares; returns the
+        weights as an int array.  Non-integral weights are rejected,
+        not truncated, and each range test is a negated in-range
+        comparison, so a NaN (false under every comparison) fails it."""
+        weights = np.asarray(weights)
+        if weights.dtype.kind not in "biu" and not np.all(
+            np.isfinite(weights) & (weights == np.floor(weights))
+        ):
+            raise ConfigurationError(
+                "weights must be integers, got non-integral entries"
+            )
+        weights = np.asarray(weights, dtype=int)
+        max_weight = self.core.max_weight
+        if weights.size and not (0 <= weights.min() and weights.max() <= max_weight):
+            raise ConfigurationError(
+                f"weights must lie in [0, {max_weight}], got range "
+                f"[{weights.min()}, {weights.max()}]"
+            )
+        if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
             raise ConfigurationError(
                 f"analog inputs must lie in [0, 1], got range "
                 f"[{x.min():.6g}, {x.max():.6g}]"
             )
-        if gain <= 0.0:
-            raise ConfigurationError(f"TIA gain must be positive, got {gain}")
+        return weights
 
-        key = (weight_key(weights), float(gain))
-        group = self._pending.get(key)
-        if group is None:
-            # Copy: np.asarray aliases the caller's int array, and an
-            # in-place mutation between submit and flush would compile
-            # the mutated weights under the original key, poisoning the
-            # program cache for every future request with that key.
-            group = {
-                "weights": weights.copy(),
-                "inputs": [],
-                "tickets": [],
-                "has_deadline": False,
-            }
-            self._pending[key] = group
-        ticket = Ticket(deadline=deadline)
-        group["inputs"].append(x.copy())
-        group["tickets"].append(ticket)
-        if deadline is not None:
-            group["has_deadline"] = True
-        self._stats.requests += 1
-        return ticket
-
-    def _program_for(self, key: bytes, weights: np.ndarray) -> CachedProgram:
+    # -- the shared flush helpers --------------------------------------------
+    def _service_clock(self) -> ModelClock:
+        """The one modelled service clock: the telemetry binding's when
+        attached (telemetry reads the timeline it already keeps), else
+        the scheduler's own."""
         tel = self.telemetry
-        program = self.cache.get(key)
+        return tel.clock if tel is not None else self._clock
+
+    def _compile(self, kind: str, source: np.ndarray):
+        core = self.core
+        if kind == "native":
+            energy_before = core.weight_update_energy()
+            core.load_weight_matrix(source)
+            return CachedProgram(
+                engine=CompiledCore(core, ladder_cache=core.runtime_ladder_cache),
+                weight_update_energy=core.weight_update_energy() - energy_before,
+                weight_update_time=core.weight_update_time(),
+            )
+        if kind == "tiled":
+            return TiledMatmul(
+                source,
+                tile_rows=self.rows,
+                tile_columns=self.columns,
+                weight_bits=core.weight_bits,
+                adc_bits=core.row_adcs[0].bits,
+                technology=self.technology,
+                ladder_cache=core.runtime_ladder_cache,
+                drift_state=core.drift_state,
+            )
+        half = len(source) // 2
+        positive, negative = compile_differential_engines(
+            source[:half], source[half:], core
+        )
+        return DifferentialProgram(positive=positive, negative=negative)
+
+    def _program(self, kind: str, key: bytes, source: np.ndarray):
+        """Fetch, warm-restore or compile one program (``kind`` as in
+        :meth:`enqueue`; model layers bind theirs as ``"conv"``).  A hit
+        is credited with the pSRAM streaming it avoids; a miss pays it
+        on the ledger and the service clock, even when the program is
+        restored from the attached store (that skips only the host-side
+        compile)."""
+        cache = self.cache if kind == "native" else self.tiled_cache
+        stats = self._stats
+        tel = self.telemetry
+        program = cache.get(key)
         if program is not None:
-            # Hit: the pSRAM streaming this program originally paid is
-            # exactly what reusing it avoids.
-            self._stats.cache_hits += 1
-            self._stats.weight_energy_saved += program.load_energy
-            self._stats.weight_time_saved += program.load_time
+            stats.cache_hits += 1
+            stats.weight_energy_saved += program.weight_update_energy
+            stats.weight_time_saved += program.weight_update_time
             if tel is not None:
                 tel.metrics.counter("cache_hits").inc()
-                tel.instant(
-                    "cache_hit", "cache", args={"program": key[:8].hex()}
-                )
+                tel.instant("cache_hit", "cache", args={"program": key[:12].hex()})
             return program
-        self._stats.cache_misses += 1
-        # Warm start: a persisted compile of this exact program (same
-        # weights, geometry, technology, calibration epoch) skips the
-        # host-side recompile entirely.  The *modelled* pSRAM streaming
-        # cost is still charged — the weights must physically stream
-        # into this core's arrays either way — so energy/latency
-        # accounting is identical to a cold compile; only wall-clock
-        # compile work is avoided.
-        program = self.cache.read_back(key)
+        stats.cache_misses += 1
+        program = cache.read_back(key)
         restored = program is not None
-        if restored:
-            load_energy = program.load_energy
-            load_time = program.load_time
-        else:
-            energy_before = self.core.weight_update_energy()
-            self.core.load_weight_matrix(weights)
-            load_energy = self.core.weight_update_energy() - energy_before
-            load_time = self.core.weight_update_time()
-            program = CachedProgram(
-                engine=CompiledCore(
-                    self.core, ladder_cache=self.core.runtime_ladder_cache
-                ),
-                load_energy=load_energy,
-                load_time=load_time,
-            )
-        self._stats.weight_energy_spent += load_energy
-        self._stats.weight_time_spent += load_time
-        if self.cache.put(key, program) is not None:
-            self._stats.cache_evictions += 1
+        if not restored:
+            program = self._compile(kind, source)
+        load_time = program.weight_update_time
+        stats.weight_energy_spent += program.weight_update_energy
+        stats.weight_time_spent += load_time
+        if cache.put(key, program) is not None:
+            stats.cache_evictions += 1
+        clock = self._service_clock()
+        start = clock.now
+        clock.advance(load_time)
         if tel is not None:
-            # The pSRAM streaming occupies the core for load_time on
-            # the modelled clock before the batch can evaluate.
-            start = tel.clock.now
-            tel.clock.advance(load_time)
             tel.metrics.counter("cache_misses").inc()
             if restored:
                 tel.metrics.counter("warm_starts").inc()
             tel.span(
-                "warm start" if restored else "compile",
+                f"{'warm start' if restored else 'compile'} {kind}",
                 "fleet" if restored else "compile",
                 start,
                 load_time,
                 args={
-                    "program": key[:8].hex(),
-                    "load_energy_pj": load_energy * 1e12,
+                    "program": key[:12].hex(),
+                    "tiles": program.tile_count,
+                    "load_energy_pj": program.weight_update_energy * 1e12,
                 },
             )
         return program
 
+    def _shed(self, handles: list, seconds: float) -> list[int] | None:
+        """Expire every handle whose deadline falls before a completion
+        ``seconds`` of service from the clock's now; returns the
+        survivors' indices, or None when every request survives."""
+        completion = self._service_clock().now + seconds
+        live = []
+        for index, handle in enumerate(handles):
+            if handle._deadline is not None and handle._deadline < completion:
+                handle._expire()
+            else:
+                live.append(index)
+        misses = len(handles) - len(live)
+        if not misses:
+            return None
+        self._stats.deadline_misses += misses
+        tel = self.telemetry
+        if tel is not None:
+            tel.metrics.counter("deadline_misses").inc(misses)
+        return live
+
+    def _charge(self, columns: int, passes: int = 1, tiles: int = 1) -> None:
+        """Charge analog evaluation to the ledger and the service clock:
+        one ADC sample period per input column and analog pass, the
+        active grid burning ``tiles`` times one tile's power."""
+        period = 1.0 / self.performance.sample_rate
+        seconds = columns * period * passes
+        stats = self._stats
+        stats.samples += columns * passes
+        stats.analog_time += seconds
+        stats.analog_energy += columns * period * self.performance.total_power * tiles
+        self._service_clock().advance(seconds)
+
+    def _clear_pending(self) -> None:
+        for table in self._pending.values():
+            table.clear()
+        self._queued = 0
+
+    # -- evaluation ----------------------------------------------------------
     def flush(self, now: float | None = None) -> int:
         """Evaluate every pending group; returns resolved request count.
 
-        ``now`` is the flush's start timestamp on the owning session's
-        clock.  With it (or a telemetry binding, whose modelled clock
-        then supplies the service timeline), requests carrying a
-        ``deadline=`` are shed when their batch's estimated completion
-        — the running service time plus one ADC sample period per
-        column of the *pre-shed* chunk — falls past the deadline; shed
-        tickets are flagged ``expired`` and counted as
-        ``deadline_misses``.  Without either time source deadlines
-        cannot be evaluated and every request runs.
+        Groups run by kind — in-grid, tiled, conv — each in first-submit
+        order: the program is fetched, restored or compiled
+        (:meth:`_program`), then each batch (in-grid groups chunk at
+        ``max_batch``, the others run whole) goes through :meth:`_run`.
+
+        The service clock is the telemetry binding's when one is
+        attached, otherwise the scheduler's own, restarted at ``now``
+        (the owning session's clock).  With neither, deadlines cannot
+        be judged and every request runs.
         """
+        clock = self._service_clock()
+        if now is not None and clock is self._clock:
+            clock.now = now
+        judge = now is not None or clock is not self._clock
         resolved = 0
-        sample_period = 1.0 / self.performance.sample_rate
-        power = self.performance.total_power
-        tel = self.telemetry
-        if tel is not None:
-            service_now = tel.clock.now
-        else:
-            service_now = now
         try:
-            for (key, gain), group in self._pending.items():
-                spent_before = self._stats.weight_time_spent
-                program = self._program_for(key, group["weights"])
-                if tel is not None:
-                    service_now = tel.clock.now
-                elif service_now is not None:
-                    # Mirror the load time a telemetry clock would have
-                    # advanced by (zero on a cache hit).
-                    service_now += self._stats.weight_time_spent - spent_before
-                inputs = group["inputs"]
-                tickets = group["tickets"]
-                shed_deadlines = group["has_deadline"] and service_now is not None
-                for start in range(0, len(inputs), self.max_batch):
-                    chunk = inputs[start : start + self.max_batch]
-                    chunk_tickets = tickets[start : start + len(chunk)]
-                    if shed_deadlines:
-                        completion = service_now + len(chunk) * sample_period
-                        live = [
-                            index
-                            for index, ticket in enumerate(chunk_tickets)
-                            if ticket.deadline is None
-                            or ticket.deadline >= completion
-                        ]
-                        if len(live) < len(chunk):
-                            misses = len(chunk) - len(live)
-                            survivors = set(live)
-                            for index, ticket in enumerate(chunk_tickets):
-                                if index not in survivors:
-                                    ticket.expired = True
-                            self._stats.deadline_misses += misses
-                            if tel is not None:
-                                tel.metrics.counter("deadline_misses").inc(
-                                    misses
-                                )
-                            chunk = [chunk[index] for index in live]
-                            chunk_tickets = [
-                                chunk_tickets[index] for index in live
-                            ]
-                            if not chunk:
-                                continue
-                    batch = np.stack(chunk, axis=1)
-                    result = program.engine.matmul(batch, gain=gain)
-                    for offset, ticket in enumerate(chunk_tickets):
-                        ticket.result = result.column(offset)
-                    self._stats.batches += 1
-                    self._stats.samples += len(chunk)
-                    self._stats.analog_time += len(chunk) * sample_period
-                    self._stats.analog_energy += len(chunk) * sample_period * power
-                    resolved += len(chunk)
-                    if tel is None:
-                        if service_now is not None:
-                            service_now += len(chunk) * sample_period
-                    else:
-                        # One ADC sample period per batched column on
-                        # the modelled clock; requests of this batch
-                        # resolve when its last conversion lands.
-                        batch_start = tel.clock.now
-                        batch_time = len(chunk) * sample_period
-                        tel.clock.advance(batch_time)
-                        service_now = tel.clock.now
-                        for ticket in chunk_tickets:
-                            ticket.resolved_at = tel.clock.now
-                        tel.metrics.counter("batches").inc()
-                        tel.metrics.histogram(
-                            "batch_size", lo=1.0, hi=1e6, per_decade=16
-                        ).observe(float(len(chunk)))
-                        tel.span(
-                            f"batch x{len(chunk)}",
-                            "batch",
-                            batch_start,
-                            batch_time,
-                            args={
-                                "program": key[:8].hex(),
-                                "columns": len(chunk),
-                                "gain": gain,
-                            },
-                        )
+            for kind, table in self._pending.items():
+                for (key, gain), group in table.items():
+                    program = self._program(kind, key, group.source)
+                    size = len(group.handles)
+                    step = self.max_batch if kind == "native" else size
+                    for start in range(0, size, step):
+                        part = slice(start, start + step)
+                        resolved += self._run(kind, key, gain, program, group, part, judge)
         finally:
             # Never leave a stale group behind: a failed compile or
             # evaluation must not wedge every subsequent flush.
-            self._pending.clear()
+            self._clear_pending()
             self._stats.flushed += resolved
         return resolved
+
+    def _run(
+        self, kind: str, key: bytes, gain, program, group: _Group, part: slice, judge: bool
+    ) -> int:
+        """One batch of a group; returns its resolved count.
+
+        Requests carrying a deadline are shed first when it falls before
+        the batch's completion — one ADC sample period per column and
+        pass of the *pre-shed* batch from the service clock's now, so a
+        shed never resurrects a later request.  The survivors run as one
+        matmul, each handle resolves with its slice and the ledger and
+        clock are charged.
+        """
+        inputs, handles, rows = group.inputs[part], group.handles[part], group.rows[part]
+        if judge and group.has_deadline:
+            columns = (
+                sum(encoded.shape[1] for encoded, _, _ in inputs)
+                if kind == "conv"
+                else len(inputs)
+            )
+            period = 1.0 / self.performance.sample_rate
+            live = self._shed(handles, columns * period * program.passes)
+            if live is not None:
+                inputs = [inputs[index] for index in live]
+                handles = [handles[index] for index in live]
+                rows = [rows[index] for index in live]
+                if not handles:
+                    return 0
+        clock = self._service_clock()
+        start = clock.now
+        if kind == "conv":
+            batch = np.concatenate([encoded for encoded, _, _ in inputs], axis=1)
+            raw = program.matmul(batch, gain=gain)
+            offset = 0
+            for (encoded, scales, weight_scale), handle in zip(inputs, handles):
+                count = encoded.shape[1]
+                handle._resolve(raw[:, offset : offset + count] * weight_scale * scales)
+                offset += count
+        elif kind == "tiled":
+            batch = np.stack(inputs, axis=1)
+            estimates = program.matmul(batch, gain=None if gain == "auto" else gain)
+            for offset, handle in enumerate(handles):
+                handle._resolve(estimates[:, offset])
+        else:
+            batch = np.stack(inputs, axis=1)
+            result = program.engine.matmul(batch, gain=gain)
+            for offset, (handle, kept) in enumerate(zip(handles, rows)):
+                if kept is None:
+                    handle.result = result.column(offset)
+                else:
+                    handle._resolve(
+                        result.estimates[:kept, offset],
+                        codes=result.codes[:kept, offset],
+                    )
+        columns = batch.shape[1]
+        self._stats.batches += 1
+        self._charge(columns, program.passes, program.tile_count)
+        for handle in handles:
+            handle._resolved_at = clock.now
+        tel = self.telemetry
+        if tel is not None:
+            tel.metrics.counter("batches").inc()
+            tel.metrics.histogram(
+                "batch_size", lo=1.0, hi=1e6, per_decade=16
+            ).observe(float(columns))
+            tel.span(
+                f"{kind} batch x{columns}",
+                "batch",
+                start,
+                clock.now - start,
+                args={
+                    "program": key[:12].hex(),
+                    "columns": columns,
+                    "passes": program.passes,
+                    "tiles": program.tile_count,
+                    "gain": gain,
+                },
+            )
+        return len(handles)
 
     def stats(self) -> SchedulerStats:
         """Detached snapshot of the accounting so far."""

@@ -1,25 +1,10 @@
-"""Legacy serving shims and the multi-tenant traffic benchmarks.
-
-The serving engine room moved to :class:`repro.api.PhotonicSession` —
-the single front door owning the core, the scheduler, the shared
-program cache and the flush policy, returning
-:class:`~repro.api.futures.Future` handles.  This module keeps the
-seed-era surface alive as thin deprecation shims:
-
-* :class:`InferenceServer` — constructs a session with an explicit
-  flush policy and forwards ``submit`` / ``submit_conv`` / ``flush`` /
-  ``stats`` to it; tickets wrap the session's futures.
-* :class:`ServerTicket` / :class:`ConvTicket` — future wrappers with
-  the historical ``estimates`` / ``feature_maps`` accessors.
-* ``ConvProgram`` — alias of
-  :class:`~repro.runtime.tiling.DifferentialProgram`, which now lives
-  with the tiling engines.
+"""The multi-tenant serve-bench harness.
 
 :func:`synthetic_trace` builds the repeatable multi-tenant workload the
 ``python -m repro serve-bench`` command replays — both
-:func:`run_serve_bench` and :func:`run_cnn_serve_bench` now drive a
+:func:`run_serve_bench` and :func:`run_cnn_serve_bench` drive a
 :class:`~repro.api.PhotonicSession` directly, with a ``max_batch``
-flush policy standing in for the old hand-placed ``flush()`` calls.
+flush policy draining the queues.
 :func:`run_cluster_serve_bench` replays the same trace through
 :class:`~repro.api.PhotonicCluster` fleets of 1/2/4 cores under every
 routing policy and emits ``BENCH_cluster.json``.
@@ -40,239 +25,14 @@ diurnal/bursty tapes against static vs autoscaled fleets — and emits
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..config import Technology
 from ..errors import ConfigurationError
 from ..telemetry.profiling import wall_clock
-from .scheduler import SchedulerStats
-from .tiling import DifferentialProgram
 
 # repro.api.session imports this package's scheduler/tiling modules, so
-# the session and policy are imported lazily inside the shims/benches
-# to keep the package import order cycle-free.
-
-#: Historical name of the cached differential conv program.
-ConvProgram = DifferentialProgram
-
-
-#: Shim names that already announced their deprecation this process.
-#: Each legacy surface warns exactly once — traffic through a shim must
-#: not drown the log in one warning per request.
-_WARNED: set[str] = set()
-
-
-def _deprecated(old: str, new: str) -> None:
-    if old in _WARNED:
-        return
-    _WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class ServerTicket:
-    """Deprecated handle for one dense request; wraps a session Future."""
-
-    __slots__ = ("_future",)
-
-    def __init__(self, future) -> None:
-        _deprecated("ServerTicket", "repro.api.Future")
-        self._future = future
-
-    @property
-    def future(self):
-        """The underlying :class:`repro.api.Future`."""
-        return self._future
-
-    @property
-    def done(self) -> bool:
-        return self._future.done
-
-    @property
-    def estimates(self) -> np.ndarray:
-        """Dequantized W @ x estimates (length out_features).  Raises
-        :class:`~repro.errors.PendingFlushError` before the flush."""
-        return self._future.value
-
-
-class ConvTicket:
-    """Deprecated handle for one conv request; wraps a session Future."""
-
-    __slots__ = ("_future",)
-
-    def __init__(self, future) -> None:
-        _deprecated("ConvTicket", "repro.api.Future")
-        self._future = future
-
-    @property
-    def future(self):
-        """The underlying :class:`repro.api.Future`."""
-        return self._future
-
-    @property
-    def shape(self) -> tuple:
-        return self._future.shape
-
-    @property
-    def done(self) -> bool:
-        return self._future.done
-
-    @property
-    def feature_maps(self) -> np.ndarray:
-        """Dequantized (num_kernels, out_rows, out_cols) feature maps.
-        Raises :class:`~repro.errors.PendingFlushError` before the
-        flush."""
-        return self._future.value
-
-
-@dataclass
-class ServerStats:
-    """Combined serving statistics of both request paths."""
-
-    scheduler: SchedulerStats
-    tiled_requests: int
-    tiled_builds: int
-    tiled_hits: int
-    tiled_batches: int
-    #: Sequential ADC sample periods consumed on the tiled/conv paths
-    #: — the time-slot count, so ``tiled_analog_time`` is exactly this
-    #: many sample periods on both paths.  Tiles of one grid digitize
-    #: in parallel and share a slot; a differential conv bank's two
-    #: sequential array passes take two slots per patch column.
-    tiled_samples: int
-    tiled_analog_time: float
-    tiled_analog_energy: float
-    tiled_weight_energy_spent: float
-    tiled_weight_energy_saved: float
-    #: Conv-route traffic: requests are whole images; their per-patch
-    #: ADC samples and energy are folded into the tiled_* accumulators
-    #: (conv programs live in the same cache and grids).
-    conv_requests: int = 0
-    conv_patches: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.scheduler.requests + self.tiled_requests + self.conv_requests
-
-    @property
-    def batches(self) -> int:
-        return self.scheduler.batches + self.tiled_batches
-
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = self.scheduler.cache_hits + self.tiled_hits
-        total = hits + self.scheduler.cache_misses + self.tiled_builds
-        return hits / total if total else 0.0
-
-    @property
-    def analog_time(self) -> float:
-        """Modelled ADC sampling time [s] across both request paths."""
-        return self.scheduler.analog_time + self.tiled_analog_time
-
-    @property
-    def analog_energy(self) -> float:
-        """Modelled analog compute energy [J] across both request paths."""
-        return self.scheduler.analog_energy + self.tiled_analog_energy
-
-    @property
-    def weight_energy_spent(self) -> float:
-        return self.scheduler.weight_energy_spent + self.tiled_weight_energy_spent
-
-    @property
-    def weight_energy_saved(self) -> float:
-        return self.scheduler.weight_energy_saved + self.tiled_weight_energy_saved
-
-    @property
-    def total_latency(self) -> float:
-        return self.scheduler.weight_time_spent + self.analog_time
-
-    @property
-    def total_energy(self) -> float:
-        return self.weight_energy_spent + self.analog_energy
-
-
-class InferenceServer:
-    """Deprecated synchronous facade; thin shim over
-    :class:`repro.api.PhotonicSession`.
-
-    The historical surface is preserved — ``submit`` / ``submit_conv``
-    return tickets resolved by a hand-called :meth:`flush` — but every
-    request now flows through a session with an explicit flush policy.
-    New code should construct the session directly and use futures.
-    """
-
-    def __init__(
-        self,
-        rows: int | None = None,
-        columns: int | None = None,
-        weight_bits: int | None = None,
-        adc_bits: int | None = None,
-        technology: Technology | None = None,
-        cache_capacity: int = 8,
-        tiled_cache_capacity: int = 4,
-        max_batch: int = 256,
-    ) -> None:
-        from ..api.policy import FlushPolicy
-        from ..api.session import PhotonicSession
-
-        _deprecated("InferenceServer", "repro.api.PhotonicSession")
-        self.session = PhotonicSession(
-            technology=technology,
-            rows=rows,
-            columns=columns,
-            weight_bits=weight_bits,
-            adc_bits=adc_bits,
-            cache_capacity=cache_capacity,
-            tiled_cache_capacity=tiled_cache_capacity,
-            max_batch=max_batch,
-            flush_policy=FlushPolicy.explicit(),
-        )
-
-    @property
-    def technology(self) -> Technology:
-        return self.session.technology
-
-    @property
-    def scheduler(self):
-        return self.session.scheduler
-
-    @property
-    def tiled_cache(self):
-        return self.session.tiled_cache
-
-    @property
-    def rows(self) -> int:
-        return self.session.rows
-
-    @property
-    def columns(self) -> int:
-        return self.session.columns
-
-    def submit(self, weights, x, gain: float | str | None = None) -> ServerTicket:
-        """Queue one W @ x request for the next :meth:`flush`."""
-        return ServerTicket(self.session.submit(weights, x, gain=gain))
-
-    def submit_conv(
-        self, kernels, image, stride: int = 1, gain: float | None = None
-    ) -> ConvTicket:
-        """Queue one im2col convolution for the next :meth:`flush`."""
-        return ConvTicket(
-            self.session.submit_conv(kernels, image, stride=stride, gain=gain)
-        )
-
-    def flush(self) -> int:
-        """Evaluate every pending request; returns resolved count."""
-        return self.session.flush()
-
-    def stats(self) -> ServerStats:
-        """Combined scheduler + tiled-path accounting."""
-        return self.session.server_stats()
+# the session and policy are imported lazily inside the benches to keep
+# the package import order cycle-free.
 
 
 def synthetic_trace(
@@ -361,35 +121,37 @@ def run_serve_bench(
 
     if not all(future.done for future in futures):
         raise ConfigurationError("serve bench left unresolved futures")
-    stats = session.server_stats()
+    report = session.report()
+    # Only the in-grid route returns ADC codes.
+    single_tile = sum(future.codes is not None for future in futures)
     throughput = requests / elapsed if elapsed > 0 else float("inf")
     summary = {
-        "requests": stats.requests,
+        "requests": report.requests,
         "elapsed_s": elapsed,
         "throughput_per_s": throughput,
-        "batch_fill": stats.scheduler.batch_fill,
-        "batches": stats.batches,
+        "batch_fill": session.scheduler.stats().batch_fill,
+        "batches": report.batches,
         "flushes": session.flushes,
-        "cache_hit_rate": stats.cache_hit_rate,
-        "cache_hits": stats.scheduler.cache_hits + stats.tiled_hits,
-        "cache_misses": stats.scheduler.cache_misses + stats.tiled_builds,
-        "weight_energy_spent_pj": stats.weight_energy_spent * 1e12,
-        "weight_energy_saved_pj": stats.weight_energy_saved * 1e12,
-        "analog_latency_us": stats.total_latency * 1e6,
-        "analog_energy_nj": stats.total_energy * 1e9,
+        "cache_hit_rate": report.cache_hit_rate,
+        "cache_hits": report.cache_hits,
+        "cache_misses": report.cache_misses,
+        "weight_energy_spent_pj": report.weight_energy_spent * 1e12,
+        "weight_energy_saved_pj": report.weight_energy_saved * 1e12,
+        "analog_latency_us": report.total_latency * 1e6,
+        "analog_energy_nj": report.total_energy * 1e9,
     }
     if trace is not None:
-        summary["latency_quantiles"] = session.report().latency_quantiles
+        summary["latency_quantiles"] = report.latency_quantiles
     lines = [
         f"tile              : {rows} x {columns} "
         f"(cache {cache_capacity} programs, flush policy "
         f"{session.flush_policy.describe()})",
         f"requests          : {summary['requests']} "
-        f"({stats.scheduler.requests} single-tile, {stats.tiled_requests} tiled)",
+        f"({single_tile} single-tile, {requests - single_tile} tiled)",
         f"wall-clock        : {elapsed * 1e3:.1f} ms "
         f"({throughput:,.0f} inferences/s)",
         f"batches           : {summary['batches']} "
-        f"(single-tile batch fill {summary['batch_fill']:.0%})",
+        f"(batch fill {summary['batch_fill']:.0%})",
         f"program cache     : {summary['cache_hits']} hits / "
         f"{summary['cache_misses']} misses "
         f"({summary['cache_hit_rate']:.0%} hit rate)",
@@ -1159,26 +921,28 @@ def run_cnn_serve_bench(
 
     if not all(future.done for future in futures):
         raise ConfigurationError("cnn serve bench left unresolved futures")
-    stats = session.server_stats()
+    report = session.report()
     out_side = glyphs.shape[1] - kernel_size + 1
+    # One im2col patch per output pixel of each image.
+    patches = sum(future.value[0].size for future in futures)
     summary = {
-        "images": stats.conv_requests,
-        "patches": stats.conv_patches,
+        "images": report.requests,
+        "patches": patches,
         "kernels": kernels,
         "feature_map": [kernels, out_side, out_side],
         "elapsed_s": elapsed,
         "images_per_s": images / elapsed if elapsed > 0 else float("inf"),
-        "patches_per_s": stats.conv_patches / elapsed if elapsed > 0 else float("inf"),
-        "cache_hits": stats.tiled_hits,
-        "cache_misses": stats.tiled_builds,
-        "cache_hit_rate": stats.cache_hit_rate,
-        "weight_energy_spent_pj": stats.weight_energy_spent * 1e12,
-        "weight_energy_saved_pj": stats.weight_energy_saved * 1e12,
-        "analog_latency_us": stats.analog_time * 1e6,
-        "analog_energy_nj": stats.analog_energy * 1e9,
+        "patches_per_s": patches / elapsed if elapsed > 0 else float("inf"),
+        "cache_hits": report.cache_hits,
+        "cache_misses": report.cache_misses,
+        "cache_hit_rate": report.cache_hit_rate,
+        "weight_energy_spent_pj": report.weight_energy_spent * 1e12,
+        "weight_energy_saved_pj": report.weight_energy_saved * 1e12,
+        "analog_latency_us": report.analog_time * 1e6,
+        "analog_energy_nj": report.analog_energy * 1e9,
     }
     if trace is not None:
-        summary["latency_quantiles"] = session.report().latency_quantiles
+        summary["latency_quantiles"] = report.latency_quantiles
     lines = [
         f"conv program      : {kernels} kernels {kernel_size}x{kernel_size} "
         f"on {rows} x {columns} tiles (flush policy "

@@ -45,9 +45,8 @@ class DifferentialProgram:
     an all-non-negative program, saving the second analog pass.  Float
     dequantization scales stay with each request, so programs that
     quantize to the same integers share one compiled pair.  This is the
-    unit the session/server program caches store for both the conv
-    route and compiled model layers (``ConvProgram`` is its historical
-    alias in :mod:`repro.runtime.serving`).
+    unit the session's program cache stores for both the conv route and
+    compiled model layers.
     """
 
     positive: TiledMatmul
@@ -137,6 +136,10 @@ def auto_range_gain(block: np.ndarray, full_scale_dot: int) -> float:
 
 class TiledMatmul:
     """A weight matrix of arbitrary shape compiled onto a tile grid."""
+
+    #: Sequential analog passes per input column (the tiles of one grid
+    #: digitize in parallel).
+    passes = 1
 
     def __init__(
         self,

@@ -23,16 +23,6 @@ def tech():
     return default_technology()
 
 
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_warnings():
-    """The legacy shims deprecation-warn once per *process*; re-arm
-    them per test so every test observes its own first use (and
-    ``pytest.deprecated_call`` keeps seeing the warning)."""
-    from repro.runtime import serving
-
-    serving._WARNED.clear()
-
-
 @pytest.fixture(scope="session")
 def compute_ring(tech):
     """A weight/pSRAM-class add-drop ring (read-only)."""

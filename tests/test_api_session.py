@@ -171,48 +171,6 @@ class TestFlushPolicies:
         assert session.flush() == 20
 
 
-class TestLegacyEquivalence:
-    """The session must serve codes bit-for-bit equal to the legacy
-    InferenceServer paths (which now shim onto it)."""
-
-    def test_dense_routes_match_legacy_server(self, tech):
-        from repro.runtime.serving import InferenceServer
-
-        rng = np.random.default_rng(8)
-        session = PhotonicSession(technology=tech, grid=(4, 6))
-        with pytest.deprecated_call():
-            server = InferenceServer(rows=4, columns=6, technology=tech)
-        native_w = rng.integers(0, 8, (4, 6))
-        tiled_w = rng.integers(0, 8, (7, 9))
-        native_x = rng.uniform(0.0, 1.0, 6)
-        tiled_x = rng.uniform(0.0, 1.0, 9)
-
-        session_native = session.submit(native_w, native_x)
-        session_tiled = session.submit(tiled_w, tiled_x, gain="auto")
-        server_native = server.submit(native_w, native_x)
-        server_tiled = server.submit(tiled_w, tiled_x, gain="auto")
-        session.flush()
-        server.flush()
-        np.testing.assert_array_equal(session_native.value, server_native.estimates)
-        np.testing.assert_array_equal(session_tiled.value, server_tiled.estimates)
-
-    def test_conv_route_matches_legacy_server(self, tech):
-        from repro.runtime.serving import InferenceServer
-
-        rng = np.random.default_rng(9)
-        session = PhotonicSession(technology=tech, grid=(4, 9))
-        with pytest.deprecated_call():
-            server = InferenceServer(rows=4, columns=9, technology=tech)
-        kernels = rng.normal(0.0, 1.0, (3, 3, 3))
-        image = rng.uniform(0.0, 1.0, (7, 7))
-        session_future = session.submit_conv(kernels, image)
-        server_ticket = server.submit_conv(kernels, image)
-        session.flush()
-        server.flush()
-        np.testing.assert_array_equal(session_future.value,
-                                      server_ticket.feature_maps)
-
-
 class TestDeployedModels:
     def test_compile_rejects_non_models(self, session):
         with pytest.raises(ConfigurationError, match="Model"):

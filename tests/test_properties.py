@@ -1,12 +1,14 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import MetricsRegistry, PhotonicSession, RunReport
 from repro.config import default_technology
 from repro.core.compute_core import VectorComputeCore
 from repro.core.tensor_core import PhotonicTensorCore
@@ -17,13 +19,18 @@ from repro.core.quantization import (
     signed_matmul_correction,
 )
 from repro.electronics.adc_metrics import differential_nonlinearity
+from repro.errors import DeadlineExceededError
 from repro.electronics.elements import StorageNode
 from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bits
 from repro.photonics.coupler import BinaryScaledSplitterTree, PowerSplitter
 from repro.photonics.mrr import AddDropMRR
 from repro.photonics.signal import WDMSignal, merge_signals
+from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
+from repro.runtime.engine import CompiledCore
+from repro.runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from repro.sim.transient import FirstOrderLag
+from repro.telemetry import ModelClock
 
 TECH = default_technology()
 RING = AddDropMRR(
@@ -308,3 +315,158 @@ def test_ring_table_loads_equal_per_ring_walk(length, bits, plan, data):
             core.load_weights(data.draw(words))
             inputs = np.asarray(data.draw(st.lists(unit, min_size=length, max_size=length)))
             assert_matches_per_ring_walk(core, inputs)
+
+
+# -- the flush executor: every route, one clock -------------------------------
+
+EXEC_GRID = (4, 6)
+_EXEC_RNG = np.random.default_rng(13)
+#: Two programs per route, so random requests coalesce into groups.
+EXEC_PROGRAMS = {
+    "native": [_EXEC_RNG.integers(0, 8, (4, 6)) for _ in range(2)],
+    "sub-tile": [_EXEC_RNG.integers(0, 8, (3, 4)) for _ in range(2)],
+    "tiled": [_EXEC_RNG.integers(0, 8, (7, 9)) for _ in range(2)],
+    "conv": [_EXEC_RNG.normal(0.0, 1.0, (2, 2, 2)) for _ in range(2)],
+}
+#: The class whose matmul evaluates each group kind's batches, and the
+#: kinds a failure there breaks (tiles are CompiledCores, differential
+#: programs are TiledMatmul pairs).
+EXEC_KERNELS = {
+    "native": (CompiledCore, {"native", "tiled", "conv"}),
+    "tiled": (TiledMatmul, {"tiled", "conv"}),
+    "conv": (DifferentialProgram, {"conv"}),
+}
+
+
+def _exec_case(route, program, gain, frac, seed):
+    """(route, program, gain, deadline fraction, input) of one request."""
+    rng = np.random.default_rng(seed)
+    if route == "conv":
+        return route, program, None if gain == "auto" else gain, frac, rng.uniform(0.0, 1.0, (4, 4))
+    columns = EXEC_PROGRAMS[route][program].shape[1]
+    return route, program, gain, frac, rng.uniform(0.0, 1.0, columns)
+
+
+def _exec_submit(session, case, deadline):
+    route, program, gain, _, x = case
+    weights = EXEC_PROGRAMS[route][program]
+    if route == "conv":
+        return session.submit_conv(weights, x, gain=gain, deadline=deadline)
+    return session.submit(weights, x, gain=gain, deadline=deadline)
+
+
+def _exec_session(**kwargs):
+    return PhotonicSession(grid=EXEC_GRID, max_batch=4, clock=ModelClock(), **kwargs)
+
+
+def _device_codes(core, case):
+    """Codes of :meth:`PhotonicTensorCore.matvec` on the padded problem."""
+    route, program, gain, _, x = case
+    weights = EXEC_PROGRAMS[route][program]
+    padded_w = np.zeros(EXEC_GRID, dtype=int)
+    padded_w[: weights.shape[0], : weights.shape[1]] = weights
+    padded_x = np.zeros(EXEC_GRID[1])
+    padded_x[: len(x)] = x
+    if gain is None:
+        gain = 1.0
+    elif gain == "auto":
+        gain = auto_range_gain(padded_w, EXEC_GRID[1] * core.max_weight)
+    core.load_weight_matrix(padded_w)
+    return core.matvec(padded_x, gain=gain).codes[: weights.shape[0]]
+
+
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from(("native", "sub-tile", "tiled", "conv")),
+            st.integers(min_value=0, max_value=1),
+            st.sampled_from((None, 1.0, 2.0, "auto")),
+            # Deadline as a fraction of the flush's unshed service time.
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.25)),
+            st.integers(min_value=0, max_value=2**16),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=10, deadline=None)
+def test_flush_executor_matches_requests_served_alone(requests, data):
+    cases = [_exec_case(*request) for request in requests]
+    dry = _exec_session()
+    for case in cases:
+        _exec_submit(dry, case, None)
+    dry.flush()
+    span = dry.report().total_latency
+    deadlines = [None if case[3] is None else case[3] * span for case in cases]
+
+    runs = []
+    for session in (_exec_session(), _exec_session(metrics=MetricsRegistry(), obs=Observer())):
+        futures = [_exec_submit(session, case, d) for case, d in zip(cases, deadlines)]
+        runs.append((futures, session.flush(), session.report()))
+    (futures, resolved, report), (attached, attached_resolved, attached_report) = runs
+
+    # Exactly one terminal state each; every request is served or shed.
+    for future in futures:
+        assert future.done and not future.abandoned
+        if future.expired:
+            with pytest.raises(DeadlineExceededError):
+                future.value
+    assert resolved == sum(not future.expired for future in futures)
+    assert len(cases) == resolved + report.deadline_misses
+
+    # Each value (and in-grid codes) equals the request served alone;
+    # in-grid codes equal the device loop on the padded problem.
+    core = PhotonicTensorCore(rows=EXEC_GRID[0], columns=EXEC_GRID[1])
+    alone = [_exec_submit(_exec_session(), case, None) for case in cases]
+    for case, future, reference in zip(cases, futures, alone):
+        reference.result()
+        if future.expired:
+            continue
+        assert np.array_equal(future.value, reference.value)
+        if case[0] in ("native", "sub-tile"):
+            assert np.array_equal(future.codes, reference.codes)
+            assert np.array_equal(future.codes, _device_codes(core, case))
+        else:
+            assert future.codes is None
+
+    # Metrics and an observer attached: same values, codes, sheds and
+    # ledger; only the quantiles differ.
+    assert attached_resolved == resolved
+    for future, twin in zip(futures, attached):
+        assert twin.expired == future.expired
+        if not future.expired:
+            assert np.array_equal(twin.value, future.value)
+            assert (twin.codes is None) == (future.codes is None)
+            if future.codes is not None:
+                assert np.array_equal(twin.codes, future.codes)
+    for field in RunReport.__dataclass_fields__:
+        if field not in ("latency_quantiles", "tenant_quantiles"):
+            assert getattr(attached_report, field) == getattr(report, field), field
+
+    # A matmul failure in any one route never wedges the session.  The
+    # broken run follows the plain run's timeline until the failure, so
+    # it raises exactly when the plain run served a kind it breaks.
+    def kind(case):
+        return "native" if case[0] == "sub-tile" else case[0]
+
+    failing = data.draw(st.sampled_from(sorted({kind(case) for case in cases})))
+    kernel, broken_kinds = EXEC_KERNELS[failing]
+    raises = any(
+        kind(case) in broken_kinds and not future.expired
+        for case, future in zip(cases, futures)
+    )
+    broken = _exec_session()
+    pending = [_exec_submit(broken, case, d) for case, d in zip(cases, deadlines)]
+    with mock.patch.object(kernel, "matmul", side_effect=RuntimeError("injected")):
+        if raises:
+            with pytest.raises(RuntimeError, match="injected"):
+                broken.flush()
+        else:
+            broken.flush()
+    assert broken.pending == 0
+    assert all(future.done != future.abandoned for future in pending)
+    retry = [_exec_submit(broken, case, None) for case in cases]
+    assert broken.flush() == len(cases)
+    for future, reference in zip(retry, alone):
+        assert np.array_equal(future.value, reference.value)

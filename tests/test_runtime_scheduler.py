@@ -198,8 +198,17 @@ def test_submit_validation(scheduler):
         scheduler.submit(good, np.ones(3) * 0.5)
     with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
         scheduler.submit(good, np.ones(6) * 1.5)
+    # NaN fails every comparison: the range check must still reject it.
+    nan_x = np.ones(6) * 0.5
+    nan_x[3] = np.nan
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        scheduler.submit(good, nan_x)
+    # Non-integral weights are rejected, not truncated.
+    with pytest.raises(ConfigurationError, match="integers"):
+        scheduler.submit(np.minimum(good, 6) + 0.7, np.ones(6) * 0.5)
     with pytest.raises(ConfigurationError, match="gain"):
         scheduler.submit(good, np.ones(6) * 0.5, gain=-1.0)
+    assert scheduler.pending == 0
 
 
 def test_submitted_arrays_are_snapshotted(scheduler, tech):

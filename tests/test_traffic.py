@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    Dense,
     FlushPolicy,
     MetricsRegistry,
+    Model,
     PhotonicCluster,
     PhotonicSession,
     RoutingPolicy,
@@ -282,17 +284,41 @@ class TestDeadlineEdges:
 
     @pytest.mark.parametrize("deadline", [0.0, -1.0])
     def test_expired_at_submit_sheds_without_queueing(
-        self, request_pair, deadline
+        self, request_pair, deadline, monkeypatch
     ):
         weights, x = request_pair
-        session = make_session(FlushPolicy.explicit())
-        future = session.submit(weights, x, deadline=deadline)
-        assert future.expired and session.pending == 0
-        with pytest.raises(DeadlineExceededError):
-            future.result()
-        report = session.report()
-        # A submit-time shed never counts as a served request.
-        assert report.requests == 0 and report.deadline_misses == 1
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an expired conv request ran im2col")
+
+        monkeypatch.setattr("repro.api.session.im2col_channels", no_work)
+        rng = np.random.default_rng(1)
+        kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+        image = rng.uniform(0.0, 1.0, (6, 6))
+        model = Model.sequential(Dense(rng.normal(0.0, 1.0, (3, 6))))
+        batch = rng.uniform(0.0, 1.0, (2, 6))
+        for route in ("dense", "conv", "model"):
+            session = make_session(FlushPolicy.explicit())
+            endpoint = session.compile(model)
+            before = session.report()
+            if route == "dense":
+                future = session.submit(weights, x, deadline=deadline)
+            elif route == "conv":
+                future = session.submit_conv(kernels, image, deadline=deadline)
+            else:
+                future = endpoint.submit(batch, deadline=deadline)
+            assert future.expired and session.pending == 0, route
+            with pytest.raises(DeadlineExceededError):
+                future.result()
+            if route == "conv":
+                # The output shape is known without quantizing the bank.
+                assert future.shape == (2, 4, 4)
+            report = session.report()
+            # A submit-time shed never counts as a served request, and
+            # does no work: no program lookup, compile or analog pass.
+            assert report.requests == 0 and report.deadline_misses == 1, route
+            assert report.samples == 0 and report.batches == 0, route
+            assert report.cache_misses == before.cache_misses, route
 
     def test_deadline_fires_mid_coalesced_batch(self, request_pair):
         weights, x = request_pair
