@@ -94,7 +94,7 @@ def test_tiled_large_matrix_throughput(benchmark, report, tech):
     rng = np.random.default_rng(2)
     weights = rng.integers(0, 8, (40, 40))
     build_start = time.perf_counter()
-    tiled = TiledMatmul(weights, tile_rows=16, tile_columns=16, technology=tech)
+    tiled = TiledMatmul(weights, PhotonicTensorCore(rows=16, columns=16, technology=tech))
     build_time = time.perf_counter() - build_start
     batch = rng.uniform(0.0, 1.0, (40, 32))
 

@@ -326,7 +326,6 @@ class PhotonicCluster:
         weight_bits: int | None = None,
         adc_bits: int | None = None,
         cache_capacity: int = 8,
-        tiled_cache_capacity: int = 4,
         max_batch: int = 256,
         flush_policy: FlushPolicy | None = None,
         routing: RoutingPolicy | None = None,
@@ -481,7 +480,6 @@ class PhotonicCluster:
             weight_bits=weight_bits,
             adc_bits=adc_bits,
             cache_capacity=cache_capacity,
-            tiled_cache_capacity=tiled_cache_capacity,
             max_batch=max_batch,
             flush_policy=flush_policy,
             drift=drift,
@@ -580,7 +578,6 @@ class PhotonicCluster:
                 spec.adc_bits if spec.adc_bits is not None else defaults["adc_bits"]
             ),
             cache_capacity=defaults["cache_capacity"],
-            tiled_cache_capacity=defaults["tiled_cache_capacity"],
             max_batch=defaults["max_batch"],
             flush_policy=defaults["flush_policy"],
             drift=defaults["drift"],

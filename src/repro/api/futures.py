@@ -188,9 +188,10 @@ class Future:
     the payload: dequantized W @ x estimates for dense requests,
     (num_kernels, out_rows, out_cols) feature maps for conv requests,
     model outputs for endpoint submits.  ``codes`` additionally carries
-    the raw ADC codes where the path produces a single tile's worth
-    (the native dense route); tiled and conv paths accumulate partial
-    sums digitally, so only dequantized estimates exist there.
+    the raw ADC codes of in-grid dense requests, which run on one-tile
+    programs and so produce a single tile's worth; tiled and conv
+    paths accumulate partial sums digitally, so only dequantized
+    estimates exist there.
     """
 
     __slots__ = (
@@ -337,7 +338,8 @@ class Future:
 
     @property
     def codes(self) -> np.ndarray | None:
-        """Raw ADC codes (native dense route only; None elsewhere)."""
+        """Raw ADC codes of the one-tile program an in-grid dense
+        request ran on (None on every other route)."""
         if self._error is not None:
             raise self._error
         if not self._done:

@@ -249,10 +249,11 @@ class PhotonicSession:
     """A serving session owning one tile-sized core and all its state.
 
     ``grid=(rows, columns)`` sets the physical tile; any (out, in)
-    unsigned weight matrix is served — smaller shapes are zero-padded
-    onto the tile and share the scheduler's batching/caching, larger
-    shapes compile onto cached :class:`~repro.runtime.tiling.TiledMatmul`
-    grids.  Declarative models deploy through :meth:`compile`.
+    unsigned weight matrix is served as a cached
+    :class:`~repro.runtime.tiling.TiledMatmul` grid compiled on the
+    session core — smaller shapes are zero-padded onto one tile (and
+    return ADC codes), larger shapes are sharded across tiles.
+    Declarative models deploy through :meth:`compile`.
 
     ``drift=[...DriftModel...]`` attaches a live
     :class:`~repro.health.DriftState` — the analog stack then ages
@@ -271,7 +272,6 @@ class PhotonicSession:
         weight_bits: int | None = None,
         adc_bits: int | None = None,
         cache_capacity: int = 8,
-        tiled_cache_capacity: int = 4,
         max_batch: int = 256,
         flush_policy: FlushPolicy | None = None,
         drift: DriftLike = None,
@@ -369,7 +369,6 @@ class PhotonicSession:
             label="session",
         )
         self.scheduler.telemetry = self.telemetry
-        self.scheduler.tiled_cache = WeightProgramCache(tiled_cache_capacity)
         self._endpoints: list[DeployedModel] = []
         #: Futures queued since the last flush, in submit order.
         self._window: list[Future] = []
@@ -430,14 +429,18 @@ class PhotonicSession:
                 self.core.row_adcs[0].bits,
             )
 
+            # Close over the core, not ``self``: the session's own caches
+            # hold these, so closing over it would make a reference cycle.
+            core = self.core
+
             def _current_epoch() -> int:
-                drift_state = self.core.drift_state
+                drift_state = core.drift_state
                 if drift_state is not None and drift_state.active:
                     return drift_state.epoch
                 return 0
 
             def _current_drift():
-                return self.core.drift_state
+                return core.drift_state
 
             for cache in (self.scheduler.cache, self.tiled_cache):
                 cache.attach_store(
@@ -842,12 +845,8 @@ class PhotonicSession:
         self.drift.recalibrate()
         self.core.invalidate_ladders()
         epoch = self.drift.epoch
-        self.scheduler.cache.evict_where(
-            lambda program: program.engine.calibration_epoch != epoch
-        )
-        self.tiled_cache.evict_where(
-            lambda program: program.calibration_epoch != epoch
-        )
+        for cache in (self.scheduler.cache, self.tiled_cache):
+            cache.evict_where(lambda program: program.calibration_epoch != epoch)
         for endpoint in self._endpoints:
             endpoint._needs_rebind = True
         self._recalibrations += 1

@@ -25,6 +25,7 @@ from ..health.drift import apply_read_out
 from .compute_core import VectorComputeCore
 from .eoadc import EoAdc
 from .performance import PerformanceModel
+from .psram import switching_energy_ledger
 
 
 @dataclass
@@ -122,6 +123,14 @@ class PhotonicTensorCore:
     def weight_update_energy(self) -> float:
         """Wall-plug energy [J] of all weight switches so far."""
         return sum(core.weight_update_energy() for core in self.row_cores)
+
+    def program_energy(self, matrix) -> float:
+        """Energy [J] the serving stack charges for loading ``matrix``:
+        one pSRAM switch per set weight bit, whatever the arrays held
+        before (:meth:`weight_update_energy` counts actual flips)."""
+        matrix = np.asarray(matrix, dtype=np.int64)
+        set_bits = int(((matrix[..., None] >> np.arange(self.weight_bits)) & 1).sum())
+        return set_bits * switching_energy_ledger(self.technology).total
 
     # -- calibration constants (used by the runtime compiler) ----------------
     @property

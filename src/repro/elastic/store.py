@@ -5,12 +5,16 @@ A compiled program is a pure function of (weights, core geometry, ADC
 precision, technology, calibration epoch): everything
 :class:`~repro.runtime.engine.CompiledCore` snapshots — the dense
 response matrix, the exact bisected code ladders, the drift trims — is
-already detached from the device.  :class:`ProgramStore` writes those
-snapshots to disk as one ``.npz`` (arrays, lossless float64) plus one
-JSON manifest (scalars, epoch, integrity metadata) per entry, keyed by
-a blake2b digest of the cache key and a :func:`core_fingerprint` of
-the compiling core, so a fresh session — or another process — restores
-the program bit-for-bit instead of recompiling.
+already detached from the device.  Entries are
+:class:`~repro.runtime.tiling.TiledMatmul` grids of such snapshots
+(every dense program, in-grid ones included) or
+:class:`~repro.runtime.tiling.DifferentialProgram` pairs of grids.
+:class:`ProgramStore` writes them to disk as one ``.npz`` (arrays,
+lossless float64) plus one JSON manifest (scalars, epoch, integrity
+metadata) per entry, keyed by a blake2b digest of the cache key and a
+:func:`core_fingerprint` of the compiling core, so a fresh session — or
+another process — restores the program bit-for-bit instead of
+recompiling.
 
 Integrity is checked on every load: a damaged manifest or array
 payload raises :class:`~repro.errors.CorruptProgramError`, an entry
@@ -18,7 +22,8 @@ compiled under a different calibration epoch raises
 :class:`~repro.errors.StaleProgramError` (its compensation snapshot no
 longer describes the hardware trims).  Serving paths catch
 :class:`~repro.errors.ProgramStoreError` and fall back to a cold
-compile; the fresh program then overwrites the stale entry.
+compile; the fresh program then overwrites the stale or damaged entry
+(an unknown kind, such as a retired one, counts as damaged).
 
 Calibration records travel separately (:meth:`ProgramStore.
 save_calibration`): a small JSON file per core label holding the
@@ -41,14 +46,13 @@ import numpy as np
 from ..config import Technology
 from ..errors import ConfigurationError, CorruptProgramError, StaleProgramError
 from ..health.drift import DriftState
-from ..runtime.scheduler import CachedProgram
 from ..runtime.tiling import DifferentialProgram, TiledMatmul
 
 #: Manifest schema version; bumped on any layout change so old entries
 #: are rejected as corrupt instead of misread.
 STORE_FORMAT = 1
 
-_KINDS = ("dense", "tiled", "differential")
+_KINDS = ("tiled", "differential")
 
 
 def core_fingerprint(
@@ -103,6 +107,9 @@ class ProgramStore:
         self.stale_rejects = 0
         #: Loads rejected for damaged manifests/payloads.
         self.corrupt_rejects = 0
+        #: Digests whose last load raised CorruptProgramError: the next
+        #: save overwrites them even when the manifest's epoch matches.
+        self._damaged: set[str] = set()
 
     # -- addressing ----------------------------------------------------------
     def digest(self, key: bytes, fingerprint: str) -> str:
@@ -133,7 +140,7 @@ class ProgramStore:
     def save(
         self,
         key: bytes,
-        program: CachedProgram | TiledMatmul | DifferentialProgram,
+        program: TiledMatmul | DifferentialProgram,
         *,
         fingerprint: str,
     ) -> str:
@@ -141,13 +148,12 @@ class ProgramStore:
 
         Content-addressed writes are idempotent: when a valid entry
         with the same calibration epoch already exists the write is
-        skipped (``save_skips``), while a stale or damaged entry is
-        overwritten atomically.
+        skipped (``save_skips``), while a stale entry, or one a load
+        rejected as damaged, is overwritten atomically.
         """
-        kind, epoch, state, extra = self._disassemble(program)
+        kind, epoch, state = self._disassemble(program)
         digest = self.digest(key, fingerprint)
-        existing = self._peek_epoch(digest)
-        if existing is not None and existing == epoch:
+        if self._peek_epoch(digest) == epoch and digest not in self._damaged:
             self.save_skips += 1
             return digest
         arrays = self._state_arrays(kind, state)
@@ -159,7 +165,6 @@ class ProgramStore:
             "calibration_epoch": epoch,
             "meta": self._state_meta(kind, state),
             "arrays": sorted(arrays),
-            **extra,
         }
         arrays_path = self._arrays_path(digest)
         tmp_arrays = arrays_path.with_suffix(".npz.tmp")
@@ -170,6 +175,7 @@ class ProgramStore:
         tmp_manifest = manifest_path.with_suffix(".json.tmp")
         tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
         os.replace(tmp_manifest, manifest_path)
+        self._damaged.discard(digest)
         self.saves += 1
         return digest
 
@@ -181,7 +187,7 @@ class ProgramStore:
         epoch: int,
         technology: Technology,
         drift_state: DriftState | None = None,
-    ) -> CachedProgram | TiledMatmul | DifferentialProgram | None:
+    ) -> TiledMatmul | DifferentialProgram | None:
         """Restore one compiled program, or ``None`` when absent.
 
         ``epoch`` is the requesting core's *current* calibration epoch;
@@ -189,23 +195,28 @@ class ProgramStore:
         :class:`~repro.errors.StaleProgramError`.  ``drift_state``
         rebinds restored engines to the requesting core's live drift
         trajectory.  Damaged entries raise
-        :class:`~repro.errors.CorruptProgramError`.
+        :class:`~repro.errors.CorruptProgramError`, and the next
+        :meth:`save` of the digest overwrites them.
         """
         digest = self.digest(key, fingerprint)
         manifest_path = self._manifest_path(digest)
         if not manifest_path.exists():
             self.misses += 1
             return None
-        manifest = self._read_manifest(manifest_path, digest)
-        if int(manifest["calibration_epoch"]) != int(epoch):
-            self.stale_rejects += 1
-            raise StaleProgramError(
-                f"store entry {digest} was compiled under calibration epoch "
-                f"{manifest['calibration_epoch']}, core is at epoch {epoch}; "
-                f"recompile (the fresh program overwrites this entry)"
-            )
-        arrays = self._read_arrays(digest, manifest)
-        program = self._assemble(manifest, arrays, technology, drift_state)
+        try:
+            manifest = self._read_manifest(manifest_path, digest)
+            if int(manifest["calibration_epoch"]) != int(epoch):
+                self.stale_rejects += 1
+                raise StaleProgramError(
+                    f"store entry {digest} was compiled under calibration epoch "
+                    f"{manifest['calibration_epoch']}, core is at epoch {epoch}; "
+                    f"recompile (the fresh program overwrites this entry)"
+                )
+            arrays = self._read_arrays(digest, manifest)
+            program = self._assemble(manifest, arrays, technology, drift_state)
+        except CorruptProgramError:
+            self._damaged.add(digest)
+            raise
         self.restores += 1
         return program
 
@@ -279,32 +290,19 @@ class ProgramStore:
 
     # -- (dis)assembly -------------------------------------------------------
     def _disassemble(
-        self, program: CachedProgram | TiledMatmul | DifferentialProgram
-    ) -> tuple[str, int, dict[str, Any], dict[str, Any]]:
-        """``(kind, epoch, state, manifest extras)`` of one program."""
-        if isinstance(program, CachedProgram):
-            return (
-                "dense",
-                int(program.engine.calibration_epoch),
-                program.engine.state_dict(),
-                {
-                    "load_energy": float(program.weight_update_energy),
-                    "load_time": float(program.weight_update_time),
-                },
-            )
+        self, program: TiledMatmul | DifferentialProgram
+    ) -> tuple[str, int, dict[str, Any]]:
+        """``(kind, epoch, state)`` of one program."""
         if isinstance(program, DifferentialProgram):
-            return (
-                "differential",
-                int(program.calibration_epoch),
-                program.state_dict(),
-                {},
+            kind = "differential"
+        elif isinstance(program, TiledMatmul):
+            kind = "tiled"
+        else:
+            raise ConfigurationError(
+                f"ProgramStore can persist TiledMatmul or DifferentialProgram, "
+                f"got {type(program).__name__}"
             )
-        if isinstance(program, TiledMatmul):
-            return "tiled", int(program.calibration_epoch), program.state_dict(), {}
-        raise ConfigurationError(
-            f"ProgramStore can persist CachedProgram, TiledMatmul, or "
-            f"DifferentialProgram, got {type(program).__name__}"
-        )
+        return kind, int(program.calibration_epoch), program.state_dict()
 
     def _state_arrays(self, kind: str, state: dict[str, Any]) -> dict[str, np.ndarray]:
         if kind == "differential":
@@ -393,48 +391,30 @@ class ProgramStore:
         arrays: dict[str, np.ndarray],
         technology: Technology,
         drift_state: DriftState | None,
-    ) -> CachedProgram | TiledMatmul | DifferentialProgram:
-        from ..runtime.engine import CompiledCore
-
+    ) -> TiledMatmul | DifferentialProgram:
         kind = manifest["kind"]
         meta = manifest["meta"]
         try:
-            if kind == "dense":
-                engine = CompiledCore.from_state(
-                    arrays, meta, technology, drift_state=drift_state
-                )
-                return CachedProgram(
-                    engine=engine,
-                    weight_update_energy=float(manifest["load_energy"]),
-                    weight_update_time=float(manifest["load_time"]),
-                )
             if kind == "tiled":
                 return TiledMatmul.from_state(
                     arrays, meta, technology, drift_state=drift_state
                 )
-            positive = TiledMatmul.from_state(
-                {
-                    name[len("positive."):]: array
-                    for name, array in arrays.items()
-                    if name.startswith("positive.")
-                },
-                meta["positive"],
-                technology,
-                drift_state=drift_state,
-            )
-            negative = None
-            if meta["negative"] is not None:
-                negative = TiledMatmul.from_state(
-                    {
-                        name[len("negative."):]: array
+            state = {
+                half: None
+                if meta[half] is None
+                else {
+                    "arrays": {
+                        name[len(half) + 1 :]: array
                         for name, array in arrays.items()
-                        if name.startswith("negative.")
+                        if name.startswith(f"{half}.")
                     },
-                    meta["negative"],
-                    technology,
-                    drift_state=drift_state,
-                )
-            return DifferentialProgram(positive=positive, negative=negative)
+                    "meta": meta[half],
+                }
+                for half in ("positive", "negative")
+            }
+            return DifferentialProgram.from_state(
+                state, technology, drift_state=drift_state
+            )
         except (KeyError, IndexError, TypeError, ValueError) as error:
             self.corrupt_rejects += 1
             raise CorruptProgramError(

@@ -205,14 +205,14 @@ class HealthMonitor:
 
     def recompile(self) -> None:
         """(Re)compile the probe engine through the session core,
-        charging the weight streaming to the calibration ledger.  The
-        golden codes are computed once — pristine evaluation does not
-        depend on the core's age."""
+        charging the weight streaming (one switch per set weight bit,
+        :meth:`~repro.core.tensor_core.PhotonicTensorCore.program_energy`)
+        to the calibration ledger.  The golden codes are computed once —
+        pristine evaluation does not depend on the core's age."""
         session = self._session
         core = session.core
-        energy_before = core.weight_update_energy()
         core.load_weight_matrix(self.probe_weights)
-        session._calibration_energy += core.weight_update_energy() - energy_before
+        session._calibration_energy += core.program_energy(self.probe_weights)
         session._calibration_time += core.weight_update_time()
         tel = session.telemetry
         if tel is not None:

@@ -37,29 +37,17 @@ def compile_differential_engines(q_positive, q_negative, core: PhotonicTensorCor
 
     Returns ``(positive_engine, negative_engine)`` — the negative
     engine is None when every negative tap is zero, so purely
-    non-negative programs never spend the second analog pass.  Every
-    quantization-relevant setting of ``core`` (tile shape, weight bits,
-    a non-default ADC precision, technology) is mirrored so the
-    compiled tiles digitize exactly as the device loop would.  Shared
-    by :class:`PhotonicDense` and
+    non-negative programs never spend the second analog pass.  Both
+    grids compile on ``core`` itself (overwriting its pSRAM; the tiles
+    are detached snapshots), so they take its tile shape, precision,
+    technology, ladder memo and drift state and digitize exactly as
+    the device loop would.  Shared by :class:`PhotonicDense` and
     :class:`~repro.ml.convolution.PhotonicConv2d`.
     """
     from ..runtime.tiling import TiledMatmul
 
-    tile_settings = {
-        "tile_rows": core.rows,
-        "tile_columns": core.columns,
-        "weight_bits": core.weight_bits,
-        "adc_bits": core.row_adcs[0].bits,
-        "technology": core.technology,
-        "gain": 1.0,
-        "ladder_cache": core.runtime_ladder_cache,
-        "drift_state": core.drift_state,
-    }
-    positive = TiledMatmul(q_positive, **tile_settings)
-    negative = (
-        TiledMatmul(q_negative, **tile_settings) if np.any(q_negative) else None
-    )
+    positive = TiledMatmul(q_positive, core, gain=1.0)
+    negative = TiledMatmul(q_negative, core, gain=1.0) if np.any(q_negative) else None
     return positive, negative
 
 
@@ -68,11 +56,11 @@ class PhotonicDense:
 
     ``runtime=True`` switches :meth:`forward` onto the compiled
     :class:`repro.runtime.TiledMatmul` fast path: the quantized weight
-    arrays are sharded once onto dedicated compiled tile grids (same
-    tile shape and technology as ``core``) and every batch evaluates as
-    dense numpy products instead of the per-sample device loop.  The
-    physics is identical — the engines are compiled from the same
-    device models — so the outputs match the loop path.
+    arrays are sharded once onto tile grids compiled on ``core`` and
+    every batch evaluates as dense numpy products instead of the
+    per-sample device loop.  The physics is identical — the engines are
+    compiled from the same device models — so the outputs match the
+    loop path.
     """
 
     def __init__(

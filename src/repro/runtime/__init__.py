@@ -8,17 +8,18 @@ it into one, in four layers:
   program snapshotted into dense response matrices and exact ADC code
   ladders, evaluating whole batches as numpy matmuls + searchsorted
   binning, code-for-code equal to the device loop.
-* :mod:`~repro.runtime.tiling` — :class:`TiledMatmul`: arbitrary
-  (out, in) weight shapes sharded across a grid of physical tiles with
-  digital partial-sum accumulation, ragged-edge padding and per-tile
-  TIA range calibration.
+* :mod:`~repro.runtime.tiling` — :class:`TiledMatmul`: the one dense
+  weight program, compiled on a given core: arbitrary (out, in)
+  weight shapes sharded across a grid of physical tiles (one tile for
+  an in-grid program) with digital partial-sum accumulation,
+  ragged-edge padding and per-tile TIA range calibration.
 * :mod:`~repro.runtime.scheduler` — :class:`BatchScheduler` +
   :class:`WeightProgramCache`: the one flush executor behind
   :class:`repro.api.PhotonicSession`.  In-grid, tiled and conv
   requests coalesce per (weight program, gain) and run as batched
   matmuls on one modelled service clock; an LRU of compiled programs
   lets repeated weights skip the 20 GHz pSRAM re-streaming, with
-  energy/latency accounting riding on the device ledgers and
+  load energy charged per set weight bit and analog time/energy from
   :class:`~repro.core.performance.PerformanceModel`.
 * :mod:`~repro.runtime.serving` — the ``python -m repro serve-bench``
   traffic replays (dense, cnn, cluster, drift, traffic, elastic), all
@@ -28,7 +29,6 @@ it into one, in four layers:
 from .engine import BatchResult, CompiledCore, weight_key
 from .scheduler import (
     BatchScheduler,
-    CachedProgram,
     SchedulerStats,
     Ticket,
     WeightProgramCache,
@@ -44,7 +44,6 @@ from .tiling import DifferentialProgram, TiledMatmul
 __all__ = [
     "BatchResult",
     "BatchScheduler",
-    "CachedProgram",
     "CompiledCore",
     "DifferentialProgram",
     "run_cluster_serve_bench",

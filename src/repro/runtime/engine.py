@@ -19,9 +19,12 @@ them vectorized, matching the device loop code-for-code.  Compilation
 costs one ladder bisection per distinct ADC trim (cached on the ADC)
 plus, per weight program, a pSRAM write and a response-matrix rebuild
 that selects each ring's transfer from the core's two-state ring table
-instead of re-evaluating the rings, so the flush executor
-(:class:`~repro.runtime.scheduler.BatchScheduler`) can recompile an
-in-grid program on every cache miss.
+instead of re-evaluating the rings.  A
+:class:`~repro.runtime.tiling.TiledMatmul` grid is one such snapshot
+per tile, all taken on one core (an in-grid program is a one-tile
+grid), so the flush executor
+(:class:`~repro.runtime.scheduler.BatchScheduler`) can recompile any
+dense program on every cache miss.
 """
 
 from __future__ import annotations
@@ -69,9 +72,10 @@ class BatchResult:
 def _row_ladders(core: PhotonicTensorCore, ladder_cache: list | None) -> np.ndarray:
     """Per-row ADC code ladders, sharing bisection work between ADCs
     with identical trim/spec (the common case: one seeded trim draw per
-    technology).  ``ladder_cache`` is an optional cross-core memo of
-    ``[technology, spec, trim_errors, ladder]`` rows that tiled grids
-    pass so every tile of the same technology compiles one ladder."""
+    technology).  ``ladder_cache`` is an optional cross-compile memo of
+    ``[technology, spec, trim_errors, ladder]`` rows (a core's
+    ``runtime_ladder_cache``), so every tile compiled on one core
+    shares its ladders."""
     ladders = []
     local: list = [] if ladder_cache is None else ladder_cache
     for adc in core.row_adcs:
@@ -96,8 +100,9 @@ class CompiledCore:
     dense arrays for batched evaluation.
 
     The snapshot is detached from the device: reloading the source
-    core's weights afterwards (as the :class:`~repro.runtime.scheduler.
-    BatchScheduler` does on every cache miss) leaves this program valid.
+    core's weights afterwards (as every later
+    :class:`~repro.runtime.tiling.TiledMatmul` compile on it does)
+    leaves this program valid.
     """
 
     def __init__(

@@ -12,16 +12,15 @@ sample period per input vector.  Traffic amortizes both:
 * :class:`BatchScheduler` — the one pending-group executor behind
   :class:`repro.api.PhotonicSession`.  Requests queue per (weight
   program, TIA gain) in three group kinds: in-grid dense requests on
-  the core's own pSRAM (the only kind that returns ADC codes and
-  chunks at ``max_batch``), larger dense requests on cached
-  :class:`~repro.runtime.tiling.TiledMatmul` grids, and im2col
-  convolutions on cached
+  one-tile :class:`~repro.runtime.tiling.TiledMatmul` grids (the only
+  kind that returns ADC codes and chunks at ``max_batch``), larger
+  dense requests on multi-tile grids, and im2col convolutions on
   :class:`~repro.runtime.tiling.DifferentialProgram` pairs.  One
   :meth:`~BatchScheduler.flush` loop evaluates every group as batched
   matmuls, paying the Python/ADC dispatch once per batch.
 
-Accounting rides on the device models: weight-load energy is the pSRAM
-ledger of the compiling core, analog time/energy come from
+Accounting rides on the device models: load energy is one pSRAM switch
+per set weight bit of the program, analog time/energy come from
 :class:`~repro.core.performance.PerformanceModel`, and every cache hit
 is credited with the re-streaming cost it avoided.  Every load and
 batch advances one modelled service clock, which deadline shedding
@@ -42,27 +41,15 @@ from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
 from ..ml.layers import compile_differential_engines
 from ..telemetry.clock import ModelClock
-from .engine import CompiledCore, weight_key
+from .engine import weight_key
 from .tiling import DifferentialProgram, TiledMatmul, auto_range_gain
-
-
-@dataclass
-class CachedProgram:
-    """A compiled in-grid weight program plus the load costs a hit
-    avoids (one tile, one analog pass per input column)."""
-
-    engine: CompiledCore
-    weight_update_energy: float
-    weight_update_time: float
-    passes = 1
-    tile_count = 1
 
 
 class WeightProgramCache:
     """Least-recently-used cache of weight programs.
 
-    Generic over the cached value (a scheduler keeps its in-grid
-    :class:`CachedProgram` programs in one cache and its tiled and
+    Generic over the cached value (a scheduler keeps its one-tile
+    in-grid programs in one cache and its larger tiled and
     differential grids in another); the key is the canonical byte
     string of the weight matrix (:func:`repro.runtime.engine.weight_key`).
     """
@@ -329,12 +316,13 @@ class SchedulerStats:
 class BatchScheduler:
     """Coalesces requests into batched compiled evaluations.
 
-    One physical :class:`PhotonicTensorCore` backs the scheduler; each
-    distinct in-grid weight matrix becomes a compiled program in the
-    LRU ``cache``, and tiled and differential programs live in
-    ``tiled_cache``.  Requests queue per (weight program, gain) and
-    :meth:`flush` runs every group: in-grid groups as dense batches of
-    at most ``max_batch`` columns, tiled and conv groups whole.
+    One physical :class:`PhotonicTensorCore` backs the scheduler and
+    compiles every program on itself; each distinct in-grid weight
+    matrix becomes a one-tile grid in the LRU ``cache``, and larger
+    grids and differential pairs live in ``tiled_cache``.  Requests
+    queue per (weight program, gain) and :meth:`flush` runs every
+    group: in-grid groups as dense batches of at most ``max_batch``
+    columns, tiled and conv groups whole.
     """
 
     def __init__(
@@ -366,8 +354,7 @@ class BatchScheduler:
             weight_bits=self.core.weight_bits,
         )
         self.cache = WeightProgramCache(cache_capacity)
-        #: LRU of tiled and differential programs (the owning session
-        #: replaces it with one of its configured capacity).
+        #: LRU of multi-tile and differential programs.
         self.tiled_cache = WeightProgramCache(4)
         self.max_batch = max_batch
         self._pending: dict[str, dict[tuple, _Group]] = {kind: {} for kind in _KINDS}
@@ -500,29 +487,11 @@ class BatchScheduler:
         return tel.clock if tel is not None else self._clock
 
     def _compile(self, kind: str, source: np.ndarray):
-        core = self.core
-        if kind == "native":
-            energy_before = core.weight_update_energy()
-            core.load_weight_matrix(source)
-            return CachedProgram(
-                engine=CompiledCore(core, ladder_cache=core.runtime_ladder_cache),
-                weight_update_energy=core.weight_update_energy() - energy_before,
-                weight_update_time=core.weight_update_time(),
-            )
-        if kind == "tiled":
-            return TiledMatmul(
-                source,
-                tile_rows=self.rows,
-                tile_columns=self.columns,
-                weight_bits=core.weight_bits,
-                adc_bits=core.row_adcs[0].bits,
-                technology=self.technology,
-                ladder_cache=core.runtime_ladder_cache,
-                drift_state=core.drift_state,
-            )
+        if kind != "conv":
+            return TiledMatmul(source, self.core)
         half = len(source) // 2
         positive, negative = compile_differential_engines(
-            source[:half], source[half:], core
+            source[:half], source[half:], self.core
         )
         return DifferentialProgram(positive=positive, negative=negative)
 
@@ -691,7 +660,7 @@ class BatchScheduler:
                 handle._resolve(estimates[:, offset])
         else:
             batch = np.stack(inputs, axis=1)
-            result = program.engine.matmul(batch, gain=gain)
+            result = program.tiles[0][0].matmul(batch, gain=gain)
             for offset, (handle, kept) in enumerate(zip(handles, rows)):
                 if kept is None:
                     handle.result = result.column(offset)

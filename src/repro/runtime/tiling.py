@@ -9,10 +9,12 @@ and their dequantized partial sums accumulate digitally.  Ragged edge
 tiles are zero-padded — padded rows read code 0 and padded inputs
 contribute nothing, so no masking is needed on the way out.
 
-Each tile is compiled (:class:`~repro.runtime.engine.CompiledCore`)
-once at construction, with the ADC ladder bisection shared across the
-whole grid, so batched evaluation stays dense end-to-end.  Per-tile
-row-TIA gains are chosen from the tile's own weight block (``gain=
+A grid compiles on, and overwrites, the core it is given (tile shape,
+precision, technology, ladder memo and drift state all come from it):
+each tile's block is loaded into its pSRAM and snapshotted
+(:class:`~repro.runtime.engine.CompiledCore`) once at construction, so
+batched evaluation stays dense end-to-end.  An in-grid program is a
+one-tile grid.  Per-tile row-TIA gains are chosen from the tile's own weight block (``gain=
 "auto"``): a block holding small weights uses a hotter TIA so its
 partial sums still resolve against the full eoADC ladder — the
 per-tile ADC range calibration a real deployment performs.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import Technology, default_technology
+from ..config import default_technology
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import MappingError
 from ..ml.mapping import iter_tile_blocks, tile_grid
@@ -135,7 +137,12 @@ def auto_range_gain(block: np.ndarray, full_scale_dot: int) -> float:
 
 
 class TiledMatmul:
-    """A weight matrix of arbitrary shape compiled onto a tile grid."""
+    """A weight matrix of arbitrary shape compiled onto a tile grid.
+
+    Construction compiles on ``core`` and overwrites its pSRAM; the
+    compiled tiles are detached snapshots, so the core stays free for
+    the next program.
+    """
 
     #: Sequential analog passes per input column (the tiles of one grid
     #: digitize in parallel).
@@ -144,22 +151,12 @@ class TiledMatmul:
     def __init__(
         self,
         weight_matrix,
-        tile_rows: int | None = None,
-        tile_columns: int | None = None,
-        weight_bits: int | None = None,
-        adc_bits: int | None = None,
-        technology: Technology | None = None,
+        core: PhotonicTensorCore,
         gain: float | str = "auto",
-        label: str = "tiled",
-        ladder_cache: list | None = None,
-        drift_state=None,
     ) -> None:
-        self.technology = technology if technology is not None else default_technology()
-        tensor = self.technology.tensor
-        self.tile_rows = tensor.rows if tile_rows is None else tile_rows
-        self.tile_columns = tensor.columns if tile_columns is None else tile_columns
-        if self.tile_rows < 1 or self.tile_columns < 1:
-            raise MappingError("tile dimensions must be >= 1")
+        self.technology = core.technology
+        self.tile_rows = core.rows
+        self.tile_columns = core.columns
 
         weight_matrix = np.asarray(weight_matrix, dtype=int)
         if weight_matrix.ndim != 2:
@@ -169,37 +166,22 @@ class TiledMatmul:
         self.weight_matrix = weight_matrix
         self.out_features, self.in_features = weight_matrix.shape
 
-        probe = PhotonicTensorCore(
-            rows=self.tile_rows,
-            columns=self.tile_columns,
-            weight_bits=weight_bits,
-            adc_bits=adc_bits,
-            technology=self.technology,
-            label=f"{label}.probe",
-        )
-        # Callers serving a drifting core (repro.api / repro.health)
-        # thread its live DriftState in: every tile of the grid is a
-        # core in the same package, so the whole grid shares one
-        # degradation trajectory.  The compiled tiles snapshot the
-        # state's trims exactly as CompiledCore does.
-        probe.drift_state = drift_state
-        # Same stamping rule as CompiledCore: an inactive state (no
-        # models) never distinguishes epochs, so both caches agree on
-        # which programs a recalibration invalidates.
-        self.calibration_epoch = (
-            drift_state.epoch
-            if drift_state is not None and drift_state.active
-            else 0
-        )
-        if np.any(weight_matrix < 0) or np.any(weight_matrix > probe.max_weight):
+        # Every tile is a core in the same package as ``core``, so the
+        # whole grid shares its drift trajectory.  Same stamping rule as
+        # CompiledCore: an inactive state (no models) never distinguishes
+        # epochs, so both caches agree on which programs a recalibration
+        # invalidates.
+        drift = core.drift_state
+        self.calibration_epoch = drift.epoch if drift is not None and drift.active else 0
+        if np.any(weight_matrix < 0) or np.any(weight_matrix > core.max_weight):
             raise MappingError(
-                f"weights must lie in [0, {probe.max_weight}] for "
-                f"{probe.weight_bits}-bit tiles, got range "
+                f"weights must lie in [0, {core.max_weight}] for "
+                f"{core.weight_bits}-bit tiles, got range "
                 f"[{weight_matrix.min()}, {weight_matrix.max()}]"
             )
-        self.weight_bits = probe.weight_bits
-        self.max_weight = probe.max_weight
-        self.adc_levels = probe.row_adcs[0].levels
+        self.weight_bits = core.weight_bits
+        self.max_weight = core.max_weight
+        self.adc_levels = core.row_adcs[0].levels
 
         self.row_tiles, self.column_tiles = tile_grid(
             self.out_features, self.in_features, self.tile_rows, self.tile_columns
@@ -213,13 +195,6 @@ class TiledMatmul:
         self.tiles: list[list[CompiledCore]] = [[] for _ in range(self.row_tiles)]
 
         full_scale_dot = self.tile_columns * self.max_weight
-        # Callers building several grids over the same technology (the
-        # dense/conv differential pairs, the serving cache) pass a
-        # shared ladder memo so the ADC bisection runs once for all of
-        # them; a private list still shares it across this grid's tiles.
-        if ladder_cache is None:
-            ladder_cache = []
-        cleared = np.zeros((self.tile_rows, self.tile_columns), dtype=int)
         load_energy = 0.0
         for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in (
             iter_tile_blocks(self.out_features, self.in_features,
@@ -239,20 +214,13 @@ class TiledMatmul:
                 raise MappingError(f"gain must be a number or 'auto', got {gain!r}")
             self.gains[row_tile, col_tile] = tile_gain
 
-            # Reuse one physical-core template per tile slot; each
-            # compile() snapshot is detached from the template.  Every
-            # tile of a real grid is its own core loading its block
-            # into cleared pSRAM arrays, so each block's load energy is
-            # the delta from a cleared probe — not from the previous
-            # block's residue, which would make the grid energy depend
-            # on tile iteration order.
-            probe.load_weight_matrix(cleared)
-            energy_before = probe.weight_update_energy()
-            probe.load_weight_matrix(block)
-            load_energy += probe.weight_update_energy() - energy_before
-            self.tiles[row_tile].append(CompiledCore(probe, ladder_cache=ladder_cache))
+            # Every tile of a real grid is its own core, so each block
+            # is charged by the set-bit rule, not by what ``core`` held.
+            core.load_weight_matrix(block)
+            load_energy += core.program_energy(block)
+            self.tiles[row_tile].append(core.compile())
         self.weight_update_energy = load_energy
-        self.weight_update_time = self.column_tiles * probe.weight_update_time()
+        self.weight_update_time = self.column_tiles * core.weight_update_time()
 
     # -- persistence ---------------------------------------------------------
     def state_dict(self) -> dict:
@@ -260,8 +228,8 @@ class TiledMatmul:
         per-tile response matrices / ladder tables / weight blocks
         stacked along a leading tile axis (row-major over the grid),
         the per-tile TIA gains, and one shared tile meta (every tile of
-        a grid compiles off the same probe core, so the ADC scalars and
-        drift trims are common).  :meth:`from_state` rebuilds a
+        a grid compiles on the same core, so the ADC scalars and drift
+        trims are common).  :meth:`from_state` rebuilds a
         bit-for-bit equal grid without compiling."""
         flat = [
             self.tiles[row_tile][col_tile]
@@ -301,7 +269,7 @@ class TiledMatmul:
     @classmethod
     def from_state(cls, arrays, meta, technology, drift_state=None) -> "TiledMatmul":
         """Rebuild a compiled grid from :meth:`state_dict` payloads
-        without touching a probe core (no ladder bisection, no response
+        without touching a core (no ladder bisection, no response
         rebuild).  ``drift_state`` rebinds every restored tile to the
         requesting core's live :class:`~repro.health.DriftState`, same
         stamping rule as construction."""

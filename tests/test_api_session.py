@@ -15,7 +15,9 @@ from repro.api import (
     ReLU,
     RunReport,
 )
+from repro.core.psram import PsramBitcell
 from repro.core.tensor_core import PhotonicTensorCore
+from repro.elastic import ProgramStore
 from repro.errors import ConfigurationError, PendingFlushError
 from repro.ml.convolution import PhotonicConv2d
 from repro.ml.datasets import gaussian_blobs
@@ -302,3 +304,34 @@ class TestDeployedModels:
         assert report.analog_time > 0.0 and report.analog_energy > 0.0
         period = 1.0 / session.performance.sample_rate
         assert report.analog_time == pytest.approx(16 * period)
+
+
+class TestLoadEnergyRule:
+    def test_in_grid_load_energy_is_a_property_of_the_program(self, tech, tmp_path):
+        """Regression: an in-grid program was charged the pSRAM flips
+        from whatever the core last held, so its load energy depended
+        on the program or health probe loaded before it.  Every load
+        now costs one switch per set weight bit, cold or warm-restored."""
+        rng = np.random.default_rng(23)
+        program, q, r = (rng.integers(0, 8, (8, 8)) for _ in range(3))
+        x = rng.uniform(0.0, 1.0, 8)
+        store = ProgramStore(tmp_path / "programs")
+
+        def spent(before, program_store=None) -> float:
+            session = PhotonicSession(technology=tech, grid=(8, 8),
+                                      program_store=program_store)
+            before(session)
+            future = session.submit(program, x)
+            future.result()
+            assert future.report.cache_misses == 1
+            return future.report.weight_energy_spent
+
+        per_switch = PsramBitcell(tech).switching_energy_ledger(state_flipped=True).total
+        set_bits = sum(bin(int(v)).count("1") for v in program.ravel())
+        # The report is a difference of running totals: allow rounding.
+        expected = pytest.approx(set_bits * per_switch, rel=1e-12, abs=0.0)
+        assert spent(lambda s: s.submit(q, x).result(), store) == expected
+        assert spent(lambda s: s.submit(r, x).result()) == expected
+        assert spent(lambda s: s.check_health()) == expected
+        assert spent(lambda s: None, store) == expected
+        assert store.restores == 1

@@ -4,6 +4,10 @@ incremental consistent-hash ring, the Autoscaler policy, and the
 cluster integration (scale up/down, heterogeneous capability routing,
 fleet telemetry, traffic-engine membership refresh)."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,22 @@ class TestProgramStoreRoundTrip:
         assert np.array_equal(expected, restored)
         assert store.restores >= 1 and store.stale_rejects == 0
 
+    def test_store_backed_session_is_freed_without_the_cycle_collector(
+        self, tech, store
+    ):
+        """Regression: the caches' epoch/drift sources closed over the
+        session, so every store-backed session was a reference cycle
+        that lived until the next full garbage collection."""
+        session = fresh_session(tech, store)
+        session.submit(np.ones(GRID, dtype=int), np.full(GRID[1], 0.5)).result()
+        alive = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_calibration_record_absent_and_corrupt(self, tech, store):
         assert store.load_calibration("ghost") is None
         assert not store.apply_calibration("ghost", DriftState())
@@ -165,6 +185,35 @@ class TestProgramStoreRejections:
         # The recompiled program overwrote the damaged entry.
         assert store.load(key, fingerprint=fingerprint, epoch=0,
                           technology=tech) is not None
+
+    @pytest.mark.parametrize("damage", ["payload", "dense kind"])
+    def test_entry_that_fails_to_load_is_overwritten(self, tech, store, damage):
+        """Regression: a save skipped any entry whose manifest parsed at
+        the same epoch, so one that still failed to load (a damaged
+        payload, or a retired ``"dense"`` kind) was rejected by every
+        fresh session and never rewritten."""
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 8, GRID)
+        x = rng.random(GRID[1])
+        session, key, fingerprint = self.populate(tech, store)
+        expected = session.submit(weights, x).result()
+        digest = store.digest(key, fingerprint)
+        if damage == "payload":
+            store._arrays_path(digest).write_bytes(b"garbage")
+        else:
+            manifest = json.loads(store._manifest_path(digest).read_text())
+            manifest["kind"] = "dense"
+            store._manifest_path(digest).write_text(json.dumps(manifest))
+        saves = store.saves
+
+        first = fresh_session(tech, store)
+        assert np.array_equal(expected, first.submit(weights, x).result())
+        assert store.corrupt_rejects == 1
+        assert store.saves == saves + 1
+        second = fresh_session(tech, store)
+        assert np.array_equal(expected, second.submit(weights, x).result())
+        assert store.corrupt_rejects == 1
+        assert store.restores == 1
 
     def test_unknown_program_type_rejected(self, store):
         with pytest.raises(ConfigurationError, match="persist"):

@@ -296,7 +296,7 @@ class TestSessionHealth:
         session.flush()
         epoch = session.drift.epoch
         kept = session.scheduler.cache.evict_where(
-            lambda program: program.engine.calibration_epoch != epoch
+            lambda program: program.calibration_epoch != epoch
         )
         assert kept == 0 and len(session.scheduler.cache) == 1
 

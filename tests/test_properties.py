@@ -317,6 +317,36 @@ def test_ring_table_loads_equal_per_ring_walk(length, bits, plan, data):
             assert_matches_per_ring_walk(core, inputs)
 
 
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
+    tile=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+    gain=st.sampled_from(("auto", 1.0, 2.5)),
+    loads=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=12, deadline=None)
+def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(shape, tile, gain, loads, seed):
+    """Compiling overwrites the given core's pSRAM and reads nothing it
+    held before: a grid compiled on a core that already served random
+    loads equals one compiled on a fresh core, load energy included."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 8, shape)
+    used = PhotonicTensorCore(rows=tile[0], columns=tile[1])
+    for _ in range(loads):
+        used.load_weight_matrix(rng.integers(0, 8, tile))
+    on_used = TiledMatmul(weights, used, gain=gain)
+    on_fresh = TiledMatmul(weights, PhotonicTensorCore(rows=tile[0], columns=tile[1]), gain=gain)
+
+    for band_used, band_fresh in zip(on_used.tiles, on_fresh.tiles, strict=True):
+        for a, b in zip(band_used, band_fresh, strict=True):
+            assert np.array_equal(a.response, b.response)
+            assert np.array_equal(a.boundaries, b.boundaries)
+    assert np.array_equal(on_used.gains, on_fresh.gains)
+    assert on_used.weight_update_energy == on_fresh.weight_update_energy
+    batch = rng.uniform(0.0, 1.0, (shape[1], 3))
+    assert np.array_equal(on_used.matmul(batch), on_fresh.matmul(batch))
+
+
 # -- the flush executor: every route, one clock -------------------------------
 
 EXEC_GRID = (4, 6)

@@ -15,7 +15,9 @@ def test_ragged_17x9_matches_device_matrix_tiler(tech):
     with the seed MatrixTiler device path at the same gain."""
     rng = np.random.default_rng(17)
     weights = rng.integers(0, 8, (17, 9))
-    tiled = TiledMatmul(weights, tile_rows=8, tile_columns=4, technology=tech, gain=1.0)
+    tiled = TiledMatmul(
+        weights, PhotonicTensorCore(rows=8, columns=4, technology=tech), gain=1.0
+    )
     assert (tiled.row_tiles, tiled.column_tiles) == (3, 3)
 
     core = PhotonicTensorCore(rows=8, columns=4, technology=tech)
@@ -30,7 +32,7 @@ def test_40x40_on_16x16_tiles_within_quantization_envelope(tech):
     error vs float W @ x bounded by the tiling quantization envelope."""
     rng = np.random.default_rng(40)
     weights = rng.integers(0, 8, (40, 40))
-    tiled = TiledMatmul(weights, tile_rows=16, tile_columns=16, technology=tech)
+    tiled = TiledMatmul(weights, PhotonicTensorCore(rows=16, columns=16, technology=tech))
     assert tiled.tile_count == 9
     assert np.all(tiled.gains >= 1.0)
 
@@ -47,7 +49,7 @@ def test_40x40_on_16x16_tiles_within_quantization_envelope(tech):
 def test_auto_gain_tightens_the_envelope(tech):
     rng = np.random.default_rng(5)
     weights = rng.integers(0, 4, (20, 20))  # small weights leave ADC range idle
-    tiled = TiledMatmul(weights, tile_rows=16, tile_columns=16, technology=tech)
+    tiled = TiledMatmul(weights, PhotonicTensorCore(rows=16, columns=16, technology=tech))
     auto_bound = tiled.quantization_error_bound()
     native_bound = tiled.quantization_error_bound(gain=1.0)
     assert np.all(auto_bound <= native_bound)
@@ -60,7 +62,7 @@ def test_auto_gain_tightens_the_envelope(tech):
 
 def test_plan_covers_matrix_with_ragged_edges(tech):
     weights = np.zeros((17, 9), dtype=int)
-    tiled = TiledMatmul(weights, tile_rows=8, tile_columns=4, technology=tech)
+    tiled = TiledMatmul(weights, PhotonicTensorCore(rows=8, columns=4, technology=tech))
     plan = tiled.plan()
     assert len(plan) == 9
     last = plan[-1]
@@ -83,10 +85,10 @@ def test_weight_update_energy_is_order_invariant(tech):
     assert popcount(block_a) != popcount(block_b)
 
     forward = TiledMatmul(
-        np.vstack([block_a, block_b]), tile_rows=4, tile_columns=4, technology=tech
+        np.vstack([block_a, block_b]), PhotonicTensorCore(rows=4, columns=4, technology=tech)
     )
     swapped = TiledMatmul(
-        np.vstack([block_b, block_a]), tile_rows=4, tile_columns=4, technology=tech
+        np.vstack([block_b, block_a]), PhotonicTensorCore(rows=4, columns=4, technology=tech)
     )
     assert forward.weight_update_energy == pytest.approx(swapped.weight_update_energy)
 
@@ -96,7 +98,7 @@ def test_weight_update_energy_is_order_invariant(tech):
     total_bits = popcount(block_a) + popcount(block_b)
     assert forward.weight_update_energy == pytest.approx(total_bits * per_switch)
     ragged = TiledMatmul(
-        np.vstack([block_a, block_b]), tile_rows=3, tile_columns=3, technology=tech
+        np.vstack([block_a, block_b]), PhotonicTensorCore(rows=3, columns=3, technology=tech)
     )
     assert ragged.weight_update_energy == pytest.approx(total_bits * per_switch)
 
@@ -104,7 +106,7 @@ def test_weight_update_energy_is_order_invariant(tech):
 def test_matvec_and_batch_shapes(tech):
     rng = np.random.default_rng(2)
     weights = rng.integers(0, 8, (10, 6))
-    tiled = TiledMatmul(weights, tile_rows=8, tile_columns=4, technology=tech)
+    tiled = TiledMatmul(weights, PhotonicTensorCore(rows=8, columns=4, technology=tech))
     single = tiled.matvec(rng.uniform(0.0, 1.0, 6))
     assert single.shape == (10,)
     batched = tiled.matmul(rng.uniform(0.0, 1.0, (6, 5)))
@@ -113,15 +115,14 @@ def test_matvec_and_batch_shapes(tech):
 
 def test_validation_errors(tech):
     rng = np.random.default_rng(3)
+    core = PhotonicTensorCore(rows=2, columns=2, technology=tech)
     with pytest.raises(MappingError, match="2-D"):
-        TiledMatmul(np.ones(4, dtype=int), tile_rows=2, tile_columns=2, technology=tech)
+        TiledMatmul(np.ones(4, dtype=int), core)
     with pytest.raises(MappingError, match=r"\[0, 7\]"):
-        TiledMatmul(np.full((2, 2), 9), tile_rows=2, tile_columns=2, technology=tech)
+        TiledMatmul(np.full((2, 2), 9), core)
     with pytest.raises(MappingError, match="gain"):
-        TiledMatmul(np.ones((2, 2), dtype=int), tile_rows=2, tile_columns=2,
-                    technology=tech, gain=-1.0)
-    tiled = TiledMatmul(rng.integers(0, 8, (4, 4)), tile_rows=2, tile_columns=2,
-                        technology=tech)
+        TiledMatmul(np.ones((2, 2), dtype=int), core, gain=-1.0)
+    tiled = TiledMatmul(rng.integers(0, 8, (4, 4)), core)
     with pytest.raises(MappingError, match=r"\(3,\)"):
         tiled.matvec(np.ones(3) * 0.5)
     with pytest.raises(MappingError, match=r"\(3, 2\)"):
