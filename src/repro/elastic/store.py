@@ -9,16 +9,20 @@ already detached from the device.  Entries are
 :class:`~repro.runtime.tiling.TiledMatmul` grids of such snapshots
 (every dense program, in-grid ones included) or
 :class:`~repro.runtime.tiling.DifferentialProgram` pairs of grids.
-:class:`ProgramStore` writes them to disk as one ``.npz`` (arrays,
-lossless float64) plus one JSON manifest (scalars, epoch, integrity
-metadata) per entry, keyed by a blake2b digest of the cache key and a
+:class:`ProgramStore` writes each to disk as one raw payload
+(``<digest>.bin``: every array, little-endian float64 or int64,
+concatenated in sorted-name order) plus one JSON manifest
+(``<digest>.json``: scalars, epoch, the payload's array layout, length
+and blake2b checksum), keyed by a blake2b digest of the cache key and a
 :func:`core_fingerprint` of the compiling core, so a fresh session — or
 another process — restores the program bit-for-bit instead of
 recompiling.
 
-Integrity is checked on every load: a damaged manifest or array
-payload raises :class:`~repro.errors.CorruptProgramError`, an entry
-compiled under a different calibration epoch raises
+Integrity is checked on every load, before any array is built (nothing
+is unzipped or unpickled): a damaged manifest or payload, or an entry
+of another store format, raises
+:class:`~repro.errors.CorruptProgramError`; an entry compiled under a
+different calibration epoch raises
 :class:`~repro.errors.StaleProgramError` (its compensation snapshot no
 longer describes the hardware trims).  Serving paths catch
 :class:`~repro.errors.ProgramStoreError` and fall back to a cold
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any
@@ -50,9 +55,12 @@ from ..runtime.tiling import DifferentialProgram, TiledMatmul
 
 #: Manifest schema version; bumped on any layout change so old entries
 #: are rejected as corrupt instead of misread.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 _KINDS = ("tiled", "differential")
+
+#: The only payload dtypes a manifest may name (8 bytes each).
+_DTYPES = ("<f8", "<i8")
 
 
 def core_fingerprint(
@@ -79,6 +87,31 @@ def core_fingerprint(
 def _flatten_arrays(state: dict[str, Any], prefix: str = "") -> dict[str, np.ndarray]:
     """Collect ``state["arrays"]`` under dotted ``prefix`` keys."""
     return {f"{prefix}{name}": array for name, array in state["arrays"].items()}
+
+
+def _checksum(payload: bytes) -> str:
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+def _unpack(payload: bytes, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
+    """The arrays the manifest's ``[name, dtype, shape]`` rows carve out
+    of ``payload`` (read-only views), once the payload's length and
+    checksum match; the rows must cover it exactly with
+    :data:`_DTYPES` arrays."""
+    found = (len(payload), _checksum(payload))
+    if found != (manifest["payload_bytes"], manifest["payload_blake2b"]):
+        raise CorruptProgramError(f"length and checksum {found} do not match")
+    arrays = {}
+    offset = 0
+    for name, dtype, shape in manifest["arrays"]:
+        if dtype not in _DTYPES or not all(type(n) is int and n >= 0 for n in shape):
+            raise CorruptProgramError(f"array {name!r} is {dtype!r} of shape {shape!r}")
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        offset += 8 * count
+    if offset != len(payload):
+        raise CorruptProgramError(f"layout covers {offset} of {len(payload)} bytes")
+    return arrays
 
 
 class ProgramStore:
@@ -122,7 +155,20 @@ class ProgramStore:
         return self.root / f"{digest}.json"
 
     def _arrays_path(self, digest: str) -> Path:
-        return self.root / f"{digest}.npz"
+        return self.root / f"{digest}.bin"
+
+    def _write(self, path: Path, data: bytes) -> None:
+        """Write ``path`` atomically through a private temp file (a fresh
+        random name, created exclusively, with the usual umask mode), so
+        two writers of one entry never share or rename away a temp file."""
+        tmp = self.root / f".{os.urandom(8).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as file:
+                file.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __len__(self) -> int:
         """Persisted program entries (manifest count)."""
@@ -156,7 +202,13 @@ class ProgramStore:
         if self._peek_epoch(digest) == epoch and digest not in self._damaged:
             self.save_skips += 1
             return digest
-        arrays = self._state_arrays(kind, state)
+        layout = []
+        chunks = []
+        for name, array in sorted(self._state_arrays(kind, state).items()):
+            array = array.astype(array.dtype.newbyteorder("<"), copy=False)
+            layout.append([name, array.dtype.str, list(array.shape)])
+            chunks.append(array.tobytes())
+        payload = b"".join(chunks)
         manifest = {
             "format": STORE_FORMAT,
             "kind": kind,
@@ -164,17 +216,14 @@ class ProgramStore:
             "fingerprint": fingerprint,
             "calibration_epoch": epoch,
             "meta": self._state_meta(kind, state),
-            "arrays": sorted(arrays),
+            "arrays": layout,
+            "payload_bytes": len(payload),
+            "payload_blake2b": _checksum(payload),
         }
-        arrays_path = self._arrays_path(digest)
-        tmp_arrays = arrays_path.with_suffix(".npz.tmp")
-        with open(tmp_arrays, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp_arrays, arrays_path)
-        manifest_path = self._manifest_path(digest)
-        tmp_manifest = manifest_path.with_suffix(".json.tmp")
-        tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
-        os.replace(tmp_manifest, manifest_path)
+        # Payload first: a reader that sees the new manifest finds the
+        # payload it describes.
+        self._write(self._arrays_path(digest), payload)
+        self._write(self._manifest_path(digest), json.dumps(manifest).encode())
         self._damaged.discard(digest)
         self.saves += 1
         return digest
@@ -199,12 +248,13 @@ class ProgramStore:
         :meth:`save` of the digest overwrites them.
         """
         digest = self.digest(key, fingerprint)
-        manifest_path = self._manifest_path(digest)
-        if not manifest_path.exists():
+        try:
+            raw = self._manifest_path(digest).read_bytes()
+        except FileNotFoundError:
             self.misses += 1
             return None
         try:
-            manifest = self._read_manifest(manifest_path, digest)
+            manifest = self._read_manifest(raw, digest)
             if int(manifest["calibration_epoch"]) != int(epoch):
                 self.stale_rejects += 1
                 raise StaleProgramError(
@@ -215,6 +265,7 @@ class ProgramStore:
             arrays = self._read_arrays(digest, manifest)
             program = self._assemble(manifest, arrays, technology, drift_state)
         except CorruptProgramError:
+            self.corrupt_rejects += 1
             self._damaged.add(digest)
             raise
         self.restores += 1
@@ -242,9 +293,7 @@ class ProgramStore:
             ],
         }
         path = self._calibration_path(label)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, indent=2) + "\n")
-        os.replace(tmp, path)
+        self._write(path, (json.dumps(record, indent=2) + "\n").encode())
         return path
 
     def load_calibration(self, label: str) -> dict[str, Any] | None:
@@ -324,66 +373,47 @@ class ProgramStore:
 
     def _peek_epoch(self, digest: str) -> int | None:
         """The existing entry's epoch, or None when absent/unreadable."""
-        path = self._manifest_path(digest)
-        if not path.exists():
-            return None
         try:
-            manifest = json.loads(path.read_text())
+            manifest = json.loads(self._manifest_path(digest).read_bytes())
             if manifest.get("format") != STORE_FORMAT:
                 return None
             return int(manifest["calibration_epoch"])
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
-    def _read_manifest(self, path: Path, digest: str) -> dict[str, Any]:
+    def _read_manifest(self, raw: bytes, digest: str) -> dict[str, Any]:
         try:
-            manifest = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self.corrupt_rejects += 1
+            manifest = json.loads(raw)
+        except ValueError as error:
             raise CorruptProgramError(
-                f"store manifest {path.name} is unreadable: {error}; "
+                f"store manifest {digest}.json is unreadable: {error}; "
                 f"delete the entry and recompile"
             ) from error
         if not isinstance(manifest, dict) or manifest.get("format") != STORE_FORMAT:
-            self.corrupt_rejects += 1
             raise CorruptProgramError(
-                f"store manifest {path.name} has format "
+                f"store manifest {digest}.json has format "
                 f"{manifest.get('format') if isinstance(manifest, dict) else '?'}, "
                 f"expected {STORE_FORMAT}; delete the entry and recompile"
             )
-        if manifest.get("kind") not in _KINDS:
-            self.corrupt_rejects += 1
+        kind, named, epoch = (
+            manifest.get(field) for field in ("kind", "digest", "calibration_epoch")
+        )
+        if kind not in _KINDS or named != digest or not isinstance(epoch, int):
             raise CorruptProgramError(
-                f"store manifest {path.name} names unknown kind "
-                f"{manifest.get('kind')!r}; delete the entry and recompile"
-            )
-        if manifest.get("digest") != digest or "calibration_epoch" not in manifest:
-            self.corrupt_rejects += 1
-            raise CorruptProgramError(
-                f"store manifest {path.name} does not describe entry {digest} "
-                f"(digest/epoch fields missing or mismatched); delete the "
-                f"entry and recompile"
+                f"store manifest {digest}.json names kind {kind!r}, digest "
+                f"{named!r}, epoch {epoch!r}; delete the entry and recompile"
             )
         return manifest
 
     def _read_arrays(self, digest: str, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
         path = self._arrays_path(digest)
         try:
-            with np.load(path, allow_pickle=False) as payload:
-                arrays = {name: payload[name] for name in manifest["arrays"]}
-        except FileNotFoundError as error:
-            self.corrupt_rejects += 1
+            return _unpack(path.read_bytes(), manifest)
+        except (OSError, KeyError, TypeError, ValueError) as error:
             raise CorruptProgramError(
-                f"store entry {digest} has a manifest but no array payload "
-                f"({path.name} missing); delete the entry and recompile"
+                f"store payload {path.name} is missing or does not match its "
+                f"manifest: {error}; delete the entry and recompile"
             ) from error
-        except (OSError, ValueError, KeyError) as error:
-            self.corrupt_rejects += 1
-            raise CorruptProgramError(
-                f"store arrays {path.name} are unreadable or incomplete: "
-                f"{error}; delete the entry and recompile"
-            ) from error
-        return arrays
 
     def _assemble(
         self,
@@ -416,7 +446,6 @@ class ProgramStore:
                 state, technology, drift_state=drift_state
             )
         except (KeyError, IndexError, TypeError, ValueError) as error:
-            self.corrupt_rejects += 1
             raise CorruptProgramError(
                 f"store entry {manifest.get('digest')} ({kind}) could not be "
                 f"reassembled: {error}; delete the entry and recompile"

@@ -95,6 +95,12 @@ def _row_ladders(core: PhotonicTensorCore, ladder_cache: list | None) -> np.ndar
     return np.stack(ladders)
 
 
+def _common_ladder(boundaries: np.ndarray) -> np.ndarray | None:
+    """The ladder every row shares (one ``searchsorted`` then bins the
+    whole batch), or None when any row's differs."""
+    return boundaries[0] if (boundaries[1:] == boundaries[0]).all() else None
+
+
 class CompiledCore:
     """A weight program of a :class:`PhotonicTensorCore`, compiled to
     dense arrays for batched evaluation.
@@ -122,11 +128,7 @@ class CompiledCore:
         )
         #: (rows, levels - 1) exact per-row code-transition voltages.
         self.boundaries = _row_ladders(core, ladder_cache)
-        shared = all(
-            np.array_equal(self.boundaries[row], self.boundaries[0])
-            for row in range(1, self.rows)
-        )
-        self._shared_ladder = self.boundaries[0] if shared else None
+        self._shared_ladder = _common_ladder(self.boundaries)
 
         adc = core.row_adcs[0]
         self.adc_bits = adc.bits
@@ -220,11 +222,7 @@ class CompiledCore:
         self.weight_matrix = np.asarray(arrays["weight_matrix"], dtype=np.int64)
         self.response = np.asarray(arrays["response"], dtype=float)
         self.boundaries = np.asarray(arrays["boundaries"], dtype=float)
-        shared = all(
-            np.array_equal(self.boundaries[row], self.boundaries[0])
-            for row in range(1, self.rows)
-        )
-        self._shared_ladder = self.boundaries[0] if shared else None
+        self._shared_ladder = _common_ladder(self.boundaries)
         self.adc_bits = int(meta["adc_bits"])
         self.adc_levels = int(meta["adc_levels"])
         self._adc_lsb = float(meta["adc_lsb"])

@@ -125,8 +125,6 @@ class WeightProgramCache:
         evictions do *not* remove store entries (the store is the
         durable tier; the LRU is the hot tier).
         """
-        self._programs[key] = program
-        self._programs.move_to_end(key)
         if self._store is not None:
             try:
                 self._store.save(key, program, fingerprint=self._store_fingerprint)
@@ -134,6 +132,13 @@ class WeightProgramCache:
                 # A value kind the store does not persist (the cache is
                 # generic); keep it hot-tier only.
                 pass
+        return self._insert(key, program)
+
+    def _insert(self, key: bytes, program) -> object | None:
+        """:meth:`put` without the write-through (a program restored
+        from the store is already persisted there)."""
+        self._programs[key] = program
+        self._programs.move_to_end(key)
         if len(self._programs) > self.capacity:
             _, evicted = self._programs.popitem(last=False)
             self.evictions += 1
@@ -178,8 +183,9 @@ class WeightProgramCache:
         Counts ``restores`` / ``store_rejects`` (a reject — stale
         calibration epoch or corrupt entry — means the caller should
         compile cold; the fresh :meth:`put` overwrites the bad entry).
-        Does *not* insert: callers insert via :meth:`put` after
-        charging the load ledgers, exactly like a cold compile.
+        Does *not* insert: callers charge the load ledgers exactly like
+        a cold compile, then insert without writing the program back
+        (:meth:`_insert`).
         """
         if self._store is None:
             return None
@@ -522,7 +528,8 @@ class BatchScheduler:
         load_time = program.weight_update_time
         stats.weight_energy_spent += program.weight_update_energy
         stats.weight_time_spent += load_time
-        if cache.put(key, program) is not None:
+        insert = cache._insert if restored else cache.put
+        if insert(key, program) is not None:
             stats.cache_evictions += 1
         clock = self._service_clock()
         start = clock.now

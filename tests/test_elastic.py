@@ -6,6 +6,7 @@ fleet telemetry, traffic-engine membership refresh)."""
 
 import gc
 import json
+import os
 import weakref
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.elastic import (
     ProgramStore,
     core_fingerprint,
 )
+from repro.core.tensor_core import PhotonicTensorCore
 from repro.errors import (
     ConfigurationError,
     CorruptProgramError,
@@ -32,6 +34,7 @@ from repro.errors import (
 )
 from repro.health import DriftState, LaserPowerDecay, TiaGainDrift
 from repro.telemetry import MetricsRegistry, ModelClock, TraceRecorder
+from repro.runtime.tiling import TiledMatmul
 from repro.traffic import Poisson, TrafficEngine, WorkloadMix
 
 GRID = (4, 6)
@@ -186,24 +189,42 @@ class TestProgramStoreRejections:
         assert store.load(key, fingerprint=fingerprint, epoch=0,
                           technology=tech) is not None
 
-    @pytest.mark.parametrize("damage", ["payload", "dense kind"])
+    @pytest.mark.parametrize("damage", [
+        "payload", "dense kind", "truncated payload", "flipped byte",
+        "object dtype", "shape overrun", "format 1",
+    ])
     def test_entry_that_fails_to_load_is_overwritten(self, tech, store, damage):
         """Regression: a save skipped any entry whose manifest parsed at
         the same epoch, so one that still failed to load (a damaged
         payload, or a retired ``"dense"`` kind) was rejected by every
-        fresh session and never rewritten."""
+        fresh session and never rewritten.  A truncated ``.npz`` payload
+        escaped as an untyped ``zipfile.BadZipFile``, so serving never
+        fell back to a compile at all."""
         rng = np.random.default_rng(5)
         weights = rng.integers(0, 8, GRID)
         x = rng.random(GRID[1])
         session, key, fingerprint = self.populate(tech, store)
         expected = session.submit(weights, x).result()
         digest = store.digest(key, fingerprint)
+        payload = store._arrays_path(digest)
+        manifest = json.loads(store._manifest_path(digest).read_text())
         if damage == "payload":
-            store._arrays_path(digest).write_bytes(b"garbage")
-        else:
-            manifest = json.loads(store._manifest_path(digest).read_text())
+            payload.write_bytes(b"garbage")
+        elif damage == "truncated payload":
+            payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
+        elif damage == "flipped byte":
+            data = bytearray(payload.read_bytes())
+            data[len(data) // 2] ^= 1
+            payload.write_bytes(bytes(data))
+        elif damage == "dense kind":
             manifest["kind"] = "dense"
-            store._manifest_path(digest).write_text(json.dumps(manifest))
+        elif damage == "object dtype":
+            manifest["arrays"][0][1] = "|O"
+        elif damage == "shape overrun":
+            manifest["arrays"][0][2][0] += 1
+        else:  # the .npz layout of store format 1
+            manifest.update(format=1, arrays=[row[0] for row in manifest["arrays"]])
+        store._manifest_path(digest).write_text(json.dumps(manifest))
         saves = store.saves
 
         first = fresh_session(tech, store)
@@ -214,6 +235,57 @@ class TestProgramStoreRejections:
         assert np.array_equal(expected, second.submit(weights, x).result())
         assert store.corrupt_rejects == 1
         assert store.restores == 1
+
+    def test_restored_program_is_not_written_back(self, tech, store):
+        """Regression: every restore passed the program back to
+        ``save``, which rebuilt its state and re-read the manifest only
+        to skip the write."""
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 8, GRID)
+        x = rng.random(GRID[1])
+        session, _, _ = self.populate(tech, store)
+        expected = session.submit(weights, x).result()
+        saves, skips = store.saves, store.save_skips
+
+        warm = fresh_session(tech, store)
+        assert np.array_equal(expected, warm.submit(weights, x).result())
+        assert store.restores == 1
+        assert (store.saves, store.save_skips) == (saves, skips)
+
+    def test_concurrent_writers_of_one_entry_do_not_collide(
+        self, tech, tmp_path, monkeypatch
+    ):
+        """Regression: saves wrote through fixed temp names
+        (``<digest>.npz.tmp``), so a second writer of the same entry
+        renamed the first writer's temp file away and the first rename
+        raised FileNotFoundError."""
+        rng = np.random.default_rng(5)
+        program = TiledMatmul(
+            rng.integers(0, 8, GRID),
+            PhotonicTensorCore(rows=GRID[0], columns=GRID[1], technology=tech),
+        )
+        first, second = ProgramStore(tmp_path), ProgramStore(tmp_path)
+        rename = os.replace
+
+        def interleaved_rename(source, target):
+            # The second writer saves between the first writer's temp
+            # write and its rename.
+            monkeypatch.setattr(os, "replace", rename)
+            second.save(b"key", program, fingerprint="abc")
+            rename(source, target)
+
+        monkeypatch.setattr(os, "replace", interleaved_rename)
+        first.save(b"key", program, fingerprint="abc")
+        assert first.saves == second.saves == 1
+        digest = first.digest(b"key", "abc")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{digest}.bin", f"{digest}.json"
+        ]
+        restored = ProgramStore(tmp_path).load(
+            b"key", fingerprint="abc", epoch=0, technology=tech
+        )
+        batch = rng.random((GRID[1], 3))
+        assert np.array_equal(restored.matmul(batch), program.matmul(batch))
 
     def test_unknown_program_type_rejected(self, store):
         with pytest.raises(ConfigurationError, match="persist"):

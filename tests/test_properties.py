@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import dataclasses
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.quantization import (
     signed_matmul_correction,
 )
 from repro.electronics.adc_metrics import differential_nonlinearity
+from repro.elastic import ProgramStore
 from repro.errors import DeadlineExceededError
 from repro.electronics.elements import StorageNode
 from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bits
@@ -27,6 +29,8 @@ from repro.photonics.mrr import AddDropMRR
 from repro.photonics.signal import WDMSignal, merge_signals
 from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
+from repro.health import DriftState, LaserPowerDecay, TiaGainDrift
+from repro.ml.layers import compile_differential_engines
 from repro.runtime.engine import CompiledCore
 from repro.runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from repro.sim.transient import FirstOrderLag
@@ -500,3 +504,68 @@ def test_flush_executor_matches_requests_served_alone(requests, data):
     assert broken.flush() == len(cases)
     for future, reference in zip(retry, alone):
         assert np.array_equal(future.value, reference.value)
+
+
+# -- the program store: a round trip is exact ---------------------------------
+
+
+def _assert_same_state(restored, original):
+    """Equal state_dict trees: arrays by dtype, shape and ``==``, meta by
+    ``==``."""
+    if isinstance(original, dict):
+        assert restored.keys() == original.keys()
+        for key in original:
+            _assert_same_state(restored[key], original[key])
+    elif isinstance(original, np.ndarray):
+        assert restored.dtype == original.dtype and restored.shape == original.shape
+        assert (restored == original).all()
+    else:
+        assert restored == original
+
+
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
+    tile=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+    gain=st.sampled_from(("auto", 1.0, 2.5)),
+    drift=st.booleans(),
+    differential=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=12, deadline=None)
+def test_store_round_trip_is_exact(shape, tile, gain, drift, differential, seed):
+    """A program restored from a ProgramStore equals the compiled one
+    exactly: every state_dict array, the meta and the matmul outputs,
+    with and without drift compensation, for grids and differential
+    pairs."""
+    rng = np.random.default_rng(seed)
+    core = PhotonicTensorCore(rows=tile[0], columns=tile[1])
+    state = None
+    if drift:
+        state = DriftState((LaserPowerDecay(rate_per_s=1e-2), TiaGainDrift(drift_per_s=-8e-4)))
+        core.drift_state = state
+        state.advance(30.0)
+        state.recalibrate()
+        state.advance(5.0)
+    if differential:
+        negative = rng.integers(0, 8, shape) * rng.integers(0, 2)
+        program = DifferentialProgram(
+            *compile_differential_engines(rng.integers(0, 8, shape), negative, core)
+        )
+        evaluate = {"gain": 1.0 if gain == "auto" else gain}
+    else:
+        program = TiledMatmul(rng.integers(0, 8, shape), core, gain=gain)
+        evaluate = {}
+    with tempfile.TemporaryDirectory() as root:
+        store = ProgramStore(root)
+        store.save(b"program", program, fingerprint="core")
+        restored = store.load(
+            b"program",
+            fingerprint="core",
+            epoch=program.calibration_epoch,
+            technology=core.technology,
+            drift_state=state,
+        )
+    assert type(restored) is type(program)
+    _assert_same_state(restored.state_dict(), program.state_dict())
+    batch = rng.uniform(0.0, 1.0, (shape[1], 3))
+    assert np.array_equal(restored.matmul(batch, **evaluate), program.matmul(batch, **evaluate))
