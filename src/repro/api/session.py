@@ -790,8 +790,7 @@ class PhotonicSession:
 
         The re-trim re-bisects every row ADC's code ladder
         (:meth:`~repro.core.eoadc.EoAdc.code_boundaries` probes charged
-        to the calibration ledger, the shared
-        ``runtime_ladder_cache`` dropped via
+        to the calibration ledger, the row ADCs' banks rebuilt via
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.
         invalidate_ladders`) and programs the measured drift into the
         TIA gain trims — :meth:`DriftState.recalibrate` bumps the

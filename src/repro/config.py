@@ -104,7 +104,8 @@ class DepletionJunctionSpec:
         resonance, so the shift is ``-efficiency * v_pn`` to first order.
         """
         linear = -self.efficiency * v_pn
-        correction = 1.0 + self.asymmetry_per_volt * abs(v_pn) * (1.0 if v_pn > 0 else -1.0)
+        # (v_pn > 0) * 2.0 - 1.0 is +-1.0 for a float or an array alike.
+        correction = 1.0 + self.asymmetry_per_volt * abs(v_pn) * ((v_pn > 0) * 2.0 - 1.0)
         return linear * correction
 
 

@@ -20,13 +20,23 @@ paper's all-rings-in-testbench methodology; the per-channel PDK mode
 time workaround and agrees with the joint evaluation by linearity.
 A pSRAM latch drives each ring rail to rail, so a ring shows only two
 transfers; they are tabulated once per core
-(:attr:`VectorComputeCore.ring_table`) and a weight load selects from
-the table.
+(:attr:`VectorComputeCore.ring_table`), and the rows of a tensor core
+built alike share one table taken from one ring per channel.  A weight
+load stores bits; the bus transmissions are one table select and one
+product along each macro's buses, and the element responses one
+contraction over the bit planes.  :func:`load_rows` and
+:func:`row_responses` run those steps for all rows of a core at once,
+and a single core's :meth:`~VectorComputeCore.load_weights` and
+:meth:`~VectorComputeCore.element_responses` are their one-row case.
+The ring objects themselves (:attr:`VectorComputeCore.multipliers`)
+are built on first access, for studies that heat or re-trim single
+rings.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -81,21 +91,7 @@ class VectorComputeCore:
         self.photodiode = Photodiode(tech.photodiode, label=f"{label}.pd")
         self.weight_memory = PsramArray(vector_length, self.weight_bits, tech)
 
-        # multipliers[element][plane] — one ring per input element per
-        # bit plane; the element's macro determines its channel index.
-        self.multipliers: list[list[OneBitPhotonicMultiplier]] = []
-        for element in range(vector_length):
-            channel = element % channels
-            planes = [
-                OneBitPhotonicMultiplier(
-                    channel_index=channel,
-                    technology=tech,
-                    label=f"{label}.w{element}.b{plane}",
-                )
-                for plane in range(self.weight_bits)
-            ]
-            self.multipliers.append(planes)
-
+        self._multipliers: list[list[OneBitPhotonicMultiplier]] | None = None
         self._weights = np.zeros(vector_length, dtype=int)
         self._bits = np.zeros((vector_length, self.weight_bits), dtype=int)
         # Both are evaluated on first use, so the rows that
@@ -116,9 +112,10 @@ class VectorComputeCore:
 
         Freshly built, the rings on one channel are identical in every
         row, element and plane, so the rows share one ring table
-        evaluated from the first row's ring of each channel.  A row's
-        :meth:`invalidate_ring_table` later re-evaluates that row's own
-        rings into a table of its own and leaves the others untouched.
+        evaluated from one ring per channel, and no row builds its ring
+        objects.  A row's :meth:`invalidate_ring_table` later
+        re-evaluates that row's own rings (built then) into a table of
+        its own and leaves the others untouched.
         """
         cores = [
             cls(vector_length, weight_bits, technology, label=f"{label}.row{row}")
@@ -126,13 +123,18 @@ class VectorComputeCore:
         ]
         first = cores[0]
         channels = first.channels_per_macro
-        per_channel = [
-            first._ring_transfers(first.multipliers[channel][0])
-            for channel in range(min(channels, vector_length))
-        ]
-        table = np.array(
-            [[per_channel[element % channels]] * first.weight_bits
-             for element in range(vector_length)]
+        per_channel = np.array(
+            [
+                first._ring_transfers(
+                    OneBitPhotonicMultiplier(channel_index=channel, technology=technology)
+                )
+                for channel in range(min(channels, vector_length))
+            ]
+        )
+        table = np.repeat(
+            per_channel[np.arange(vector_length) % channels, None],
+            first.weight_bits,
+            axis=1,
         )
         table.flags.writeable = False
         for core in cores:
@@ -150,6 +152,33 @@ class VectorComputeCore:
         return 2**self.weight_bits - 1
 
     @property
+    def multipliers(self) -> list[list[OneBitPhotonicMultiplier]]:
+        """``multipliers[element][plane]``: one ring per input element per
+        bit plane, on the element's channel within its macro, driven by
+        the loaded bit.  Built on first access; weight loads select from
+        :attr:`ring_table` and only keep these objects' bits current."""
+        if self._multipliers is None:
+            channels = self.channels_per_macro
+            self._multipliers = [
+                [
+                    OneBitPhotonicMultiplier(
+                        channel_index=element % channels,
+                        technology=self.technology,
+                        label=f"{self.label}.w{element}.b{plane}",
+                    )
+                    for plane in range(self.weight_bits)
+                ]
+                for element in range(self.vector_length)
+            ]
+            self._drive_multipliers()
+        return self._multipliers
+
+    def _drive_multipliers(self) -> None:
+        for planes, word in zip(self._multipliers, self._bits.tolist()):
+            for multiplier, bit in zip(planes, word):
+                multiplier.bit = bit
+
+    @property
     def ring_table(self) -> np.ndarray:
         """Every weight ring's bus transmission in both pSRAM states.
 
@@ -157,14 +186,18 @@ class VectorComputeCore:
         c's wavelength with its bit at b.  A pSRAM latch drives each
         ring rail to rail (bit 0 resonant, bit 1 detuned), so these are
         the only two transfers a ring ever shows: a weight load selects
-        from this table instead of re-evaluating the rings.
+        from this table instead of re-evaluating the rings.  The table
+        is read-only; the rows of :meth:`identical_rows` share one until
+        a row's :meth:`invalidate_ring_table`, and a lone core walks its
+        own rings on first use.
         """
         if self._ring_table is None:
             self.invalidate_ring_table()
         return self._ring_table
 
     def invalidate_ring_table(self) -> None:
-        """Re-evaluate the ring table from this core's rings.
+        """Re-evaluate the ring table from this core's rings (built now
+        if nothing has built them yet).
 
         Loads select from the table, so they no longer re-read ring
         state: call this after changing a weight ring in place (thermal
@@ -198,20 +231,7 @@ class VectorComputeCore:
             raise ConfigurationError(
                 f"need {self.vector_length} weights, got shape {weights.shape}"
             )
-        if np.any(weights < 0) or np.any(weights > self.max_weight):
-            raise ConfigurationError(
-                f"weights must lie in [0, {self.max_weight}] for {self.weight_bits} bits"
-            )
-        # bits[i, j]: plane j of word i, MSB first (the pSRAM bit order).
-        shifts = np.arange(self.weight_bits - 1, -1, -1)
-        bits = (weights[:, None] >> shifts) & 1
-        self.weight_memory.write_bits(bits)
-        for planes, word in zip(self.multipliers, bits.tolist()):
-            for multiplier, bit in zip(planes, word):
-                multiplier.bit = bit
-        self._weights = weights
-        self._bits = bits
-        self._transmission_cache = None
+        load_rows([self], weights[None])
 
     def _transmissions(self) -> np.ndarray:
         """Per-(macro, plane, channel) bus transmission with crosstalk.
@@ -222,23 +242,22 @@ class VectorComputeCore:
         a load or a table change.
         """
         if self._transmission_cache is None:
-            table = self.ring_table
-            self._transmission_cache = self._macro_products(
-                np.where(self._bits[:, :, None] == 1, table[:, :, 1], table[:, :, 0])
-            )
+            bus_transmissions([self])
         return self._transmission_cache
 
     def _macro_products(self, rings: np.ndarray) -> np.ndarray:
-        """Multiply per-ring transfers, shape (element, plane, channel),
-        along each macro's buses in element order -> (macro, plane,
-        channel).  Elements past the vector's end transmit 1."""
+        """Multiply per-ring transfers, shape (..., element, plane,
+        channel), along each macro's buses in element order -> (...,
+        macro, plane, channel).  Elements past the vector's end
+        transmit 1."""
         channels = self.channels_per_macro
-        padded = np.ones((self.macro_count * channels,) + rings.shape[1:])
-        padded[: self.vector_length] = rings
-        grouped = padded.reshape((self.macro_count, channels) + rings.shape[1:])
-        product = grouped[:, 0]
+        lead, tail = rings.shape[:-3], rings.shape[-2:]
+        padded = np.ones(lead + (self.macro_count * channels,) + tail)
+        padded[..., : self.vector_length, :, :] = rings
+        grouped = padded.reshape(lead + (self.macro_count, channels) + tail)
+        product = grouped[..., 0, :, :]
         for position in range(1, channels):
-            product = product * grouped[:, position]
+            product = product * grouped[..., position, :, :]
         return product
 
     # -- evaluation ---------------------------------------------------------------
@@ -291,20 +310,25 @@ class VectorComputeCore:
         every load but not in-place ring changes until
         :meth:`invalidate_ring_table`.
         """
-        transmissions = self._transmissions()
+        return self._responses(self._transmissions())
+
+    def _responses(self, transmissions: np.ndarray) -> np.ndarray:
+        """Element responses (..., element) of bus transmissions (...,
+        macro, plane, channel): one contraction over the bit planes.
+
+        Each dot product runs over the plane axis as a strided view,
+        the way ``fractions @ transmissions[macro, :, channel]`` does:
+        BLAS ``ddot`` sums strided and contiguous vectors in different
+        orders, so a dot over a contiguous copy (or an ``einsum``) would
+        move the last bit from 4 planes up.
+        """
         fractions = np.asarray(self.splitter_tree.branch_fractions())
         power_per_channel = self.technology.compute.channel_power
         responsivity = self.photodiode.spec.responsivity
-        responses = np.empty(self.vector_length)
-        for element in range(self.vector_length):
-            macro = element // self.channels_per_macro
-            channel = element % self.channels_per_macro
-            responses[element] = (
-                responsivity
-                * power_per_channel
-                * float(fractions @ transmissions[macro, :, channel])
-            )
-        return responses
+        planes = transmissions.swapaxes(-1, -2)  # (..., macro, channel, plane)
+        dots = np.matmul(planes[..., None, :], fractions[:, None])[..., 0, 0]
+        flat = dots.reshape(dots.shape[:-2] + (-1,))[..., : self.vector_length]
+        return responsivity * power_per_channel * flat
 
     def compute_per_channel(self, inputs) -> float:
         """The paper's PDK workaround: one wavelength at a time, all
@@ -366,3 +390,49 @@ class VectorComputeCore:
             self.weight_memory.cell_count * self.technology.psram.hold_electrical_power,
         )
         return ledger
+
+
+def load_rows(cores: Sequence[VectorComputeCore], matrix: np.ndarray) -> None:
+    """Load row r of the int ``matrix`` into ``cores[r]`` (cores built
+    alike): one range check, one bit split for every row, then each
+    row's pSRAM written through :meth:`PsramArray.write_bits` so its
+    flip ledger counts real switches."""
+    first = cores[0]
+    if (matrix < 0).any() or (matrix > first.max_weight).any():
+        raise ConfigurationError(
+            f"weights must lie in [0, {first.max_weight}] for {first.weight_bits} bits"
+        )
+    # bits[r, i, j]: plane j of word i, MSB first (the pSRAM bit order).
+    shifts = np.arange(first.weight_bits - 1, -1, -1)
+    bits = (matrix[..., None] >> shifts) & 1
+    for core, weights, word_bits in zip(cores, matrix, bits):
+        core.weight_memory.write_bits(word_bits)
+        core._weights = weights
+        core._bits = word_bits
+        core._transmission_cache = None
+        if core._multipliers is not None:
+            core._drive_multipliers()
+
+
+def bus_transmissions(cores: Sequence[VectorComputeCore]) -> np.ndarray:
+    """(row, macro, plane, channel) bus transmissions of ``cores`` (built
+    alike) from their loaded bits: one ring-table select and one macro
+    product for every row.  Each row's slice becomes its cached
+    transmissions."""
+    first = cores[0]
+    tables = [core.ring_table for core in cores]
+    table = tables[0] if all(t is tables[0] for t in tables) else np.stack(tables)
+    bits = np.stack([core._bits for core in cores])[..., None]
+    transmissions = first._macro_products(
+        np.where(bits == 1, table[..., 1, :], table[..., 0, :])
+    )
+    for core, own in zip(cores, transmissions):
+        core._transmission_cache = own
+    return transmissions
+
+
+def row_responses(cores: Sequence[VectorComputeCore]) -> np.ndarray:
+    """(row, element) photocurrent responses of ``cores`` (built alike),
+    equal to stacking each row's :meth:`~VectorComputeCore.
+    element_responses` bit for bit."""
+    return cores[0]._responses(bus_transmissions(cores))

@@ -10,6 +10,19 @@ inverter TIA + cascaded amplifier regenerate a rail-to-rail B_p, and
 the ceiling-priority ROM decoder emits the binary code — resolving the
 bin-edge case where two adjacent channels fire (Fig. 9's 2.0 V input).
 
+The rings differ only in their reference voltage and trim residual, and
+the thresholding blocks not at all, so a converter holds their
+constants as arrays, an :class:`AdcBank`, and evaluates every ring in
+one numpy pass, term for term the arithmetic of the per-ring models:
+:meth:`EoAdc.convert` takes one input voltage or an array of them, and
+:meth:`EoAdc.code_boundaries` bisects every code of the ladder in
+lockstep.  Converters with the same technology, spec, reference ladder
+and trims share one bank and its ladder memo (:func:`share_banks`, used
+for a tensor core's row ADCs).  The ring and thresholder objects
+(:attr:`EoAdc.rings`, :attr:`EoAdc.thresholders`) are built on first
+access from the bank, for studies of single rings and the transient
+read chain.
+
 Static conversion, the full transient co-simulation (ring photon
 lifetime, thresholding-node slew, read-chain settling) and the paper's
 extension paths (time interleaving, shift-and-add cascading) are all
@@ -19,14 +32,15 @@ implemented here.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import Technology, default_technology
+from ..config import EoAdcSpec, Technology, default_technology
 from ..electronics.comparator import OptoElectricThresholder
 from ..electronics.power import PowerLedger
-from ..electronics.rom_decoder import CeilingPriorityRomDecoder
+from ..electronics.rom_decoder import CeilingPriorityRomDecoder, highest_active
 from ..errors import ConfigurationError, ConversionError
 from ..photonics.mrr import AllPassMRR
 from ..photonics.pn_junction import DepletionTuner
@@ -46,8 +60,121 @@ class ConversionRecord:
         return self.codes[-1]
 
 
+def _adc_ring(technology: Technology, trim_error: float = 0.0, label: str = "") -> AllPassMRR:
+    """One eoADC thresholding ring of ``technology``."""
+    return AllPassMRR(
+        technology.adc_ring_spec(),
+        design_wavelength=technology.wavelength,
+        design_voltage=0.0,
+        waveguide=technology.waveguide,
+        coupler=technology.coupler,
+        tuner=DepletionTuner(technology.depletion),
+        thermal=technology.thermal,
+        trim_error=trim_error,
+        label=label,
+    )
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+class AdcBank:
+    """Every ring and thresholding block of one eoADC, held as arrays.
+
+    A bank is built from a technology, a spec, a reference ladder and
+    per-ring trims, copied so the bank never changes.  It holds the
+    ladder, each ring's trim, the transfer constants the rings share
+    (one untrimmed :attr:`ring`) and the thresholders' common trip
+    power.  :meth:`thru_powers` evaluates every ring at many input
+    voltages in one numpy pass, with the exact operation order of
+    :meth:`AllPassMRR.thru_transmission`, so a bank's activations equal
+    the per-ring walk bit for bit.  :attr:`ladders` memoises the
+    bisected code ladder per decoder strictness (see
+    :meth:`EoAdc.code_boundaries`).
+    """
+
+    def __init__(
+        self,
+        technology: Technology,
+        spec: EoAdcSpec,
+        reference_voltages,
+        trim_errors,
+    ) -> None:
+        self.technology = technology
+        self.spec = spec
+        self.reference_voltages = _frozen(reference_voltages)
+        self.trim_errors = _frozen(trim_errors)
+        #: An untrimmed ring: the transfer constants every ring shares.
+        self.ring = _adc_ring(technology)
+        #: Thru power below which a thresholding block fires [W] (its
+        #: reference power; the blocks carry no hysteresis).
+        self.reference_power = self._design_reference_power()
+        #: Bisected code ladders, keyed by decoder strictness.
+        self.ladders: dict[bool, np.ndarray] = {}
+
+    def describes(self, adc: EoAdc) -> bool:
+        """Whether ``adc``'s current technology, spec, reference ladder
+        and trims are the ones this bank was built from."""
+        return (
+            adc.technology is self.technology
+            and adc.spec == self.spec
+            and np.array_equal(adc.reference_voltages, self.reference_voltages)
+            and np.array_equal(adc.trim_errors, self.trim_errors)
+        )
+
+    def _transfer(self, v_pn: np.ndarray, trim_errors) -> np.ndarray:
+        """Thru transmission at junction voltages ``v_pn`` of rings
+        trimmed by ``trim_errors`` (broadcast against each other)."""
+        ring = self.ring
+        resonance = ring.resonance_at(
+            ring.tuner.wavelength_shift(v_pn), ring.delta_temperature, trim_errors
+        )
+        return ring.thru_at_phase(ring.detuning_phase(self.technology.wavelength, resonance))
+
+    def transmissions(self, voltages) -> np.ndarray:
+        """Settled thru transmission of every ring, shape
+        ``voltages.shape + (levels,)``, at the input voltage(s)."""
+        v_pn = self.reference_voltages - np.asarray(voltages, dtype=float)[..., None]
+        return self._transfer(v_pn, self.trim_errors)
+
+    def thru_powers(self, voltages) -> np.ndarray:
+        """Settled thru-port power of every ring [W]."""
+        return self.spec.channel_power * self.transmissions(voltages)
+
+    def activations(self, voltages) -> np.ndarray:
+        """Settled thresholding-block outputs, shape
+        ``voltages.shape + (levels,)``."""
+        return self.thru_powers(voltages) < self.reference_power
+
+    def _design_reference_power(self) -> float:
+        """Reference power setting the activation window to ~LSB/2.
+
+        For the paper's 3-bit design this is its stated 18 uW; for other
+        precisions the same window rule (thru power at a half-LSB
+        detuning, averaged over both junction flanks) re-derives the
+        reference so each ring covers exactly its own bin.
+        """
+        spec = self.spec
+        if spec.bits == self.technology.eoadc.bits:
+            return spec.reference_power
+        half_lsb = spec.lsb_voltage / 2.0
+        window = 1.0264 * half_lsb  # keep the paper's ~2.6% bin-edge overlap
+        t_upper, t_lower = self._transfer(np.array([window, -window]), 0.0).tolist()
+        return spec.channel_power * 0.5 * (t_upper + t_lower)
+
+
 class EoAdc:
-    """The mixed-signal 1-hot electro-optic analog-to-digital converter."""
+    """The mixed-signal 1-hot electro-optic analog-to-digital converter.
+
+    ``spec``, ``reference_voltages`` and ``trim_errors`` describe the
+    converter and may be changed in place (variation studies,
+    recalibration re-trims); :meth:`invalidate_boundaries` then rebuilds
+    the :attr:`bank` that conversion, the code ladder and the lazily
+    built :attr:`rings` read.
+    """
 
     def __init__(
         self,
@@ -59,8 +186,7 @@ class EoAdc:
         label: str = "eoadc",
     ) -> None:
         self.technology = technology if technology is not None else default_technology()
-        tech = self.technology
-        spec = tech.eoadc
+        spec = self.technology.eoadc
         if bits is not None and bits != spec.bits:
             spec = dataclasses.replace(spec, bits=bits)
         self.spec = spec
@@ -85,65 +211,72 @@ class EoAdc:
             )
         self.trim_errors = trim_errors
 
-        ring_spec = tech.adc_ring_spec()
-        self.rings = [
-            AllPassMRR(
-                ring_spec,
-                design_wavelength=tech.wavelength,
-                design_voltage=0.0,
-                waveguide=tech.waveguide,
-                coupler=tech.coupler,
-                tuner=DepletionTuner(tech.depletion),
-                thermal=tech.thermal,
-                trim_error=float(trim_errors[k]),
-                label=f"{label}.M{k + 1}",
-            )
-            for k in range(spec.levels)
-        ]
-        reference_power = self._design_reference_power()
-        self.thresholders = [
-            OptoElectricThresholder(
-                reference_power=reference_power,
-                supply_voltage=spec.supply_voltage,
-                photodiode_spec=tech.photodiode,
-                label=f"{label}.B{k + 1}",
-            )
-            for k in range(spec.levels)
-        ]
         # Non-strict decoding emits the highest active channel even for
         # non-adjacent activations (a mistrimmed part producing garbage
         # codes rather than halting) — used by variation stress benches.
         self.decoder = CeilingPriorityRomDecoder(
             spec.bits, strict=strict_decoder, power=self._decoder_power()
         )
-        self._code_boundaries: np.ndarray | None = None
+        self._bank: AdcBank | None = None
+        self._rings: list[AllPassMRR] | None = None
+        self._thresholders: list[OptoElectricThresholder] | None = None
 
-    # -- design rules ----------------------------------------------------------
-    def _design_reference_power(self) -> float:
-        """Reference power setting the activation window to ~LSB/2.
+    # -- the bank and its per-ring objects --------------------------------------
+    @property
+    def bank(self) -> AdcBank:
+        """The array form of this converter's rings and thresholders
+        that conversion reads; built on first use."""
+        if self._bank is None:
+            self.invalidate_boundaries()
+        return self._bank
 
-        For the paper's 3-bit design this is its stated 18 uW; for other
-        precisions the same window rule (thru power at a half-LSB
-        detuning, averaged over both junction flanks) re-derives the
-        reference so each ring covers exactly its own bin.
+    def invalidate_boundaries(self) -> None:
+        """Rebuild :attr:`bank` from the current ``spec``,
+        ``reference_voltages`` and ``trim_errors``.
+
+        Conversion, :meth:`code_boundaries` and the lazily built
+        :attr:`rings` and :attr:`thresholders` all read the bank, which
+        copies those three at build time; after changing any of them in
+        place (variation studies, recalibration re-trims) call this (or
+        :meth:`~repro.core.tensor_core.PhotonicTensorCore.
+        invalidate_ladders` on the owning core) so all of them follow.
+        The fresh bank bisects its ladder again on next use; converters
+        that shared the old bank keep it.
         """
-        spec = self.spec
-        if spec.bits == self.technology.eoadc.bits:
-            return spec.reference_power
-        tech = self.technology
-        probe = AllPassMRR(
-            tech.adc_ring_spec(),
-            design_wavelength=tech.wavelength,
-            design_voltage=0.0,
-            waveguide=tech.waveguide,
-            coupler=tech.coupler,
-            tuner=DepletionTuner(tech.depletion),
+        self._bank = AdcBank(
+            self.technology, self.spec, self.reference_voltages, self.trim_errors
         )
-        half_lsb = spec.lsb_voltage / 2.0
-        window = 1.0264 * half_lsb  # keep the paper's ~2.6% bin-edge overlap
-        t_upper = float(probe.thru_transmission(tech.wavelength, voltage=+window))
-        t_lower = float(probe.thru_transmission(tech.wavelength, voltage=-window))
-        return spec.channel_power * 0.5 * (t_upper + t_lower)
+        self._rings = None
+        self._thresholders = None
+
+    @property
+    def rings(self) -> list[AllPassMRR]:
+        """The 2^p thresholding rings as objects, built on first access
+        from the bank, for single-ring studies.  Conversion reads the
+        bank, not these objects."""
+        if self._rings is None:
+            self._rings = [
+                _adc_ring(self.technology, float(trim), f"{self.label}.M{k + 1}")
+                for k, trim in enumerate(self.bank.trim_errors)
+            ]
+        return self._rings
+
+    @property
+    def thresholders(self) -> list[OptoElectricThresholder]:
+        """The 2^p balanced-photodiode thresholding blocks, built on
+        first access (the transient read chain steps their nodes)."""
+        if self._thresholders is None:
+            bank = self.bank
+            self._thresholders = [
+                OptoElectricThresholder(
+                    reference_power=bank.reference_power,
+                    supply_voltage=bank.spec.supply_voltage,
+                    photodiode_spec=self.technology.photodiode,
+                    label=f"{self.label}.B{k + 1}",
+                )
+                for k in range(bank.spec.levels)
+            ]
+        return self._thresholders
 
     def _decoder_power(self) -> float:
         """ROM decoder + clocking power, scaled from the paper's 3-bit
@@ -173,31 +306,15 @@ class EoAdc:
             return self.spec.sample_rate
         return self.spec.sample_rate_no_tia
 
-    def junction_voltages(self, v_in: float) -> np.ndarray:
-        """V_pn per ring: reference ladder minus the analog input."""
-        return self.reference_voltages - v_in
-
     def thru_powers(self, v_in: float) -> np.ndarray:
         """Settled thru-port power per ring [W] at the input voltage."""
-        wavelength = self.technology.wavelength
-        voltages = self.junction_voltages(v_in)
-        powers = np.empty(self.levels)
-        for index, ring in enumerate(self.rings):
-            transmission = float(
-                ring.thru_transmission(wavelength, voltage=float(voltages[index]))
-            )
-            powers[index] = self.spec.channel_power * transmission
-        return powers
+        return self.bank.thru_powers(v_in)
 
     def activations(self, v_in: float) -> list[bool]:
         """Settled thresholding-block outputs B_1 .. B_{2^p}."""
-        powers = self.thru_powers(v_in)
-        return [
-            thresholder.is_active(float(power))
-            for thresholder, power in zip(self.thresholders, powers)
-        ]
+        return self.bank.activations(v_in).tolist()
 
-    def convert(self, v_in: float, strict: bool = False) -> int:
+    def convert(self, v_in, strict: bool = False):
         """Settled (static) conversion of ``v_in`` to a binary code.
 
         Trim residuals can open small dead zones between adjacent
@@ -208,75 +325,83 @@ class EoAdc:
         :class:`~repro.errors.ConversionError` when no block fires
         (useful for verifying pure 1-hot coverage of an ideally trimmed
         converter).
+
+        ``v_in`` may also be an array: the codes come back as an int
+        array of its shape, and the call raises if any one voltage
+        would.
         """
-        if not 0.0 <= v_in < self.spec.full_scale_voltage:
+        voltages = np.asarray(v_in, dtype=float)
+        full_scale = self.bank.spec.full_scale_voltage
+        outside = ~((voltages >= 0.0) & (voltages < full_scale))
+        if outside.any():
             raise ConversionError(
-                f"input {v_in} V outside the [0, {self.spec.full_scale_voltage}) V "
-                "full-scale range"
+                f"input {float(voltages[outside][0])} V outside the "
+                f"[0, {full_scale}) V full-scale range"
             )
-        activations = self.activations(v_in)
-        if any(activations) or strict:
-            return self.decoder.decode(activations)
-        below = np.nonzero(self.reference_voltages <= v_in)[0]
-        return int(below[-1]) if below.size else 0
+        codes = self._codes(voltages.reshape(-1), strict).reshape(voltages.shape)
+        return int(codes) if voltages.ndim == 0 else codes
+
+    def _codes(self, voltages: np.ndarray, strict: bool) -> np.ndarray:
+        """Codes of in-range ``voltages`` (1-D), one numpy pass."""
+        bank = self.bank
+        active = bank.activations(voltages)
+        fired = active.any(axis=1)
+        if strict or fired.all():
+            return self.decoder.decode_array(active)
+        # Ramp-hold where nothing fired: the highest reference passed.
+        codes = np.maximum(highest_active(bank.reference_voltages <= voltages[:, None]), 0)
+        if fired.any():
+            codes[fired] = self.decoder.decode_array(active[fired])
+        return codes
 
     def code_boundaries(self) -> np.ndarray:
         """Exact code-transition voltages of the settled converter.
 
         Entry k - 1 is the smallest representable input voltage whose
         static conversion reaches code ``k`` (k = 1 .. 2^p - 1), found
-        by bisecting :meth:`convert` down to floating-point resolution.
-        Because the settled transfer function is a non-decreasing
-        staircase (ring activation windows ordered along the reference
-        ladder, ceiling-priority decoding, ramp-hold in the trim dead
-        zones), ``np.searchsorted(boundaries, v, side="right")``
-        reproduces ``convert(v)`` exactly for every in-range ``v`` —
-        this ladder is what the :mod:`repro.runtime` compiler bins whole
-        batches against.  The result is cached; ring trims never change
-        after construction.
+        by bisecting :meth:`convert` down to floating-point resolution:
+        every code starts from [0, full scale) and all of them bisect in
+        lockstep, one array conversion per step.  Because the settled
+        transfer function is a non-decreasing staircase (ring activation
+        windows ordered along the reference ladder, ceiling-priority
+        decoding, ramp-hold in the trim dead zones),
+        ``np.searchsorted(boundaries, v, side="right")`` reproduces
+        ``convert(v)`` exactly for every in-range ``v`` — this ladder is
+        what the :mod:`repro.runtime` compiler bins whole batches
+        against.  The read-only result is memoised on the bank, so
+        converters sharing a bank bisect once, until
+        :meth:`invalidate_boundaries`.
         """
-        if self._code_boundaries is not None:
-            return self._code_boundaries
-        upper_probe = self.spec.full_scale_voltage - 1e-9
-        top_code = self.convert(upper_probe)
-        boundaries = np.empty(self.levels - 1)
-        lower = 0.0
-        for code in range(1, self.levels):
-            if code > top_code:
-                # Unreachable code (severely mistrimmed part): park the
-                # threshold at full scale so binning never emits it.
-                boundaries[code - 1] = self.spec.full_scale_voltage
-                continue
-            low, high = lower, upper_probe
-            if self.convert(low) >= code:
-                boundaries[code - 1] = low
-                continue
-            # Invariant: convert(low) < code <= convert(high).
-            while True:
-                mid = 0.5 * (low + high)
-                if not low < mid < high:
-                    break
-                if self.convert(mid) >= code:
-                    high = mid
-                else:
-                    low = mid
-            boundaries[code - 1] = high
-            lower = low
-        self._code_boundaries = boundaries
+        ladders = self.bank.ladders
+        strict = self.decoder.strict
+        if strict not in ladders:
+            ladder = self._bisect_ladder()
+            ladder.flags.writeable = False
+            ladders[strict] = ladder
+        return ladders[strict]
+
+    def _bisect_ladder(self) -> np.ndarray:
+        full_scale = self.bank.spec.full_scale_voltage
+        upper_probe = full_scale - 1e-9
+        codes = np.arange(1, self.bank.spec.levels)
+        at_zero, top_code = self._codes(np.array([0.0, upper_probe]), strict=False)
+        # Unreachable codes (a severely mistrimmed part) park their
+        # threshold at full scale so binning never emits them.
+        boundaries = np.where(codes <= top_code, 0.0, full_scale)
+        pending = np.flatnonzero((codes <= top_code) & (codes > at_zero))
+        # Invariant per pending code: convert(low) < code <= convert(high).
+        low = np.zeros(pending.size)
+        high = np.full(pending.size, upper_probe)
+        while pending.size:
+            mid = 0.5 * (low + high)
+            split = (low < mid) & (mid < high)
+            boundaries[pending[~split]] = high[~split]
+            pending, low, high, mid = pending[split], low[split], high[split], mid[split]
+            if pending.size:
+                reached = self._codes(mid, strict=False) >= codes[pending]
+                high = np.where(reached, mid, high)
+                low = np.where(reached, low, mid)
         return boundaries
-
-    def invalidate_boundaries(self) -> None:
-        """Drop the memoized code ladder so the next
-        :meth:`code_boundaries` call re-bisects the converter.
-
-        The memo assumes ring trims never change after construction;
-        mutating ``trim_errors`` or ``spec`` in place (variation
-        studies, recalibration re-trims) silently breaks that
-        assumption — call this (or
-        :meth:`~repro.core.tensor_core.PhotonicTensorCore.
-        invalidate_ladders` on the owning core) afterwards.
-        """
-        self._code_boundaries = None
 
     def convert_clamped(self, v_in: float) -> int:
         """Conversion with the input clipped into the full-scale range."""
@@ -304,11 +429,11 @@ class EoAdc:
         if duration < period:
             raise ConfigurationError("duration must cover at least one sample period")
 
-        wavelength = self.technology.wavelength
+        bank = self.bank
         vdd = self.spec.supply_voltage
         # The loaded cavity's energy (hence transmission notch) responds
         # on the photon lifetime.
-        ring_lag = FirstOrderLag(np.ones(self.levels), self.rings[0].photon_lifetime)
+        ring_lag = FirstOrderLag(np.ones(self.levels), bank.ring.photon_lifetime)
         read_lag = FirstOrderLag(
             np.zeros(self.levels), self.thresholders[0].read_chain_time_constant
         )
@@ -320,20 +445,9 @@ class EoAdc:
         held = {"code": 0}
         next_sample = {"t": period}
 
-        def targets(v_in: float) -> np.ndarray:
-            voltages = self.junction_voltages(v_in)
-            return np.array(
-                [
-                    float(
-                        ring.thru_transmission(wavelength, voltage=float(voltage))
-                    )
-                    for ring, voltage in zip(self.rings, voltages)
-                ]
-            )
-
         def step(time: float, dt: float) -> dict[str, float]:
             v_in = float(input_function(time))
-            transmissions = ring_lag.step(targets(v_in), dt)
+            transmissions = ring_lag.step(bank.transmissions(v_in), dt)
             rails = np.empty(self.levels)
             if self.use_read_chain:
                 # TIA current sensing: rails regenerate from the sign of
@@ -382,7 +496,7 @@ class EoAdc:
         ledger.add_optical("input light (per-channel x 2^p)", spec.levels * spec.channel_power)
         ledger.add_optical(
             "reference light (per-channel x 2^p)",
-            spec.levels * self.thresholders[0].reference_power,
+            spec.levels * self.bank.reference_power,
         )
         if self.use_read_chain:
             read_power = sum(t.read_chain_power for t in self.thresholders)
@@ -398,6 +512,25 @@ class EoAdc:
     def energy_per_conversion(self) -> float:
         """Wall-plug energy per conversion [J] (paper: 2.32 pJ)."""
         return self.total_power / self.sample_rate
+
+
+def share_banks(adcs: Sequence[EoAdc]) -> None:
+    """Rebuild the banks of ``adcs`` from their current state, one bank
+    per distinct technology, spec, reference ladder and trims.
+
+    Converters built alike (a tensor core's row ADCs) then share one
+    bank: they convert in one array call and bisect one ladder.  Like
+    :meth:`EoAdc.invalidate_boundaries`, this drops each converter's
+    lazily built rings and thresholders.
+    """
+    banks: list[AdcBank] = []
+    for adc in adcs:
+        twin = next((bank for bank in banks if bank.describes(adc)), None)
+        if twin is None:
+            adc.invalidate_boundaries()
+            banks.append(adc.bank)
+        else:
+            adc._bank, adc._rings, adc._thresholders = twin, None, None
 
 
 class TimeInterleavedEoAdc:

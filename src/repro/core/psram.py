@@ -342,7 +342,7 @@ class PsramArray:
             raise ConfigurationError(
                 f"need bits of shape {self._bits.shape}, got {bits.shape}"
             )
-        if np.any((bits != 0) & (bits != 1)):
+        if ((bits != 0) & (bits != 1)).any():
             raise ConfigurationError("bits must be 0 or 1")
         flips = int(np.count_nonzero(self._bits != bits))
         self._bits = bits.astype(int)

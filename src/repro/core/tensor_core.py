@@ -22,8 +22,8 @@ import numpy as np
 from ..config import Technology, default_technology
 from ..errors import ConfigurationError
 from ..health.drift import apply_read_out
-from .compute_core import VectorComputeCore
-from .eoadc import EoAdc
+from .compute_core import VectorComputeCore, load_rows
+from .eoadc import EoAdc, share_banks
 from .performance import PerformanceModel
 from .psram import switching_energy_ledger
 
@@ -67,10 +67,13 @@ class PhotonicTensorCore:
         self.row_cores = VectorComputeCore.identical_rows(
             self.rows, self.columns, self.weight_bits, tech, label
         )
+        # Row ADCs with the same trims share one bank: one array call
+        # converts every row, and the ladder is bisected once.
         self.row_adcs = [
             EoAdc(tech, bits=adc_bits, label=f"{label}.adc{row}")
             for row in range(self.rows)
         ]
+        share_banks(self.row_adcs)
         self._weight_matrix = np.zeros((self.rows, self.columns), dtype=int)
         # Row TIA gain calibrated so the full-scale dot product lands at
         # the eoADC full scale.
@@ -78,13 +81,6 @@ class PhotonicTensorCore:
         self._tia_gain = (
             self.row_adcs[0].spec.full_scale_voltage / self._full_scale_current
         )
-        #: Cross-compiler memo of bisected ADC code ladders (see
-        #: :func:`repro.runtime.engine._row_ladders`): every runtime
-        #: engine derived from this core — compiled programs, tiled
-        #: grids, the dense/conv layer fast paths — shares it, so each
-        #: distinct ADC trim is bisected once per core, not once per
-        #: compile.
-        self.runtime_ladder_cache: list = []
         #: Live degradation state of this core (a
         #: :class:`repro.health.DriftState`, attached by
         #: :class:`~repro.api.PhotonicSession` when drift is modelled;
@@ -102,14 +98,15 @@ class PhotonicTensorCore:
         return self._weight_matrix.copy()
 
     def load_weight_matrix(self, matrix) -> None:
-        """Stream a weight matrix into the pSRAM arrays (20 GHz update)."""
+        """Stream a weight matrix into the pSRAM arrays (20 GHz update):
+        validated once and split into bit planes in one shift for every
+        row (:func:`~repro.core.compute_core.load_rows`)."""
         matrix = np.asarray(matrix, dtype=int)
         if matrix.shape != (self.rows, self.columns):
             raise ConfigurationError(
                 f"weight matrix must be {self.rows}x{self.columns}, got {matrix.shape}"
             )
-        for row, core in enumerate(self.row_cores):
-            core.load_weights(matrix[row])
+        load_rows(self.row_cores, matrix)
         self._weight_matrix = matrix
 
     def weight_update_time(self) -> float:
@@ -145,21 +142,38 @@ class PhotonicTensorCore:
         return self._full_scale_current
 
     def invalidate_ladders(self) -> None:
-        """Drop every cached ADC code ladder of this core.
+        """Rebuild the row ADCs' banks, dropping their ladder memos.
 
-        The cross-compiler ladder memo (and each row ADC's own
-        boundary memo) assumes the converters never change after
-        construction.  Changing ADC parameters in place afterwards —
-        re-trimming during recalibration, mutating ``trim_errors`` or
-        ``spec`` for a variation study — leaves engines compiling
-        against stale ladders; call this first so the next compile
-        re-bisects.  Engines compiled *before* the call keep their
-        detached snapshots: recompile them (the serving caches do this
-        lazily after :meth:`repro.api.PhotonicSession.recalibrate`).
+        Conversion and the compiled ladders read each row ADC's bank,
+        which copies its ``spec``, ``reference_voltages`` and
+        ``trim_errors`` when built.  After changing those in place —
+        re-trimming during recalibration, a variation study — call this
+        so the device loop converts with the new parameters and the
+        next compile re-bisects; rows that still match share one bank
+        again (:func:`~repro.core.eoadc.share_banks`).  Engines compiled
+        *before* the call keep their detached snapshots: recompile them
+        (the serving caches do this lazily after
+        :meth:`repro.api.PhotonicSession.recalibrate`).
         """
-        self.runtime_ladder_cache.clear()
-        for adc in self.row_adcs:
-            adc.invalidate_boundaries()
+        share_banks(self.row_adcs)
+
+    def _shared_adc(self) -> EoAdc | None:
+        """The first row ADC when every row converts alike (one bank,
+        one decoder strictness), else None."""
+        first = self.row_adcs[0]
+        for adc in self.row_adcs[1:]:
+            if adc.bank is not first.bank or adc.decoder.strict != first.decoder.strict:
+                return None
+        return first
+
+    def row_ladders(self) -> np.ndarray:
+        """(rows, levels - 1) exact code ladders of the row ADCs
+        (:meth:`~repro.core.eoadc.EoAdc.code_boundaries`), bisected
+        once per shared bank."""
+        shared = self._shared_adc()
+        if shared is not None:
+            return np.stack([shared.code_boundaries()] * self.rows)
+        return np.stack([adc.code_boundaries() for adc in self.row_adcs])
 
     # -- compute -------------------------------------------------------------
     def _validated_vector(self, x) -> np.ndarray:
@@ -201,9 +215,13 @@ class PhotonicTensorCore:
             gain * self._tia_gain,
             self.row_adcs[0].spec.full_scale_voltage,
         )
-        codes = np.array(
-            [adc.convert(float(v)) for adc, v in zip(self.row_adcs, voltages)]
-        )
+        shared = self._shared_adc()
+        if shared is not None:
+            codes = shared.convert(voltages)
+        else:
+            codes = np.array(
+                [adc.convert(float(v)) for adc, v in zip(self.row_adcs, voltages)]
+            )
         estimates = self.dequantize_codes(codes) / gain
         return MatvecResult(codes=codes, estimates=estimates, currents=currents)
 
@@ -259,12 +277,15 @@ class PhotonicTensorCore:
 
         Returns a :class:`repro.runtime.CompiledCore` that evaluates
         whole input batches as dense numpy products, agreeing with this
-        device loop code-for-code.  The snapshot is detached: reloading
-        weights afterwards does not disturb it.
+        device loop code-for-code: its response matrix comes from one
+        select, macro product and plane contraction over every row
+        (:func:`~repro.core.compute_core.row_responses`), its ladders
+        from the row ADCs' banks (:meth:`row_ladders`).  The snapshot
+        is detached: reloading weights afterwards does not disturb it.
         """
         from ..runtime.engine import CompiledCore
 
-        return CompiledCore(self, ladder_cache=self.runtime_ladder_cache)
+        return CompiledCore(self)
 
     # -- system analysis -----------------------------------------------------
     def performance(self) -> PerformanceModel:

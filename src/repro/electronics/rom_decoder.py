@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..errors import ConfigurationError, ConversionError
 
 
@@ -27,6 +29,13 @@ def code_to_bits(code: int, bits: int) -> tuple[int, ...]:
     if not 0 <= code < 2**bits:
         raise ConfigurationError(f"code {code} does not fit in {bits} bits")
     return tuple((code >> shift) & 1 for shift in range(bits - 1, -1, -1))
+
+
+def highest_active(mask: np.ndarray) -> np.ndarray:
+    """Index of the last True entry along the last axis of ``mask``,
+    -1 where there is none."""
+    last = mask.shape[-1] - 1 - mask[..., ::-1].argmax(axis=-1)
+    return np.where(mask.any(axis=-1), last, -1)
 
 
 class CeilingPriorityRomDecoder:
@@ -74,6 +83,23 @@ class CeilingPriorityRomDecoder:
                     f"non-adjacent channels fired simultaneously: {active}"
                 )
         return active[-1]
+
+    def decode_array(self, activations: np.ndarray) -> np.ndarray:
+        """:meth:`decode` of every activation vector along the last axis
+        of a boolean array, in one pass.  Raises what :meth:`decode`
+        raises for the first vector it would refuse."""
+        if activations.shape[-1] != self.channels:
+            raise ConfigurationError(
+                f"expected {self.channels} activations, got {activations.shape[-1]}"
+            )
+        top = highest_active(activations)
+        refused = top < 0
+        if self.strict:
+            count = activations.sum(axis=-1)
+            refused |= top - activations.argmax(axis=-1) != count - 1
+        if refused.any():
+            self.decode(activations[np.unravel_index(refused.argmax(), refused.shape)])
+        return top
 
     def decode_bits(self, activations: Sequence[bool]) -> tuple[int, ...]:
         """Binary code as an MSB-first bit tuple."""

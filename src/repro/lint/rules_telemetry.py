@@ -295,16 +295,19 @@ class HotPathTelemetryGuard(Rule):
 #: these attributes must call a matching hook (directly or on the
 #: owning core) in the same method.
 INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
-    # eoADC trim state: compiled ladders bisect against it.
+    # eoADC state: the bank copies it, and conversion and the compiled
+    # ladders read the bank.
     "trim_errors": ("invalidate_boundaries", "invalidate_ladders"),
     "spec": ("invalidate_boundaries", "invalidate_ladders"),
+    "reference_voltages": ("invalidate_boundaries", "invalidate_ladders"),
+    # The bank itself and its bisected-ladder memo.
+    "_bank": ("invalidate_boundaries", "invalidate_ladders"),
+    "ladders": ("invalidate_boundaries", "invalidate_ladders"),
     # Quantized layer weights: compiled tile engines snapshot them.
     "float_weights": ("invalidate_runtime",),
     "q_positive": ("invalidate_runtime",),
     "q_negative": ("invalidate_runtime",),
     "weight_scale": ("invalidate_runtime",),
-    # The cross-compiler ladder memo itself.
-    "runtime_ladder_cache": ("invalidate_ladders",),
     # Two-state ring transmissions: weight loads select from them.
     "_ring_table": ("invalidate_ring_table",),
 }
@@ -318,8 +321,9 @@ class MutateMustInvalidate(Rule):
     severity = Severity.ERROR
     contract = (
         "a method assigning a registered compiled-state attribute "
-        "(trim_errors, spec, q_positive/q_negative/float_weights/"
-        "weight_scale, runtime_ladder_cache, _ring_table) on a class "
+        "(trim_errors, spec, reference_voltages, _bank, ladders, "
+        "q_positive/q_negative/float_weights/weight_scale, _ring_table) "
+        "on a class "
         "that defines the matching invalidate_* hook must call that "
         "hook; only __init__ and the hook itself assign freely"
     )

@@ -132,22 +132,32 @@ class _RingBase:
         """Resonance wavelength [m] under the current (or given) drive."""
         voltage = self._voltage if voltage is None else voltage
         delta_t = self.delta_temperature if delta_temperature is None else delta_temperature
+        return self.resonance_at(self._tuner_shift(voltage), delta_t, self.trim_error)
+
+    def resonance_at(self, tuner_shift, delta_temperature: float, trim_error):
+        """Resonance wavelength [m] for a given junction-tuner shift and
+        trim residual, with this ring's other terms as they stand
+        (vectorized over ``tuner_shift`` and ``trim_error``)."""
         return (
             self.design_wavelength
             + self.length_adjust_shift()
-            + self._tuner_shift(voltage)
+            + tuner_shift
             - self._tuner_shift(self.design_voltage)
-            + self.thermal.wavelength_shift(delta_t)
+            + self.thermal.wavelength_shift(delta_temperature)
             + self.heater_shift
-            + self.trim_error
+            + trim_error
         )
 
     def round_trip_phase(self, wavelength, voltage: float | None = None):
         """Round-trip phase offset from resonance [rad] (vectorized)."""
+        return self.detuning_phase(wavelength, self.resonance_wavelength(voltage=voltage))
+
+    def detuning_phase(self, wavelength, resonance):
+        """Round-trip phase offset [rad] of ``wavelength`` from a
+        resonance at ``resonance`` (vectorized over both)."""
         lam = np.asarray(wavelength, dtype=float)
-        lam_res = self.resonance_wavelength(voltage=voltage)
         scale = 2.0 * math.pi * self.waveguide.group_index * self.circumference
-        return scale * (lam - lam_res) / self.design_wavelength**2
+        return scale * (lam - resonance) / self.design_wavelength**2
 
     # -- figures of merit ----------------------------------------------------
     @property
@@ -185,9 +195,14 @@ class AllPassMRR(_RingBase):
 
     def thru_transmission(self, wavelength, voltage: float | None = None):
         """Thru-port power transmission (vectorized over wavelength)."""
+        return self.thru_at_phase(self.round_trip_phase(wavelength, voltage))
+
+    def thru_at_phase(self, phase):
+        """Thru-port power transmission at round-trip phase offsets
+        ``phase`` [rad] (vectorized)."""
         t = self._t
         a = self.single_pass_amplitude
-        cos_phi = np.cos(self.round_trip_phase(wavelength, voltage))
+        cos_phi = np.cos(phase)
         numerator = t**2 - 2.0 * t * a * cos_phi + a**2
         denominator = 1.0 - 2.0 * t * a * cos_phi + (t * a) ** 2
         return numerator / denominator

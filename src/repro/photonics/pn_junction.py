@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..config import DepletionJunctionSpec, InjectionTunerSpec
 from ..constants import SILICON_RELATIVE_PERMITTIVITY, VACUUM_PERMITTIVITY, ELEMENTARY_CHARGE
 from ..errors import ConfigurationError
@@ -93,12 +95,16 @@ class DepletionTuner:
     def __init__(self, spec: DepletionJunctionSpec | None = None) -> None:
         self.spec = spec if spec is not None else DepletionJunctionSpec()
 
-    def wavelength_shift(self, v_pn: float) -> float:
-        """Resonance wavelength shift [m] at junction voltage ``v_pn``."""
+    def wavelength_shift(self, v_pn):
+        """Resonance wavelength shift [m] at junction voltage ``v_pn``
+        (a float or an array; raises for the first voltage outside the
+        modelled range)."""
         spec = self.spec
-        if v_pn > spec.max_forward_voltage or v_pn < -spec.max_reverse_voltage:
+        voltages = np.asarray(v_pn)
+        beyond = (voltages > spec.max_forward_voltage) | (voltages < -spec.max_reverse_voltage)
+        if beyond.any():
             raise ConfigurationError(
-                f"junction voltage {v_pn} V outside the modelled "
+                f"junction voltage {float(voltages[beyond][0])} V outside the modelled "
                 f"[-{spec.max_reverse_voltage}, {spec.max_forward_voltage}] V range"
             )
         return spec.wavelength_shift(v_pn)

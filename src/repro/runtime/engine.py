@@ -16,10 +16,12 @@ static functions of the input:
 
 :class:`CompiledCore` snapshots both at weight-load time and replays
 them vectorized, matching the device loop code-for-code.  Compilation
-costs one ladder bisection per distinct ADC trim (cached on the ADC)
-plus, per weight program, a pSRAM write and a response-matrix rebuild
-that selects each ring's transfer from the core's two-state ring table
-instead of re-evaluating the rings.  A
+costs one lockstep ladder bisection per distinct ADC bank (memoised on
+the bank, which the row ADCs of a core share while their trims agree)
+plus, per weight program, one whole-core pSRAM write and one pass for
+the response matrix: a select from the core's two-state ring table, a
+product along each macro's buses and a contraction over the bit
+planes, for every row at once.  A
 :class:`~repro.runtime.tiling.TiledMatmul` grid is one such snapshot
 per tile, all taken on one core (an in-grid program is a one-tile
 grid), so the flush executor
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.compute_core import row_responses
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError
 from ..health.drift import Perturbation, apply_read_out
@@ -69,32 +72,6 @@ class BatchResult:
         )
 
 
-def _row_ladders(core: PhotonicTensorCore, ladder_cache: list | None) -> np.ndarray:
-    """Per-row ADC code ladders, sharing bisection work between ADCs
-    with identical trim/spec (the common case: one seeded trim draw per
-    technology).  ``ladder_cache`` is an optional cross-compile memo of
-    ``[technology, spec, trim_errors, ladder]`` rows (a core's
-    ``runtime_ladder_cache``), so every tile compiled on one core
-    shares its ladders."""
-    ladders = []
-    local: list = [] if ladder_cache is None else ladder_cache
-    for adc in core.row_adcs:
-        found = None
-        for technology, spec, trim, ladder in local:
-            if (
-                technology is adc.technology
-                and spec == adc.spec
-                and np.array_equal(trim, adc.trim_errors)
-            ):
-                found = ladder
-                break
-        if found is None:
-            found = adc.code_boundaries()
-            local.append([adc.technology, adc.spec, adc.trim_errors, found])
-        ladders.append(found)
-    return np.stack(ladders)
-
-
 def _common_ladder(boundaries: np.ndarray) -> np.ndarray | None:
     """The ladder every row shares (one ``searchsorted`` then bins the
     whole batch), or None when any row's differs."""
@@ -105,17 +82,18 @@ class CompiledCore:
     """A weight program of a :class:`PhotonicTensorCore`, compiled to
     dense arrays for batched evaluation.
 
+    ``response`` holds every row's element responses to the loaded
+    weights (:func:`~repro.core.compute_core.row_responses`, one pass)
+    and ``boundaries`` the row ADCs' ladders
+    (:meth:`~PhotonicTensorCore.row_ladders`); a shared ladder bins the
+    whole batch with one ``searchsorted``.
     The snapshot is detached from the device: reloading the source
     core's weights afterwards (as every later
     :class:`~repro.runtime.tiling.TiledMatmul` compile on it does)
     leaves this program valid.
     """
 
-    def __init__(
-        self,
-        core: PhotonicTensorCore,
-        ladder_cache: list | None = None,
-    ) -> None:
+    def __init__(self, core: PhotonicTensorCore) -> None:
         self.rows = core.rows
         self.columns = core.columns
         self.weight_bits = core.weight_bits
@@ -123,11 +101,9 @@ class CompiledCore:
         self.technology = core.technology
         self.weight_matrix = core.weight_matrix
         #: (rows, columns) photocurrent per unit input intensity.
-        self.response = np.stack(
-            [row_core.element_responses() for row_core in core.row_cores]
-        )
+        self.response = row_responses(core.row_cores)
         #: (rows, levels - 1) exact per-row code-transition voltages.
-        self.boundaries = _row_ladders(core, ladder_cache)
+        self.boundaries = core.row_ladders()
         self._shared_ladder = _common_ladder(self.boundaries)
 
         adc = core.row_adcs[0]

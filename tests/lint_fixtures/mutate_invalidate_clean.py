@@ -15,18 +15,26 @@ class Adc:
         self.trim_errors = rng.normal(0.0, sigma, 8)
         self.invalidate_boundaries()
 
+    def relevel(self, lsb):
+        self.reference_voltages = (np.arange(8) + 0.5) * lsb
+        self.invalidate_boundaries()
+
 
 class Core:
     def __init__(self, adc):
         self.adc = adc
-        self.runtime_ladder_cache = []
+        self.ladders = {}
 
     def invalidate_ladders(self):
-        self.runtime_ladder_cache.clear()
+        self.ladders = {}
         self.adc.invalidate_boundaries()
 
     def reset_memo(self):
-        self.runtime_ladder_cache = []
+        self.ladders = {}
+        self.invalidate_ladders()
+
+    def adopt_bank(self, bank):
+        self._bank = bank
         self.invalidate_ladders()
 
 

@@ -1,4 +1,4 @@
-"""Fixture: compiled-state mutations that skip the hook (4 findings)."""
+"""Fixture: compiled-state mutations that skip the hook (7 findings)."""
 
 import numpy as np
 
@@ -16,6 +16,15 @@ class Adc:
 
     def retrim_in_place(self, rng):
         self.trim_errors[:] = rng.normal(0.0, 1.0, 8)  # firing: subscript store
+
+    def relevel(self, lsb):
+        self.reference_voltages = (np.arange(8) + 0.5) * lsb  # firing: no hook call
+
+    def adopt_bank(self, bank):
+        self._bank = bank  # firing: bypasses the hook
+
+    def seed_ladders(self, ladder):
+        self.ladders = {True: ladder}  # firing: a memo the hook owns
 
 
 class DenseLayer:

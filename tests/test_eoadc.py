@@ -121,6 +121,38 @@ def test_custom_bit_depth_designs_reference_power(tech):
     assert is_monotonic(ramp_codes)
 
 
+def test_retrim_reaches_conversion_and_ladder_after_invalidation(tech):
+    """``trim_errors`` is mutable: after a re-trim and
+    invalidate_boundaries, conversion and the ladder equal a converter
+    built with the new trims (and stay stale until then)."""
+    adc = EoAdc(tech)
+    before = adc.code_boundaries()
+    sweep = np.linspace(0.0, 3.999, 401)
+    codes_before = adc.convert(sweep)
+    adc.trim_errors = adc.trim_errors + 20e-12
+    assert adc.code_boundaries() is before
+    assert np.array_equal(adc.convert(sweep), codes_before)
+    adc.invalidate_boundaries()
+    fresh = EoAdc(tech, trim_errors=adc.trim_errors)
+    assert np.array_equal(adc.code_boundaries(), fresh.code_boundaries())
+    assert not np.array_equal(adc.code_boundaries(), before)
+    assert np.array_equal(adc.convert(sweep), fresh.convert(sweep))
+    assert [adc.convert(float(v)) for v in sweep[::20]] == [
+        fresh.convert(float(v)) for v in sweep[::20]
+    ]
+    assert [ring.trim_error for ring in adc.rings] == adc.trim_errors.tolist()
+
+
+def test_array_conversion_matches_scalar(trimmed_adc):
+    sweep = np.linspace(0.0, 3.999, 300)
+    codes = trimmed_adc.convert(sweep.reshape(3, -1))
+    assert codes.shape == (3, 100)
+    assert codes.ravel().tolist() == [trimmed_adc.convert(float(v)) for v in sweep]
+    assert isinstance(trimmed_adc.convert(1.0), int)
+    with pytest.raises(ConversionError):
+        trimmed_adc.convert(np.array([1.0, 4.0]))
+
+
 def test_trim_error_shape_validated(tech):
     with pytest.raises(ConfigurationError):
         EoAdc(tech, trim_errors=np.zeros(4))

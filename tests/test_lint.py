@@ -69,7 +69,7 @@ FIXTURE_TABLE = {
     "mutate-must-invalidate": (
         "mutate_invalidate",
         "src/repro/fixture_mod.py",
-        [15, 18, 30, 42],
+        [15, 18, 21, 24, 27, 39, 51],
     ),
     "report-accounting-completeness": (
         "report_accounting",

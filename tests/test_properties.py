@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.api import MetricsRegistry, PhotonicSession, RunReport
 from repro.config import default_technology
-from repro.core.compute_core import VectorComputeCore
+from repro.core.compute_core import VectorComputeCore, row_responses
+from repro.core.eoadc import EoAdc
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.core.quantization import (
     dequantize_weights,
@@ -21,7 +22,7 @@ from repro.core.quantization import (
 )
 from repro.electronics.adc_metrics import differential_nonlinearity
 from repro.elastic import ProgramStore
-from repro.errors import DeadlineExceededError
+from repro.errors import ConversionError, DeadlineExceededError
 from repro.electronics.elements import StorageNode
 from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bits
 from repro.photonics.coupler import BinaryScaledSplitterTree, PowerSplitter
@@ -349,6 +350,167 @@ def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(shape, tile, ga
     assert on_used.weight_update_energy == on_fresh.weight_update_energy
     batch = rng.uniform(0.0, 1.0, (shape[1], 3))
     assert np.array_equal(on_used.matmul(batch), on_fresh.matmul(batch))
+
+
+# -- eoADC bank vs the per-ring walk ------------------------------------------
+
+
+def walk_convert(adc, v_in, strict=False):
+    """Static conversion walking the ring objects: each ring's
+    ``AllPassMRR.thru_transmission``, then its thresholder, then the
+    ceiling-priority ROM decoder (ramp-hold where nothing fires)."""
+    full_scale = adc.spec.full_scale_voltage
+    if not 0.0 <= v_in < full_scale:
+        raise ConversionError(f"input {v_in} V outside [0, {full_scale})")
+    activations = [
+        thresholder.is_active(
+            adc.spec.channel_power
+            * float(ring.thru_transmission(TECH.wavelength, voltage=float(reference - v_in)))
+        )
+        for ring, thresholder, reference in zip(
+            adc.rings, adc.thresholders, adc.reference_voltages
+        )
+    ]
+    if any(activations) or strict:
+        return adc.decoder.decode(activations)
+    below = np.nonzero(adc.reference_voltages <= v_in)[0]
+    return int(below[-1]) if below.size else 0
+
+
+def walk_boundary(adc, code):
+    """Ladder entry of ``code`` bisected with :func:`walk_convert` from
+    [0, full scale), the bracket every code starts from."""
+    full_scale = adc.spec.full_scale_voltage
+    low, high = 0.0, full_scale - 1e-9
+    if code > walk_convert(adc, high):
+        return full_scale
+    if walk_convert(adc, low) >= code:
+        return low
+    while True:
+        mid = 0.5 * (low + high)
+        if not low < mid < high:
+            return high
+        if walk_convert(adc, mid) >= code:
+            high = mid
+        else:
+            low = mid
+
+
+def _outcome(convert, *args):
+    try:
+        return convert(*args)
+    except ConversionError:
+        return ConversionError
+
+
+def _mistrimmed_adc(bits, trim_lsb, strict_decoder, seed):
+    """A converter whose trims scatter by ``trim_lsb`` LSBs of resonance
+    shift: from a fine trim to parts with dead zones, unreachable codes
+    and non-adjacent activations."""
+    sigma = trim_lsb * TECH.depletion.efficiency * TECH.eoadc.full_scale_voltage / 2**bits
+    trims = np.random.default_rng(seed).normal(0.0, sigma, 2**bits)
+    return EoAdc(TECH, bits=bits, trim_errors=trims, strict_decoder=strict_decoder)
+
+
+@given(
+    bits=st.integers(min_value=2, max_value=6),
+    trim_lsb=st.sampled_from((0.0, 0.05, 0.3, 1.0, 3.0)),
+    strict_decoder=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_bank_conversion_equals_per_ring_walk(bits, trim_lsb, strict_decoder, seed, data):
+    """Scalar and array conversion through the bank equal the per-ring
+    walk voltage for voltage, the same voltages raise under either
+    strictness, and the lockstep ladder equals the walk's bisection."""
+    # A strict decoder may refuse mid-bisection; keep that case to
+    # sizes whose whole walk bisection is affordable.
+    strict_decoder = strict_decoder and bits <= 4
+    adc = _mistrimmed_adc(bits, trim_lsb, strict_decoder, seed)
+    full_scale = adc.spec.full_scale_voltage
+    rng = np.random.default_rng(seed)
+    voltages = list(rng.uniform(0.0, full_scale, 24))
+    try:
+        ladder = adc.code_boundaries()
+    except ConversionError:
+        ladder = None
+    if ladder is None:
+        with pytest.raises(ConversionError):
+            for code in range(1, adc.levels):
+                walk_boundary(adc, code)
+    else:
+        assert not ladder.flags.writeable
+        codes = range(1, adc.levels)
+        if bits > 4:
+            codes = data.draw(st.lists(st.sampled_from(codes), min_size=1, max_size=3))
+        for code in codes:
+            assert ladder[code - 1] == walk_boundary(adc, code)
+        voltages += [float(v) for v in ladder] + [float(np.nextafter(v, -1.0)) for v in ladder]
+    for strict in (False, True):
+        expected = [_outcome(walk_convert, adc, v, strict) for v in voltages]
+        assert [_outcome(adc.convert, v, strict) for v in voltages] == expected
+        valid = [v for v, code in zip(voltages, expected) if code is not ConversionError]
+        assert adc.convert(np.array(valid), strict).tolist() == [
+            code for code in expected if code is not ConversionError
+        ]
+        if len(valid) < len(voltages):
+            with pytest.raises(ConversionError):
+                adc.convert(np.array(voltages), strict)
+
+
+def test_mistrimmed_bank_covers_dead_zones_and_unreachable_codes():
+    """The mistrimmed parts above include the cases that matter: a code
+    the part never reaches (parked at full scale) and dead zones a
+    strict conversion refuses."""
+    trims = np.random.default_rng(15).normal(0.0, 12e-12, 8)
+    adc = EoAdc(TECH, trim_errors=trims, strict_decoder=False)
+    assert adc.code_boundaries()[-1] == adc.spec.full_scale_voltage
+    sweep = np.linspace(0.0, 3.999, 400)
+    refused = [_outcome(adc.convert, float(v), True) is ConversionError for v in sweep]
+    assert any(refused) and not all(refused)
+    assert adc.convert(sweep).tolist() == [walk_convert(adc, float(v)) for v in sweep]
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=5),
+    columns=st.integers(min_value=1, max_value=17),
+    bits=st.integers(min_value=1, max_value=4),
+    plan=st.sampled_from(range(len(CHANNEL_PLANS))),
+    heated_row=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    drift=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_whole_core_load_equals_row_by_row(rows, columns, bits, plan, heated_row, drift, seed):
+    """A whole-core load and its one-pass responses equal every row's
+    own element_responses (and the per-ring walk), with the rows'
+    ring table shared or one row's re-evaluated, and the compiled
+    codes equal the device loop's, drift included."""
+    rng = np.random.default_rng(seed)
+    core = PhotonicTensorCore(
+        rows=rows, columns=columns, weight_bits=bits, technology=CHANNEL_PLANS[plan]
+    )
+    core.load_weight_matrix(rng.integers(0, 2**bits, (rows, columns)))
+    if heated_row is not None and heated_row < rows:
+        row = core.row_cores[heated_row]
+        row.multipliers[int(rng.integers(columns))][int(rng.integers(bits))].ring.heater_shift = 30e-12
+        row.invalidate_ring_table()
+    if drift:
+        state = DriftState((LaserPowerDecay(rate_per_s=1e-2), TiaGainDrift(drift_per_s=-8e-4)))
+        core.drift_state = state
+        state.advance(20.0)
+    core.load_weight_matrix(rng.integers(0, 2**bits, (rows, columns)))
+
+    responses = row_responses(core.row_cores)
+    assert np.array_equal(responses, np.stack([row.element_responses() for row in core.row_cores]))
+    for row, response in zip(core.row_cores, responses):
+        assert np.array_equal(response, reference_responses(row, per_ring_reference(row)))
+    engine = core.compile()
+    assert np.array_equal(engine.response, responses)
+    gain = float(rng.choice([1.0, 2.5]))
+    for x in rng.uniform(0.0, 1.0, (6, columns)):
+        assert np.array_equal(engine.matvec(x, gain=gain).codes, core.matvec(x, gain=gain).codes)
 
 
 # -- the flush executor: every route, one clock -------------------------------

@@ -141,7 +141,8 @@ def test_invalidate_ladders_after_inplace_adc_retune(tech):
     core = PhotonicTensorCore(rows=2, columns=4, technology=tech)
     core.load_weight_matrix(np.full((2, 4), 3, dtype=int))
     first = core.compile()
-    assert len(core.runtime_ladder_cache) == 1  # one shared trim/spec
+    shared = core.row_adcs[0].code_boundaries()
+    assert core.row_adcs[1].code_boundaries() is shared  # one shared trim/spec
 
     # In-place parameter change: both memo layers (the ADC's own
     # boundary cache and the core's cross-compiler ladder memo) go
@@ -153,18 +154,44 @@ def test_invalidate_ladders_after_inplace_adc_retune(tech):
     assert np.array_equal(stale.boundaries, first.boundaries)
 
     core.invalidate_ladders()
-    assert len(core.runtime_ladder_cache) == 0
     fresh = core.compile()
     assert not np.array_equal(fresh.boundaries, first.boundaries)
     assert fresh.boundaries.max() <= 2.0  # re-bisected on the new range
-    assert len(core.runtime_ladder_cache) == 1
+    rebisected = core.row_adcs[0].code_boundaries()
+    assert rebisected is not shared
+    assert core.row_adcs[1].code_boundaries() is rebisected
 
 
 def test_invalidate_ladders_clears_every_row_adc_memo(tech):
     core = PhotonicTensorCore(rows=2, columns=4, technology=tech)
-    for adc in core.row_adcs:
-        adc.code_boundaries()
-        assert adc._code_boundaries is not None
+    ladders = [adc.code_boundaries() for adc in core.row_adcs]
+    for adc, ladder in zip(core.row_adcs, ladders):
+        assert adc.code_boundaries() is ladder  # memoised until invalidated
     core.invalidate_ladders()
-    for adc in core.row_adcs:
-        assert adc._code_boundaries is None
+    for adc, ladder in zip(core.row_adcs, ladders):
+        fresh = adc.code_boundaries()
+        assert fresh is not ladder  # re-bisected
+        assert np.array_equal(fresh, ladder)
+
+
+def test_retrim_reaches_the_core_after_invalidate_ladders(tech):
+    """A re-trimmed row ADC converts, and compiles, like a converter
+    built with its new trims once ``invalidate_ladders`` ran; the
+    untouched row keeps the shared ladder."""
+    from repro.core.eoadc import EoAdc
+
+    core = PhotonicTensorCore(rows=2, columns=4, technology=tech)
+    core.load_weight_matrix(np.full((2, 4), 5, dtype=int))
+    first = core.compile()
+    adc = core.row_adcs[1]
+    adc.trim_errors = adc.trim_errors + 20e-12
+    core.invalidate_ladders()
+    fresh = EoAdc(tech, trim_errors=adc.trim_errors)
+    engine = core.compile()
+    assert np.array_equal(engine.boundaries[0], first.boundaries[0])
+    assert np.array_equal(engine.boundaries[1], fresh.code_boundaries())
+    assert not np.array_equal(engine.boundaries[1], first.boundaries[1])
+    sweep = np.linspace(0.0, 3.999, 401)
+    assert np.array_equal(adc.convert(sweep), fresh.convert(sweep))
+    assert core.row_adcs[0].bank is not adc.bank
+
