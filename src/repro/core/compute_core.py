@@ -420,8 +420,7 @@ def bus_transmissions(cores: Sequence[VectorComputeCore]) -> np.ndarray:
     product for every row.  Each row's slice becomes its cached
     transmissions."""
     first = cores[0]
-    tables = [core.ring_table for core in cores]
-    table = tables[0] if all(t is tables[0] for t in tables) else np.stack(tables)
+    table = np.stack([core.ring_table for core in cores])
     bits = np.stack([core._bits for core in cores])[..., None]
     transmissions = first._macro_products(
         np.where(bits == 1, table[..., 1, :], table[..., 0, :])

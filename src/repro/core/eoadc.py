@@ -85,14 +85,15 @@ class AdcBank:
     """Every ring and thresholding block of one eoADC, held as arrays.
 
     A bank is built from a technology, a spec, a reference ladder and
-    per-ring trims, copied so the bank never changes.  It holds the
-    ladder, each ring's trim, the transfer constants the rings share
-    (one untrimmed :attr:`ring`) and the thresholders' common trip
-    power.  :meth:`thru_powers` evaluates every ring at many input
-    voltages in one numpy pass, with the exact operation order of
-    :meth:`AllPassMRR.thru_transmission`, so a bank's activations equal
-    the per-ring walk bit for bit.  :attr:`ladders` memoises the
-    bisected code ladder per decoder strictness (see
+    per-ring trims.  It keeps read-only copies of the ladder and the
+    trims; the technology and the spec are held by reference, so a
+    spec is replaced, never edited field by field.  It holds the
+    transfer constants the rings share (one untrimmed :attr:`ring`) and
+    the thresholders' common trip power.  :meth:`thru_powers` evaluates
+    every ring at many input voltages in one numpy pass, with the exact
+    operation order of :meth:`AllPassMRR.thru_transmission`, so a bank's
+    activations equal the per-ring walk bit for bit.  :attr:`ladder`
+    memoises the bisected code ladder (see
     :meth:`EoAdc.code_boundaries`).
     """
 
@@ -112,8 +113,8 @@ class AdcBank:
         #: Thru power below which a thresholding block fires [W] (its
         #: reference power; the blocks carry no hysteresis).
         self.reference_power = self._design_reference_power()
-        #: Bisected code ladders, keyed by decoder strictness.
-        self.ladders: dict[bool, np.ndarray] = {}
+        #: The bisected code ladder, once a converter has asked for it.
+        self.ladder: np.ndarray | None = None
 
     def describes(self, adc: EoAdc) -> bool:
         """Whether ``adc``'s current technology, spec, reference ladder
@@ -170,10 +171,12 @@ class EoAdc:
     """The mixed-signal 1-hot electro-optic analog-to-digital converter.
 
     ``spec``, ``reference_voltages`` and ``trim_errors`` describe the
-    converter and may be changed in place (variation studies,
-    recalibration re-trims); :meth:`invalidate_boundaries` then rebuilds
-    the :attr:`bank` that conversion, the code ladder and the lazily
-    built :attr:`rings` read.
+    converter.  The trims and the reference ladder may be changed in
+    place, and ``spec`` replaced by one of the same bit depth (variation
+    studies, recalibration re-trims); :meth:`invalidate_boundaries` then
+    rebuilds the :attr:`bank` that conversion, the code ladder and the
+    lazily built :attr:`rings` read.  The decoder is sized at
+    construction, so a different bit depth needs a new converter.
     """
 
     def __init__(
@@ -236,8 +239,11 @@ class EoAdc:
 
         Conversion, :meth:`code_boundaries` and the lazily built
         :attr:`rings` and :attr:`thresholders` all read the bank, which
-        copies those three at build time; after changing any of them in
-        place (variation studies, recalibration re-trims) call this (or
+        copies the reference ladder and the trims at build time and
+        holds ``spec`` by reference.  After re-trimming or re-levelling
+        in place, or replacing ``spec`` with one of the same bit depth
+        (editing its fields in place leaves the bank's memoised ladder
+        and trip power stale), call this (or
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.
         invalidate_ladders` on the owning core) so all of them follow.
         The fresh bank bisects its ladder again on next use; converters
@@ -372,13 +378,12 @@ class EoAdc:
         converters sharing a bank bisect once, until
         :meth:`invalidate_boundaries`.
         """
-        ladders = self.bank.ladders
-        strict = self.decoder.strict
-        if strict not in ladders:
+        bank = self.bank
+        if bank.ladder is None:
             ladder = self._bisect_ladder()
             ladder.flags.writeable = False
-            ladders[strict] = ladder
-        return ladders[strict]
+            bank.ladder = ladder
+        return bank.ladder
 
     def _bisect_ladder(self) -> np.ndarray:
         full_scale = self.bank.spec.full_scale_voltage

@@ -145,9 +145,10 @@ class PhotonicTensorCore:
         """Rebuild the row ADCs' banks, dropping their ladder memos.
 
         Conversion and the compiled ladders read each row ADC's bank,
-        which copies its ``spec``, ``reference_voltages`` and
-        ``trim_errors`` when built.  After changing those in place —
-        re-trimming during recalibration, a variation study — call this
+        which copies its ``reference_voltages`` and ``trim_errors`` and
+        holds its ``spec`` when built.  After changing the first two in
+        place or replacing ``spec`` — re-trimming during recalibration,
+        a variation study — call this
         so the device loop converts with the new parameters and the
         next compile re-bisects; rows that still match share one bank
         again (:func:`~repro.core.eoadc.share_banks`).  Engines compiled
@@ -158,21 +159,16 @@ class PhotonicTensorCore:
         share_banks(self.row_adcs)
 
     def _shared_adc(self) -> EoAdc | None:
-        """The first row ADC when every row converts alike (one bank,
-        one decoder strictness), else None."""
+        """The first row ADC when every row shares its bank, else None."""
         first = self.row_adcs[0]
-        for adc in self.row_adcs[1:]:
-            if adc.bank is not first.bank or adc.decoder.strict != first.decoder.strict:
-                return None
-        return first
+        if all(adc.bank is first.bank for adc in self.row_adcs[1:]):
+            return first
+        return None
 
     def row_ladders(self) -> np.ndarray:
         """(rows, levels - 1) exact code ladders of the row ADCs
         (:meth:`~repro.core.eoadc.EoAdc.code_boundaries`), bisected
         once per shared bank."""
-        shared = self._shared_adc()
-        if shared is not None:
-            return np.stack([shared.code_boundaries()] * self.rows)
         return np.stack([adc.code_boundaries() for adc in self.row_adcs])
 
     # -- compute -------------------------------------------------------------

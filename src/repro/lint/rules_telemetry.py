@@ -302,7 +302,7 @@ INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     "reference_voltages": ("invalidate_boundaries", "invalidate_ladders"),
     # The bank itself and its bisected-ladder memo.
     "_bank": ("invalidate_boundaries", "invalidate_ladders"),
-    "ladders": ("invalidate_boundaries", "invalidate_ladders"),
+    "ladder": ("invalidate_boundaries", "invalidate_ladders"),
     # Quantized layer weights: compiled tile engines snapshot them.
     "float_weights": ("invalidate_runtime",),
     "q_positive": ("invalidate_runtime",),

@@ -23,14 +23,14 @@ class Adc:
 class Core:
     def __init__(self, adc):
         self.adc = adc
-        self.ladders = {}
+        self.ladder = None
 
     def invalidate_ladders(self):
-        self.ladders = {}
+        self.ladder = None
         self.adc.invalidate_boundaries()
 
     def reset_memo(self):
-        self.ladders = {}
+        self.ladder = None
         self.invalidate_ladders()
 
     def adopt_bank(self, bank):

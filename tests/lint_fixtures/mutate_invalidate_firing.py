@@ -23,8 +23,8 @@ class Adc:
     def adopt_bank(self, bank):
         self._bank = bank  # firing: bypasses the hook
 
-    def seed_ladders(self, ladder):
-        self.ladders = {True: ladder}  # firing: a memo the hook owns
+    def seed_ladder(self, ladder):
+        self.ladder = ladder  # firing: a memo the hook owns
 
 
 class DenseLayer:
