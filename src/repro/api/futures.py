@@ -12,6 +12,11 @@ instead of returning ``None``.
 Each flush also produces one :class:`RunReport` — the unified
 accounting record (requests, batches, cache behaviour, modelled analog
 energy/latency) every future of that flush carries.
+
+A future's ``label`` (for error messages and request spans) is
+formatted on first read from the parts the session hands it at
+submit, so a request that is served and never named pays no string
+formatting.
 """
 
 from __future__ import annotations
@@ -196,7 +201,7 @@ class Future:
 
     __slots__ = (
         "_session",
-        "label",
+        "_label",
         "flush_index",
         "shape",
         "_value",
@@ -215,13 +220,13 @@ class Future:
     def __init__(
         self,
         session: PhotonicSession,
-        label: str,
+        label: str | tuple,
         flush_index: int,
         shape: tuple | None = None,
     ) -> None:
         self._session = session
-        #: Human-readable request label, used in pending-read errors.
-        self.label = label
+        #: The label, or the ``(template, *args)`` it formats from.
+        self._label = label
         #: The 1-based flush that will resolve this future.
         self.flush_index = flush_index
         #: Expected payload shape where known ahead of time (conv route).
@@ -283,6 +288,14 @@ class Future:
         self._abandoned = True
 
     # -- the caller surface --------------------------------------------------
+    @property
+    def label(self) -> str:
+        """Human-readable request label, used in pending-read errors."""
+        label = self._label
+        if not isinstance(label, str):
+            label = self._label = label[0].format(*label[1:])
+        return label
+
     @property
     def done(self) -> bool:
         return self._done

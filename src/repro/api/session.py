@@ -158,7 +158,7 @@ class DeployedModel:
         batch = self._validated_batch(batch)
         session = self._session
         self._submitted += 1
-        label = f"model '{self.label}' batch #{self._submitted}"
+        label = ("model '{}' batch #{}", self.label, self._submitted)
         future = session._new_future(label, deadline, tenant)
         if future.done:
             return future
@@ -369,6 +369,9 @@ class PhotonicSession:
             label="session",
         )
         self.scheduler.telemetry = self.telemetry
+        #: The physical tile's shape.
+        self.rows = self.scheduler.rows
+        self.columns = self.scheduler.columns
         self._endpoints: list[DeployedModel] = []
         #: Futures queued since the last flush, in submit order.
         self._window: list[Future] = []
@@ -463,14 +466,6 @@ class PhotonicSession:
         return self.scheduler.performance
 
     @property
-    def rows(self) -> int:
-        return self.scheduler.rows
-
-    @property
-    def columns(self) -> int:
-        return self.scheduler.columns
-
-    @property
     def tiled_cache(self) -> WeightProgramCache:
         """Shared LRU of tiled, conv and model-layer programs."""
         return self.scheduler.tiled_cache
@@ -483,9 +478,10 @@ class PhotonicSession:
     @property
     def pending(self) -> int:
         """Requests submitted but not yet flushed, across all routes."""
-        return self.scheduler.pending + sum(
-            len(endpoint._queue) for endpoint in self._endpoints
-        )
+        queued = self.scheduler._queued
+        if self._endpoints:
+            queued += sum(len(endpoint._queue) for endpoint in self._endpoints)
+        return queued
 
     @property
     def endpoints(self) -> tuple:
@@ -537,8 +533,7 @@ class PhotonicSession:
             raise ConfigurationError(
                 f"weight matrix must be 2-D, got shape {weights.shape}"
             )
-        # A private copy: the queue must not alias the caller's buffer.
-        x = np.array(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         out_features, in_features = weights.shape
         if x.shape != (in_features,):
             raise ConfigurationError(
@@ -546,7 +541,7 @@ class PhotonicSession:
             )
         gain = self._validated_gain(gain)
         self._submit_count += 1
-        label = f"dense {out_features}x{in_features} request #{self._submit_count}"
+        label = ("dense {}x{} request #{}", out_features, in_features, self._submit_count)
         future = self._new_future(label, deadline, tenant)
         if future.done:
             return future
@@ -554,16 +549,16 @@ class PhotonicSession:
         # resolves "auto" by the one range-calibration rule (per tile on
         # a grid).  Requests at different gains never share a batch.
         gain = 1.0 if gain is None else gain
-        if out_features <= self.rows and in_features <= self.columns:
-            if weights.shape != (self.rows, self.columns):
-                padded = np.zeros((self.rows, self.columns), dtype=weights.dtype)
-                padded[:out_features, :in_features] = weights
-                weights = padded
-                x = np.concatenate([x, np.zeros(self.columns - in_features)])
-            self.scheduler.enqueue("native", weights, x, future, gain, out_features)
+        # The queue holds a private input, never the caller's buffer; the
+        # scheduler pads the weights, once per flush window.
+        columns = self.columns
+        if out_features <= self.rows and in_features <= columns:
+            padded = np.zeros(columns)
+            padded[:in_features] = x
+            self.scheduler.enqueue("native", weights, padded, future, gain, out_features)
             self._queued(future, "native")
         else:
-            self.scheduler.enqueue("tiled", weights, x, future, gain)
+            self.scheduler.enqueue("tiled", weights, x.copy(), future, gain)
             self._queued(future, "tiled")
         return future
 
@@ -602,7 +597,7 @@ class PhotonicSession:
         image = normalize_image(image, kernels.shape[1])
         out_rows, out_cols = output_shape(image.shape[1:], kernel_size, stride)
         self._submit_count += 1
-        label = f"conv {kernels.shape[0]}-kernel request #{self._submit_count}"
+        label = ("conv {}-kernel request #{}", kernels.shape[0], self._submit_count)
         shape = (kernels.shape[0], out_rows, out_cols)
         future = self._new_future(label, deadline, tenant, shape=shape)
         if future.done:
@@ -918,14 +913,15 @@ class PhotonicSession:
 
     def _new_future(
         self,
-        label: str,
+        label: tuple,
         deadline: float | None,
         tenant: str | None,
         shape: tuple | None = None,
     ) -> Future:
         """A future for the next flush, carrying its absolute deadline;
         shed at once (it never enters a queue) when the relative
-        ``deadline`` is already non-positive."""
+        ``deadline`` is already non-positive.  ``label`` is the
+        ``(template, *args)`` its label formats from on first read."""
         deadline_at = self._resolve_deadline(deadline)
         future = Future(self, label, self._flushes + 1, shape=shape)
         future._deadline = deadline_at

@@ -321,9 +321,7 @@ class MutateMustInvalidate(Rule):
     severity = Severity.ERROR
     contract = (
         "a method assigning a registered compiled-state attribute "
-        "(trim_errors, spec, reference_voltages, _bank, ladders, "
-        "q_positive/q_negative/float_weights/weight_scale, _ring_table) "
-        "on a class "
+        f"({', '.join(INVALIDATION_REGISTRY)}) on a class "
         "that defines the matching invalidate_* hook must call that "
         "hook; only __init__ and the hook itself assign freely"
     )

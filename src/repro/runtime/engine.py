@@ -21,12 +21,22 @@ the bank, which the row ADCs of a core share while their trims agree)
 plus, per weight program, one whole-core pSRAM write and one pass for
 the response matrix: a select from the core's two-state ring table, a
 product along each macro's buses and a contraction over the bit
-planes, for every row at once.  A
-:class:`~repro.runtime.tiling.TiledMatmul` grid is one such snapshot
-per tile, all taken on one core (an in-grid program is a one-tile
-grid), so the flush executor
-(:class:`~repro.runtime.scheduler.BatchScheduler`) can recompile any
-dense program on every cache miss.
+planes, for every row at once.
+
+One kernel (:meth:`CompiledCore.evaluate`) serves every dense batch:
+a stacked ``np.matmul`` of tile responses against input chunks, one
+read-out at per-tile front gains under one drift residual, ladder
+binning (one ``searchsorted`` when every row shares a ladder) and
+dequantisation through a per-program table holding the estimate of
+each of the ``levels`` codes, built by :meth:`CompiledCore.
+dequantize_codes` so every code goes through the device loop's
+arithmetic.  :meth:`CompiledCore.matmul` is its one-tile case; a
+:class:`~repro.runtime.tiling.TiledMatmul` grid (one snapshot per
+tile, all taken on one core; an in-grid program is a one-tile grid)
+runs its whole tile stack through it in one pass, so the flush
+executor (:class:`~repro.runtime.scheduler.BatchScheduler`) pays one
+kernel pass per grid in a batch and can recompile any dense program
+on every cache miss.
 """
 
 from __future__ import annotations
@@ -72,10 +82,35 @@ class BatchResult:
         )
 
 
-def _common_ladder(boundaries: np.ndarray) -> np.ndarray | None:
-    """The ladder every row shares (one ``searchsorted`` then bins the
-    whole batch), or None when any row's differs."""
-    return boundaries[0] if (boundaries[1:] == boundaries[0]).all() else None
+def check_unit_inputs(batch: np.ndarray) -> None:
+    """Reject a batch of analog inputs reaching outside [0, 1]."""
+    if batch.size and (batch.min() < 0.0 or batch.max() > 1.0):
+        raise ConfigurationError(
+            "analog inputs must lie in [0, 1], got range "
+            f"[{batch.min():.6g}, {batch.max():.6g}]"
+        )
+
+
+def common_ladder(boundaries: np.ndarray) -> np.ndarray | None:
+    """The ladder every row of ``boundaries`` (..., rows, levels - 1)
+    shares (one ``searchsorted`` then bins the whole batch), or None
+    when any row's differs."""
+    rows = boundaries.reshape(-1, boundaries.shape[-1])
+    return rows[0] if (rows[1:] == rows[0]).all() else None
+
+
+def _bin(voltages: np.ndarray, boundaries: np.ndarray, ladder) -> np.ndarray:
+    """Codes of voltages (..., rows, batch) against the per-row ladders
+    (..., rows, levels - 1): one ``searchsorted`` against ``ladder``
+    when every row shares it, else one per row."""
+    if ladder is not None:
+        return np.searchsorted(ladder, voltages, side="right")
+    edges = boundaries.reshape(-1, boundaries.shape[-1])
+    codes = np.empty(voltages.shape, dtype=int)
+    flat_codes = codes.reshape(len(edges), -1)
+    for row, row_voltages in enumerate(voltages.reshape(len(edges), -1)):
+        flat_codes[row] = np.searchsorted(edges[row], row_voltages, side="right")
+    return codes
 
 
 class CompiledCore:
@@ -104,7 +139,7 @@ class CompiledCore:
         self.response = row_responses(core.row_cores)
         #: (rows, levels - 1) exact per-row code-transition voltages.
         self.boundaries = core.row_ladders()
-        self._shared_ladder = _common_ladder(self.boundaries)
+        self._shared_ladder = common_ladder(self.boundaries)
 
         adc = core.row_adcs[0]
         self.adc_bits = adc.bits
@@ -114,6 +149,7 @@ class CompiledCore:
         self._tia_gain = core.tia_gain
         self._full_scale_current = core.full_scale_current
         self.sample_rate = adc.sample_rate
+        self._table = None
 
         # Drift-aware compilation: the engine keeps a *live* reference
         # to the core's DriftState (hardware truth evolves under it)
@@ -198,7 +234,7 @@ class CompiledCore:
         self.weight_matrix = np.asarray(arrays["weight_matrix"], dtype=np.int64)
         self.response = np.asarray(arrays["response"], dtype=float)
         self.boundaries = np.asarray(arrays["boundaries"], dtype=float)
-        self._shared_ladder = _common_ladder(self.boundaries)
+        self._shared_ladder = common_ladder(self.boundaries)
         self.adc_bits = int(meta["adc_bits"])
         self.adc_levels = int(meta["adc_levels"])
         self._adc_lsb = float(meta["adc_lsb"])
@@ -206,6 +242,7 @@ class CompiledCore:
         self._tia_gain = float(meta["tia_gain"])
         self._full_scale_current = float(meta["full_scale_current"])
         self.sample_rate = float(meta["sample_rate"])
+        self._table = None
         compensation = meta.get("compensation")
         if drift_state is not None and drift_state.active:
             self._drift = drift_state
@@ -228,22 +265,8 @@ class CompiledCore:
             raise ConfigurationError(
                 f"input batch must be ({self.columns}, batch), got shape {batch.shape}"
             )
-        if batch.size and (batch.min() < 0.0 or batch.max() > 1.0):
-            raise ConfigurationError(
-                "analog inputs must lie in [0, 1], got range "
-                f"[{batch.min():.6g}, {batch.max():.6g}]"
-            )
+        check_unit_inputs(batch)
         return batch
-
-    def quantize_voltages(self, voltages: np.ndarray) -> np.ndarray:
-        """Bin row voltages (rows, batch) into codes against the exact
-        per-row ADC ladders."""
-        if self._shared_ladder is not None:
-            return np.searchsorted(self._shared_ladder, voltages, side="right")
-        codes = np.empty(voltages.shape, dtype=int)
-        for row in range(self.rows):
-            codes[row] = np.searchsorted(self.boundaries[row], voltages[row], side="right")
-        return codes
 
     def dequantize_codes(self, codes) -> np.ndarray:
         """Map p-bit codes back to dot-product units.
@@ -260,11 +283,42 @@ class CompiledCore:
         )
         return current / unit * 2.0**self.weight_bits
 
+    def evaluate(
+        self, responses, chunks, gains, boundaries, ladder, residual=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one dense kernel: tiles compiled on this program's core,
+        evaluated at once.
+
+        ``responses`` (..., rows, columns) meet their input ``chunks``
+        (..., columns, batch) in one ``np.matmul``; one read-out at the
+        front gains ``gains * tia_gain`` (``gains`` a number or an array
+        broadcasting per tile) under the drift residual the tiles share;
+        :func:`_bin` against ``boundaries`` (..., rows, levels - 1) or
+        their shared ``ladder``; then the dequantisation table, divided
+        by the gain.  Every step is elementwise or one BLAS call per
+        contiguous tile, so each tile's result is bit-for-bit its own
+        evaluation.  Returns ``(currents, codes, estimates)``;
+        ``residual`` as in :meth:`matmul`.
+        """
+        if residual is None and self._drift is not None:
+            residual = self._drift.truth().relative_to(self._calibration)
+        currents, voltages = apply_read_out(
+            residual,
+            np.matmul(responses, chunks),
+            gains * self._tia_gain,
+            self._full_scale_voltage,
+        )
+        codes = _bin(voltages, boundaries, ladder)
+        if self._table is None:
+            # Built on first use: a grid evaluates through one tile.
+            self._table = self.dequantize_codes(np.arange(self.adc_levels))
+        return currents, codes, self._table[codes] / gains
+
     def matmul(self, batch, gain: float = 1.0, residual=None) -> BatchResult:
         """Batched photonic W @ X for X of shape (columns, batch).
 
-        One dense matrix product plus vectorized ADC binning; column b
-        of the result carries the codes the device loop would emit for
+        The one-tile case of :meth:`evaluate`; column b of the result
+        carries the codes the device loop would emit for
         ``matvec(X[:, b], gain)``.
 
         ``residual`` overrides the drift the evaluation suffers: None
@@ -278,14 +332,9 @@ class CompiledCore:
         if gain <= 0.0:
             raise ConfigurationError(f"TIA gain must be positive, got {gain}")
         batch = self._validated_batch(batch)
-        if residual is None and self._drift is not None:
-            residual = self._drift.truth().relative_to(self._calibration)
-        currents = self.response @ batch
-        currents, voltages = apply_read_out(
-            residual, currents, gain * self._tia_gain, self._full_scale_voltage
+        currents, codes, estimates = self.evaluate(
+            self.response, batch, gain, self.boundaries, self._shared_ladder, residual
         )
-        codes = self.quantize_voltages(voltages)
-        estimates = self.dequantize_codes(codes) / gain
         return BatchResult(codes=codes, estimates=estimates, currents=currents)
 
     def matvec(self, x, gain: float = 1.0, residual=None) -> MatvecResult:

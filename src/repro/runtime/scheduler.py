@@ -19,6 +19,20 @@ sample period per input vector.  Traffic amortizes both:
   :meth:`~BatchScheduler.flush` loop evaluates every group as batched
   matmuls, paying the Python/ADC dispatch once per batch.
 
+Work that depends only on a dense weight program is done once per
+program per *flush window* (the requests queued between two flushes):
+the first request of a window for given weight content runs the
+weight checks, pads the matrix to the tile, keys it
+(:func:`~repro.runtime.engine.weight_key`) and resolves its ``"auto"``
+gain; later requests with the same content — same shape, dtype and
+bytes — look that up and range-check only their own input.  The memo
+is cleared with the pending groups on every flush exit, failures
+included, so it lives one window and needs no bound or invalidation:
+an in-place edit of the caller's array changes its bytes and misses.
+Groups stay keyed on the canonical key of the padded matrix, so
+copies of one matrix in other integer dtypes or memory layouts still
+share one batch.
+
 Accounting rides on the device models: load energy is one pSRAM switch
 per set weight bit of the program, analog time/energy come from
 :class:`~repro.core.performance.PerformanceModel`, and every cache hit
@@ -359,11 +373,21 @@ class BatchScheduler:
             columns=self.core.columns,
             weight_bits=self.core.weight_bits,
         )
+        self.rows = self.core.rows
+        self.columns = self.core.columns
+        #: The ledger's constants: one ADC sample period [s] and one
+        #: tile's wall-plug power [W].
+        self._period = 1.0 / self.performance.sample_rate
+        self._tile_power = self.performance.total_power
         self.cache = WeightProgramCache(cache_capacity)
         #: LRU of multi-tile and differential programs.
         self.tiled_cache = WeightProgramCache(4)
         self.max_batch = max_batch
         self._pending: dict[str, dict[tuple, _Group]] = {kind: {} for kind in _KINDS}
+        #: The flush window's checked dense programs: (shape, dtype,
+        #: bytes) of the weights as given -> (key, padded private copy,
+        #: resolved "auto" gain; None on a grid).
+        self._checked: dict[tuple, tuple] = {}
         self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
         #: Optional :class:`repro.telemetry.Telemetry` binding (set by
@@ -372,14 +396,6 @@ class BatchScheduler:
         self.telemetry = None
         #: The service clock while no telemetry binding is attached.
         self._clock = ModelClock()
-
-    @property
-    def rows(self) -> int:
-        return self.core.rows
-
-    @property
-    def columns(self) -> int:
-        return self.core.columns
 
     @property
     def pending(self) -> int:
@@ -426,30 +442,41 @@ class BatchScheduler:
         """Queue one request on its (program, gain) group.
 
         ``kind`` says what the other arguments hold: ``"native"`` — the
-        weight matrix and input padded to the tile; ``"tiled"`` — both
-        as given (larger than one tile); ``"conv"`` — the quantized pair
-        W+ stacked over W-, and one image's ``(encoded patches, patch
-        scales, weight scale)``.  Dense requests are validated here, and
-        a dense ``gain="auto"`` is range-calibrated from the weights
-        (per tile on a grid).  ``handle`` is what the flush resolves (a
-        session future or a :class:`Ticket`); ``rows`` keeps that many
-        outputs of a native request (None: a Ticket, given the whole
+        weight matrix as given (at most one tile; padded here) and the
+        input padded to the tile; ``"tiled"`` — both as given (larger
+        than one tile); ``"conv"`` — the quantized pair W+ stacked over
+        W-, and one image's ``(encoded patches, patch scales, weight
+        scale)``.  Dense requests are validated here (the weights once
+        per flush window, see :meth:`_dense_program`), and a native
+        ``gain="auto"`` takes the gain calibrated there.  ``handle`` is
+        what the flush resolves (a session future or a
+        :class:`Ticket`); ``rows`` keeps that many outputs of a native
+        request (None: a Ticket, given the whole
         :class:`MatvecResult`).  The caller hands over ``column``.
         """
         if kind == "conv":
             key = b"conv:" + weight_key(source)
         else:
-            source = self._checked_dense(source, column)
-            key = weight_key(source)
-            if kind == "native" and gain == "auto":
-                gain = auto_range_gain(source, self.columns * self.core.max_weight)
+            key, source, auto = self._dense_program(kind, source)
+            if gain == "auto" and auto is not None:
+                gain = auto
+            # The ufunc reductions ``ndarray.min``/``max`` wrap, without the
+            # wrapper's per-call cost; a NaN fails the negated test.
+            if column.size and not (
+                0.0 <= np.minimum.reduce(column) and np.maximum.reduce(column) <= 1.0
+            ):
+                raise ConfigurationError(
+                    f"analog inputs must lie in [0, 1], got range "
+                    f"[{column.min():.6g}, {column.max():.6g}]"
+                )
         table = self._pending[kind]
         group = table.get((key, gain))
         if group is None:
-            # Copy: an in-place change to the caller's array before the
-            # flush would compile other weights under this key and
-            # poison the program cache for every later request.
-            group = table[key, gain] = _Group(source.copy())
+            # A private source (dense programs hold one already): an
+            # in-place change to the caller's array before the flush
+            # would compile other weights under this key and poison the
+            # program cache for every later request.
+            group = table[key, gain] = _Group(source.copy() if kind == "conv" else source)
         group.inputs.append(column)
         group.handles.append(handle)
         group.rows.append(rows)
@@ -458,31 +485,52 @@ class BatchScheduler:
         self._queued += 1
         self._stats.requests += 1
 
-    def _checked_dense(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The dense-request check every dense route shares; returns the
-        weights as an int array.  Non-integral weights are rejected,
-        not truncated, and each range test is a negated in-range
-        comparison, so a NaN (false under every comparison) fails it."""
-        weights = np.asarray(weights)
+    def _dense_program(self, kind: str, weights: np.ndarray) -> tuple:
+        """The window's checked program for these weights: ``(key,
+        source, auto gain)`` (see ``_checked``).
+
+        Looked up by the weights' exact content as given, never by
+        their int64 cast (``[[2.5]]`` casts to ``[[2]]``, so a cast key
+        would let a non-integral matrix skip the check), and only for
+        numeric dtypes (an object array's bytes are pointers).  A miss
+        validates the caller's matrix before padding it, so an error
+        reports the caller's range; then it takes a private int copy
+        (``"native"``: padded to the tile, with its ``"auto"`` gain
+        range-calibrated; a grid calibrates per tile at compile) and
+        keys it.  Non-integral weights are rejected, not truncated, and
+        the range test is a negated in-range comparison, so a NaN
+        (false under every comparison) fails it.
+        """
+        memo = weights.dtype.kind in "biuf"
+        if memo:
+            content = (weights.shape, weights.dtype, weights.tobytes())
+            program = self._checked.get(content)
+            if program is not None:
+                return program
         if weights.dtype.kind not in "biu" and not np.all(
             np.isfinite(weights) & (weights == np.floor(weights))
         ):
             raise ConfigurationError(
                 "weights must be integers, got non-integral entries"
             )
-        weights = np.asarray(weights, dtype=int)
+        checked = np.asarray(weights, dtype=int)
         max_weight = self.core.max_weight
-        if weights.size and not (0 <= weights.min() and weights.max() <= max_weight):
+        if checked.size and not (0 <= checked.min() and checked.max() <= max_weight):
             raise ConfigurationError(
                 f"weights must lie in [0, {max_weight}], got range "
-                f"[{weights.min()}, {weights.max()}]"
+                f"[{checked.min()}, {checked.max()}]"
             )
-        if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
-            raise ConfigurationError(
-                f"analog inputs must lie in [0, 1], got range "
-                f"[{x.min():.6g}, {x.max():.6g}]"
-            )
-        return weights
+        auto = None
+        if kind == "native":
+            source = np.zeros((self.rows, self.columns), dtype=int)
+            source[: checked.shape[0], : checked.shape[1]] = checked
+            auto = auto_range_gain(source, self.columns * max_weight)
+        else:
+            source = checked.copy()
+        program = (weight_key(source), source, auto)
+        if memo:
+            self._checked[content] = program
+        return program
 
     # -- the shared flush helpers --------------------------------------------
     def _service_clock(self) -> ModelClock:
@@ -575,17 +623,20 @@ class BatchScheduler:
         """Charge analog evaluation to the ledger and the service clock:
         one ADC sample period per input column and analog pass, the
         active grid burning ``tiles`` times one tile's power."""
-        period = 1.0 / self.performance.sample_rate
+        period = self._period
         seconds = columns * period * passes
         stats = self._stats
         stats.samples += columns * passes
         stats.analog_time += seconds
-        stats.analog_energy += columns * period * self.performance.total_power * tiles
+        stats.analog_energy += columns * period * self._tile_power * tiles
         self._service_clock().advance(seconds)
 
     def _clear_pending(self) -> None:
+        """End the flush window: drop every pending group and the
+        window's checked programs."""
         for table in self._pending.values():
             table.clear()
+        self._checked.clear()
         self._queued = 0
 
     # -- evaluation ----------------------------------------------------------
@@ -642,8 +693,7 @@ class BatchScheduler:
                 if kind == "conv"
                 else len(inputs)
             )
-            period = 1.0 / self.performance.sample_rate
-            live = self._shed(handles, columns * period * program.passes)
+            live = self._shed(handles, columns * self._period * program.passes)
             if live is not None:
                 inputs = [inputs[index] for index in live]
                 handles = [handles[index] for index in live]

@@ -12,12 +12,20 @@ contribute nothing, so no masking is needed on the way out.
 A grid compiles on, and overwrites, the core it is given (tile shape,
 precision, technology, ladder memo and drift state all come from it):
 each tile's block is loaded into its pSRAM and snapshotted
-(:class:`~repro.runtime.engine.CompiledCore`) once at construction, so
-batched evaluation stays dense end-to-end.  An in-grid program is a
-one-tile grid.  Per-tile row-TIA gains are chosen from the tile's own weight block (``gain=
-"auto"``): a block holding small weights uses a hotter TIA so its
-partial sums still resolve against the full eoADC ladder — the
-per-tile ADC range calibration a real deployment performs.
+(:class:`~repro.runtime.engine.CompiledCore`) once at construction.
+The grid holds its tiles' responses as one ``(row_tiles, column_tiles,
+rows, columns)`` stack (and their ladders likewise); each tile's
+``response`` and ``boundaries`` are views into it, so there is one
+copy, and :meth:`TiledMatmul.matmul` evaluates the whole stack in one
+pass of :meth:`~repro.runtime.engine.CompiledCore.evaluate`: the batch
+is padded once and split into per-column-tile chunks, every tile's
+codes come from one stacked matmul and read-out, and the column
+tiles' estimates are summed in order.  An in-grid program is a
+one-tile grid.  Per-tile row-TIA gains are chosen from the tile's own
+weight block (``gain="auto"``): a block holding small weights uses a
+hotter TIA so its partial sums still resolve against the full eoADC
+ladder — the per-tile ADC range calibration a real deployment
+performs.
 
 The price of tiling is one output quantization *per column tile*
 instead of one per output; :meth:`quantization_error_bound` exposes the
@@ -33,9 +41,9 @@ import numpy as np
 
 from ..config import default_technology
 from ..core.tensor_core import PhotonicTensorCore
-from ..errors import MappingError
+from ..errors import ConfigurationError, MappingError
 from ..ml.mapping import iter_tile_blocks, tile_grid
-from .engine import CompiledCore
+from .engine import CompiledCore, check_unit_inputs, common_ladder
 
 
 @dataclass
@@ -191,8 +199,7 @@ class TiledMatmul:
         #: defaults; a float ``gain`` argument to matvec/matmul
         #: overrides them globally for that call).
         self.gains = np.ones((self.row_tiles, self.column_tiles))
-        #: Grid of compiled tile programs, [row_tile][col_tile].
-        self.tiles: list[list[CompiledCore]] = [[] for _ in range(self.row_tiles)]
+        tiles: list[CompiledCore] = []
 
         full_scale_dot = self.tile_columns * self.max_weight
         load_energy = 0.0
@@ -218,9 +225,33 @@ class TiledMatmul:
             # is charged by the set-bit rule, not by what ``core`` held.
             core.load_weight_matrix(block)
             load_energy += core.program_energy(block)
-            self.tiles[row_tile].append(core.compile())
+            tiles.append(core.compile())
+        self._stack(
+            tiles,
+            np.stack([tile.response for tile in tiles]),
+            np.stack([tile.boundaries for tile in tiles]),
+        )
         self.weight_update_energy = load_energy
         self.weight_update_time = self.column_tiles * core.weight_update_time()
+
+    def _stack(self, tiles: list[CompiledCore], responses, boundaries) -> None:
+        """Hold ``tiles`` (row-major) as the grid and their (tiles, rows,
+        ...) ``responses`` and ``boundaries`` as its stacks, each
+        tile's arrays becoming views into them."""
+        grid = (self.row_tiles, self.column_tiles)
+        #: (row_tiles, column_tiles, rows, columns) tile responses.
+        self.tile_responses = responses.reshape(grid + responses.shape[1:])
+        #: (row_tiles, column_tiles, rows, levels - 1) tile ladders.
+        self.tile_boundaries = boundaries.reshape(grid + boundaries.shape[1:])
+        self._ladder = common_ladder(self.tile_boundaries)
+        for index, tile in enumerate(tiles):
+            tile.response = self.tile_responses[divmod(index, self.column_tiles)]
+            tile.boundaries = self.tile_boundaries[divmod(index, self.column_tiles)]
+        #: Grid of compiled tile programs, [row_tile][col_tile].
+        self.tiles = [
+            tiles[start : start + self.column_tiles]
+            for start in range(0, len(tiles), self.column_tiles)
+        ]
 
     # -- persistence ---------------------------------------------------------
     def state_dict(self) -> dict:
@@ -231,11 +262,7 @@ class TiledMatmul:
         a grid compiles on the same core, so the ADC scalars and drift
         trims are common).  :meth:`from_state` rebuilds a
         bit-for-bit equal grid without compiling."""
-        flat = [
-            self.tiles[row_tile][col_tile]
-            for row_tile in range(self.row_tiles)
-            for col_tile in range(self.column_tiles)
-        ]
+        flat = [tile for band in self.tiles for tile in band]
         tile_meta = flat[0].state_dict()["meta"]
         return {
             "arrays": {
@@ -243,8 +270,12 @@ class TiledMatmul:
                     np.asarray(self.weight_matrix, dtype=np.int64)
                 ),
                 "gains": np.asarray(self.gains, dtype=float),
-                "tile_responses": np.stack([tile.response for tile in flat]),
-                "tile_boundaries": np.stack([tile.boundaries for tile in flat]),
+                "tile_responses": self.tile_responses.reshape(
+                    (-1,) + self.tile_responses.shape[2:]
+                ),
+                "tile_boundaries": self.tile_boundaries.reshape(
+                    (-1,) + self.tile_boundaries.shape[2:]
+                ),
                 "tile_weights": np.stack(
                     [np.asarray(tile.weight_matrix, dtype=np.int64) for tile in flat]
                 ),
@@ -292,28 +323,23 @@ class TiledMatmul:
             else 0
         )
         tile_meta = meta["tile"]
-        responses = arrays["tile_responses"]
-        boundaries = arrays["tile_boundaries"]
+        responses = np.asarray(arrays["tile_responses"], dtype=float)
+        boundaries = np.asarray(arrays["tile_boundaries"], dtype=float)
         weights = arrays["tile_weights"]
-        self.tiles = []
-        flat_index = 0
-        for _ in range(self.row_tiles):
-            band: list[CompiledCore] = []
-            for _ in range(self.column_tiles):
-                band.append(
-                    CompiledCore.from_state(
-                        {
-                            "response": responses[flat_index],
-                            "boundaries": boundaries[flat_index],
-                            "weight_matrix": weights[flat_index],
-                        },
-                        tile_meta,
-                        self.technology,
-                        drift_state=drift_state,
-                    )
-                )
-                flat_index += 1
-            self.tiles.append(band)
+        tiles = [
+            CompiledCore.from_state(
+                {
+                    "response": responses[index],
+                    "boundaries": boundaries[index],
+                    "weight_matrix": weights[index],
+                },
+                tile_meta,
+                self.technology,
+                drift_state=drift_state,
+            )
+            for index in range(self.row_tiles * self.column_tiles)
+        ]
+        self._stack(tiles, responses, boundaries)
         self.weight_update_energy = float(meta["weight_update_energy"])
         self.weight_update_time = float(meta["weight_update_time"])
         return self
@@ -377,21 +403,33 @@ class TiledMatmul:
         """Batched W @ X for X of shape (in_features, samples).
 
         Returns dequantized estimates (out_features, samples).  ``gain``
-        overrides every tile's calibrated TIA gain when given.
+        overrides every tile's calibrated TIA gain when given.  The
+        batch is validated and zero-padded once, every tile evaluates in
+        one :meth:`~repro.runtime.engine.CompiledCore.evaluate` pass,
+        and each row band sums its column tiles' estimates in column
+        order.
         """
         batch = self._validated_batch(batch)
+        if gain is None:
+            gains = self.gains[:, :, np.newaxis, np.newaxis]
+        else:
+            gains = float(gain)
+            if gains <= 0.0:
+                raise ConfigurationError(f"TIA gain must be positive, got {gains}")
+        check_unit_inputs(batch)
         samples = batch.shape[1]
-        result = np.zeros((self.out_features, samples))
-        for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in (
-            iter_tile_blocks(self.out_features, self.in_features,
-                             self.tile_rows, self.tile_columns)
-        ):
-            chunk = np.zeros((self.tile_columns, samples))
-            chunk[: col_stop - col_start] = batch[col_start:col_stop]
-            tile_gain = self.gains[row_tile, col_tile] if gain is None else float(gain)
-            partial = self.tiles[row_tile][col_tile].matmul(chunk, gain=tile_gain)
-            result[row_start:row_stop] += partial.estimates[: row_stop - row_start]
-        return result
+        padded = np.zeros((self.column_tiles * self.tile_columns, samples))
+        padded[: self.in_features] = batch
+        chunks = padded.reshape(self.column_tiles, self.tile_columns, samples)
+        _, _, estimates = self.tiles[0][0].evaluate(
+            self.tile_responses, chunks, gains, self.tile_boundaries, self._ladder
+        )
+        total = estimates[:, 0]
+        for col_tile in range(1, self.column_tiles):
+            total = total + estimates[:, col_tile]
+        # A fresh result: a future's value never pins the stacked estimates.
+        rows = self.row_tiles * self.tile_rows
+        return total.reshape(rows, samples)[: self.out_features].copy()
 
     def matvec(self, x, gain: float | None = None) -> np.ndarray:
         """Tiled W @ x for a single input vector."""

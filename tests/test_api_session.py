@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError, PendingFlushError
 from repro.ml.convolution import PhotonicConv2d
 from repro.ml.datasets import gaussian_blobs
 from repro.ml.network import MLP, PhotonicMLP
+from repro.runtime.engine import CompiledCore
 
 
 @pytest.fixture()
@@ -335,3 +336,80 @@ class TestLoadEnergyRule:
         assert spent(lambda s: s.check_health()) == expected
         assert spent(lambda s: None, store) == expected
         assert store.restores == 1
+
+
+class TestFlushWindowMemo:
+    """Weight checks, padding and the program key run once per weight
+    content per flush window; every request still range-checks its
+    own input."""
+
+    def test_sub_tile_range_error_reports_the_callers_range(self, tech):
+        """Regression: the padding zeros leaked into the message of a
+        sub-tile request ("got range [0, 9]")."""
+        session = PhotonicSession(technology=tech, grid=(8, 8))
+        weights = np.full((4, 6), 3)
+        weights[1, 2] = 9
+        with pytest.raises(ConfigurationError, match=r"got range \[3, 9\]"):
+            session.submit(weights, np.zeros(6))
+        assert session.pending == 0
+
+    def test_non_integral_matrix_with_a_memoised_cast_is_rejected(self, session, tech):
+        """The window memo keys on the bytes as given, never on the int64
+        cast: [[2.5]] casts like [[2.0]] but must still fail the check."""
+        rng = np.random.default_rng(31)
+        for shape in ((3, 4), (7, 9)):
+            weights = rng.integers(1, 7, shape).astype(float)
+            x = rng.uniform(0.0, 1.0, shape[1])
+            accepted = session.submit(weights, x)
+            bad = weights.copy()
+            bad[0, 0] += 0.5
+            assert np.array_equal(bad.astype(np.int64), weights.astype(np.int64))
+            with pytest.raises(ConfigurationError, match="integers"):
+                session.submit(bad, x)
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            expected = alone.submit(weights.astype(int), x).result()
+            assert np.array_equal(accepted.result(), expected)
+
+    def test_in_place_edit_between_submits_serves_each_matrix(self, session, tech):
+        """An edit to the caller's array between two submits of one
+        window changes its bytes, so the second submit is its own
+        program: each future equals its own matrix served alone."""
+        rng = np.random.default_rng(32)
+        for shape in ((3, 4), (4, 6), (7, 9)):
+            weights = rng.integers(0, 8, shape)
+            x = rng.uniform(0.0, 1.0, shape[1])
+            first = session.submit(weights, x)
+            original = weights.copy()
+            weights[0] = 7 - weights[0]
+            second = session.submit(weights, x)
+            session.flush()
+            for future, matrix in ((first, original), (second, weights)):
+                alone = PhotonicSession(technology=tech, grid=(4, 6)).submit(matrix, x)
+                assert np.array_equal(future.value, alone.result())
+                assert (future.codes is None) == (alone.codes is None)
+                if future.codes is not None:
+                    assert np.array_equal(future.codes, alone.codes)
+
+    def test_memo_is_empty_after_every_flush(self, session, monkeypatch):
+        """The memo lives one flush window: every flush exit clears it,
+        a flush whose kernel raised included."""
+        rng = np.random.default_rng(33)
+        scheduler = session.scheduler
+
+        def submit_both():
+            session.submit(rng.integers(0, 8, (3, 4)), rng.uniform(0.0, 1.0, 4))
+            session.submit(rng.integers(0, 8, (7, 9)), rng.uniform(0.0, 1.0, 9))
+            assert len(scheduler._checked) == 2
+
+        submit_both()
+        session.flush()
+        assert scheduler._checked == {}
+        submit_both()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(CompiledCore, "matmul", boom)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            session.flush()
+        assert scheduler._checked == {} and session.pending == 0

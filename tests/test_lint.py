@@ -128,6 +128,17 @@ def test_registry_has_exactly_the_documented_rules():
         assert rule.contract and rule.rationale
 
 
+def test_mutate_contract_lists_exactly_the_registered_attributes():
+    """The contract ``repro lint --catalog`` prints names the registry's
+    keys, so a renamed key cannot leave stale text behind."""
+    from repro.lint.rules_telemetry import INVALIDATION_REGISTRY
+
+    all_rules()
+    contract = RULES["mutate-must-invalidate"].contract
+    listed = contract[contract.index("(") + 1 : contract.index(")")]
+    assert listed.split(", ") == list(INVALIDATION_REGISTRY)
+
+
 def test_rule_scoping():
     all_rules()
     out_of_scope = _module("src/repro/core/tensor_core.py", "x = 1\n")

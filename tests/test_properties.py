@@ -31,7 +31,9 @@ from repro.photonics.signal import WDMSignal, merge_signals
 from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
 from repro.health import DriftState, LaserPowerDecay, TiaGainDrift
+from repro.health.drift import apply_read_out
 from repro.ml.layers import compile_differential_engines
+from repro.ml.mapping import iter_tile_blocks
 from repro.runtime.engine import CompiledCore
 from repro.runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from repro.sim.transient import FirstOrderLag
@@ -322,18 +324,74 @@ def test_ring_table_loads_equal_per_ring_walk(length, bits, plan, data):
             assert_matches_per_ring_walk(core, inputs)
 
 
+# -- the stacked grid kernel vs the per-tile loop -----------------------------
+
+
+def reference_tile_matmul(tile, chunk, gain):
+    """One tile evaluated alone, the way ``CompiledCore.matmul`` did
+    before grids ran as one stack: its own matrix product, read-out
+    under the live drift residual, per-row ladder binning and
+    code-by-code dequantisation.  Returns (codes, estimates)."""
+    residual = None
+    if tile._drift is not None:
+        residual = tile._drift.truth().relative_to(tile._calibration)
+    _, voltages = apply_read_out(
+        residual, tile.response @ chunk, gain * tile._tia_gain, tile._full_scale_voltage
+    )
+    codes = np.stack(
+        [np.searchsorted(edges, row, side="right") for edges, row in zip(tile.boundaries, voltages)]
+    )
+    return codes, tile.dequantize_codes(codes) / gain
+
+
+def reference_grid_matmul(grid, batch, gain=None):
+    """The per-tile loop ``TiledMatmul.matmul`` replaced: every tile on
+    its zero-padded chunk, each row band summing its column tiles'
+    estimates in order from zero.  Returns (estimates, codes per tile)."""
+    samples = batch.shape[1]
+    result = np.zeros((grid.out_features, samples))
+    codes = {}
+    for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in iter_tile_blocks(
+        grid.out_features, grid.in_features, grid.tile_rows, grid.tile_columns
+    ):
+        chunk = np.zeros((grid.tile_columns, samples))
+        chunk[: col_stop - col_start] = batch[col_start:col_stop]
+        tile_gain = grid.gains[row_tile, col_tile] if gain is None else float(gain)
+        tile_codes, estimates = reference_tile_matmul(
+            grid.tiles[row_tile][col_tile], chunk, tile_gain
+        )
+        codes[row_tile, col_tile] = tile_codes
+        result[row_start:row_stop] += estimates[: row_stop - row_start]
+    return result, codes
+
+
+def reference_matmul(program, batch, gain=None):
+    """:func:`reference_grid_matmul` of a grid or a differential pair."""
+    if isinstance(program, DifferentialProgram):
+        raw = reference_grid_matmul(program.positive, batch, gain)[0]
+        if program.negative is not None:
+            raw = raw - reference_grid_matmul(program.negative, batch, gain)[0]
+        return raw
+    return reference_grid_matmul(program, batch, gain)[0]
+
+
 @given(
     shape=st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
     tile=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
     gain=st.sampled_from(("auto", 1.0, 2.5)),
+    override=st.sampled_from((None, 0.7, 3.0)),
     loads=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=12, deadline=None)
-def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(shape, tile, gain, loads, seed):
+def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(
+    shape, tile, gain, override, loads, seed
+):
     """Compiling overwrites the given core's pSRAM and reads nothing it
     held before: a grid compiled on a core that already served random
-    loads equals one compiled on a fresh core, load energy included."""
+    loads equals one compiled on a fresh core, load energy included,
+    and both evaluate like the per-tile loop, with or without a
+    per-call gain override."""
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, 8, shape)
     used = PhotonicTensorCore(rows=tile[0], columns=tile[1])
@@ -349,7 +407,9 @@ def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(shape, tile, ga
     assert np.array_equal(on_used.gains, on_fresh.gains)
     assert on_used.weight_update_energy == on_fresh.weight_update_energy
     batch = rng.uniform(0.0, 1.0, (shape[1], 3))
-    assert np.array_equal(on_used.matmul(batch), on_fresh.matmul(batch))
+    estimates = on_used.matmul(batch, gain=override)
+    assert np.array_equal(estimates, on_fresh.matmul(batch, gain=override))
+    assert np.array_equal(estimates, reference_matmul(on_fresh, batch, override))
 
 
 # -- eoADC bank vs the per-ring walk ------------------------------------------
@@ -525,29 +585,45 @@ EXEC_PROGRAMS = {
     "conv": [_EXEC_RNG.normal(0.0, 1.0, (2, 2, 2)) for _ in range(2)],
 }
 #: The class whose matmul evaluates each group kind's batches, and the
-#: kinds a failure there breaks (tiles are CompiledCores, differential
-#: programs are TiledMatmul pairs).
+#: kinds a failure there breaks (in-grid batches run on a one-tile
+#: grid's CompiledCore, a grid evaluates its tile stack itself, and
+#: differential programs are TiledMatmul pairs).
 EXEC_KERNELS = {
-    "native": (CompiledCore, {"native", "tiled", "conv"}),
+    "native": (CompiledCore, {"native"}),
     "tiled": (TiledMatmul, {"tiled", "conv"}),
     "conv": (DifferentialProgram, {"conv"}),
 }
+#: Dtype and memory-layout variants a caller may submit one dense
+#: matrix in; every variant keys, and batches with, the same program.
+EXEC_LAYOUTS = {
+    "int64": lambda weights: weights.astype(np.int64),
+    "int32": lambda weights: weights.astype(np.int32),
+    "uint8": lambda weights: weights.astype(np.uint8),
+    "float64": lambda weights: weights.astype(np.float64),
+    "fortran": np.asfortranarray,
+}
 
 
-def _exec_case(route, program, gain, frac, seed):
-    """(route, program, gain, deadline fraction, input) of one request."""
+def _exec_case(route, program, gain, frac, seed, layout):
+    """(route, program, gain, deadline fraction, input, weight layout)
+    of one request."""
     rng = np.random.default_rng(seed)
     if route == "conv":
-        return route, program, None if gain == "auto" else gain, frac, rng.uniform(0.0, 1.0, (4, 4))
+        x = rng.uniform(0.0, 1.0, (4, 4))
+        return route, program, None if gain == "auto" else gain, frac, x, layout
     columns = EXEC_PROGRAMS[route][program].shape[1]
-    return route, program, gain, frac, rng.uniform(0.0, 1.0, columns)
+    return route, program, gain, frac, rng.uniform(0.0, 1.0, columns), layout
 
 
-def _exec_submit(session, case, deadline):
-    route, program, gain, _, x = case
+def _exec_submit(session, case, deadline, canonical=False):
+    """Submit ``case``, its dense weights in the case's layout unless
+    ``canonical``."""
+    route, program, gain, _, x, layout = case
     weights = EXEC_PROGRAMS[route][program]
     if route == "conv":
         return session.submit_conv(weights, x, gain=gain, deadline=deadline)
+    if not canonical:
+        weights = EXEC_LAYOUTS[layout](weights)
     return session.submit(weights, x, gain=gain, deadline=deadline)
 
 
@@ -557,7 +633,7 @@ def _exec_session(**kwargs):
 
 def _device_codes(core, case):
     """Codes of :meth:`PhotonicTensorCore.matvec` on the padded problem."""
-    route, program, gain, _, x = case
+    route, program, gain, _, x, _ = case
     weights = EXEC_PROGRAMS[route][program]
     padded_w = np.zeros(EXEC_GRID, dtype=int)
     padded_w[: weights.shape[0], : weights.shape[1]] = weights
@@ -580,6 +656,7 @@ def _device_codes(core, case):
             # Deadline as a fraction of the flush's unshed service time.
             st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.25)),
             st.integers(min_value=0, max_value=2**16),
+            st.sampled_from(tuple(EXEC_LAYOUTS)),
         ),
         min_size=1,
         max_size=12,
@@ -594,6 +671,13 @@ def test_flush_executor_matches_requests_served_alone(requests, data):
         _exec_submit(dry, case, None)
     dry.flush()
     span = dry.report().total_latency
+    # Every dtype and layout variant joins its program's group: the same
+    # batches and ledger as the matrices submitted as canonical int64.
+    canonical = _exec_session()
+    for case in cases:
+        _exec_submit(canonical, case, None, canonical=True)
+    canonical.flush()
+    assert canonical.report() == dry.report()
     deadlines = [None if case[3] is None else case[3] * span for case in cases]
 
     runs = []
@@ -730,4 +814,82 @@ def test_store_round_trip_is_exact(shape, tile, gain, drift, differential, seed)
     assert type(restored) is type(program)
     _assert_same_state(restored.state_dict(), program.state_dict())
     batch = rng.uniform(0.0, 1.0, (shape[1], 3))
-    assert np.array_equal(restored.matmul(batch, **evaluate), program.matmul(batch, **evaluate))
+    estimates = restored.matmul(batch, **evaluate)
+    assert np.array_equal(estimates, program.matmul(batch, **evaluate))
+    assert np.array_equal(estimates, reference_matmul(restored, batch, **evaluate))
+
+
+@given(
+    shape=st.tuples(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20)),
+    tile=st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)),
+    weight_bits=st.integers(min_value=1, max_value=4),
+    adc_bits=st.integers(min_value=2, max_value=6),
+    trim_lsb=st.sampled_from((None, 0.0, 0.05, 1.0)),
+    gain=st.sampled_from(("auto", 1.0, 2.5)),
+    override=st.sampled_from((None, 0.7, 3.0)),
+    drift=st.sampled_from((None, "aged", "recalibrated", "stale")),
+    differential=st.booleans(),
+    samples=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_grid_equals_per_tile_loop(
+    shape, tile, weight_bits, adc_bits, trim_lsb, gain, override, drift, differential,
+    samples, seed,
+):
+    """A grid evaluated as one stack — one matmul, one read-out, one
+    binning pass and one table lookup for every tile — equals the
+    per-tile loop bit for bit: every precision, row ADCs mistrimmed
+    apart (distinct ladders, binned per row) or sharing one ladder,
+    calibrated, explicit and overridden gains, drift aged, recalibrated
+    before the compile or after it (stale trims), and differential
+    pairs.  A one-tile grid's codes equal the per-tile loop's, and the
+    device loop's while its trims are current and its staircases
+    monotone (a part mistrimmed by a whole LSB converts non-monotonically,
+    which no ladder reproduces)."""
+    rng = np.random.default_rng(seed)
+    core = PhotonicTensorCore(
+        rows=tile[0], columns=tile[1], weight_bits=weight_bits, adc_bits=adc_bits
+    )
+    if trim_lsb is not None:
+        core.row_adcs = [
+            _mistrimmed_adc(adc_bits, trim_lsb, False, seed + row) for row in range(tile[0])
+        ]
+        core.invalidate_ladders()
+    state = None
+    if drift is not None:
+        state = DriftState((LaserPowerDecay(rate_per_s=1e-2), TiaGainDrift(drift_per_s=-8e-4)))
+        core.drift_state = state
+        state.advance(30.0)
+        if drift == "recalibrated":
+            state.recalibrate()
+    top = 2**weight_bits
+    if differential:
+        program = DifferentialProgram(
+            *compile_differential_engines(
+                rng.integers(0, top, shape), rng.integers(0, top, shape) * rng.integers(0, 2), core
+            )
+        )
+    else:
+        program = TiledMatmul(rng.integers(0, top, shape), core, gain=gain)
+    if state is not None:
+        if drift == "stale":
+            state.recalibrate()
+        state.advance(5.0)
+    batch = rng.uniform(0.0, 1.0, (shape[1], samples))
+    # A grid runs at its calibrated gains and at the override; a
+    # differential pair always takes a per-call gain.
+    calls = [1.0 if override is None else override] if differential else [None, override]
+    for call_gain in calls:
+        estimates = program.matmul(batch, gain=call_gain)
+        assert np.array_equal(estimates, reference_matmul(program, batch, call_gain))
+
+    if not differential and program.tile_count == 1:
+        padded = np.zeros((tile[1], samples))
+        padded[: shape[1]] = batch
+        tile_gain = program.gains[0, 0] if override is None else override
+        codes = program.tiles[0][0].matmul(padded, gain=tile_gain).codes
+        assert np.array_equal(codes, reference_grid_matmul(program, batch, override)[1][0, 0])
+        if drift != "stale" and (trim_lsb is None or trim_lsb < 0.3):
+            device = [core.matvec(column, gain=tile_gain).codes for column in padded.T]
+            assert np.array_equal(codes, np.stack(device, axis=1))
