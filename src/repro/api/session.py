@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import Technology, default_technology
-from ..core.quantization import quantize_weights_differential
 from ..elastic import ProgramStore, core_fingerprint
 from ..errors import ConfigurationError
 from ..health.drift import DriftModel, DriftState
@@ -43,9 +42,8 @@ from ..health.monitor import HealthMonitor, HealthPolicy, HealthReport
 from ..ml.convolution import (
     PhotonicConv2d,
     avg_pool2d,
-    encode_patch_batch,
-    im2col_channels,
     normalize_image,
+    normalize_image_batch,
     normalize_kernel_bank,
     output_shape,
 )
@@ -130,6 +128,11 @@ class DeployedModel:
 
     # -- request path --------------------------------------------------------
     def _validated_batch(self, batch: ArrayLike) -> np.ndarray:
+        """The batch as float, checked at submit so a bad batch is never
+        queued: its shape for the model's input domain, finite entries,
+        and the input checks a compute first stage makes at drain (a
+        Dense layer's feature count and non-negative intensities, a
+        Conv2d's channel count and non-negative intensities)."""
         batch = np.asarray(batch, dtype=float)
         if self.model.input_domain == "vector":
             if batch.ndim != 2 or len(batch) == 0:
@@ -142,6 +145,22 @@ class DeployedModel:
                 f"model '{self.label}' expects a non-empty image batch "
                 f"(batch, H, W) or (batch, channels, H, W), got shape {batch.shape}"
             )
+        if not np.isfinite(batch).all():
+            raise ConfigurationError(f"model '{self.label}' inputs must be finite")
+        first = self.stages[0]
+        if isinstance(first.spec, Conv2d):
+            normalize_image_batch(batch, first.layer.in_channels)
+        elif isinstance(first.spec, Dense):
+            if batch.shape[1] != first.layer.in_features:
+                raise ConfigurationError(
+                    f"model '{self.label}' expects {first.layer.in_features} "
+                    f"features, got shape {batch.shape}"
+                )
+            if (batch < 0.0).any():
+                raise ConfigurationError(
+                    f"model '{self.label}' inputs are analog intensities "
+                    f"for its Dense input layer and must be non-negative"
+                )
         return batch
 
     def submit(
@@ -232,10 +251,8 @@ class DeployedModel:
         return current
 
     def _charge(self, layer: PhotonicDense | PhotonicConv2d, samples: int) -> None:
-        positive, negative = layer.runtime_engines()
-        passes = 2 if negative is not None else 1
-        tiles = positive.tile_count + (negative.tile_count if negative else 0)
-        self._session.scheduler._charge(samples, passes, tiles)
+        program = layer.runtime_program()
+        self._session.scheduler._charge(samples, program.passes, program.tile_count)
 
     def __repr__(self) -> str:
         return (
@@ -574,14 +591,17 @@ class PhotonicSession:
     ) -> Future:
         """Queue one im2col convolution; returns its :class:`Future`.
 
-        ``kernels`` is a float bank of shape (n, k, k) — or
-        (n, channels, k, k) — quantized here into a differential conv
-        program keyed on the quantized integers, so repeated banks hit
-        the shared program cache; ``image`` is a finite, non-negative
-        (H, W) or (channels, H, W) intensity map.  ``gain`` is the
-        row-TIA range setting applied to every tile (None = native
-        1.0); the per-tile ``"auto"`` calibration is not offered here
-        because differential halves must digitize at one common gain to
+        ``kernels`` is a float bank of finite taps, of shape (n, k, k)
+        — or (n, channels, k, k) — quantized (once per bank per flush
+        window, by the scheduler) into a differential conv program
+        keyed on the quantized integers, so repeated banks hit the
+        shared program cache; ``image`` is a finite, non-negative
+        (H, W) or (channels, H, W) intensity map, validated here and
+        queued as a private copy: the flush unrolls and encodes the
+        batch's images together.  ``gain`` is the row-TIA range
+        setting applied to every tile (None = native 1.0); the
+        per-tile ``"auto"`` calibration is not offered here because
+        differential halves must digitize at one common gain to
         subtract exactly.  ``deadline`` / ``tenant`` follow the
         :meth:`submit` semantics; a request already expired at submit
         is shed before any quantization or im2col work.
@@ -602,18 +622,12 @@ class PhotonicSession:
         future = self._new_future(label, deadline, tenant, shape=shape)
         if future.done:
             return future
-        q_positive, q_negative, weight_scale = quantize_weights_differential(
-            kernels.reshape(kernels.shape[0], -1), self.core.weight_bits
-        )
-        encoded, scales = encode_patch_batch(
-            im2col_channels(image, kernel_size, stride)
-        )
-        # Conv programs share the tiled LRU under a "conv:" key prefix,
-        # so a kernel bank never collides with a plain weight matrix.
+        # A private copy: ``normalize_image`` may return a view of the
+        # caller's array, which could change before the flush unrolls it.
         self.scheduler.enqueue(
             "conv",
-            np.concatenate([q_positive, q_negative]),
-            (encoded, scales, weight_scale),
+            kernels,
+            (image.copy(), kernel_size, stride, out_rows * out_cols),
             future,
             gain,
         )
@@ -682,7 +696,7 @@ class PhotonicSession:
         compiled model layer share one program)."""
         source = np.concatenate([layer.q_positive, layer.q_negative])
         program = self.scheduler._program("conv", prefix + weight_key(source), source)
-        layer.attach_engines(program.positive, program.negative)
+        layer.attach_program(program)
 
     def _calibrate(self, stages: list[CompiledStage], batch: ArrayLike) -> None:
         """Propagate a float calibration batch through the stage chain,

@@ -11,15 +11,18 @@ patch dot product flows through the analog path and the eoADC.
 Two execution paths share that mapping.  The device-loop path streams
 one patch at a time through :class:`~repro.ml.mapping.MatrixTiler`
 (faithful, slow); ``runtime=True`` shards the flattened kernel matrix
-onto compiled :class:`~repro.runtime.tiling.TiledMatmul` grids and
+onto a compiled :class:`~repro.runtime.tiling.DifferentialProgram` and
 evaluates every patch of an image — or a whole image batch — as one
-dense matmul, code-for-code equal to the loop.
+dense pass over both differential halves, code-for-code equal to the
+loop.  :func:`im2col_channels` unrolls one volume or a whole
+(batch, channels, H, W) stack in one strided copy, so a batch of
+images costs one unroll and one :func:`encode_patch_batch` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..core.quantization import encode_inputs, quantize_weights_differential
 from ..core.tensor_core import PhotonicTensorCore
@@ -38,10 +41,7 @@ def im2col(image: np.ndarray, kernel_size: int, stride: int = 1) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ConfigurationError("im2col expects a 2-D image")
-    _validate_window(image.shape, kernel_size, stride)
-    windows = sliding_window_view(image, (kernel_size, kernel_size))
-    windows = windows[::stride, ::stride]
-    return windows.reshape(-1, kernel_size * kernel_size).T
+    return im2col_channels(image[np.newaxis], kernel_size, stride)
 
 
 def im2col_channels(volume: np.ndarray, kernel_size: int, stride: int = 1) -> np.ndarray:
@@ -49,20 +49,32 @@ def im2col_channels(volume: np.ndarray, kernel_size: int, stride: int = 1) -> np
 
     Column p holds patch p's (channels, k, k) window flattened
     channel-major, matching ``kernels.reshape(n, -1)`` of a
-    (n, channels, k, k) kernel bank.
+    (n, channels, k, k) kernel bank.  A (batch, channels, H, W) stack
+    unrolls to (channels * k^2, batch * patches), each image's patches
+    in turn: the per-image unrolls side by side.  The windows are one
+    6-D strided view, copied once.
     """
     volume = np.asarray(volume, dtype=float)
-    if volume.ndim != 3:
-        raise ConfigurationError("im2col_channels expects a (channels, H, W) volume")
-    _validate_window(volume.shape[1:], kernel_size, stride)
-    windows = sliding_window_view(volume, (kernel_size, kernel_size), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    channels = volume.shape[0]
-    # (channels, rows, cols, k, k) -> (patches, channels * k^2) -> transpose.
-    patches = windows.transpose(1, 2, 0, 3, 4).reshape(
-        -1, channels * kernel_size * kernel_size
+    if volume.ndim not in (3, 4):
+        raise ConfigurationError(
+            "im2col_channels expects a (channels, H, W) volume "
+            "or a (batch, channels, H, W) stack"
+        )
+    stack = volume if volume.ndim == 4 else volume[np.newaxis]
+    batch, channels, height, width = stack.shape
+    rows, cols = output_shape((height, width), kernel_size, stride)
+    image_step, channel_step, row_step, col_step = stack.strides
+    # (batch, rows, cols, channels, k, k): patch-major, taps channel-major.
+    windows = as_strided(
+        stack,
+        shape=(batch, rows, cols, channels, kernel_size, kernel_size),
+        strides=(
+            image_step, row_step * stride, col_step * stride,
+            channel_step, row_step, col_step,
+        ),
+        writeable=False,
     )
-    return patches.T
+    return windows.reshape(-1, channels * kernel_size * kernel_size).T
 
 
 def _validate_window(image_shape, kernel_size: int, stride: int) -> None:
@@ -116,6 +128,8 @@ def normalize_kernel_bank(kernels) -> np.ndarray:
         raise ConfigurationError(
             "kernels must have shape (n, k, k) or (n, channels, k, k)"
         )
+    if not np.isfinite(kernels).all():
+        raise ConfigurationError("kernel taps must be finite")
     return kernels
 
 
@@ -132,15 +146,41 @@ def normalize_image(
     image = np.asarray(image, dtype=float)
     if image.ndim == 2:
         image = image[np.newaxis]
-    if image.ndim != 3 or image.shape[0] != channels:
+    if image.ndim != 3:
         raise ConfigurationError(
             f"image must be (H, W) or ({channels}, H, W), got shape {image.shape}"
         )
+    return _checked_images(image[np.newaxis], channels, require_non_negative)[0]
+
+
+def normalize_image_batch(images, channels: int) -> np.ndarray:
+    """Validate a non-empty image batch and promote it to (batch,
+    channels, H, W): :func:`normalize_image`'s checks and messages for
+    every image, made once on the stack.  Shared by the conv layer's
+    batch forward and the model endpoints' submit."""
+    images = np.asarray(images, dtype=float)
+    if images.ndim not in (3, 4) or len(images) == 0:
+        raise ConfigurationError(
+            f"image batch must be non-empty 3-D or 4-D, got shape {images.shape}"
+        )
+    if images.ndim == 3:
+        images = images[:, np.newaxis]
+    return _checked_images(images, channels, True)
+
+
+def _checked_images(
+    images: np.ndarray, channels: int, require_non_negative: bool
+) -> np.ndarray:
+    """The per-image checks, made on a (batch, c, H, W) stack."""
+    if images.shape[1] != channels:
+        raise ConfigurationError(
+            f"image must be (H, W) or ({channels}, H, W), got shape {images.shape[1:]}"
+        )
     # A negated in-range test: NaN fails every comparison, so it is
     # rejected too.
-    if require_non_negative and not np.all(np.isfinite(image) & (image >= 0.0)):
+    if require_non_negative and not (np.isfinite(images) & (images >= 0.0)).all():
         raise ConfigurationError("image intensities must be finite and non-negative")
-    return image
+    return images
 
 
 def avg_pool2d(maps: np.ndarray, size: int = 2) -> np.ndarray:
@@ -175,11 +215,12 @@ class PhotonicConv2d:
     the analog matmul path.
 
     ``runtime=True`` switches the forward passes onto the compiled
-    :class:`~repro.runtime.tiling.TiledMatmul` fast path: the flattened
-    kernel matrix is sharded once onto compiled tile grids (same tile
-    shape, weight/ADC bits and technology as ``core``) and all patches
-    of an image — or of a whole batch via :meth:`forward_batch` —
-    evaluate as dense matmuls, matching the loop path code-for-code.
+    :class:`~repro.runtime.tiling.DifferentialProgram` fast path: the
+    flattened kernel matrix is sharded once onto compiled tile grids
+    (same tile shape, weight/ADC bits and technology as ``core``) and
+    all patches of an image — or of a whole batch via
+    :meth:`forward_batch` — evaluate in one pass over both differential
+    halves, matching the loop path code-for-code.
     """
 
     def __init__(
@@ -204,8 +245,7 @@ class PhotonicConv2d:
         )
         self.tiler = MatrixTiler(core)
         self.runtime = runtime
-        self._runtime_positive = None
-        self._runtime_negative = None
+        self._runtime_program = None
 
     @property
     def num_kernels(self) -> int:
@@ -248,20 +288,14 @@ class PhotonicConv2d:
         """Convolve a whole image batch.
 
         ``images`` has shape (batch, H, W) or (batch, channels, H, W);
-        returns (batch, num_kernels, out_rows, out_cols).  On the
-        runtime path every patch of every image lands in one dense
-        compiled matmul.
+        returns (batch, num_kernels, out_rows, out_cols).  The stack is
+        validated and unrolled once; on the runtime path every patch of
+        every image lands in one compiled differential pass.
         """
-        images = np.asarray(images, dtype=float)
-        if images.ndim not in (3, 4) or len(images) == 0:
-            raise ConfigurationError(
-                f"image batch must be non-empty 3-D or 4-D, got shape {images.shape}"
-            )
-        stack = [self._validated_image(image) for image in images]
-        rows, cols = output_shape(stack[0].shape[1:], self.kernel_size, self.stride)
-        patches = np.concatenate([self._patches(image) for image in stack], axis=1)
-        outputs = self._forward_patches(patches)
-        return outputs.reshape(self.num_kernels, len(stack), rows, cols).transpose(
+        images = normalize_image_batch(images, self.in_channels)
+        rows, cols = output_shape(images.shape[2:], self.kernel_size, self.stride)
+        outputs = self._forward_patches(self._patches(images))
+        return outputs.reshape(self.num_kernels, len(images), rows, cols).transpose(
             1, 0, 2, 3
         )
 
@@ -280,39 +314,40 @@ class PhotonicConv2d:
         return outputs
 
     def _forward_patches_runtime(self, patches: np.ndarray) -> np.ndarray:
-        positive_engine, negative_engine = self.runtime_engines()
         encoded, scales = encode_patch_batch(patches)
-        raw = positive_engine.matmul(encoded, gain=self.gain)
-        if negative_engine is not None:
-            raw = raw - negative_engine.matmul(encoded, gain=self.gain)
+        raw = self.runtime_program().matmul(encoded, gain=self.gain)
         return raw * self.weight_scale * scales
 
-    def runtime_engines(self):
-        """Compiled (positive, negative) tile grids for the quantized
-        kernel arrays, compiling lazily on first use.  Session compiles
-        pre-bind cached engines via :meth:`attach_engines`."""
-        from .layers import compile_differential_engines
+    def runtime_program(self):
+        """The quantized kernel arrays compiled as a
+        :class:`~repro.runtime.tiling.DifferentialProgram`, compiling
+        lazily on first use.  Session compiles pre-bind a cached
+        program via :meth:`attach_program`."""
+        from .layers import compile_differential_program
 
-        if self._runtime_positive is None:
-            self._runtime_positive, self._runtime_negative = (
-                compile_differential_engines(self.q_positive, self.q_negative, self.core)
+        if self._runtime_program is None:
+            self._runtime_program = compile_differential_program(
+                self.q_positive, self.q_negative, self.core
             )
-        return self._runtime_positive, self._runtime_negative
+        return self._runtime_program
 
-    def attach_engines(self, positive, negative) -> None:
-        """Bind pre-compiled tile engines (e.g. a cached conv program
-        from a :class:`~repro.api.PhotonicSession` cache) so the
-        runtime forward skips its lazy compile."""
-        self._runtime_positive = positive
-        self._runtime_negative = negative
+    def attach_program(self, program) -> None:
+        """Bind a pre-compiled differential program (e.g. a cached conv
+        program from a :class:`~repro.api.PhotonicSession` cache) so
+        the runtime forward skips its lazy compile."""
+        self._runtime_program = program
+
+    @property
+    def _runtime_positive(self):
+        """The compiled positive grid (None until compiled)."""
+        return None if self._runtime_program is None else self._runtime_program.positive
 
     def invalidate_runtime(self) -> None:
-        """Drop compiled runtime engines so the next runtime forward
+        """Drop the compiled runtime program so the next runtime forward
         recompiles from the current quantized arrays — call after
         mutating ``q_positive``/``q_negative`` in place, exactly as
         :meth:`PhotonicDense.invalidate_runtime` on the dense layer."""
-        self._runtime_positive = None
-        self._runtime_negative = None
+        self._runtime_program = None
 
     def forward_float(self, image: np.ndarray) -> np.ndarray:
         """Exact reference convolution (no photonics)."""

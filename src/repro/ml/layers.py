@@ -24,6 +24,7 @@ from ..core.quantization import (
 )
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import ConfigurationError
+from .convolution import encode_patch_batch
 from .mapping import MatrixTiler
 
 
@@ -51,15 +52,25 @@ def compile_differential_engines(q_positive, q_negative, core: PhotonicTensorCor
     return positive, negative
 
 
+def compile_differential_program(q_positive, q_negative, core: PhotonicTensorCore):
+    """:func:`compile_differential_engines` as one
+    :class:`~repro.runtime.tiling.DifferentialProgram`, the unit the
+    layers' runtime forwards and the session's program cache evaluate."""
+    from ..runtime.tiling import DifferentialProgram
+
+    return DifferentialProgram(*compile_differential_engines(q_positive, q_negative, core))
+
+
 class PhotonicDense:
     """A dense layer whose matmul runs on the photonic tensor core.
 
     ``runtime=True`` switches :meth:`forward` onto the compiled
     :class:`repro.runtime.TiledMatmul` fast path: the quantized weight
     arrays are sharded once onto tile grids compiled on ``core`` and
-    every batch evaluates as dense numpy products instead of the
-    per-sample device loop.  The physics is identical — the engines are
-    compiled from the same device models — so the outputs match the
+    every batch evaluates as one
+    :class:`~repro.runtime.tiling.DifferentialProgram` pass instead of
+    the per-sample device loop.  The physics is identical — the engines
+    are compiled from the same device models — so the outputs match the
     loop path.
     """
 
@@ -77,8 +88,7 @@ class PhotonicDense:
         #: Programmable row-TIA gain (ADC range setting); 1.0 = native.
         self.gain = 1.0
         self.runtime = runtime
-        self._runtime_positive = None
-        self._runtime_negative = None
+        self._runtime_program = None
         self.bias = None
         self.set_weights(weights, bias=bias)
 
@@ -122,12 +132,11 @@ class PhotonicDense:
         self.invalidate_runtime()
 
     def invalidate_runtime(self) -> None:
-        """Drop compiled runtime engines so the next runtime forward
+        """Drop the compiled runtime program so the next runtime forward
         recompiles from the current quantized arrays.  Called by
         :meth:`set_weights`; call it directly after mutating
         ``float_weights``/``q_positive``/``q_negative`` in place."""
-        self._runtime_positive = None
-        self._runtime_negative = None
+        self._runtime_program = None
 
     def calibrate_gain(self, batch: np.ndarray, headroom: float = 1.25) -> float:
         """Pick the TIA gain from a representative input batch.
@@ -170,36 +179,40 @@ class PhotonicDense:
         raw = positive - negative
         return raw * self.weight_scale * input_scale + self.bias
 
-    def runtime_engines(self):
-        """Compiled (positive, negative) tile grids for the quantized
-        weight arrays, compiling lazily on first use.  The negative
-        engine is None for an all-non-negative program.  Session
-        compiles pre-bind cached engines via :meth:`attach_engines`."""
-        if self._runtime_positive is None:
-            self._runtime_positive, self._runtime_negative = (
-                compile_differential_engines(self.q_positive, self.q_negative, self.core)
+    def runtime_program(self):
+        """The quantized weight arrays compiled as a
+        :class:`~repro.runtime.tiling.DifferentialProgram`, compiling
+        lazily on first use (its negative grid is None for an
+        all-non-negative program).  Session compiles pre-bind a cached
+        program via :meth:`attach_program`."""
+        if self._runtime_program is None:
+            self._runtime_program = compile_differential_program(
+                self.q_positive, self.q_negative, self.core
             )
-        return self._runtime_positive, self._runtime_negative
+        return self._runtime_program
 
-    def attach_engines(self, positive, negative) -> None:
-        """Bind pre-compiled tile engines (e.g. a cached
-        :class:`~repro.runtime.tiling.DifferentialProgram` pair from a
+    def attach_program(self, program) -> None:
+        """Bind a pre-compiled differential program (e.g. from a
         :class:`~repro.api.PhotonicSession` program cache) so the
         runtime forward skips its lazy compile."""
-        self._runtime_positive = positive
-        self._runtime_negative = negative
+        self._runtime_program = program
+
+    @property
+    def _runtime_positive(self):
+        """The compiled positive grid (None until compiled)."""
+        return None if self._runtime_program is None else self._runtime_program.positive
+
+    @property
+    def _runtime_negative(self):
+        """The compiled negative grid (None until compiled, or for an
+        all-non-negative program)."""
+        return None if self._runtime_program is None else self._runtime_program.negative
 
     def _forward_runtime(self, batch: np.ndarray) -> np.ndarray:
-        """Batched compiled-engine forward (one matmul per weight array)."""
-        positive_engine, negative_engine = self.runtime_engines()
-        samples = batch.shape[0]
-        encoded = np.empty((self.in_features, samples))
-        input_scales = np.empty(samples)
-        for index, sample in enumerate(batch):
-            encoded[:, index], input_scales[index] = encode_inputs(sample)
-        raw = positive_engine.matmul(encoded, gain=self.gain)
-        if negative_engine is not None:
-            raw = raw - negative_engine.matmul(encoded, gain=self.gain)
+        """Batched compiled forward: every sample peak-encoded in one
+        pass, then one differential program pass."""
+        encoded, input_scales = encode_patch_batch(batch.T)
+        raw = self.runtime_program().matmul(encoded, gain=self.gain)
         return raw.T * self.weight_scale * input_scales[:, np.newaxis] + self.bias
 
     def forward(self, batch: np.ndarray) -> np.ndarray:

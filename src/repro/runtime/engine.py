@@ -33,10 +33,12 @@ dequantize_codes` so every code goes through the device loop's
 arithmetic.  :meth:`CompiledCore.matmul` is its one-tile case; a
 :class:`~repro.runtime.tiling.TiledMatmul` grid (one snapshot per
 tile, all taken on one core; an in-grid program is a one-tile grid)
-runs its whole tile stack through it in one pass, so the flush
-executor (:class:`~repro.runtime.scheduler.BatchScheduler`) pays one
-kernel pass per grid in a batch and can recompile any dense program
-on every cache miss.
+runs its whole tile stack through it in one pass, and a
+:class:`~repro.runtime.tiling.DifferentialProgram` its two grids'
+stack, so the flush executor
+(:class:`~repro.runtime.scheduler.BatchScheduler`) pays one kernel
+pass per program in a batch and can recompile any dense program on
+every cache miss.
 """
 
 from __future__ import annotations
@@ -83,8 +85,10 @@ class BatchResult:
 
 
 def check_unit_inputs(batch: np.ndarray) -> None:
-    """Reject a batch of analog inputs reaching outside [0, 1]."""
-    if batch.size and (batch.min() < 0.0 or batch.max() > 1.0):
+    """Reject a batch of analog inputs reaching outside [0, 1].  The
+    test is a negated in-range comparison, so a NaN (false under every
+    comparison) fails it, as it fails the device loop."""
+    if batch.size and not (0.0 <= batch.min() and batch.max() <= 1.0):
         raise ConfigurationError(
             "analog inputs must lie in [0, 1], got range "
             f"[{batch.min():.6g}, {batch.max():.6g}]"

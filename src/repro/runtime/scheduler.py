@@ -19,19 +19,31 @@ sample period per input vector.  Traffic amortizes both:
   :meth:`~BatchScheduler.flush` loop evaluates every group as batched
   matmuls, paying the Python/ADC dispatch once per batch.
 
-Work that depends only on a dense weight program is done once per
-program per *flush window* (the requests queued between two flushes):
-the first request of a window for given weight content runs the
-weight checks, pads the matrix to the tile, keys it
+Work that depends only on a weight program is done once per program
+per *flush window* (the requests queued between two flushes): the
+first request of a window for given weight content runs the weight
+checks, pads the matrix to the tile, keys it
 (:func:`~repro.runtime.engine.weight_key`) and resolves its ``"auto"``
 gain; later requests with the same content — same shape, dtype and
-bytes — look that up and range-check only their own input.  The memo
-is cleared with the pending groups on every flush exit, failures
+bytes — look that up and range-check only their own input.  A conv
+kernel bank is likewise quantized into its differential pair and
+keyed once per window, under a content key tagged ``"conv"``.  The
+memo is cleared with the pending groups on every flush exit, failures
 included, so it lives one window and needs no bound or invalidation:
 an in-place edit of the caller's array changes its bytes and misses.
-Groups stay keyed on the canonical key of the padded matrix, so
-copies of one matrix in other integer dtypes or memory layouts still
-share one batch.
+Groups stay keyed on the canonical key of the padded matrix (of the
+quantized pair, for a bank), so copies of one matrix in other integer
+dtypes or memory layouts still share one batch, as do banks that
+quantize to the same integers (each request keeps its own weight
+scale).
+
+Per-image conv work is done once per batch: a conv group queues each
+request's validated image (a private copy), and the flush unrolls the
+batch's images with one :func:`~repro.ml.convolution.im2col_channels`
+call per run of consecutive requests sharing an image shape, kernel
+size and stride, peak-encodes every patch with one
+:func:`~repro.ml.convolution.encode_patch_batch` call and evaluates
+the pair in one stacked kernel pass.
 
 Accounting rides on the device models: load energy is one pSRAM switch
 per set weight bit of the program, analog time/energy come from
@@ -46,17 +58,20 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ..config import Technology, default_technology
 from ..core.performance import PerformanceModel
+from ..core.quantization import quantize_weights_differential
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
-from ..ml.layers import compile_differential_engines
+from ..ml.convolution import encode_patch_batch, im2col_channels
+from ..ml.layers import compile_differential_program
 from ..telemetry.clock import ModelClock
 from .engine import weight_key
-from .tiling import DifferentialProgram, TiledMatmul, auto_range_gain
+from .tiling import TiledMatmul, auto_range_gain
 
 
 class WeightProgramCache:
@@ -384,9 +399,10 @@ class BatchScheduler:
         self.tiled_cache = WeightProgramCache(4)
         self.max_batch = max_batch
         self._pending: dict[str, dict[tuple, _Group]] = {kind: {} for kind in _KINDS}
-        #: The flush window's checked dense programs: (shape, dtype,
-        #: bytes) of the weights as given -> (key, padded private copy,
-        #: resolved "auto" gain; None on a grid).
+        #: The flush window's checked programs: (shape, dtype, bytes) of
+        #: dense weights as given -> (key, padded private copy, resolved
+        #: "auto" gain; None on a grid), and ("conv", shape, dtype,
+        #: bytes) of a float kernel bank -> (key, W+ over W-, scale).
         self._checked: dict[tuple, tuple] = {}
         self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
@@ -444,18 +460,21 @@ class BatchScheduler:
         ``kind`` says what the other arguments hold: ``"native"`` — the
         weight matrix as given (at most one tile; padded here) and the
         input padded to the tile; ``"tiled"`` — both as given (larger
-        than one tile); ``"conv"`` — the quantized pair W+ stacked over
-        W-, and one image's ``(encoded patches, patch scales, weight
-        scale)``.  Dense requests are validated here (the weights once
-        per flush window, see :meth:`_dense_program`), and a native
-        ``gain="auto"`` takes the gain calibrated there.  ``handle`` is
-        what the flush resolves (a session future or a
-        :class:`Ticket`); ``rows`` keeps that many outputs of a native
-        request (None: a Ticket, given the whole
+        than one tile); ``"conv"`` — the validated float kernel bank
+        (n, channels, k, k), quantized once per flush window (see
+        :meth:`_conv_program`), and one validated image's ``(private
+        (channels, H, W) copy, kernel size, stride, patch count)``,
+        unrolled and encoded with its batch at flush.  Dense requests
+        are validated here (the weights once per flush window, see
+        :meth:`_dense_program`), and a native ``gain="auto"`` takes the
+        gain calibrated there.  ``handle`` is what the flush resolves (a
+        session future or a :class:`Ticket`); ``rows`` keeps that many
+        outputs of a native request (None: a Ticket, given the whole
         :class:`MatvecResult`).  The caller hands over ``column``.
         """
         if kind == "conv":
-            key = b"conv:" + weight_key(source)
+            key, source, weight_scale = self._conv_program(source)
+            column = (*column, weight_scale)
         else:
             key, source, auto = self._dense_program(kind, source)
             if gain == "auto" and auto is not None:
@@ -472,11 +491,11 @@ class BatchScheduler:
         table = self._pending[kind]
         group = table.get((key, gain))
         if group is None:
-            # A private source (dense programs hold one already): an
-            # in-place change to the caller's array before the flush
-            # would compile other weights under this key and poison the
-            # program cache for every later request.
-            group = table[key, gain] = _Group(source.copy() if kind == "conv" else source)
+            # Every program source is a private array made by the window
+            # memo: an in-place change to the caller's array before the
+            # flush would otherwise compile other weights under this key
+            # and poison the program cache for every later request.
+            group = table[key, gain] = _Group(source)
         group.inputs.append(column)
         group.handles.append(handle)
         group.rows.append(rows)
@@ -532,6 +551,23 @@ class BatchScheduler:
             self._checked[content] = program
         return program
 
+    def _conv_program(self, kernels: np.ndarray) -> tuple:
+        """The window's quantized program for a validated float64 kernel
+        bank: ``(key, W+ stacked over W-, weight scale)`` (see
+        ``_checked``).  The ``"conv:"`` key prefix keeps a bank from
+        colliding with a plain weight matrix in the tiled LRU."""
+        content = ("conv", kernels.shape, kernels.dtype, kernels.tobytes())
+        program = self._checked.get(content)
+        if program is None:
+            q_positive, q_negative, weight_scale = quantize_weights_differential(
+                kernels.reshape(len(kernels), -1), self.core.weight_bits
+            )
+            pair = np.concatenate([q_positive, q_negative])
+            program = self._checked[content] = (
+                b"conv:" + weight_key(pair), pair, weight_scale
+            )
+        return program
+
     # -- the shared flush helpers --------------------------------------------
     def _service_clock(self) -> ModelClock:
         """The one modelled service clock: the telemetry binding's when
@@ -544,10 +580,7 @@ class BatchScheduler:
         if kind != "conv":
             return TiledMatmul(source, self.core)
         half = len(source) // 2
-        positive, negative = compile_differential_engines(
-            source[:half], source[half:], self.core
-        )
-        return DifferentialProgram(positive=positive, negative=negative)
+        return compile_differential_program(source[:half], source[half:], self.core)
 
     def _program(self, kind: str, key: bytes, source: np.ndarray):
         """Fetch, warm-restore or compile one program (``kind`` as in
@@ -689,9 +722,7 @@ class BatchScheduler:
         inputs, handles, rows = group.inputs[part], group.handles[part], group.rows[part]
         if judge and group.has_deadline:
             columns = (
-                sum(encoded.shape[1] for encoded, _, _ in inputs)
-                if kind == "conv"
-                else len(inputs)
+                sum(entry[3] for entry in inputs) if kind == "conv" else len(inputs)
             )
             live = self._shed(handles, columns * self._period * program.passes)
             if live is not None:
@@ -703,13 +734,13 @@ class BatchScheduler:
         clock = self._service_clock()
         start = clock.now
         if kind == "conv":
-            batch = np.concatenate([encoded for encoded, _, _ in inputs], axis=1)
+            batch, scales = encode_patch_batch(_unroll(inputs))
             raw = program.matmul(batch, gain=gain)
             offset = 0
-            for (encoded, scales, weight_scale), handle in zip(inputs, handles):
-                count = encoded.shape[1]
-                handle._resolve(raw[:, offset : offset + count] * weight_scale * scales)
-                offset += count
+            for (_, _, _, count, weight_scale), handle in zip(inputs, handles):
+                stop = offset + count
+                handle._resolve(raw[:, offset:stop] * weight_scale * scales[offset:stop])
+                offset = stop
         elif kind == "tiled":
             batch = np.stack(inputs, axis=1)
             estimates = program.matmul(batch, gain=None if gain == "auto" else gain)
@@ -755,3 +786,17 @@ class BatchScheduler:
     def stats(self) -> SchedulerStats:
         """Detached snapshot of the accounting so far."""
         return dataclasses.replace(self._stats, pending=self.pending)
+
+
+def _unroll(inputs: list) -> np.ndarray:
+    """The im2col columns of a conv batch's queued images, in request
+    order: one :func:`~repro.ml.convolution.im2col_channels` call on the
+    stacked images of each run of consecutive requests that share a
+    geometry (image shape, kernel size, stride)."""
+    parts = [
+        im2col_channels(np.stack([entry[0] for entry in run]), kernel_size, stride)
+        for (_, kernel_size, stride), run in groupby(
+            inputs, key=lambda entry: (entry[0].shape, entry[1], entry[2])
+        )
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

@@ -21,11 +21,16 @@ pass of :meth:`~repro.runtime.engine.CompiledCore.evaluate`: the batch
 is padded once and split into per-column-tile chunks, every tile's
 codes come from one stacked matmul and read-out, and the column
 tiles' estimates are summed in order.  An in-grid program is a
-one-tile grid.  Per-tile row-TIA gains are chosen from the tile's own
-weight block (``gain="auto"``): a block holding small weights uses a
-hotter TIA so its partial sums still resolve against the full eoADC
-ladder — the per-tile ADC range calibration a real deployment
-performs.
+one-tile grid.  A :class:`DifferentialProgram` stacks its two grids
+once more, ``(2, row_tiles, column_tiles, rows, columns)``, so a
+signed program is one pass too: one padded chunk set, one matmul, one
+read-out under one drift residual and one ``searchsorted`` when every
+row of both halves shares a ladder, each half's column tiles summed
+in order before the halves are subtracted.  Per-tile row-TIA gains
+are chosen from the tile's own weight block (``gain="auto"``): a
+block holding small weights uses a hotter TIA so its partial sums
+still resolve against the full eoADC ladder — the per-tile ADC range
+calibration a real deployment performs.
 
 The price of tiling is one output quantization *per column tile*
 instead of one per output; :meth:`quantization_error_bound` exposes the
@@ -57,10 +62,35 @@ class DifferentialProgram:
     quantize to the same integers share one compiled pair.  This is the
     unit the session's program cache stores for both the conv route and
     compiled model layers.
+
+    A pair holds both halves' tile responses and ladders as one ``(2,
+    row_tiles, column_tiles, rows, ...)`` stack, built once at
+    construction; each half's ``tile_responses`` and
+    ``tile_boundaries`` (and so each tile's arrays) become views into
+    it, so there is one copy, and :meth:`matmul` evaluates the pair in
+    one kernel pass.
     """
 
     positive: TiledMatmul
     negative: TiledMatmul | None
+
+    def __post_init__(self) -> None:
+        negative = self.negative
+        if negative is None:
+            return
+        halves = (self.positive, negative)
+        responses = np.stack([half.tile_responses for half in halves])
+        boundaries = np.stack([half.tile_boundaries for half in halves])
+        for half, half_responses, half_boundaries in zip(halves, responses, boundaries):
+            half._stack(
+                [tile for band in half.tiles for tile in band],
+                half_responses.reshape((-1,) + half_responses.shape[2:]),
+                half_boundaries.reshape((-1,) + half_boundaries.shape[2:]),
+            )
+        self._responses = responses
+        self._boundaries = boundaries
+        self._ladder = common_ladder(boundaries)
+        self._gains = np.stack([half.gains for half in halves])
 
     @property
     def calibration_epoch(self) -> int:
@@ -98,11 +128,16 @@ class DifferentialProgram:
         )
 
     def matmul(self, batch: np.ndarray, gain: float) -> np.ndarray:
-        """Differential W @ X in quantized dot units."""
-        raw = self.positive.matmul(batch, gain=gain)
-        if self.negative is not None:
-            raw = raw - self.negative.matmul(batch, gain=gain)
-        return raw
+        """Differential W @ X in quantized dot units: one kernel pass
+        over the pair's stack, then positive minus negative."""
+        positive = self.positive
+        if self.negative is None:
+            return positive.matmul(batch, gain=gain)
+        total = positive._evaluate(
+            batch, gain, self._responses, self._boundaries, self._ladder, self._gains
+        )
+        out_features = positive.out_features
+        return total[0, :out_features] - total[1, :out_features]
 
     # -- persistence ---------------------------------------------------------
     def state_dict(self) -> dict:
@@ -409,9 +444,23 @@ class TiledMatmul:
         and each row band sums its column tiles' estimates in column
         order.
         """
+        total = self._evaluate(
+            batch, gain, self.tile_responses, self.tile_boundaries, self._ladder, self.gains
+        )
+        # A fresh result: a future's value never pins the stacked estimates.
+        return total[: self.out_features].copy()
+
+    def _evaluate(self, batch, gain, responses, boundaries, ladder, gains) -> np.ndarray:
+        """One kernel pass over a stack laid out like this grid:
+        ``responses`` (..., row_tiles, column_tiles, rows, columns),
+        their ``boundaries``, shared ``ladder`` and per-tile ``gains``
+        (..., row_tiles, column_tiles), this grid's own or a
+        differential pair's stack of two.  Returns the (...,
+        row_tiles * rows, samples) estimates, each row band's column
+        tiles summed in column order."""
         batch = self._validated_batch(batch)
         if gain is None:
-            gains = self.gains[:, :, np.newaxis, np.newaxis]
+            gains = gains[..., np.newaxis, np.newaxis]
         else:
             gains = float(gain)
             if gains <= 0.0:
@@ -422,14 +471,12 @@ class TiledMatmul:
         padded[: self.in_features] = batch
         chunks = padded.reshape(self.column_tiles, self.tile_columns, samples)
         _, _, estimates = self.tiles[0][0].evaluate(
-            self.tile_responses, chunks, gains, self.tile_boundaries, self._ladder
+            responses, chunks, gains, boundaries, ladder
         )
-        total = estimates[:, 0]
+        total = estimates[..., 0, :, :]
         for col_tile in range(1, self.column_tiles):
-            total = total + estimates[:, col_tile]
-        # A fresh result: a future's value never pins the stacked estimates.
-        rows = self.row_tiles * self.tile_rows
-        return total.reshape(rows, samples)[: self.out_features].copy()
+            total = total + estimates[..., col_tile, :, :]
+        return total.reshape(total.shape[:-3] + (self.row_tiles * self.tile_rows, samples))
 
     def matvec(self, x, gain: float | None = None) -> np.ndarray:
         """Tiled W @ x for a single input vector."""

@@ -11,8 +11,10 @@ from repro.api import (
     Dense,
     FlushPolicy,
     Model,
+    PhotonicCluster,
     PhotonicSession,
     ReLU,
+    RoutingPolicy,
     RunReport,
 )
 from repro.core.psram import PsramBitcell
@@ -307,6 +309,83 @@ class TestDeployedModels:
         assert report.analog_time == pytest.approx(16 * period)
 
 
+    @pytest.mark.parametrize(
+        "first, bad",
+        [
+            ("conv", "nan pixel"),
+            ("conv", "channels"),
+            ("conv", "negative"),
+            ("dense", "negative"),
+            ("dense", "nan sample"),
+            ("dense", "features"),
+            ("relu", "nan sample"),
+        ],
+    )
+    def test_bad_batch_raises_at_submit_and_queues_nothing(self, session, first, bad):
+        """A batch the drain would choke on (or serve as NaN rows) is
+        refused at submit: nothing is queued, and a good batch queued
+        before it on the same endpoint still resolves."""
+        rng = np.random.default_rng(20)
+        if first == "conv":
+            layers = (Conv2d(rng.normal(0.0, 1.0, (2, 3, 3))),)
+            good = rng.uniform(0.0, 1.0, (2, 6, 6))
+        else:
+            layers = (Dense(rng.normal(0.0, 1.0, (3, 6))),)
+            if first == "relu":
+                layers = (ReLU(),) + layers
+            good = rng.uniform(0.0, 1.0, (2, 6))
+        endpoint = session.compile(Model.sequential(*layers))
+        batch = good.copy()
+        if bad in ("nan pixel", "nan sample"):
+            batch[1, 2] = np.nan
+        elif bad == "negative":
+            batch[0, 1] = -0.5
+        elif bad == "channels":
+            batch = np.stack([good, good], axis=1)
+        else:
+            batch = batch[:, :5]
+        queued = endpoint.submit(good)
+        with pytest.raises(ConfigurationError):
+            endpoint.submit(batch)
+        assert session.pending == 1
+        session.flush()
+        alone = PhotonicSession(technology=session.technology, grid=(4, 6))
+        expected = alone.compile(Model.sequential(*layers)).predict(good)
+        assert np.array_equal(queued.value, expected)
+
+    def test_relu_first_model_takes_negative_inputs(self, session):
+        rng = np.random.default_rng(21)
+        endpoint = session.compile(
+            Model.sequential(ReLU(), Dense(rng.normal(0.0, 1.0, (3, 6)))))
+        batch = rng.uniform(-1.0, 1.0, (2, 6))
+        assert endpoint.predict(batch).shape == (2, 3)
+
+
+@pytest.mark.parametrize("tap", [np.nan, np.inf, -np.inf])
+def test_non_finite_kernel_taps_are_rejected_at_every_entry_point(tech, tap):
+    """A NaN tap used to quantize to 0 (with a cast RuntimeWarning) and
+    an infinite one to serve infinite feature maps; every conv entry
+    point shares one kernel-bank validator, which refuses them."""
+    kernels = np.random.default_rng(22).normal(0.0, 1.0, (2, 3, 3))
+    kernels[1, 0, 2] = tap
+    image = np.full((6, 6), 0.5)
+    session = PhotonicSession(technology=tech, grid=(4, 6))
+    with pytest.raises(ConfigurationError, match="finite"):
+        session.submit_conv(kernels, image)
+    assert session.pending == 0
+    with pytest.raises(ConfigurationError, match="finite"):
+        Conv2d(kernels)
+    with pytest.raises(ConfigurationError, match="finite"):
+        PhotonicConv2d(kernels, PhotonicTensorCore(rows=4, columns=6, technology=tech))
+    cluster = PhotonicCluster(
+        cores=2, technology=tech, grid=(4, 6), routing=RoutingPolicy.cache_affinity()
+    )
+    with pytest.raises(ConfigurationError, match="finite"):
+        cluster._conv_route_key(kernels)
+    with pytest.raises(ConfigurationError, match="finite"):
+        cluster.submit_conv(kernels, image)
+
+
 class TestLoadEnergyRule:
     def test_in_grid_load_energy_is_a_property_of_the_program(self, tech, tmp_path):
         """Regression: an in-grid program was charged the pSRAM flips
@@ -389,6 +468,47 @@ class TestFlushWindowMemo:
                 assert (future.codes is None) == (alone.codes is None)
                 if future.codes is not None:
                     assert np.array_equal(future.codes, alone.codes)
+
+    def test_in_place_image_edit_after_submit_conv_keeps_the_value(self, session, tech):
+        """A conv request queues a private copy of its image: editing the
+        caller's array before the flush (which unrolls the batch) does
+        not change the served value."""
+        rng = np.random.default_rng(34)
+        kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+        for shape in ((6, 6), (1, 7, 5)):
+            image = rng.uniform(0.0, 1.0, shape)
+            original = image.copy()
+            future = session.submit_conv(kernels, image)
+            image[...] = 1.0 - image
+            session.flush()
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            assert np.array_equal(future.value, alone.submit_conv(kernels, original).result())
+
+    def test_conv_bank_quantizes_once_per_window(self, session, tech, monkeypatch):
+        """A kernel bank is quantized and keyed once per flush window; a
+        rescaled bank quantizes to the same integers, so it joins the
+        same batch, but keeps its own weight scale."""
+        import repro.runtime.scheduler as scheduler_module
+
+        calls = []
+        quantize = scheduler_module.quantize_weights_differential
+        monkeypatch.setattr(
+            scheduler_module,
+            "quantize_weights_differential",
+            lambda *args: calls.append(1) or quantize(*args),
+        )
+        rng = np.random.default_rng(35)
+        kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+        banks = (kernels, kernels.copy(), 0.5 * kernels, kernels)
+        images = rng.uniform(0.0, 1.0, (len(banks), 6, 6))
+        futures = [session.submit_conv(bank, image) for bank, image in zip(banks, images)]
+        assert len(calls) == 2
+        session.flush()
+        assert futures[0].report.batches == 1
+        assert session.scheduler._checked == {}
+        for bank, image, future in zip(banks, images, futures):
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            assert np.array_equal(future.value, alone.submit_conv(bank, image).result())
 
     def test_memo_is_empty_after_every_flush(self, session, monkeypatch):
         """The memo lives one flush window: every flush exit clears it,

@@ -32,6 +32,7 @@ from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
 from repro.health import DriftState, LaserPowerDecay, TiaGainDrift
 from repro.health.drift import apply_read_out
+from repro.ml.convolution import PhotonicConv2d, im2col_channels, output_shape
 from repro.ml.layers import compile_differential_engines
 from repro.ml.mapping import iter_tile_blocks
 from repro.runtime.engine import CompiledCore
@@ -586,11 +587,11 @@ EXEC_PROGRAMS = {
 }
 #: The class whose matmul evaluates each group kind's batches, and the
 #: kinds a failure there breaks (in-grid batches run on a one-tile
-#: grid's CompiledCore, a grid evaluates its tile stack itself, and
-#: differential programs are TiledMatmul pairs).
+#: grid's CompiledCore, a grid evaluates its tile stack itself, and a
+#: differential pair evaluates its two-grid stack itself).
 EXEC_KERNELS = {
     "native": (CompiledCore, {"native"}),
-    "tiled": (TiledMatmul, {"tiled", "conv"}),
+    "tiled": (TiledMatmul, {"tiled"}),
     "conv": (DifferentialProgram, {"conv"}),
 }
 #: Dtype and memory-layout variants a caller may submit one dense
@@ -604,24 +605,26 @@ EXEC_LAYOUTS = {
 }
 
 
-def _exec_case(route, program, gain, frac, seed, layout):
-    """(route, program, gain, deadline fraction, input, weight layout)
-    of one request."""
+def _exec_case(route, program, gain, frac, seed, layout, geometry):
+    """(route, program, gain, deadline fraction, input, weight layout,
+    conv stride) of one request; a conv image takes the drawn
+    (height, width, stride) ``geometry``."""
     rng = np.random.default_rng(seed)
     if route == "conv":
-        x = rng.uniform(0.0, 1.0, (4, 4))
-        return route, program, None if gain == "auto" else gain, frac, x, layout
+        height, width, stride = geometry
+        x = rng.uniform(0.0, 1.0, (height, width))
+        return route, program, None if gain == "auto" else gain, frac, x, layout, stride
     columns = EXEC_PROGRAMS[route][program].shape[1]
-    return route, program, gain, frac, rng.uniform(0.0, 1.0, columns), layout
+    return route, program, gain, frac, rng.uniform(0.0, 1.0, columns), layout, None
 
 
 def _exec_submit(session, case, deadline, canonical=False):
     """Submit ``case``, its dense weights in the case's layout unless
     ``canonical``."""
-    route, program, gain, _, x, layout = case
+    route, program, gain, _, x, layout, stride = case
     weights = EXEC_PROGRAMS[route][program]
     if route == "conv":
-        return session.submit_conv(weights, x, gain=gain, deadline=deadline)
+        return session.submit_conv(weights, x, stride=stride, gain=gain, deadline=deadline)
     if not canonical:
         weights = EXEC_LAYOUTS[layout](weights)
     return session.submit(weights, x, gain=gain, deadline=deadline)
@@ -633,7 +636,7 @@ def _exec_session(**kwargs):
 
 def _device_codes(core, case):
     """Codes of :meth:`PhotonicTensorCore.matvec` on the padded problem."""
-    route, program, gain, _, x, _ = case
+    route, program, gain, _, x, *_ = case
     weights = EXEC_PROGRAMS[route][program]
     padded_w = np.zeros(EXEC_GRID, dtype=int)
     padded_w[: weights.shape[0], : weights.shape[1]] = weights
@@ -657,6 +660,13 @@ def _device_codes(core, case):
             st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.25)),
             st.integers(min_value=0, max_value=2**16),
             st.sampled_from(tuple(EXEC_LAYOUTS)),
+            # A conv image's (height, width, stride): one group mixes
+            # geometries, so the flush unrolls several runs.
+            st.tuples(
+                st.integers(min_value=2, max_value=6),
+                st.integers(min_value=2, max_value=6),
+                st.integers(min_value=1, max_value=3),
+            ),
         ),
         min_size=1,
         max_size=12,
@@ -829,24 +839,27 @@ def test_store_round_trip_is_exact(shape, tile, gain, drift, differential, seed)
     override=st.sampled_from((None, 0.7, 3.0)),
     drift=st.sampled_from((None, "aged", "recalibrated", "stale")),
     differential=st.booleans(),
+    restored=st.booleans(),
     samples=st.integers(min_value=1, max_value=9),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=40, deadline=None)
 def test_stacked_grid_equals_per_tile_loop(
     shape, tile, weight_bits, adc_bits, trim_lsb, gain, override, drift, differential,
-    samples, seed,
+    restored, samples, seed,
 ):
     """A grid evaluated as one stack — one matmul, one read-out, one
     binning pass and one table lookup for every tile — equals the
     per-tile loop bit for bit: every precision, row ADCs mistrimmed
     apart (distinct ladders, binned per row) or sharing one ladder,
     calibrated, explicit and overridden gains, drift aged, recalibrated
-    before the compile or after it (stale trims), and differential
-    pairs.  A one-tile grid's codes equal the per-tile loop's, and the
-    device loop's while its trims are current and its staircases
-    monotone (a part mistrimmed by a whole LSB converts non-monotonically,
-    which no ladder reproduces)."""
+    before the compile or after it (stale trims), differential pairs
+    (their two-grid stack equal to each half run alone, then
+    subtracted) and programs restored from a store.  A one-tile grid's
+    codes equal the per-tile loop's, and the device loop's while its
+    trims are current and its staircases monotone (a part mistrimmed by
+    a whole LSB converts non-monotonically, which no ladder
+    reproduces)."""
     rng = np.random.default_rng(seed)
     core = PhotonicTensorCore(
         rows=tile[0], columns=tile[1], weight_bits=weight_bits, adc_bits=adc_bits
@@ -865,13 +878,32 @@ def test_stacked_grid_equals_per_tile_loop(
             state.recalibrate()
     top = 2**weight_bits
     if differential:
-        program = DifferentialProgram(
-            *compile_differential_engines(
-                rng.integers(0, top, shape), rng.integers(0, top, shape) * rng.integers(0, 2), core
-            )
+        halves = compile_differential_engines(
+            rng.integers(0, top, shape), rng.integers(0, top, shape) * rng.integers(0, 2), core
         )
+        compiled = [
+            (half.tile_responses.copy(), half.tile_boundaries.copy())
+            for half in halves
+            if half is not None
+        ]
+        program = DifferentialProgram(*halves)
+        # Pairing restacks the halves' arrays; each half keeps its own.
+        for half, (responses, boundaries) in zip(halves, compiled):
+            assert np.array_equal(half.tile_responses, responses)
+            assert np.array_equal(half.tile_boundaries, boundaries)
     else:
         program = TiledMatmul(rng.integers(0, top, shape), core, gain=gain)
+    if restored:
+        with tempfile.TemporaryDirectory() as root:
+            store = ProgramStore(root)
+            store.save(b"program", program, fingerprint="core")
+            program = store.load(
+                b"program",
+                fingerprint="core",
+                epoch=program.calibration_epoch,
+                technology=core.technology,
+                drift_state=state,
+            )
     if state is not None:
         if drift == "stale":
             state.recalibrate()
@@ -883,6 +915,11 @@ def test_stacked_grid_equals_per_tile_loop(
     for call_gain in calls:
         estimates = program.matmul(batch, gain=call_gain)
         assert np.array_equal(estimates, reference_matmul(program, batch, call_gain))
+        if differential and program.negative is not None:
+            halves = program.positive.matmul(batch, gain=call_gain) - program.negative.matmul(
+                batch, gain=call_gain
+            )
+            assert np.array_equal(estimates, halves)
 
     if not differential and program.tile_count == 1:
         padded = np.zeros((tile[1], samples))
@@ -893,3 +930,48 @@ def test_stacked_grid_equals_per_tile_loop(
         if drift != "stale" and (trim_lsb is None or trim_lsb < 0.3):
             device = [core.matvec(column, gain=tile_gain).codes for column in padded.T]
             assert np.array_equal(codes, np.stack(device, axis=1))
+
+
+# -- batched im2col: a stack unrolls like its images one by one ---------------
+
+
+@given(
+    images=st.integers(min_value=1, max_value=5),
+    channels=st.integers(min_value=1, max_value=3),
+    height=st.integers(min_value=1, max_value=10),
+    width=st.integers(min_value=1, max_value=10),
+    stride=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_batched_unroll_equals_per_image_unrolls(
+    images, channels, height, width, stride, data, seed
+):
+    """``im2col_channels`` on a (batch, channels, H, W) stack equals the
+    per-image unrolls side by side, each image's windows in row-major
+    order and channel-major within a window; and ``forward_batch`` of a
+    runtime conv layer (one validation, one unroll, one differential
+    pass) equals ``forward`` image by image."""
+    kernel_size = data.draw(st.integers(min_value=1, max_value=min(height, width)))
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(0.0, 1.0, (images, channels, height, width))
+    batched = im2col_channels(stack, kernel_size, stride)
+    per_image = [im2col_channels(volume, kernel_size, stride) for volume in stack]
+    assert np.array_equal(batched, np.concatenate(per_image, axis=1))
+    rows, cols = output_shape((height, width), kernel_size, stride)
+    windows = [
+        volume[:, r * stride : r * stride + kernel_size, c * stride : c * stride + kernel_size]
+        for volume in stack
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    assert np.array_equal(batched, np.stack([window.ravel() for window in windows], axis=1))
+
+    core = PhotonicTensorCore(rows=4, columns=6)
+    kernels = rng.normal(0.0, 1.0, (3, channels, kernel_size, kernel_size))
+    conv = PhotonicConv2d(kernels, core, stride=stride, runtime=True)
+    maps = conv.forward_batch(stack if channels > 1 else stack[:, 0])
+    assert maps.shape == (images, 3, rows, cols)
+    for volume, expected in zip(stack, maps):
+        assert np.array_equal(conv.forward(volume), expected)

@@ -221,6 +221,26 @@ class TestConvRoute:
         reference = PhotonicConv2d(kernels, core, stride=2, gain=2.0, runtime=True)
         np.testing.assert_array_equal(future.value, reference.forward(image))
 
+    def test_one_group_mixing_geometries_matches_each_image_alone(self, conv_session, tech):
+        """One bank's requests form one group and one batch even when
+        their image sizes and strides differ: the flush unrolls each run
+        of consecutive same-geometry images together and keeps every
+        request's columns in submit order."""
+        rng = np.random.default_rng(27)
+        kernels = rng.normal(0.0, 1.0, (3, 3, 3))
+        geometries = [(7, 7, 1), (7, 7, 1), (9, 6, 2), (5, 8, 1), (7, 7, 1), (8, 8, 3)]
+        images = [rng.uniform(0.0, 1.0, (h, w)) for h, w, _ in geometries]
+        futures = [
+            conv_session.submit_conv(kernels, image, stride=stride)
+            for image, (_, _, stride) in zip(images, geometries)
+        ]
+        conv_session.flush()
+        assert conv_session.report().batches == 1
+        core = PhotonicTensorCore(rows=4, columns=9, technology=tech)
+        for future, image, (_, _, stride) in zip(futures, images, geometries):
+            reference = PhotonicConv2d(kernels, core, stride=stride, runtime=True)
+            np.testing.assert_array_equal(future.value, reference.forward(image))
+
     def test_repeated_kernel_programs_hit_the_cache(self, conv_session):
         rng = np.random.default_rng(23)
         kernels = rng.normal(0.0, 1.0, (2, 3, 3))

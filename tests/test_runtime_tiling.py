@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.psram import PsramBitcell
 from repro.core.tensor_core import PhotonicTensorCore
-from repro.errors import MappingError
+from repro.errors import ConfigurationError, ConversionError, MappingError
 from repro.ml.mapping import MatrixTiler
 from repro.runtime.tiling import TiledMatmul
 
@@ -127,3 +127,20 @@ def test_validation_errors(tech):
         tiled.matvec(np.ones(3) * 0.5)
     with pytest.raises(MappingError, match=r"\(3, 2\)"):
         tiled.matmul(np.ones((3, 2)) * 0.5)
+
+
+def test_nan_input_column_is_rejected_like_the_device_loop(tech):
+    """A NaN fails every comparison, so a min/max range test lets it
+    through; both compiled kernels must reject it, as the device loop
+    does, instead of binning it to the top code."""
+    core = PhotonicTensorCore(rows=4, columns=4, technology=tech)
+    grid = TiledMatmul(np.full((4, 4), 3), core)
+    engine = grid.tiles[0][0]
+    batch = np.full((4, 3), 0.5)
+    batch[1, 2] = np.nan
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        grid.matmul(batch)
+    with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        engine.matmul(batch)
+    with pytest.raises(ConversionError):
+        core.matvec(batch[:, 2])

@@ -291,7 +291,7 @@ class TestDeadlineEdges:
         def no_work(*args, **kwargs):
             raise AssertionError("an expired conv request ran im2col")
 
-        monkeypatch.setattr("repro.api.session.im2col_channels", no_work)
+        monkeypatch.setattr("repro.runtime.scheduler.im2col_channels", no_work)
         rng = np.random.default_rng(1)
         kernels = rng.normal(0.0, 1.0, (2, 3, 3))
         image = rng.uniform(0.0, 1.0, (6, 6))
