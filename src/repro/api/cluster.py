@@ -42,7 +42,8 @@ On top of the per-core sessions the cluster adds:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,6 +55,7 @@ from ..errors import ClusterSaturatedError, ConfigurationError
 from ..health.drift import DriftModel, DriftState
 from ..health.monitor import HealthPolicy, HealthReport
 from ..runtime.engine import weight_key
+from ..runtime.scheduler import check_dense_weights
 from ..telemetry import (
     END_TO_END_HISTOGRAM,
     QUEUE_WAIT_HISTOGRAM,
@@ -501,6 +503,11 @@ class PhotonicCluster:
         ]
         self._heterogeneous = len(set(self._core_caps)) > 1
         self._ring = HashRing(range(int(cores)))
+        #: Routes under a key-hashing policy, valid for one rotation:
+        #: (route kind, min_adc_bits, shape, dtype, bytes) of a program
+        #: as the caller gave it -> the core :meth:`_route` picked.
+        #: :meth:`invalidate_routes` clears it on every rotation change.
+        self._routes: dict[tuple, int] = {}
         #: Bumped on every membership change (add_core); long-lived
         #: consumers holding a session snapshot (e.g.
         #: :class:`~repro.traffic.TrafficEngine`) re-snapshot when it
@@ -791,7 +798,8 @@ class PhotonicCluster:
     def _note_routed(self, core: int, priority: int) -> None:
         """Bookkeeping for one *successfully queued* request (call
         after the session accepted it, so a rejected submit neither
-        counts as routed nor pins a phantom priority)."""
+        counts as routed nor pins a phantom priority).  Its health or
+        autoscale step may change the rotation."""
         self._routed[core] += 1
         self._submit_seq += 1
         if self.telemetry is not None:
@@ -859,36 +867,91 @@ class PhotonicCluster:
             )
         return candidates
 
+    def invalidate_routes(self) -> None:
+        """Forget every memoised route.  Called on each rotation change
+        (:meth:`drain`, :meth:`restore`, :meth:`add_core`), since the
+        drained set, the ring and the core capabilities are all that
+        :meth:`_route` reads besides the program, and when the memo
+        reaches its bound (see :meth:`_accept`)."""
+        self._routes.clear()
+
     def _route(
-        self,
-        key_factory: Callable[[], bytes],
-        shape: tuple[int, int] | None = None,
-        min_adc_bits: int | None = None,
-    ) -> int:
-        """Pick the core for one request.  ``key_factory`` builds the
-        weight-program routing key; it is only invoked when the policy
-        actually hashes keys, so round-robin/least-loaded never pay the
-        program serialization.  Drained/parked cores are out of
-        rotation and capability filtering (``shape``/``min_adc_bits``)
-        narrows the sub-fleet first; cache-affinity then resolves on
-        the membership-stable :class:`~repro.api.routing.HashRing`
+        self, kind: str, program: np.ndarray, min_adc_bits: int | None
+    ) -> tuple[int, tuple | None]:
+        """Pick the core for one request: ``program`` is the dense
+        weight matrix (``kind`` ``"dense"``) or the conv kernel bank
+        (``"conv"``), as the caller gave it.
+
+        Drained/parked cores are out of rotation and capability
+        filtering (the program's shape, ``min_adc_bits``) narrows the
+        sub-fleet first; cache-affinity then resolves on the
+        membership-stable :class:`~repro.api.routing.HashRing`
         (restricted to the capable sub-fleet), so a hot program keeps
         its home core across scale events, while the stateless
-        policies decide over the sub-fleet by index."""
+        policies decide over the sub-fleet by index.
+
+        A key-hashing policy routes each program once per rotation: the
+        answer is memoised on the program's exact content (numeric
+        dtypes only; an object array's bytes are pointers), so a repeat
+        costs one ``tobytes`` and one dict probe instead of a
+        serialization, a hash and a ring walk.  Returns the core and,
+        for a miss the memo should learn, its memo key (None
+        otherwise); :meth:`_accept` stores it once the session has
+        accepted the request, so a rejected request leaves no entry.
+        """
+        content = None
+        needs_key = self.routing.needs_key
+        if needs_key and program.dtype.kind in "biuf":
+            content = (
+                kind, min_adc_bits, program.shape, program.dtype, program.tobytes()
+            )
+            core = self._routes.get(content)
+            if core is not None:
+                return core, None
+        # A bank is placed as its (kernels, taps) matrix.
+        placed = program.ndim == 2 or (kind == "conv" and program.ndim > 2)
+        shape = (program.shape[0], math.prod(program.shape[1:])) if placed else None
         candidates = self._capable_cores(shape, min_adc_bits)
         if len(candidates) == 1:
-            self._cursor += 1
-            return candidates[0]
-        if self.routing.needs_key:
-            self._cursor += 1
-            return self._ring.lookup(key_factory(), allowed=candidates)
+            return candidates[0], content
+        if needs_key:
+            if kind == "conv":
+                key = self._conv_route_key(program)
+            else:
+                # The fleet's widest range (each session still checks its
+                # own core's): a malformed matrix fails typed here, before
+                # the key's int64 cast.
+                check_dense_weights(
+                    program, max(session.core.max_weight for session in self._sessions)
+                )
+                key = b"dense-route:" + weight_key(program)
+            return self._ring.lookup(key, allowed=candidates), content
         if self.routing.needs_loads:
             loads = [self._sessions[index].pending for index in candidates]
         else:
             loads = [0] * len(candidates)     # only the length is read
-        slot = self.routing.select(None, loads, self._cursor)
+        return candidates[self.routing.select(None, loads, self._cursor)], None
+
+    def _accept(self, core: int, priority: int, content: tuple | None) -> None:
+        """Bookkeeping for one routed request its session accepted.  A
+        miss's route is memoised *before* :meth:`_note_routed`, whose
+        health or autoscale step may change the rotation and so clear
+        the memo.  The memo is cleared whole once it holds as many
+        routes as the fleet's program caches hold programs: a program
+        no core keeps cached pays a compile or a store restore per use,
+        next to which routing it again costs nothing.  The round-robin
+        cursor advances here too, so a rejected request does not use
+        up a core's turn."""
+        if content is not None:
+            if len(self._routes) >= sum(
+                session.scheduler.cache.capacity
+                + session.scheduler.tiled_cache.capacity
+                for session in self._sessions
+            ):
+                self.invalidate_routes()
+            self._routes[content] = core
         self._cursor += 1
-        return candidates[slot]
+        self._note_routed(core, priority)
 
     def submit(
         self,
@@ -907,23 +970,16 @@ class PhotonicCluster:
         ``tenant`` follow :meth:`PhotonicSession.submit`;
         ``min_adc_bits`` asks for a read-out precision floor on a
         heterogeneous fleet (graceful fallback to the best available
-        cores when none reaches it)."""
+        cores when none reaches it).  Under cache-affinity each
+        weight program is routed once per rotation (see
+        :meth:`_route`)."""
         priority = self._admit(priority)
         weights = np.asarray(weights)
-        shape = (
-            (int(weights.shape[0]), int(weights.shape[1]))
-            if weights.ndim == 2
-            else None
-        )
-        index = self._route(
-            lambda: b"dense-route:" + weight_key(weights),
-            shape=shape,
-            min_adc_bits=min_adc_bits,
-        )
+        index, content = self._route("dense", weights, min_adc_bits)
         future = self._sessions[index].submit(
             weights, x, gain=gain, deadline=deadline, tenant=tenant
         )
-        self._note_routed(index, priority)
+        self._accept(index, priority, content)
         return future
 
     def _conv_route_key(self, kernels: ArrayLike) -> bytes:
@@ -955,25 +1011,17 @@ class PhotonicCluster:
     ) -> Future:
         """Queue one im2col convolution on the routed core; the routing
         key is the quantized differential program, so one program's
-        traffic shares one core's cache under cache-affinity.
-        ``min_adc_bits`` follows :meth:`submit`."""
+        traffic shares one core's cache under cache-affinity.  Each
+        bank is quantized and keyed for routing once per rotation (see
+        :meth:`_route`).  ``min_adc_bits`` follows :meth:`submit`."""
         priority = self._admit(priority)
         bank = np.asarray(kernels)
-        shape = (
-            (int(bank.shape[0]), int(np.prod(bank.shape[1:])))
-            if bank.ndim >= 2
-            else None
-        )
-        index = self._route(
-            lambda: self._conv_route_key(kernels),
-            shape=shape,
-            min_adc_bits=min_adc_bits,
-        )
+        index, content = self._route("conv", bank, min_adc_bits)
         future = self._sessions[index].submit_conv(
-            kernels, image, stride=stride, gain=gain,
+            bank, image, stride=stride, gain=gain,
             deadline=deadline, tenant=tenant,
         )
-        self._note_routed(index, priority)
+        self._accept(index, priority, content)
         return future
 
     # -- replicated model endpoints ------------------------------------------
@@ -1043,6 +1091,7 @@ class PhotonicCluster:
         self._pending_priority[core] = None
         self._pending_since[core] = None
         self._drained.add(core)
+        self.invalidate_routes()
         self._drains += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("drains").inc()
@@ -1059,6 +1108,7 @@ class PhotonicCluster:
                 self._obs_event("restore", {"core": core})
         self._drained.discard(core)
         self._parked.discard(core)
+        self.invalidate_routes()
 
     # -- elastic scaling -----------------------------------------------------
     def add_core(self, spec: CoreSpec | None = None) -> int:
@@ -1090,6 +1140,7 @@ class PhotonicCluster:
         self._pending_priority.append(None)
         self._pending_since.append(None)
         self._ring.add(index)
+        self.invalidate_routes()
         self.membership_version += 1
         if self.telemetry is not None:
             self.telemetry.metrics.gauge("active_cores").set(

@@ -17,7 +17,10 @@ routed request lands on — the cluster-level twin of
   weight-program key onto the fleet, so every request for one weight
   program lands on one core: hot programs stay resident in that core's
   LRU caches and the pSRAM streaming energy is paid once per program
-  instead of once per (program, core).
+  instead of once per (program, core).  The answer depends only on the
+  program and the fleet's rotation, so the cluster routes each program
+  once per rotation and memoises the core (see
+  :meth:`~repro.api.cluster.PhotonicCluster._route`).
 
 Policies are pure deciders: :meth:`select` maps (routing key, per-core
 loads, round-robin cursor) to a core index and keeps no state — the

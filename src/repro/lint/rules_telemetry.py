@@ -292,8 +292,9 @@ class HotPathTelemetryGuard(Rule):
 
 #: attribute name -> the invalidation hooks that make mutating it safe.
 #: A method of a class *defining* one of the hooks that assigns one of
-#: these attributes must call a matching hook (directly or on the
-#: owning core) in the same method.
+#: these attributes, or calls one of :data:`MUTATOR_METHODS` on it,
+#: must call a matching hook (directly or on the owning core) in the
+#: same method.
 INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     # eoADC state: the bank copies it, and conversion and the compiled
     # ladders read the bank.
@@ -310,7 +311,19 @@ INVALIDATION_REGISTRY: dict[str, tuple[str, ...]] = {
     "weight_scale": ("invalidate_runtime",),
     # Two-state ring transmissions: weight loads select from them.
     "_ring_table": ("invalidate_ring_table",),
+    # A cluster's rotation: its memoised routes were picked under it.
+    "_drained": ("invalidate_routes",),
+    "_ring": ("invalidate_routes",),
+    "_core_caps": ("invalidate_routes",),
+    "_heterogeneous": ("invalidate_routes",),
 }
+
+#: In-place mutators: ``self.<registered attribute>.<mutator>(...)``
+#: changes the attribute as surely as assigning it.
+MUTATOR_METHODS = frozenset(
+    {"add", "discard", "remove", "append", "extend", "insert", "pop", "clear",
+     "update", "setdefault"}
+)
 
 
 @register
@@ -320,10 +333,11 @@ class MutateMustInvalidate(Rule):
     name = "mutate-must-invalidate"
     severity = Severity.ERROR
     contract = (
-        "a method assigning a registered compiled-state attribute "
+        "a method assigning, or calling an in-place mutator such as "
+        "add/append/clear on, a registered compiled-state attribute "
         f"({', '.join(INVALIDATION_REGISTRY)}) on a class "
         "that defines the matching invalidate_* hook must call that "
-        "hook; only __init__ and the hook itself assign freely"
+        "hook; only __init__ and the hook itself mutate freely"
     )
     rationale = (
         "PRs 2 and 5 both shipped stale-cache bugs: compiled engines "
@@ -372,11 +386,11 @@ class MutateMustInvalidate(Rule):
                             module,
                             node,
                             (
-                                f"{cls.name}.{item.name} assigns "
-                                f"self.{attr} (compiled state depends on "
-                                f"it) without calling "
-                                f"{' or '.join(required)}; stale engines "
-                                "keep serving the old value"
+                                f"{cls.name}.{item.name} mutates "
+                                f"self.{attr} (compiled or memoised state "
+                                f"depends on it) without calling "
+                                f"{' or '.join(required)}; stale state "
+                                "keeps serving the old value"
                             ),
                         )
                     )
@@ -385,9 +399,9 @@ class MutateMustInvalidate(Rule):
     def _mutated_attributes(
         func: ast.FunctionDef | ast.AsyncFunctionDef,
     ) -> dict[str, ast.AST]:
-        """Registered ``self.<attr>`` assignment targets in ``func``
-        (plain, augmented, tuple-unpacked, and ``self.attr[...] = ...``
-        stores)."""
+        """Registered ``self.<attr>`` mutations in ``func``: plain,
+        augmented, tuple-unpacked and ``self.attr[...] = ...`` stores,
+        and ``self.attr.<mutator>(...)`` calls."""
         mutated: dict[str, ast.AST] = {}
 
         def record(target: ast.AST, node: ast.AST) -> None:
@@ -411,6 +425,12 @@ class MutateMustInvalidate(Rule):
                         record(target, node)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 record(node.target, node)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATOR_METHODS
+            ):
+                record(node.func.value, node)
         return mutated
 
     @staticmethod

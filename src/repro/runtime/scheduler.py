@@ -74,6 +74,33 @@ from .engine import weight_key
 from .tiling import TiledMatmul, auto_range_gain
 
 
+def check_dense_weights(weights: np.ndarray, max_weight: int) -> None:
+    """Reject a dense weight matrix no ``max_weight`` core can hold.
+
+    Checks the values as given, before any cast: a dtype outside bool,
+    integer and float first (a string, object or complex matrix would
+    raise untyped from numpy), then non-finite or non-integral entries,
+    then entries outside ``[0, max_weight]``.  So NaN or 1e30 fail
+    typed instead of warning in an int64 cast, and an error reports the
+    caller's range.  The range test is a negated in-range comparison.
+    """
+    if weights.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"weights must be a bool, integer or float array, "
+            f"got dtype {weights.dtype}"
+        )
+    if weights.dtype.kind == "f" and not np.all(
+        np.isfinite(weights) & (weights == np.floor(weights))
+    ):
+        raise ConfigurationError("weights must be integers, got non-integral entries")
+    if weights.size:
+        low, high = weights.min(), weights.max()
+        if not (0 <= low and high <= max_weight):
+            raise ConfigurationError(
+                f"weights must lie in [0, {max_weight}], got range [{low}, {high}]"
+            )
+
+
 class WeightProgramCache:
     """Least-recently-used cache of weight programs.
 
@@ -512,33 +539,21 @@ class BatchScheduler:
         their int64 cast (``[[2.5]]`` casts to ``[[2]]``, so a cast key
         would let a non-integral matrix skip the check), and only for
         numeric dtypes (an object array's bytes are pointers).  A miss
-        validates the caller's matrix before padding it, so an error
-        reports the caller's range; then it takes a private int copy
-        (``"native"``: padded to the tile, with its ``"auto"`` gain
-        range-calibrated; a grid calibrates per tile at compile) and
-        keys it.  Non-integral weights are rejected, not truncated, and
-        the range test is a negated in-range comparison, so a NaN
-        (false under every comparison) fails it.
+        validates the caller's matrix with :func:`check_dense_weights`
+        (which rejects every other dtype) before padding it, so an
+        error reports the caller's range; then it takes a private int
+        copy (``"native"``: padded to the tile, with its ``"auto"``
+        gain range-calibrated; a grid calibrates per tile at compile)
+        and keys it.
         """
-        memo = weights.dtype.kind in "biuf"
-        if memo:
+        if weights.dtype.kind in "biuf":
             content = (weights.shape, weights.dtype, weights.tobytes())
             program = self._checked.get(content)
             if program is not None:
                 return program
-        if weights.dtype.kind not in "biu" and not np.all(
-            np.isfinite(weights) & (weights == np.floor(weights))
-        ):
-            raise ConfigurationError(
-                "weights must be integers, got non-integral entries"
-            )
-        checked = np.asarray(weights, dtype=int)
         max_weight = self.core.max_weight
-        if checked.size and not (0 <= checked.min() and checked.max() <= max_weight):
-            raise ConfigurationError(
-                f"weights must lie in [0, {max_weight}], got range "
-                f"[{checked.min()}, {checked.max()}]"
-            )
+        check_dense_weights(weights, max_weight)
+        checked = np.asarray(weights, dtype=int)
         auto = None
         if kind == "native":
             source = np.zeros((self.rows, self.columns), dtype=int)
@@ -546,9 +561,7 @@ class BatchScheduler:
             auto = auto_range_gain(source, self.columns * max_weight)
         else:
             source = checked.copy()
-        program = (weight_key(source), source, auto)
-        if memo:
-            self._checked[content] = program
+        program = self._checked[content] = (weight_key(source), source, auto)
         return program
 
     def _conv_program(self, kernels: np.ndarray) -> tuple:

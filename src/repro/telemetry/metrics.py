@@ -15,6 +15,7 @@ per decade — a <= ~7.5 % relative quantile error, constant memory.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable, Sequence
 
@@ -98,8 +99,8 @@ class Histogram:
     layout merge by adding bin counts — the per-core → fleet rollup.
     """
 
-    __slots__ = ("name", "lo", "hi", "per_decade", "_edges", "_counts",
-                 "count", "total", "min", "max")
+    __slots__ = ("name", "lo", "hi", "per_decade", "_edges", "_edge_list",
+                 "_counts", "count", "total", "min", "max")
 
     def __init__(
         self,
@@ -123,6 +124,8 @@ class Histogram:
         decades = math.log10(self.hi / self.lo)
         bins = max(1, int(round(decades * self.per_decade)))
         self._edges = np.geomspace(self.lo, self.hi, bins + 1)
+        #: The same edges as floats, for the scalar :meth:`observe`.
+        self._edge_list = self._edges.tolist()
         # bins + underflow (index 0) + overflow (index -1)
         self._counts = np.zeros(bins + 2, dtype=np.int64)
         self.count = 0
@@ -140,7 +143,20 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def observe(self, value: float) -> None:
-        self.observe_many((value,))
+        """Absorb one observation without building an array: the same
+        bin (``bisect_right`` is ``searchsorted(side="right")``) and the
+        same running totals as ``observe_many((value,))``.  A negative
+        or NaN value takes that array path, so its error and its NaN
+        handling stay in one place."""
+        value = float(value)
+        if not value >= 0.0:
+            self.observe_many((value,))
+            return
+        self._counts[bisect.bisect_right(self._edge_list, value)] += 1
+        self.count += 1
+        self.total += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
 
     def observe_many(self, values: Sequence[float] | np.ndarray) -> None:
         """Absorb a batch of observations in one vectorized pass."""

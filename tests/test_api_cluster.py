@@ -2,6 +2,8 @@
 multi-core clusters, QoS admission control, replicated model
 endpoints and the aggregated ClusterReport."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.api import (
     RoutingPolicy,
     RunReport,
 )
+from repro.api.routing import HashRing
 from repro.errors import ClusterSaturatedError, ConfigurationError
 from repro.runtime.serving import synthetic_trace
 
@@ -306,6 +309,14 @@ class TestQoS:
         report = pair.report()
         assert report.routed == (0, 0) and report.total.requests == 0
         assert pair._pending_priority == [None, None]
+        # ... nor use up a core's round-robin turn: good, bad, good
+        # lands the second good request on core 1.
+        weights = rng.integers(0, 8, (4, 6))
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6))
+        with pytest.raises(ConfigurationError, match="shape"):
+            pair.submit(weights, rng.uniform(0.0, 1.0, 5))
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6))
+        assert pair.report().routed == (1, 1)
 
     def test_auto_flush_clears_priority_marker(self, tech):
         """A priority request that its core's flush policy resolves
@@ -515,3 +526,196 @@ class TestClusterFlushAndPoll:
         time.sleep(0.01)
         assert cluster.poll() == 1            # lone request now past deadline
         assert future.done
+
+
+def affinity(tech, cores=4, **kwargs):
+    """A cache-affinity cluster on small tiles."""
+    return PhotonicCluster(cores=cores, technology=tech, grid=(4, 6),
+                           routing=RoutingPolicy.cache_affinity(), **kwargs)
+
+
+class TestRouteMemo:
+    """Under cache-affinity each program is routed once per rotation:
+    repeats read the memo, and every rotation change clears it."""
+
+    def test_repeats_skip_the_ring(self, tech, monkeypatch):
+        cluster = affinity(tech)
+        rng = np.random.default_rng(61)
+        programs = [rng.integers(0, 8, (4, 6)) for _ in range(3)]
+        walks = []
+        lookup = HashRing.lookup
+        monkeypatch.setattr(
+            HashRing, "lookup",
+            lambda ring, key, allowed=None: walks.append(key) or lookup(ring, key, allowed),
+        )
+        for turn in range(12):
+            cluster.submit(programs[turn % 3], rng.uniform(0.0, 1.0, 6))
+        assert len(walks) == 3
+        assert len(cluster._routes) == 3
+        # A copy in another dtype has its own entry but the same home.
+        narrow = programs[0].astype(np.uint8)
+        cluster.submit(narrow, rng.uniform(0.0, 1.0, 6))
+        assert len(walks) == 4 and len(cluster._routes) == 4
+        routes = cluster._routes
+        assert (routes["dense", None, (4, 6), narrow.dtype, narrow.tobytes()]
+                == routes["dense", None, (4, 6), programs[0].dtype, programs[0].tobytes()])
+
+    def test_rotation_changes_clear_the_memo(self, tech):
+        cluster = affinity(tech)
+        rng = np.random.default_rng(62)
+        weights = rng.integers(0, 8, (4, 6))
+        x = rng.uniform(0.0, 1.0, 6)
+
+        def home():
+            before = cluster.report().routed
+            cluster.submit(weights, x)
+            after = cluster.report().routed
+            return next(i for i, (a, b) in enumerate(zip(before, after)) if b > a)
+
+        first = home()
+        assert cluster._routes
+        cluster.drain(first)
+        assert cluster._routes == {}
+        moved = home()
+        assert moved != first
+        cluster.restore(first)
+        assert cluster._routes == {}
+        assert home() == first
+        cluster.add_core()
+        assert cluster._routes == {}
+        home()
+        cluster.scale_down(cluster.active_cores[-1])
+        assert cluster._routes == {}
+
+    def test_memo_is_bounded_by_the_fleet_caches(self, tech):
+        cluster = affinity(tech, cores=2, cache_capacity=2)
+        bound = sum(session.scheduler.cache.capacity
+                    + session.scheduler.tiled_cache.capacity
+                    for session in cluster.sessions)
+        rng = np.random.default_rng(63)
+        sizes = []
+        for _ in range(3 * bound):
+            cluster.submit(rng.integers(0, 8, (4, 6)), rng.uniform(0.0, 1.0, 6))
+            sizes.append(len(cluster._routes))
+        assert max(sizes) == bound
+        assert sizes[bound] == 1          # cleared whole, then refilled
+
+    def test_min_adc_bits_and_route_kind_key_apart(self, tech):
+        from repro.elastic import CoreSpec
+
+        cluster = PhotonicCluster(
+            cores=3, technology=tech, grid=(4, 9),
+            routing=RoutingPolicy.cache_affinity(),
+            core_specs=[CoreSpec(adc_bits=3), CoreSpec(adc_bits=6), None],
+        )
+        rng = np.random.default_rng(65)
+        weights = rng.integers(0, 8, (4, 9))
+        cluster.submit(weights, rng.uniform(0.0, 1.0, 9))
+        cluster.submit(weights, rng.uniform(0.0, 1.0, 9), min_adc_bits=6)
+        assert sorted(key[1] or 0 for key in cluster._routes) == [0, 6]
+        assert cluster._routes[("dense", 6, (4, 9), weights.dtype,
+                                weights.tobytes())] == 1
+        bank = rng.normal(0.0, 1.0, (2, 3, 3))
+        cluster.submit_conv(bank, rng.uniform(0.0, 1.0, (5, 5)))
+        assert ("conv", None, bank.shape, bank.dtype, bank.tobytes()) in cluster._routes
+
+    def test_conv_bank_quantized_for_routing_once(self, tech, monkeypatch):
+        cluster = PhotonicCluster(cores=3, technology=tech, grid=(4, 9),
+                                  routing=RoutingPolicy.cache_affinity())
+        keyed = []
+        route_key = PhotonicCluster._conv_route_key
+        monkeypatch.setattr(
+            PhotonicCluster, "_conv_route_key",
+            lambda self, kernels: keyed.append(1) or route_key(self, kernels),
+        )
+        rng = np.random.default_rng(66)
+        bank = rng.normal(0.0, 1.0, (2, 3, 3))
+        futures = [cluster.submit_conv(bank, rng.uniform(0.0, 1.0, (5, 5)))
+                   for _ in range(4)]
+        cluster.flush()
+        assert len(keyed) == 1
+        assert cluster.report().total.cache_misses == 1
+        reference = PhotonicSession(technology=tech, grid=(4, 9))
+        image = rng.uniform(0.0, 1.0, (5, 5))
+        expected = reference.submit_conv(bank, image).result()
+        assert np.array_equal(cluster.submit_conv(bank, image).result(), expected)
+        assert all(future.value.shape == (2, 3, 3) for future in futures)
+
+    def test_rejected_submit_leaves_no_memo_entry(self, tech):
+        cluster = affinity(tech, cores=2)
+        rng = np.random.default_rng(67)
+        with pytest.raises(ConfigurationError, match="shape"):
+            cluster.submit(rng.integers(0, 8, (4, 6)), rng.uniform(0.0, 1.0, 5))
+        assert cluster._routes == {}
+
+    def test_model_traffic_keeps_the_round_robin_turns(self, pair):
+        """Replicated-model batches have their own rotation: they leave
+        the routed requests' round-robin turns alone."""
+        rng = np.random.default_rng(68)
+        endpoint = pair.compile(
+            Model.sequential(Dense(rng.normal(0.0, 0.5, (3, 6)))), replicas=2
+        )
+        weights = rng.integers(0, 8, (4, 6))
+        for _ in range(4):
+            pair.submit(weights, rng.uniform(0.0, 1.0, 6))
+            endpoint.submit(rng.uniform(0.0, 1.0, (2, 6)))
+        routed = pair.report().routed
+        # 4 routed requests + 4 batches spread 2:2 over the replicas.
+        assert routed == (4, 4)
+
+
+#: Malformed dense programs: each must fail typed, before any cast.
+MALFORMED_WEIGHTS = {
+    "nan": lambda: np.where(np.eye(4, 6) > 0, np.nan, 1.0),
+    "huge": lambda: np.full((4, 6), 1e30),
+    "negative-huge": lambda: np.full((4, 6), -1e30),
+    "str": lambda: np.full((4, 6), "1"),
+    "object": lambda: np.ones((4, 6), dtype=object),
+    "complex": lambda: np.ones((4, 6), dtype=complex),
+}
+
+
+def front_door(tech, kind):
+    if kind == "session":
+        return PhotonicSession(technology=tech, grid=(4, 6))
+    routing = (RoutingPolicy.cache_affinity() if kind == "cache_affinity"
+               else RoutingPolicy.round_robin())
+    return PhotonicCluster(cores=2, technology=tech, grid=(4, 6), routing=routing)
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("kind", ["session", "round_robin", "cache_affinity"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_WEIGHTS))
+    def test_fails_typed_without_warnings(self, tech, kind, case):
+        door = front_door(tech, kind)
+        rng = np.random.default_rng(69)
+        x = rng.uniform(0.0, 1.0, 6)
+        door.submit(rng.integers(0, 8, (4, 6)), x)
+        pending = door.pending
+        cluster = isinstance(door, PhotonicCluster)
+        if cluster:
+            routed, routes, cursor = door.report().routed, dict(door._routes), door._cursor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="weights must"):
+                door.submit(MALFORMED_WEIGHTS[case](), x)
+        assert door.pending == pending
+        if cluster:
+            assert door.report().routed == routed
+            assert door._routes == routes and door._cursor == cursor
+
+    @pytest.mark.parametrize("kind", ["session", "round_robin", "cache_affinity"])
+    def test_bool_weights_serve_as_zero_one(self, tech, kind):
+        door = front_door(tech, kind)
+        rng = np.random.default_rng(70)
+        weights = rng.integers(0, 2, (4, 6))
+        x = rng.uniform(0.0, 1.0, 6)
+        as_bool = door.submit(weights.astype(bool), x)
+        as_int = door.submit(weights, x)
+        door.flush()
+        assert np.array_equal(as_bool.codes, as_int.codes)
+
+    def test_range_error_reports_the_callers_values(self, tech):
+        door = front_door(tech, "cache_affinity")
+        with pytest.raises(ConfigurationError, match=r"got range \[-1e\+30, 3.0\]"):
+            door.submit(np.where(np.eye(4, 6) > 0, -1e30, 3.0), np.zeros(6))

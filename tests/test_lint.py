@@ -128,6 +128,32 @@ def test_registry_has_exactly_the_documented_rules():
         assert rule.contract and rule.rationale
 
 
+def test_mutate_rule_counts_mutator_calls():
+    """``self._drained.add(core)`` changes the rotation as surely as an
+    assignment: without the hook it is flagged, with it it is clean."""
+    firing = (FIXTURES / "route_invalidate_firing.py").read_text()
+    findings = _run_rule("mutate-must-invalidate", "src/repro/fixture_mod.py", firing)
+    assert sorted(f.line for f in findings) == [15, 18, 21, 22]
+    assert all("invalidate_routes" in f.message for f in findings)
+    clean = (FIXTURES / "route_invalidate_clean.py").read_text()
+    assert _run_rule("mutate-must-invalidate", "src/repro/fixture_mod.py", clean) == []
+
+
+def test_cluster_rotation_changes_must_invalidate_routes():
+    """The cluster's own drain/restore/add_core, stripped of their
+    invalidate_routes() calls, are each flagged."""
+    relpath = "src/repro/api/cluster.py"
+    source = (REPO_ROOT / relpath).read_text()
+    assert _run_rule("mutate-must-invalidate", relpath, source) == []
+    stripped = source.replace("self.invalidate_routes()", "pass")
+    findings = _run_rule("mutate-must-invalidate", relpath, stripped)
+    assert {f.message.split(" ")[0] for f in findings} == {
+        "PhotonicCluster.drain",
+        "PhotonicCluster.restore",
+        "PhotonicCluster.add_core",
+    }
+
+
 def test_mutate_contract_lists_exactly_the_registered_attributes():
     """The contract ``repro lint --catalog`` prints names the registry's
     keys, so a renamed key cannot leave stale text behind."""

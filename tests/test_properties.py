@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import dataclasses
+import math
 import tempfile
 from unittest import mock
 
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import MetricsRegistry, PhotonicSession, RunReport
+from repro.api import (
+    FlushPolicy,
+    MetricsRegistry,
+    PhotonicCluster,
+    PhotonicSession,
+    RoutingPolicy,
+    RunReport,
+)
 from repro.config import default_technology
 from repro.core.compute_core import VectorComputeCore, row_responses
 from repro.core.eoadc import EoAdc
@@ -21,8 +29,8 @@ from repro.core.quantization import (
     signed_matmul_correction,
 )
 from repro.electronics.adc_metrics import differential_nonlinearity
-from repro.elastic import ProgramStore
-from repro.errors import ConversionError, DeadlineExceededError
+from repro.elastic import Autoscaler, CoreSpec, ProgramStore
+from repro.errors import ConfigurationError, ConversionError, DeadlineExceededError
 from repro.electronics.elements import StorageNode
 from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bits
 from repro.photonics.coupler import BinaryScaledSplitterTree, PowerSplitter
@@ -30,15 +38,15 @@ from repro.photonics.mrr import AddDropMRR
 from repro.photonics.signal import WDMSignal, merge_signals
 from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
-from repro.health import DriftState, LaserPowerDecay, TiaGainDrift
+from repro.health import DriftState, HealthPolicy, LaserPowerDecay, TiaGainDrift
 from repro.health.drift import apply_read_out
 from repro.ml.convolution import PhotonicConv2d, im2col_channels, output_shape
 from repro.ml.layers import compile_differential_engines
 from repro.ml.mapping import iter_tile_blocks
-from repro.runtime.engine import CompiledCore
+from repro.runtime.engine import CompiledCore, weight_key
 from repro.runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from repro.sim.transient import FirstOrderLag
-from repro.telemetry import ModelClock
+from repro.telemetry import Histogram, ModelClock
 
 TECH = default_technology()
 RING = AddDropMRR(
@@ -975,3 +983,178 @@ def test_batched_unroll_equals_per_image_unrolls(
     assert maps.shape == (images, 3, rows, cols)
     for volume, expected in zip(stack, maps):
         assert np.array_equal(conv.forward(volume), expected)
+
+
+EDGES = Histogram("edges")._edges.tolist()
+
+
+@given(
+    value=st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, math.nan, 5e-324, 1e-310]),
+        st.sampled_from(EDGES),
+        st.floats(),
+        st.integers(min_value=0, max_value=2**20),
+    ),
+    prior=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=3),
+)
+@settings(max_examples=300)
+def test_histogram_observe_equals_observe_many(value, prior):
+    """The scalar ``observe`` leaves the state ``observe_many((v,))``
+    does — bins, count, total, min and max, signed zeros and NaN
+    included — and raises the same error for a negative value."""
+    scalar, batch = Histogram("h"), Histogram("h")
+    outcomes = []
+    for hist, absorb in ((scalar, scalar.observe), (batch, lambda v: batch.observe_many((v,)))):
+        hist.observe_many(prior)
+        try:
+            absorb(value)
+            outcomes.append(None)
+        except ConfigurationError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
+    assert np.array_equal(scalar._counts, batch._counts)
+    assert scalar.count == batch.count
+    assert [repr(scalar.total), repr(scalar.min), repr(scalar.max)] == [
+        repr(batch.total), repr(batch.min), repr(batch.max)
+    ]
+
+
+#: Programs of the route-memo property: an in-grid, a sub-tile and a
+#: tiled dense shape, and two conv banks.
+ROUTE_SHAPES = ((4, 6), (3, 4), (8, 9))
+ROUTE_BANKS = ((2, 3, 3), (3, 2, 2))
+ROUTE_SPECS = st.one_of(
+    st.none(),
+    st.builds(
+        CoreSpec,
+        rows=st.sampled_from([None, 4, 8]),
+        columns=st.sampled_from([None, 6, 9]),
+        adc_bits=st.sampled_from([None, 2, 3, 4, 5, 6]),
+    ),
+)
+
+
+def _routed_core(cluster, submit):
+    """Run ``submit`` and return the core it was routed to."""
+    before = list(cluster._routed)
+    submit()
+    return next(
+        core for core, count in enumerate(before) if cluster._routed[core] == count + 1
+    )
+
+
+def _rotation_events(cluster):
+    return (cluster.cores, cluster._drains, cluster._scale_ups, cluster._scale_downs)
+
+
+@given(
+    specs=st.lists(ROUTE_SPECS, min_size=2, max_size=6),
+    autoscale=st.booleans(),
+    health=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_cluster_routes_match_the_ring_oracle(specs, autoscale, health, seed, data):
+    """Under cache-affinity the route memo never changes a placement:
+    through drains, restores, grown and parked cores, autoscale and
+    health steps firing inside a submit, dtype variants and in-place
+    edits of one caller's matrix, every routed request lands on the
+    ring lookup of its program over the cores capable of it *now*.
+    The memo never outgrows the fleet's caches, and is empty right
+    after every rotation change."""
+    cluster = PhotonicCluster(
+        cores=len(specs),
+        technology=TECH,
+        grid=(4, 6),
+        core_specs=specs,
+        routing=RoutingPolicy.cache_affinity(),
+        cache_capacity=2,
+        flush_policy=FlushPolicy.max_batch(4),
+        drift=[TiaGainDrift()] if health else None,
+        health_policy=HealthPolicy(recalibrate_threshold=0.0) if health else None,
+        autoscaler=(
+            Autoscaler(min_cores=1, max_cores=len(specs) + 2, watch_every=1,
+                       scale_up_pending=2.0, scale_down_pending=0.5)
+            if autoscale
+            else None
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    programs = [rng.integers(0, 8, shape) for shape in ROUTE_SHAPES]
+    banks = [rng.normal(0.0, 1.0, shape) for shape in ROUTE_BANKS]
+    adc_floor = st.sampled_from([None, 2, 3, 4, 5, 6])
+    # "repeat" resubmits the last dense matrix (edits included) at a
+    # fresh precision floor: the memo's hits.
+    operations = st.sampled_from(
+        ["submit"] * 3 + ["repeat"] * 3 + ["conv", "edit", "drain", "restore",
+                                           "add_core", "scale_up", "scale_down",
+                                           "flush", "age"]
+    )
+    last = None
+    for _ in range(data.draw(st.integers(min_value=4, max_value=30))):
+        operation = data.draw(operations)
+        before = _rotation_events(cluster)
+        rotated = False
+        if operation == "repeat" and last is None:
+            operation = "submit"
+        if operation == "submit":
+            base = programs[data.draw(st.integers(0, len(programs) - 1))]
+            dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8, np.float64]))
+            last = base if dtype is np.int64 else base.astype(dtype)
+        if operation in ("submit", "repeat"):
+            weights = last
+            floor = data.draw(adc_floor)
+            expected = cluster._ring.lookup(
+                b"dense-route:" + weight_key(weights),
+                allowed=cluster._capable_cores(weights.shape, floor),
+            )
+            x = rng.uniform(0.0, 1.0, weights.shape[1])
+            core = _routed_core(
+                cluster, lambda: cluster.submit(weights, x, min_adc_bits=floor)
+            )
+            assert core == expected
+        elif operation == "conv":
+            bank = banks[data.draw(st.integers(0, len(banks) - 1))]
+            floor = data.draw(adc_floor)
+            shape = (bank.shape[0], int(np.prod(bank.shape[1:])))
+            expected = cluster._ring.lookup(
+                cluster._conv_route_key(bank),
+                allowed=cluster._capable_cores(shape, floor),
+            )
+            image = rng.uniform(0.0, 1.0, (5, 5))
+            core = _routed_core(
+                cluster, lambda: cluster.submit_conv(bank, image, min_adc_bits=floor)
+            )
+            assert core == expected
+        elif operation == "edit":
+            base = programs[data.draw(st.integers(0, len(programs) - 1))]
+            row = data.draw(st.integers(0, base.shape[0] - 1))
+            base[row] = rng.integers(0, 8, base.shape[1])
+        elif operation == "drain":
+            if len(cluster.active_cores) > 1:
+                cluster.drain(data.draw(st.sampled_from(cluster.active_cores)))
+                rotated = True
+        elif operation == "restore":
+            if cluster.draining:
+                cluster.restore(data.draw(st.sampled_from(cluster.draining)))
+                rotated = True
+        elif operation == "add_core":
+            if cluster.cores < 8:
+                cluster.add_core(data.draw(ROUTE_SPECS))
+        elif operation == "scale_up":
+            if cluster.cores < 8:
+                cluster.scale_up()
+        elif operation == "scale_down":
+            cluster.scale_down()
+        elif operation == "flush":
+            cluster.flush()
+        else:
+            cluster.age(1e3)
+        bound = sum(
+            session.scheduler.cache.capacity + session.scheduler.tiled_cache.capacity
+            for session in cluster.sessions
+        )
+        assert len(cluster._routes) <= bound
+        if rotated or _rotation_events(cluster) != before:
+            assert cluster._routes == {}
