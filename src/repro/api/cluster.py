@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -270,7 +270,11 @@ class ReplicatedModel:
         replica is drained, the batch falls back to the full set so
         the model never refuses traffic).
         """
-        priority = self._cluster._admit(priority)
+        cluster = self._cluster
+        priority = cluster._validated_priority(priority)
+        if cluster._saturated(priority):
+            self._endpoints[0]._validated_batch(batch)
+            cluster._shed_saturated()
         drained = self._cluster._drained
         slots = [
             slot
@@ -764,36 +768,42 @@ class PhotonicCluster:
             )
         return int(priority)
 
-    def _admit(self, priority: int) -> int:
+    def _saturated(self, priority: int) -> bool:
         """Admission control: once ``max_pending`` requests are queued
-        fleet-wide, best-effort traffic (priority <= 0) is shed with a
-        :class:`ClusterSaturatedError`; positive priority bypasses."""
-        priority = self._validated_priority(priority)
-        if (
+        fleet-wide, best-effort traffic (priority <= 0) is shed
+        (:meth:`_shed_saturated`); positive priority bypasses.  Each
+        submit path first runs on a request about to be shed the
+        validation its session would run, so a malformed one raises
+        that error, is not counted and queues nothing; an admitted
+        request is validated by its session alone."""
+        return (
             self.max_pending is not None
             and priority <= 0
             and self.pending >= self.max_pending
-        ):
-            self._shed += 1
-            if self.telemetry is not None:
-                self.telemetry.metrics.counter("shed").inc()
-                self._fleet_instant(
-                    "shed",
-                    args={
-                        "pending": self.pending,
-                        "max_pending": self.max_pending,
-                    },
-                )
-            self._obs_event(
+        )
+
+    def _shed_saturated(self) -> NoReturn:
+        """Shed one well-formed best-effort request: count it and raise
+        :class:`ClusterSaturatedError`."""
+        self._shed += 1
+        if self.telemetry is not None:
+            self.telemetry.metrics.counter("shed").inc()
+            self._fleet_instant(
                 "shed",
-                {"pending": self.pending, "max_pending": self.max_pending},
+                args={
+                    "pending": self.pending,
+                    "max_pending": self.max_pending,
+                },
             )
-            raise ClusterSaturatedError(
-                f"cluster saturated: {self.pending} requests pending >= "
-                f"max_pending={self.max_pending}; flush()/poll() to drain, "
-                "raise max_pending, or submit with priority > 0 to bypass"
-            )
-        return priority
+        self._obs_event(
+            "shed",
+            {"pending": self.pending, "max_pending": self.max_pending},
+        )
+        raise ClusterSaturatedError(
+            f"cluster saturated: {self.pending} requests pending >= "
+            f"max_pending={self.max_pending}; flush()/poll() to drain, "
+            "raise max_pending, or submit with priority > 0 to bypass"
+        )
 
     def _note_routed(self, core: int, priority: int) -> None:
         """Bookkeeping for one *successfully queued* request (call
@@ -921,9 +931,7 @@ class PhotonicCluster:
                 # The fleet's widest range (each session still checks its
                 # own core's): a malformed matrix fails typed here, before
                 # the key's int64 cast.
-                check_dense_weights(
-                    program, max(session.core.max_weight for session in self._sessions)
-                )
+                check_dense_weights(program, self._widest_weight())
                 key = b"dense-route:" + weight_key(program)
             return self._ring.lookup(key, allowed=candidates), content
         if self.routing.needs_loads:
@@ -931,6 +939,10 @@ class PhotonicCluster:
         else:
             loads = [0] * len(candidates)     # only the length is read
         return candidates[self.routing.select(None, loads, self._cursor)], None
+
+    def _widest_weight(self) -> int:
+        """The largest weight any core of the fleet holds."""
+        return max(session.core.max_weight for session in self._sessions)
 
     def _accept(self, core: int, priority: int, content: tuple | None) -> None:
         """Bookkeeping for one routed request its session accepted.  A
@@ -973,7 +985,10 @@ class PhotonicCluster:
         cores when none reaches it).  Under cache-affinity each
         weight program is routed once per rotation (see
         :meth:`_route`)."""
-        priority = self._admit(priority)
+        priority = self._validated_priority(priority)
+        if self._saturated(priority):
+            PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
+            self._shed_saturated()
         weights = np.asarray(weights)
         index, content = self._route("dense", weights, min_adc_bits)
         future = self._sessions[index].submit(
@@ -1014,7 +1029,10 @@ class PhotonicCluster:
         traffic shares one core's cache under cache-affinity.  Each
         bank is quantized and keyed for routing once per rotation (see
         :meth:`_route`).  ``min_adc_bits`` follows :meth:`submit`."""
-        priority = self._admit(priority)
+        priority = self._validated_priority(priority)
+        if self._saturated(priority):
+            PhotonicSession._validated_conv(kernels, image, stride, gain)
+            self._shed_saturated()
         bank = np.asarray(kernels)
         index, content = self._route("conv", bank, min_adc_bits)
         future = self._sessions[index].submit_conv(

@@ -48,8 +48,8 @@ from ..ml.convolution import (
     output_shape,
 )
 from ..ml.layers import PhotonicDense, relu
-from ..runtime.engine import weight_key
-from ..runtime.scheduler import BatchScheduler, WeightProgramCache
+from ..runtime.engine import check_unit_inputs, weight_key
+from ..runtime.scheduler import BatchScheduler, WeightProgramCache, check_dense_weights
 from ..telemetry import MetricsRegistry, ModelClock, Telemetry, TraceRecorder
 from ..telemetry.profiling import wall_clock
 from .futures import Future, RunReport
@@ -520,6 +520,30 @@ class PhotonicSession:
         return float(gain)
 
     # -- raw dense route -----------------------------------------------------
+    @staticmethod
+    def _check_dense(
+        weights: ArrayLike, x: ArrayLike, gain: float | str | None, max_weight: int
+    ) -> None:
+        """Raise what :meth:`submit` and the scheduler would for a
+        malformed dense request that never reaches them (shed at fleet
+        admission): its shapes, its gain, its weights against ``[0,
+        max_weight]`` and its input within [0, 1].  :meth:`submit`
+        keeps its own checks inline, so an admitted request pays no
+        call for them."""
+        weights = np.asarray(weights)
+        if weights.ndim != 2:
+            raise ConfigurationError(
+                f"weight matrix must be 2-D, got shape {weights.shape}"
+            )
+        x = np.asarray(x, dtype=float)
+        if x.shape != (weights.shape[1],):
+            raise ConfigurationError(
+                f"input must have shape ({weights.shape[1]},), got {x.shape}"
+            )
+        PhotonicSession._validated_gain(gain)
+        check_dense_weights(weights, max_weight)
+        check_unit_inputs(x)
+
     def submit(
         self,
         weights: ArrayLike,
@@ -557,6 +581,12 @@ class PhotonicSession:
                 f"input must have shape ({in_features},), got {x.shape}"
             )
         gain = self._validated_gain(gain)
+        if deadline is not None and isinstance(deadline, (int, float)) and deadline <= 0.0:
+            # Shed at submit, before the scheduler would check the weights
+            # and the input: check them here, so a malformed request
+            # raises instead of counting as a deadline miss.
+            check_dense_weights(weights, self.core.max_weight)
+            check_unit_inputs(x)
         self._submit_count += 1
         label = ("dense {}x{} request #{}", out_features, in_features, self._submit_count)
         future = self._new_future(label, deadline, tenant)
@@ -580,6 +610,25 @@ class PhotonicSession:
         return future
 
     # -- conv route ----------------------------------------------------------
+    @staticmethod
+    def _validated_conv(
+        kernels: ArrayLike, image: ArrayLike, stride: int, gain: float | None
+    ) -> tuple[np.ndarray, np.ndarray, float, tuple[int, int]]:
+        """A conv request checked whole: the kernel bank
+        (:func:`~repro.ml.convolution.normalize_kernel_bank`), its
+        numeric gain (None = native 1.0), the image against the bank's
+        channels and its output shape at ``stride``.  Returns the bank,
+        the image, the gain and the (rows, columns) output shape."""
+        kernels = normalize_kernel_bank(kernels)
+        gain = PhotonicSession._validated_gain(gain)
+        if gain == "auto":
+            raise ConfigurationError(
+                "the conv route takes a numeric gain (or None for native 1.0)"
+            )
+        gain = 1.0 if gain is None else float(gain)
+        image = normalize_image(image, kernels.shape[1])
+        return kernels, image, gain, output_shape(image.shape[1:], kernels.shape[2], stride)
+
     def submit_conv(
         self,
         kernels: ArrayLike,
@@ -606,16 +655,10 @@ class PhotonicSession:
         :meth:`submit` semantics; a request already expired at submit
         is shed before any quantization or im2col work.
         """
-        kernels = normalize_kernel_bank(kernels)
-        gain = self._validated_gain(gain)
-        if gain == "auto":
-            raise ConfigurationError(
-                "the conv route takes a numeric gain (or None for native 1.0)"
-            )
-        gain = 1.0 if gain is None else float(gain)
+        kernels, image, gain, (out_rows, out_cols) = self._validated_conv(
+            kernels, image, stride, gain
+        )
         kernel_size = kernels.shape[2]
-        image = normalize_image(image, kernels.shape[1])
-        out_rows, out_cols = output_shape(image.shape[1:], kernel_size, stride)
         self._submit_count += 1
         label = ("conv {}-kernel request #{}", kernels.shape[0], self._submit_count)
         shape = (kernels.shape[0], out_rows, out_cols)
@@ -797,11 +840,13 @@ class PhotonicSession:
         """Re-trim the core online and invalidate exactly the stale
         programs.
 
-        The re-trim re-bisects every row ADC's code ladder
+        The modelled re-trim re-bisects every row ADC's code ladder
         (:meth:`~repro.core.eoadc.EoAdc.code_boundaries` probes charged
-        to the calibration ledger, the row ADCs' banks rebuilt via
-        :meth:`~repro.core.tensor_core.PhotonicTensorCore.
-        invalidate_ladders`) and programs the measured drift into the
+        to the calibration ledger by formula; on the host the row ADCs'
+        banks are rebuilt via :meth:`~repro.core.tensor_core.
+        PhotonicTensorCore.invalidate_ladders`, and unchanged trims take
+        their ladder back from the process-wide ladder memo) and
+        programs the measured drift into the
         TIA gain trims — :meth:`DriftState.recalibrate` bumps the
         calibration epoch.  Cached weight programs compiled under an
         older epoch are evicted so hot programs recompile lazily on

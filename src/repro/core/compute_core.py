@@ -25,8 +25,9 @@ built alike share one table taken from one ring per channel.  A weight
 load stores bits; the bus transmissions are one table select and one
 product along each macro's buses, and the element responses one
 contraction over the bit planes.  :func:`load_rows` and
-:func:`row_responses` run those steps for all rows of a core at once,
-and a single core's :meth:`~VectorComputeCore.load_weights` and
+:func:`row_responses` run those steps for all rows of a core at once
+(and for a stack of successive loads, as a tile grid compiles), and a
+single core's :meth:`~VectorComputeCore.load_weights` and
 :meth:`~VectorComputeCore.element_responses` are their one-row case.
 The ring objects themselves (:attr:`VectorComputeCore.multipliers`)
 are built on first access, for studies that heat or re-trim single
@@ -48,7 +49,7 @@ from ..photonics.laser import FrequencyComb
 from ..photonics.photodiode import Photodiode
 from ..photonics.wdm import ChannelPlan
 from .multiplier import OneBitPhotonicMultiplier
-from .psram import PsramArray
+from .psram import PsramArray, write_arrays
 
 
 class VectorComputeCore:
@@ -392,46 +393,62 @@ class VectorComputeCore:
         return ledger
 
 
-def load_rows(cores: Sequence[VectorComputeCore], matrix: np.ndarray) -> None:
+def load_rows(cores: Sequence[VectorComputeCore], matrix: np.ndarray) -> np.ndarray:
     """Load row r of the int ``matrix`` into ``cores[r]`` (cores built
     alike): one range check, one bit split for every row, then each
-    row's pSRAM written through :meth:`PsramArray.write_bits` so its
-    flip ledger counts real switches."""
+    write of every row's pSRAM (:func:`~repro.core.psram.write_arrays`)
+    so its flip ledger counts real switches.  A stack ``(loads, rows,
+    elements)`` loads its matrices in order, each row's ledger counting
+    every load as if written alone, and the cores end holding the last.
+    Returns the bits written, ``(..., rows, elements, planes)``."""
     first = cores[0]
     if (matrix < 0).any() or (matrix > first.max_weight).any():
         raise ConfigurationError(
             f"weights must lie in [0, {first.max_weight}] for {first.weight_bits} bits"
         )
-    # bits[r, i, j]: plane j of word i, MSB first (the pSRAM bit order).
+    # bits[..., r, i, j]: plane j of word i, MSB first (the pSRAM bit order).
     shifts = np.arange(first.weight_bits - 1, -1, -1)
     bits = (matrix[..., None] >> shifts) & 1
-    for core, weights, word_bits in zip(cores, matrix, bits):
-        core.weight_memory.write_bits(word_bits)
+    writes = bits.reshape((-1,) + bits.shape[-3:])
+    write_arrays([core.weight_memory for core in cores], writes)
+    last = matrix.reshape((-1,) + matrix.shape[-2:])[-1]
+    for core, weights, word_bits in zip(cores, last, writes[-1]):
         core._weights = weights
         core._bits = word_bits
         core._transmission_cache = None
         if core._multipliers is not None:
             core._drive_multipliers()
+    return bits
 
 
-def bus_transmissions(cores: Sequence[VectorComputeCore]) -> np.ndarray:
-    """(row, macro, plane, channel) bus transmissions of ``cores`` (built
-    alike) from their loaded bits: one ring-table select and one macro
-    product for every row.  Each row's slice becomes its cached
-    transmissions."""
+def loaded_bits(cores: Sequence[VectorComputeCore]) -> np.ndarray:
+    """(row, element, plane) bits ``cores`` hold now."""
+    return np.stack([core._bits for core in cores])
+
+
+def bus_transmissions(cores: Sequence[VectorComputeCore], bits=None) -> np.ndarray:
+    """(..., row, macro, plane, channel) bus transmissions of ``cores``
+    (built alike) carrying ``bits`` (..., row, element, plane), by
+    default their loaded bits (:func:`loaded_bits`): one ring-table
+    select and one macro product for every row, and for every load of
+    a stack of successive ones.  Each row's slice of the last load
+    becomes its cached transmissions."""
     first = cores[0]
     table = np.stack([core.ring_table for core in cores])
-    bits = np.stack([core._bits for core in cores])[..., None]
+    if bits is None:
+        bits = loaded_bits(cores)
     transmissions = first._macro_products(
-        np.where(bits == 1, table[..., 1, :], table[..., 0, :])
+        np.where(bits[..., None] == 1, table[..., 1, :], table[..., 0, :])
     )
-    for core, own in zip(cores, transmissions):
+    last = transmissions.reshape((-1,) + transmissions.shape[-4:])[-1]
+    for core, own in zip(cores, last):
         core._transmission_cache = own
     return transmissions
 
 
-def row_responses(cores: Sequence[VectorComputeCore]) -> np.ndarray:
-    """(row, element) photocurrent responses of ``cores`` (built alike),
-    equal to stacking each row's :meth:`~VectorComputeCore.
-    element_responses` bit for bit."""
-    return cores[0]._responses(bus_transmissions(cores))
+def row_responses(cores: Sequence[VectorComputeCore], bits=None) -> np.ndarray:
+    """(..., row, element) photocurrent responses of ``cores`` (built
+    alike) carrying ``bits`` as in :func:`bus_transmissions`, equal to
+    stacking each row's :meth:`~VectorComputeCore.element_responses`
+    after each load bit for bit."""
+    return cores[0]._responses(bus_transmissions(cores, bits))

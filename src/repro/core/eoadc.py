@@ -18,10 +18,12 @@ one numpy pass, term for term the arithmetic of the per-ring models:
 :meth:`EoAdc.code_boundaries` bisects every code of the ladder in
 lockstep.  Converters with the same technology, spec, reference ladder
 and trims share one bank and its ladder memo (:func:`share_banks`, used
-for a tensor core's row ADCs).  The ring and thresholder objects
-(:attr:`EoAdc.rings`, :attr:`EoAdc.thresholders`) are built on first
-access from the bank, for studies of single rings and the transient
-read chain.
+for a tensor core's row ADCs), and a bank whose content matches one
+already bisected in the process takes that ladder from a bounded
+process-wide memo instead of bisecting again.  The ring and
+thresholder objects (:attr:`EoAdc.rings`, :attr:`EoAdc.thresholders`)
+are built on first access from the bank, for studies of single rings
+and the transient read chain.
 
 Static conversion, the full transient co-simulation (ring photon
 lifetime, thresholding-node slew, read-chain settling) and the paper's
@@ -32,6 +34,7 @@ implemented here.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -45,6 +48,16 @@ from ..errors import ConfigurationError, ConversionError
 from ..photonics.mrr import AllPassMRR
 from ..photonics.pn_junction import DepletionTuner
 from ..sim.transient import FirstOrderLag, Recorder, TransientEngine
+
+#: Bisected code ladders (read-only) by the digest of everything a
+#: bisection reads (:meth:`EoAdc._ladder_key`), shared by every
+#: converter in the process: a fresh core whose row-ADC bank matches
+#: one already bisected takes its ladder from here.  Entries are keyed
+#: by content, so a re-trim misses and nothing needs invalidating.
+_LADDERS: dict[bytes, np.ndarray] = {}
+#: Ladders :data:`_LADDERS` keeps; the oldest goes first.  Serving uses
+#: one trim set per ADC bit depth, so this is ample.
+_LADDER_MEMO_SIZE = 64
 
 
 @dataclass
@@ -246,8 +259,10 @@ class EoAdc:
         and trip power stale), call this (or
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.
         invalidate_ladders` on the owning core) so all of them follow.
-        The fresh bank bisects its ladder again on next use; converters
-        that shared the old bank keep it.
+        The fresh bank starts without a ladder; on next use it takes the
+        process memo's ladder for its content, which a re-trim changes,
+        or bisects one (see :meth:`code_boundaries`).  Converters that
+        shared the old bank keep it.
         """
         self._bank = AdcBank(
             self.technology, self.spec, self.reference_voltages, self.trim_errors
@@ -376,14 +391,44 @@ class EoAdc:
         what the :mod:`repro.runtime` compiler bins whole batches
         against.  The read-only result is memoised on the bank, so
         converters sharing a bank bisect once, until
-        :meth:`invalidate_boundaries`.
+        :meth:`invalidate_boundaries`.  A bank without a ladder first
+        looks its content up in the process-wide memo (at most
+        ``_LADDER_MEMO_SIZE`` ladders, the oldest evicted first), keyed
+        by a digest of everything a bisection reads: the technology's
+        values, the spec, the reference ladder, the trims and the
+        decoder's width and strictness.  So a fresh core built like one
+        already bisected, or a bank rebuilt with unchanged trims, skips
+        the bisection, and a re-trim misses.  A bisection that raises
+        stores nothing.
         """
         bank = self.bank
         if bank.ladder is None:
-            ladder = self._bisect_ladder()
-            ladder.flags.writeable = False
+            key = self._ladder_key()
+            ladder = _LADDERS.get(key)
+            if ladder is None:
+                ladder = self._bisect_ladder()
+                ladder.flags.writeable = False
+                if len(_LADDERS) >= _LADDER_MEMO_SIZE:
+                    del _LADDERS[next(iter(_LADDERS))]
+                _LADDERS[key] = ladder
             bank.ladder = ladder
         return bank.ladder
+
+    def _ladder_key(self) -> bytes:
+        """Digest of everything :meth:`_bisect_ladder` reads.  The
+        technology enters by value (``repr`` of its dataclasses, as in
+        :func:`repro.elastic.core_fingerprint`): every session builds
+        its own, so its identity would never match."""
+        bank = self.bank
+        digest = hashlib.blake2b(
+            f"{bank.technology!r}|{bank.spec!r}|{self.decoder.bits}|"
+            f"{self.decoder.strict}|{bank.reference_voltages.shape}|"
+            f"{bank.trim_errors.shape}".encode(),
+            digest_size=16,
+        )
+        digest.update(bank.reference_voltages.tobytes())
+        digest.update(bank.trim_errors.tobytes())
+        return digest.digest()
 
     def _bisect_ladder(self) -> np.ndarray:
         full_scale = self.bank.spec.full_scale_voltage

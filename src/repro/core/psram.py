@@ -21,6 +21,7 @@ model reproduces the paper's 0.5 pJ per switching event at 20 GHz.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,22 +335,6 @@ class PsramArray:
             raise ConfigurationError(f"need {self.words} values, got {len(values)}")
         return sum(self.write_word(index, value) for index, value in enumerate(values))
 
-    def write_bits(self, bits) -> int:
-        """Store every word from its bits, ``bits[i]`` holding word i
-        MSB first; returns total flipped bitcells."""
-        bits = np.asarray(bits)
-        if bits.shape != self._bits.shape:
-            raise ConfigurationError(
-                f"need bits of shape {self._bits.shape}, got {bits.shape}"
-            )
-        if ((bits != 0) & (bits != 1)).any():
-            raise ConfigurationError("bits must be 0 or 1")
-        flips = int(np.count_nonzero(self._bits != bits))
-        self._bits = bits.astype(int)
-        self._write_events += bits.size
-        self._switch_events += flips
-        return flips
-
     def update_time(self) -> float:
         """Time [s] to rewrite the full array, one bit per cell cycle.
 
@@ -380,3 +365,32 @@ class PsramArray:
             if not cell.is_hold_stable():
                 raise SimulationError(f"bitcell does not hold state {bit}")
         return True
+
+
+def write_arrays(arrays: Sequence[PsramArray], bits) -> None:
+    """Store ``bits`` (..., arrays, words, bits per word) into
+    ``arrays`` (built alike), ``bits[..., a, i]`` holding word i of
+    array a MSB first, with one shape check, one 0/1 check and one flip
+    count for all of them.  Leading axes stack successive writes: they
+    land in order, each array's ledger counting every write's cells
+    and flips as if written alone, and each array ends holding its
+    last."""
+    bits = np.asarray(bits)
+    shape = (len(arrays),) + arrays[0]._bits.shape
+    if bits.shape[-3:] != shape or not bits.size:
+        raise ConfigurationError(
+            f"need bits of shape {shape} or a stack of writes of that shape, "
+            f"got {bits.shape}"
+        )
+    if ((bits != 0) & (bits != 1)).any():
+        raise ConfigurationError("bits must be 0 or 1")
+    writes = bits.reshape((-1,) + shape)
+    held = np.stack([array._bits for array in arrays])
+    flips = np.count_nonzero(held != writes[0], axis=(1, 2)) + np.count_nonzero(
+        writes[1:] != writes[:-1], axis=(0, 2, 3)
+    )
+    cells = len(writes) * arrays[0].cell_count
+    for array, own, flipped in zip(arrays, writes[-1].astype(int), flips.tolist()):
+        array._bits = own
+        array._write_events += cells
+        array._switch_events += flipped

@@ -22,7 +22,7 @@ import numpy as np
 from ..config import Technology, default_technology
 from ..errors import ConfigurationError
 from ..health.drift import apply_read_out
-from .compute_core import VectorComputeCore, load_rows
+from .compute_core import VectorComputeCore, load_rows, loaded_bits
 from .eoadc import EoAdc, share_banks
 from .performance import PerformanceModel
 from .psram import switching_energy_ledger
@@ -97,17 +97,26 @@ class PhotonicTensorCore:
     def weight_matrix(self) -> np.ndarray:
         return self._weight_matrix.copy()
 
-    def load_weight_matrix(self, matrix) -> None:
+    def load_weight_matrix(self, matrix) -> np.ndarray:
         """Stream a weight matrix into the pSRAM arrays (20 GHz update):
         validated once and split into bit planes in one shift for every
-        row (:func:`~repro.core.compute_core.load_rows`)."""
+        row (:func:`~repro.core.compute_core.load_rows`).  A ``(loads,
+        rows, columns)`` stack streams its matrices in order, the flip
+        ledgers counting each load, and the core ends holding the last.
+        Returns the bits written, ``(..., rows, columns, planes)`` MSB
+        first."""
         matrix = np.asarray(matrix, dtype=int)
-        if matrix.shape != (self.rows, self.columns):
+        if (
+            matrix.ndim not in (2, 3)
+            or matrix.shape[-2:] != (self.rows, self.columns)
+            or not matrix.size
+        ):
             raise ConfigurationError(
                 f"weight matrix must be {self.rows}x{self.columns}, got {matrix.shape}"
             )
-        load_rows(self.row_cores, matrix)
-        self._weight_matrix = matrix
+        bits = load_rows(self.row_cores, matrix)
+        self._weight_matrix = matrix if matrix.ndim == 2 else matrix[-1]
+        return bits
 
     def weight_update_time(self) -> float:
         """Time [s] to stream one full weight matrix at the update rate.
@@ -148,13 +157,17 @@ class PhotonicTensorCore:
         which copies its ``reference_voltages`` and ``trim_errors`` and
         holds its ``spec`` when built.  After changing the first two in
         place or replacing ``spec`` — re-trimming during recalibration,
-        a variation study — call this
-        so the device loop converts with the new parameters and the
-        next compile re-bisects; rows that still match share one bank
-        again (:func:`~repro.core.eoadc.share_banks`).  Engines compiled
-        *before* the call keep their detached snapshots: recompile them
-        (the serving caches do this lazily after
-        :meth:`repro.api.PhotonicSession.recalibrate`).
+        a variation study — call this so the device loop converts with
+        the new parameters and the next compile reads their ladder;
+        rows that still match share one bank again
+        (:func:`~repro.core.eoadc.share_banks`).  The rebuilt banks
+        start without ladders and find them in the process-wide ladder
+        memo by content: a bank with unchanged trims takes its old
+        ladder back without bisecting, a re-trimmed one misses and
+        bisects (:meth:`~repro.core.eoadc.EoAdc.code_boundaries`).
+        Engines compiled *before* the call keep their detached
+        snapshots: recompile them (the serving caches do this lazily
+        after :meth:`repro.api.PhotonicSession.recalibrate`).
         """
         share_banks(self.row_adcs)
 
@@ -273,15 +286,21 @@ class PhotonicTensorCore:
 
         Returns a :class:`repro.runtime.CompiledCore` that evaluates
         whole input batches as dense numpy products, agreeing with this
-        device loop code-for-code: its response matrix comes from one
-        select, macro product and plane contraction over every row
+        device loop code-for-code.  It is the one-tile case of a grid
+        compile (:func:`repro.runtime.engine.compile_tiles`): its
+        response matrix comes from one select, macro product and plane
+        contraction over every row
         (:func:`~repro.core.compute_core.row_responses`), its ladders
-        from the row ADCs' banks (:meth:`row_ladders`).  The snapshot
-        is detached: reloading weights afterwards does not disturb it.
+        from the row ADCs' banks (:meth:`row_ladders`).  Compiling
+        writes nothing to the pSRAM.  The snapshot is detached:
+        reloading weights afterwards does not disturb it.
         """
-        from ..runtime.engine import CompiledCore
+        from ..runtime.engine import compile_tiles
 
-        return CompiledCore(self)
+        tiles, _, _ = compile_tiles(
+            self, self.weight_matrix[None], loaded_bits(self.row_cores)[None]
+        )
+        return tiles[0]
 
     # -- system analysis -----------------------------------------------------
     def performance(self) -> PerformanceModel:

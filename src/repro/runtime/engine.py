@@ -16,12 +16,18 @@ static functions of the input:
 
 :class:`CompiledCore` snapshots both at weight-load time and replays
 them vectorized, matching the device loop code-for-code.  Compilation
-costs one lockstep ladder bisection per distinct ADC bank (memoised on
-the bank, which the row ADCs of a core share while their trims agree)
-plus, per weight program, one whole-core pSRAM write and one pass for
-the response matrix: a select from the core's two-state ring table, a
-product along each macro's buses and a contraction over the bit
-planes, for every row at once.
+costs one lockstep ladder bisection per distinct ADC bank content in
+the process (memoised on the bank, which the row ADCs of a core share
+while their trims agree, and in a bounded process-wide memo keyed by
+the bank's content, so a fresh core built alike bisects nothing) plus,
+per weight program, one pass over all its tiles
+(:func:`compile_tiles`): the tiles' blocks stream into the core's
+pSRAM in order, then one select from the core's two-state ring table,
+one product along each macro's buses and one contraction over the bit
+planes give every row's responses for every tile at once, the row
+ladders are read once, and each tile is built from its arrays and one
+:class:`TileHeader` the grid shares.
+:meth:`PhotonicTensorCore.compile` is the one-tile case.
 
 One kernel (:meth:`CompiledCore.evaluate`) serves every dense batch:
 a stacked ``np.matmul`` of tile responses against input chunks, one
@@ -47,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import Technology
 from ..core.compute_core import row_responses
 from ..core.tensor_core import MatvecResult, PhotonicTensorCore
 from ..errors import ConfigurationError
-from ..health.drift import Perturbation, apply_read_out
+from ..health.drift import DriftState, Perturbation, apply_read_out
 
 
 @dataclass
@@ -117,150 +124,165 @@ def _bin(voltages: np.ndarray, boundaries: np.ndarray, ladder) -> np.ndarray:
     return codes
 
 
+#: A :class:`TileHeader`'s scalars and their types, in stored order.
+_HEADER_SCALARS = {
+    "rows": int,
+    "columns": int,
+    "weight_bits": int,
+    "max_weight": int,
+    "adc_bits": int,
+    "adc_levels": int,
+    "adc_lsb": float,
+    "full_scale_voltage": float,
+    "tia_gain": float,
+    "full_scale_current": float,
+    "sample_rate": float,
+}
+
+
+@dataclass(frozen=True)
+class TileHeader:
+    """What every tile compiled on one core shares, read once per grid:
+    geometry and precision, the row ADCs' read-out constants and the
+    row TIA's calibration, then the drift binding.  Built from the
+    compiling core (:meth:`of_core`) or from a stored tile meta
+    (:meth:`from_meta`); :meth:`meta` is that stored form."""
+
+    rows: int
+    columns: int
+    weight_bits: int
+    max_weight: int
+    adc_bits: int
+    adc_levels: int
+    adc_lsb: float
+    full_scale_voltage: float
+    tia_gain: float
+    full_scale_current: float
+    sample_rate: float
+    technology: Technology
+    #: The core's live :class:`~repro.health.DriftState` when active
+    #: (hardware truth evolves under it), else None; the compensation
+    #: trims snapshotted at compile time, part of the program like the
+    #: ladder; and their calibration epoch.  A recalibration bumps the
+    #: state's epoch, and programs compiled under an older one keep
+    #: serving with stale trims until the caches recompile them
+    #: (:meth:`repro.api.PhotonicSession.recalibrate`).
+    drift: DriftState | None = None
+    calibration: Perturbation | None = None
+    calibration_epoch: int = 0
+
+    @classmethod
+    def of_core(cls, core: PhotonicTensorCore) -> "TileHeader":
+        adc = core.row_adcs[0]
+        drift = core.drift_state
+        binding = () if drift is None or not drift.active else (
+            drift, drift.compensation, drift.epoch
+        )
+        return cls(
+            core.rows,
+            core.columns,
+            core.weight_bits,
+            core.max_weight,
+            adc.bits,
+            adc.levels,
+            adc.lsb,
+            adc.spec.full_scale_voltage,
+            core.tia_gain,
+            core.full_scale_current,
+            adc.sample_rate,
+            core.technology,
+            *binding,
+        )
+
+    @classmethod
+    def from_meta(cls, meta: dict, technology, drift_state=None) -> "TileHeader":
+        """The header :meth:`meta` stored, bound to ``drift_state``, the
+        requesting core's live state: the stored compensation stays the
+        program's compile-time trim, so residual arithmetic matches a
+        cold compile under the same epoch.  The store validates the
+        payload; this trusts it."""
+        scalars = {name: kind(meta[name]) for name, kind in _HEADER_SCALARS.items()}
+        if drift_state is None or not drift_state.active:
+            return cls(**scalars, technology=technology)
+        compensation = meta.get("compensation") or ()
+        return cls(
+            **scalars,
+            technology=technology,
+            drift=drift_state,
+            calibration=Perturbation(*(float(value) for value in compensation)),
+            calibration_epoch=int(meta["calibration_epoch"]),
+        )
+
+    def meta(self) -> dict:
+        """The header as a plain JSON-able dict."""
+        calibration = self.calibration
+        return {
+            **{name: kind(getattr(self, name)) for name, kind in _HEADER_SCALARS.items()},
+            "calibration_epoch": int(self.calibration_epoch),
+            "compensation": None
+            if calibration is None
+            else [
+                float(calibration.current_scale),
+                float(calibration.gain_scale),
+                float(calibration.voltage_offset),
+            ],
+        }
+
+
 class CompiledCore:
     """A weight program of a :class:`PhotonicTensorCore`, compiled to
     dense arrays for batched evaluation.
 
-    ``response`` holds every row's element responses to the loaded
-    weights (:func:`~repro.core.compute_core.row_responses`, one pass)
-    and ``boundaries`` the row ADCs' ladders
-    (:meth:`~PhotonicTensorCore.row_ladders`); a shared ladder bins the
-    whole batch with one ``searchsorted``.
-    The snapshot is detached from the device: reloading the source
-    core's weights afterwards (as every later
+    Built from its arrays plus the :class:`TileHeader` its grid shares
+    (see :func:`compile_tiles`): ``weight_matrix`` the tile's weights,
+    ``response`` every row's element responses to them
+    (:func:`~repro.core.compute_core.row_responses`), ``boundaries``
+    the row ADCs' ladders (:meth:`~PhotonicTensorCore.row_ladders`)
+    and ``ladder`` the one every row shares, or None; a shared ladder
+    bins the whole batch with one ``searchsorted``.  The snapshot is
+    detached from the device: reloading the source core's weights
+    afterwards (as every later
     :class:`~repro.runtime.tiling.TiledMatmul` compile on it does)
     leaves this program valid.
     """
 
-    def __init__(self, core: PhotonicTensorCore) -> None:
-        self.rows = core.rows
-        self.columns = core.columns
-        self.weight_bits = core.weight_bits
-        self.max_weight = core.max_weight
-        self.technology = core.technology
-        self.weight_matrix = core.weight_matrix
+    def __init__(
+        self,
+        header: TileHeader,
+        weight_matrix: np.ndarray,
+        response: np.ndarray,
+        boundaries: np.ndarray,
+        ladder: np.ndarray | None,
+    ) -> None:
+        self.header = header
+        self.rows = header.rows
+        self.columns = header.columns
+        self.weight_bits = header.weight_bits
+        self.max_weight = header.max_weight
+        self.technology = header.technology
+        self.weight_matrix = weight_matrix
         #: (rows, columns) photocurrent per unit input intensity.
-        self.response = row_responses(core.row_cores)
+        self.response = response
         #: (rows, levels - 1) exact per-row code-transition voltages.
-        self.boundaries = core.row_ladders()
-        self._shared_ladder = common_ladder(self.boundaries)
-
-        adc = core.row_adcs[0]
-        self.adc_bits = adc.bits
-        self.adc_levels = adc.levels
-        self._adc_lsb = adc.lsb
-        self._full_scale_voltage = adc.spec.full_scale_voltage
-        self._tia_gain = core.tia_gain
-        self._full_scale_current = core.full_scale_current
-        self.sample_rate = adc.sample_rate
+        self.boundaries = boundaries
+        self._shared_ladder = ladder
+        self.adc_bits = header.adc_bits
+        self.adc_levels = header.adc_levels
+        self._adc_lsb = header.adc_lsb
+        self._full_scale_voltage = header.full_scale_voltage
+        self._tia_gain = header.tia_gain
+        self._full_scale_current = header.full_scale_current
+        self.sample_rate = header.sample_rate
+        self._drift = header.drift
+        self._calibration = header.calibration
+        self.calibration_epoch = header.calibration_epoch
         self._table = None
-
-        # Drift-aware compilation: the engine keeps a *live* reference
-        # to the core's DriftState (hardware truth evolves under it)
-        # but snapshots the compensation trims — like the ladder, the
-        # trims are part of the compiled program.  A recalibration
-        # bumps the state's epoch; programs compiled under an older
-        # epoch keep serving with stale trims until the caches
-        # recompile them (repro.api.PhotonicSession.recalibrate).
-        drift = core.drift_state
-        if drift is not None and drift.active:
-            self._drift = drift
-            self._calibration = drift.compensation
-            self.calibration_epoch = drift.epoch
-        else:
-            self._drift = None
-            self._calibration = None
-            self.calibration_epoch = 0
 
     # -- bookkeeping ---------------------------------------------------------
     @property
     def weight_key(self) -> bytes:
         """Canonical cache key of this weight program."""
         return weight_key(self.weight_matrix)
-
-    # -- persistence ---------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The program as plain ``{"arrays", "meta"}`` payloads — dense
-        response matrix, exact ladder tables, and the compile-time
-        drift trims — from which :meth:`from_state` rebuilds a
-        bit-for-bit equal engine (:class:`repro.elastic.ProgramStore`
-        persists exactly this)."""
-        calibration = self._calibration
-        return {
-            "arrays": {
-                "response": self.response,
-                "boundaries": self.boundaries,
-                "weight_matrix": np.ascontiguousarray(
-                    np.asarray(self.weight_matrix, dtype=np.int64)
-                ),
-            },
-            "meta": {
-                "rows": int(self.rows),
-                "columns": int(self.columns),
-                "weight_bits": int(self.weight_bits),
-                "max_weight": int(self.max_weight),
-                "adc_bits": int(self.adc_bits),
-                "adc_levels": int(self.adc_levels),
-                "adc_lsb": float(self._adc_lsb),
-                "full_scale_voltage": float(self._full_scale_voltage),
-                "tia_gain": float(self._tia_gain),
-                "full_scale_current": float(self._full_scale_current),
-                "sample_rate": float(self.sample_rate),
-                "calibration_epoch": int(self.calibration_epoch),
-                "compensation": None
-                if calibration is None
-                else [
-                    float(calibration.current_scale),
-                    float(calibration.gain_scale),
-                    float(calibration.voltage_offset),
-                ],
-            },
-        }
-
-    @classmethod
-    def from_state(cls, arrays, meta, technology, drift_state=None) -> "CompiledCore":
-        """Rebuild a compiled program from :meth:`state_dict` payloads
-        without touching a device core.
-
-        ``drift_state`` rebinds the restored program to the requesting
-        core's *live* :class:`~repro.health.DriftState` (the persisted
-        compensation snapshot stays the program's compile-time trim, so
-        residual arithmetic matches a cold compile under the same
-        epoch).  Validation of the payload happens in the store — this
-        constructor trusts its inputs.
-        """
-        self = cls.__new__(cls)
-        self.rows = int(meta["rows"])
-        self.columns = int(meta["columns"])
-        self.weight_bits = int(meta["weight_bits"])
-        self.max_weight = int(meta["max_weight"])
-        self.technology = technology
-        self.weight_matrix = np.asarray(arrays["weight_matrix"], dtype=np.int64)
-        self.response = np.asarray(arrays["response"], dtype=float)
-        self.boundaries = np.asarray(arrays["boundaries"], dtype=float)
-        self._shared_ladder = common_ladder(self.boundaries)
-        self.adc_bits = int(meta["adc_bits"])
-        self.adc_levels = int(meta["adc_levels"])
-        self._adc_lsb = float(meta["adc_lsb"])
-        self._full_scale_voltage = float(meta["full_scale_voltage"])
-        self._tia_gain = float(meta["tia_gain"])
-        self._full_scale_current = float(meta["full_scale_current"])
-        self.sample_rate = float(meta["sample_rate"])
-        self._table = None
-        compensation = meta.get("compensation")
-        if drift_state is not None and drift_state.active:
-            self._drift = drift_state
-            self._calibration = (
-                Perturbation()
-                if compensation is None
-                else Perturbation(*(float(value) for value in compensation))
-            )
-            self.calibration_epoch = int(meta["calibration_epoch"])
-        else:
-            self._drift = None
-            self._calibration = None
-            self.calibration_epoch = 0
-        return self
 
     # -- evaluation ----------------------------------------------------------
     def _validated_batch(self, batch) -> np.ndarray:
@@ -349,6 +371,30 @@ class CompiledCore:
                 f"input must have shape ({self.columns},), got {x.shape}"
             )
         return self.matmul(x[:, np.newaxis], gain=gain, residual=residual).column(0)
+
+
+def compile_tiles(
+    core: PhotonicTensorCore, weights: np.ndarray, bits: np.ndarray
+) -> tuple[list[CompiledCore], np.ndarray, np.ndarray]:
+    """Compile the (tiles, rows, columns) weight blocks ``core`` holds
+    or held in turn, ``bits`` the (tiles, rows, columns, planes) bit
+    planes its pSRAM took for them, in one pass: one table select,
+    macro product and plane contraction over the stack
+    (:func:`~repro.core.compute_core.row_responses`), one read of the
+    row ADCs' ladders, which every tile shares, one shared-ladder test
+    and one :class:`TileHeader`.  Returns the tiles and their (tiles,
+    rows, columns) response and (tiles, rows, levels - 1) ladder
+    stacks; each tile's arrays are views into them."""
+    responses = row_responses(core.row_cores, bits)
+    ladders = core.row_ladders()
+    boundaries = np.repeat(ladders[None], len(weights), axis=0)
+    header = TileHeader.of_core(core)
+    ladder = common_ladder(ladders)
+    tiles = [
+        CompiledCore(header, *arrays, ladder)
+        for arrays in zip(weights, responses, boundaries)
+    ]
+    return tiles, responses, boundaries
 
 
 def weight_key(matrix) -> bytes:

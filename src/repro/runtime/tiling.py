@@ -10,14 +10,23 @@ tiles are zero-padded — padded rows read code 0 and padded inputs
 contribute nothing, so no masking is needed on the way out.
 
 A grid compiles on, and overwrites, the core it is given (tile shape,
-precision, technology, ladder memo and drift state all come from it):
-each tile's block is loaded into its pSRAM and snapshotted
-(:class:`~repro.runtime.engine.CompiledCore`) once at construction.
-The grid holds its tiles' responses as one ``(row_tiles, column_tiles,
-rows, columns)`` stack (and their ladders likewise); each tile's
-``response`` and ``boundaries`` are views into it, so there is one
-copy, and :meth:`TiledMatmul.matmul` evaluates the whole stack in one
-pass of :meth:`~repro.runtime.engine.CompiledCore.evaluate`: the batch
+precision, technology, ladder memo and drift state all come from it),
+in one pass over all tiles at construction: the matrix is padded to
+the grid once and viewed as row-major ``(tiles, rows, columns)``
+blocks, which stream into the core's pSRAM in tile order (its flip
+ledger as if loaded tile by tile); one table select, macro product
+and plane contraction then give every tile's responses, the row
+ladders are read once, and each tile
+(:class:`~repro.runtime.engine.CompiledCore`) is built from its arrays
+and one header the grid shares
+(:func:`~repro.runtime.engine.compile_tiles`).  A restore
+(:meth:`TiledMatmul.from_state`) builds its tiles through the same
+constructor.  The grid holds its tiles' responses as one ``(row_tiles,
+column_tiles, rows, columns)`` stack (and their ladders likewise);
+each tile's ``response`` and ``boundaries`` are views into it, so
+there is one copy, and :meth:`TiledMatmul.matmul` evaluates the whole
+stack in one pass of
+:meth:`~repro.runtime.engine.CompiledCore.evaluate`: the batch
 is padded once and split into per-column-tile chunks, every tile's
 codes come from one stacked matmul and read-out, and the column
 tiles' estimates are summed in order.  An in-grid program is a
@@ -45,10 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import default_technology
+from ..core.psram import switching_energy_ledger
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import ConfigurationError, MappingError
 from ..ml.mapping import iter_tile_blocks, tile_grid
-from .engine import CompiledCore, check_unit_inputs, common_ladder
+from .engine import CompiledCore, TileHeader, check_unit_inputs, common_ladder, compile_tiles
 
 
 @dataclass
@@ -229,45 +239,47 @@ class TiledMatmul:
         self.row_tiles, self.column_tiles = tile_grid(
             self.out_features, self.in_features, self.tile_rows, self.tile_columns
         )
-
+        grid = (self.row_tiles, self.column_tiles)
+        # The matrix padded to the grid, as row-major (tiles, rows,
+        # columns) blocks: ragged edge tiles are zero-padded.
+        padded = np.zeros(
+            (self.row_tiles * self.tile_rows, self.column_tiles * self.tile_columns),
+            dtype=int,
+        )
+        padded[: self.out_features, : self.in_features] = weight_matrix
+        blocks = (
+            padded.reshape(self.row_tiles, self.tile_rows, self.column_tiles, self.tile_columns)
+            .swapaxes(1, 2)
+            .reshape(-1, self.tile_rows, self.tile_columns)
+        )
+        if gain == "auto":
+            full_scale_dot = self.tile_columns * self.max_weight
+            gains = [auto_range_gain(block, full_scale_dot) for block in blocks]
+        elif isinstance(gain, (int, float)):
+            if gain <= 0.0:
+                raise MappingError(f"TIA gain must be positive, got {gain}")
+            gains = [float(gain)] * len(blocks)
+        else:
+            raise MappingError(f"gain must be a number or 'auto', got {gain!r}")
         #: Per-(row_tile, col_tile) TIA gain actually applied (the
         #: defaults; a float ``gain`` argument to matvec/matmul
         #: overrides them globally for that call).
-        self.gains = np.ones((self.row_tiles, self.column_tiles))
-        tiles: list[CompiledCore] = []
+        self.gains = np.array(gains).reshape(grid)
 
-        full_scale_dot = self.tile_columns * self.max_weight
+        # The blocks stream into the core's pSRAM in tile order (its flip
+        # ledger counts every load), but every tile of a real grid is its
+        # own core, so each block is charged by the set-bit rule, not by
+        # what ``core`` held: summed in tile order, as tile by tile.
+        bits = core.load_weight_matrix(blocks)
+        per_switch = switching_energy_ledger(self.technology).total
         load_energy = 0.0
-        for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in (
-            iter_tile_blocks(self.out_features, self.in_features,
-                             self.tile_rows, self.tile_columns)
-        ):
-            block = np.zeros((self.tile_rows, self.tile_columns), dtype=int)
-            block[: row_stop - row_start, : col_stop - col_start] = weight_matrix[
-                row_start:row_stop, col_start:col_stop
-            ]
-            if gain == "auto":
-                tile_gain = auto_range_gain(block, full_scale_dot)
-            elif isinstance(gain, (int, float)):
-                if gain <= 0.0:
-                    raise MappingError(f"TIA gain must be positive, got {gain}")
-                tile_gain = float(gain)
-            else:
-                raise MappingError(f"gain must be a number or 'auto', got {gain!r}")
-            self.gains[row_tile, col_tile] = tile_gain
-
-            # Every tile of a real grid is its own core, so each block
-            # is charged by the set-bit rule, not by what ``core`` held.
-            core.load_weight_matrix(block)
-            load_energy += core.program_energy(block)
-            tiles.append(core.compile())
-        self._stack(
-            tiles,
-            np.stack([tile.response for tile in tiles]),
-            np.stack([tile.boundaries for tile in tiles]),
-        )
+        for set_bits in bits.reshape(len(blocks), -1).sum(axis=1).tolist():
+            load_energy += set_bits * per_switch
         self.weight_update_energy = load_energy
         self.weight_update_time = self.column_tiles * core.weight_update_time()
+        tiles, responses, boundaries = compile_tiles(core, blocks, bits)
+        self._ladder = tiles[0]._shared_ladder
+        self._stack(tiles, responses, boundaries)
 
     def _stack(self, tiles: list[CompiledCore], responses, boundaries) -> None:
         """Hold ``tiles`` (row-major) as the grid and their (tiles, rows,
@@ -278,10 +290,9 @@ class TiledMatmul:
         self.tile_responses = responses.reshape(grid + responses.shape[1:])
         #: (row_tiles, column_tiles, rows, levels - 1) tile ladders.
         self.tile_boundaries = boundaries.reshape(grid + boundaries.shape[1:])
-        self._ladder = common_ladder(self.tile_boundaries)
-        for index, tile in enumerate(tiles):
-            tile.response = self.tile_responses[divmod(index, self.column_tiles)]
-            tile.boundaries = self.tile_boundaries[divmod(index, self.column_tiles)]
+        for tile, response, tile_boundaries in zip(tiles, responses, boundaries):
+            tile.response = response
+            tile.boundaries = tile_boundaries
         #: Grid of compiled tile programs, [row_tile][col_tile].
         self.tiles = [
             tiles[start : start + self.column_tiles]
@@ -295,10 +306,10 @@ class TiledMatmul:
         stacked along a leading tile axis (row-major over the grid),
         the per-tile TIA gains, and one shared tile meta (every tile of
         a grid compiles on the same core, so the ADC scalars and drift
-        trims are common).  :meth:`from_state` rebuilds a
-        bit-for-bit equal grid without compiling."""
+        trims are common: its :class:`~repro.runtime.engine.TileHeader`).
+        :meth:`from_state` rebuilds a bit-for-bit equal grid without
+        compiling."""
         flat = [tile for band in self.tiles for tile in band]
-        tile_meta = flat[0].state_dict()["meta"]
         return {
             "arrays": {
                 "weight_matrix": np.ascontiguousarray(
@@ -328,7 +339,7 @@ class TiledMatmul:
                 "weight_update_energy": float(self.weight_update_energy),
                 "weight_update_time": float(self.weight_update_time),
                 "calibration_epoch": int(self.calibration_epoch),
-                "tile": tile_meta,
+                "tile": flat[0].header.meta(),
             },
         }
 
@@ -336,9 +347,12 @@ class TiledMatmul:
     def from_state(cls, arrays, meta, technology, drift_state=None) -> "TiledMatmul":
         """Rebuild a compiled grid from :meth:`state_dict` payloads
         without touching a core (no ladder bisection, no response
-        rebuild).  ``drift_state`` rebinds every restored tile to the
-        requesting core's live :class:`~repro.health.DriftState`, same
-        stamping rule as construction."""
+        rebuild): one :class:`~repro.runtime.engine.TileHeader` from
+        the shared tile meta, one shared-ladder test, and each tile
+        built from its slices of the stacks.  ``drift_state`` rebinds
+        every restored tile to the requesting core's live
+        :class:`~repro.health.DriftState`, same stamping rule as
+        construction."""
         self = cls.__new__(cls)
         self.technology = technology if technology is not None else default_technology()
         self.tile_rows = int(meta["tile_rows"])
@@ -357,22 +371,14 @@ class TiledMatmul:
             if drift_state is not None and drift_state.active
             else 0
         )
-        tile_meta = meta["tile"]
+        header = TileHeader.from_meta(meta["tile"], self.technology, drift_state)
         responses = np.asarray(arrays["tile_responses"], dtype=float)
         boundaries = np.asarray(arrays["tile_boundaries"], dtype=float)
-        weights = arrays["tile_weights"]
+        weights = np.asarray(arrays["tile_weights"], dtype=np.int64)
+        self._ladder = common_ladder(boundaries)
         tiles = [
-            CompiledCore.from_state(
-                {
-                    "response": responses[index],
-                    "boundaries": boundaries[index],
-                    "weight_matrix": weights[index],
-                },
-                tile_meta,
-                self.technology,
-                drift_state=drift_state,
-            )
-            for index in range(self.row_tiles * self.column_tiles)
+            CompiledCore(header, *tile_arrays, self._ladder)
+            for tile_arrays in zip(weights, responses, boundaries)
         ]
         self._stack(tiles, responses, boundaries)
         self.weight_update_energy = float(meta["weight_update_energy"])

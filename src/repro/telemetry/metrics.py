@@ -145,11 +145,11 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Absorb one observation without building an array: the same
         bin (``bisect_right`` is ``searchsorted(side="right")``) and the
-        same running totals as ``observe_many((value,))``.  A negative
-        or NaN value takes that array path, so its error and its NaN
-        handling stay in one place."""
+        same running totals as ``observe_many((value,))``.  A value
+        outside [0, inf) (negative, infinite or NaN) takes that array
+        path, so its error stays in one place."""
         value = float(value)
-        if not value >= 0.0:
+        if not 0.0 <= value < math.inf:
             self.observe_many((value,))
             return
         self._counts[bisect.bisect_right(self._edge_list, value)] += 1
@@ -159,14 +159,19 @@ class Histogram:
         self.max = max(self.max, value)
 
     def observe_many(self, values: Sequence[float] | np.ndarray) -> None:
-        """Absorb a batch of observations in one vectorized pass."""
+        """Absorb a batch of observations in one vectorized pass.  The
+        batch must be finite and non-negative: the check is a negated
+        in-range test of its min and max (which the running totals reuse),
+        so a NaN, false under every comparison, fails it and leaves the
+        histogram unchanged."""
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        if np.any(values < 0.0):
+        low, high = float(values.min()), float(values.max())
+        if not (0.0 <= low and high < math.inf):
             raise ConfigurationError(
-                f"histogram '{self.name}' takes non-negative values, "
-                f"got min {values.min():g}"
+                f"histogram '{self.name}' takes finite non-negative values, "
+                f"got range [{low:g}, {high:g}]"
             )
         # searchsorted over the edges: 0 = underflow, len(edges) = overflow.
         self._counts += np.bincount(
@@ -175,8 +180,8 @@ class Histogram:
         )
         self.count += int(values.size)
         self.total += float(values.sum())
-        self.min = min(self.min, float(values.min()))
-        self.max = max(self.max, float(values.max()))
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
 
     def quantile(self, q: float) -> float:
         """The value at quantile ``q`` (0..1), geometric-interpolated

@@ -258,6 +258,37 @@ class TestQoS:
             cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
         assert cluster.pending == 2
         assert cluster.report().shed == 2
+        # A malformed request on the saturated fleet raises what its
+        # session would: it is neither counted as shed nor queued.
+        kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+        image = rng.uniform(0.0, 1.0, (6, 6))
+        model = cluster.compile(Model.sequential(Dense(rng.normal(0.0, 1.0, (3, 6)))))
+        malformed = (
+            lambda: model.submit(np.full((2, 6), np.nan)),
+            lambda: cluster.submit(weights.astype(str), rng.uniform(0.0, 1.0, 6)),
+            lambda: cluster.submit(weights + 8, rng.uniform(0.0, 1.0, 6)),
+            lambda: cluster.submit(weights, np.full(6, 2.0)),
+            lambda: cluster.submit(weights, rng.uniform(0.0, 1.0, 5)),
+            lambda: cluster.submit(weights, rng.uniform(0.0, 1.0, 6), gain=-1.0),
+            lambda: cluster.submit_conv(np.full((2, 3, 3), np.nan), image),
+            lambda: cluster.submit_conv(kernels, -image),
+            lambda: cluster.submit_conv(kernels, image, gain="auto"),
+            lambda: cluster.submit_conv(kernels, image, stride=0),
+        )
+        for submit in malformed:
+            with pytest.raises(ConfigurationError):
+                submit()
+            assert cluster.pending == 2
+            assert cluster.report().shed == 2
+        # Well-formed requests on every route are still shed.
+        with pytest.raises(ClusterSaturatedError):
+            cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
+        with pytest.raises(ClusterSaturatedError):
+            cluster.submit_conv(kernels, image)
+        with pytest.raises(ClusterSaturatedError):
+            model.submit(rng.uniform(0.0, 1.0, (2, 6)))
+        assert cluster.pending == 2
+        assert cluster.report().shed == 5
 
     def test_priority_bypasses_shedding(self, tech):
         cluster = PhotonicCluster(cores=1, technology=tech, grid=(4, 6),

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
@@ -19,6 +19,7 @@ from repro.api import (
     RunReport,
 )
 from repro.config import default_technology
+from repro.core import eoadc
 from repro.core.compute_core import VectorComputeCore, row_responses
 from repro.core.eoadc import EoAdc
 from repro.core.tensor_core import PhotonicTensorCore
@@ -384,30 +385,99 @@ def reference_matmul(program, batch, gain=None):
     return reference_grid_matmul(program, batch, gain)[0]
 
 
+def _drifted(core):
+    """``core`` under an active drift state aged 20 s (a laser decay
+    and a TIA gain drift)."""
+    state = DriftState((LaserPowerDecay(rate_per_s=1e-2), TiaGainDrift(drift_per_s=-8e-4)))
+    state.advance(20.0)
+    core.drift_state = state
+    return core
+
+
+def assert_grid_equals_tile_by_tile(grid, core, twin, gain):
+    """``grid``, just compiled on ``core``, equals its blocks loaded
+    into ``twin`` (``core``'s twin before the compile) one at a time,
+    row by row through ``VectorComputeCore.load_weights``: each tile's
+    response is the rows' ``element_responses()``, its ladders the row
+    ADCs' ``code_boundaries()``, its gain the range rule's, the load
+    energy the tile-order sum of ``program_energy``, and both cores end
+    in the same state (weights, pSRAM bits and ledger, transmissions)."""
+    energy = 0.0
+    for row_tile, col_tile, (row_start, row_stop), (col_start, col_stop) in iter_tile_blocks(
+        grid.out_features, grid.in_features, grid.tile_rows, grid.tile_columns
+    ):
+        block = np.zeros((grid.tile_rows, grid.tile_columns), dtype=int)
+        block[: row_stop - row_start, : col_stop - col_start] = grid.weight_matrix[
+            row_start:row_stop, col_start:col_stop
+        ]
+        for row, weights in zip(twin.row_cores, block):
+            row.load_weights(weights)
+        energy += twin.program_energy(block)
+        tile = grid.tiles[row_tile][col_tile]
+        assert np.array_equal(tile.weight_matrix, block)
+        assert np.array_equal(
+            tile.response, np.stack([row.element_responses() for row in twin.row_cores])
+        )
+        assert np.array_equal(
+            tile.boundaries, np.stack([adc.code_boundaries() for adc in twin.row_adcs])
+        )
+        expected_gain = (
+            auto_range_gain(block, grid.tile_columns * grid.max_weight)
+            if gain == "auto"
+            else gain
+        )
+        assert grid.gains[row_tile, col_tile] == expected_gain
+    assert grid.weight_update_energy == energy
+    assert np.array_equal(core.weight_matrix, block)
+    for row, twin_row in zip(core.row_cores, twin.row_cores, strict=True):
+        assert np.array_equal(row.weights, twin_row.weights)
+        memory, twin_memory = row.weight_memory, twin_row.weight_memory
+        assert np.array_equal(memory._bits, twin_memory._bits)
+        assert memory.switch_events == twin_memory.switch_events
+        assert memory._write_events == twin_memory._write_events
+        assert np.array_equal(row._transmissions(), twin_row._transmissions())
+    assert core.weight_update_energy() == twin.weight_update_energy()
+
+
 @given(
     shape=st.tuples(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
     tile=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
     gain=st.sampled_from(("auto", 1.0, 2.5)),
     override=st.sampled_from((None, 0.7, 3.0)),
     loads=st.integers(min_value=1, max_value=3),
+    bits=st.integers(min_value=1, max_value=4),
+    adc_bits=st.integers(min_value=2, max_value=6),
+    drift=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=12, deadline=None)
 def test_grid_compiled_on_a_used_core_equals_one_on_a_fresh_core(
-    shape, tile, gain, override, loads, seed
+    shape, tile, gain, override, loads, bits, adc_bits, drift, seed
 ):
     """Compiling overwrites the given core's pSRAM and reads nothing it
     held before: a grid compiled on a core that already served random
     loads equals one compiled on a fresh core, load energy included,
     and both evaluate like the per-tile loop, with or without a
-    per-call gain override."""
+    per-call gain override.  The one-pass grid compile equals loading
+    and reading its tiles one by one on a twin core, down to the
+    core's state afterwards."""
     rng = np.random.default_rng(seed)
-    weights = rng.integers(0, 8, shape)
-    used = PhotonicTensorCore(rows=tile[0], columns=tile[1])
+    weights = rng.integers(0, 2**bits, shape)
+
+    def core():
+        built = PhotonicTensorCore(
+            rows=tile[0], columns=tile[1], weight_bits=bits, adc_bits=adc_bits
+        )
+        return _drifted(built) if drift else built
+
+    used, twin = core(), core()
     for _ in range(loads):
-        used.load_weight_matrix(rng.integers(0, 8, tile))
+        prior = rng.integers(0, 2**bits, tile)
+        used.load_weight_matrix(prior)
+        twin.load_weight_matrix(prior)
     on_used = TiledMatmul(weights, used, gain=gain)
-    on_fresh = TiledMatmul(weights, PhotonicTensorCore(rows=tile[0], columns=tile[1]), gain=gain)
+    assert_grid_equals_tile_by_tile(on_used, used, twin, gain)
+    on_fresh = TiledMatmul(weights, core(), gain=gain)
 
     for band_used, band_fresh in zip(on_used.tiles, on_fresh.tiles, strict=True):
         for a, b in zip(band_used, band_fresh, strict=True):
@@ -526,6 +596,62 @@ def test_bank_conversion_equals_per_ring_walk(bits, trim_lsb, strict_decoder, se
         if len(valid) < len(voltages):
             with pytest.raises(ConversionError):
                 adc.convert(np.array(voltages), strict)
+
+
+def _ladder_or_refusal(adc):
+    try:
+        return adc.code_boundaries()
+    except ConversionError:
+        return ConversionError
+
+
+@given(
+    bits=st.integers(min_value=2, max_value=6),
+    trim_lsb=st.sampled_from((0.0, 0.05, 0.3, 1.0, 3.0)),
+    strict_decoder=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    ring=st.integers(min_value=0, max_value=63),
+)
+@example(bits=3, trim_lsb=1.0, strict_decoder=True, seed=1, ring=0)  # a strict refusal
+@settings(max_examples=25, deadline=None)
+def test_ladder_memo_equals_a_fresh_bisection(bits, trim_lsb, strict_decoder, seed, ring):
+    """A converter whose bank matches one already bisected in the
+    process takes the memoised ladder, equal to a fresh bisection with
+    the memo emptied, whatever earlier tests left in it; a re-trim and
+    ``invalidate_boundaries`` miss the memo and bisect the new trims;
+    a bisection the strict decoder refuses memoises nothing."""
+    # The part with the other decoder strictness bisects first: a
+    # lenient decoder emits codes where a strict one refuses.
+    _ladder_or_refusal(_mistrimmed_adc(bits, trim_lsb, not strict_decoder, seed))
+    first = _ladder_or_refusal(_mistrimmed_adc(bits, trim_lsb, strict_decoder, seed))
+    adc = _mistrimmed_adc(bits, trim_lsb, strict_decoder, seed)
+    if first is ConversionError:
+        hit = _ladder_or_refusal(adc)
+    else:
+        with mock.patch.object(EoAdc, "_bisect_ladder", side_effect=AssertionError("bisected")):
+            hit = adc.code_boundaries()
+        assert hit is first
+    with mock.patch.object(eoadc, "_LADDERS", {}):
+        fresh = _ladder_or_refusal(_mistrimmed_adc(bits, trim_lsb, strict_decoder, seed))
+        if fresh is ConversionError:
+            assert hit is ConversionError and not eoadc._LADDERS
+        else:
+            assert np.array_equal(hit, fresh) and not hit.flags.writeable
+            assert len(eoadc._LADDERS) == 1
+
+    adc.trim_errors = adc.trim_errors.copy()
+    adc.trim_errors[ring % adc.levels] += 1e-12
+    adc.invalidate_boundaries()
+    retrimmed = _ladder_or_refusal(adc)
+    with mock.patch.object(eoadc, "_LADDERS", {}):
+        rebuilt = EoAdc(
+            TECH, bits=bits, trim_errors=adc.trim_errors, strict_decoder=strict_decoder
+        )
+        expected = _ladder_or_refusal(rebuilt)
+    if expected is ConversionError:
+        assert retrimmed is ConversionError
+    else:
+        assert np.array_equal(retrimmed, expected) and retrimmed is not hit
 
 
 def test_mistrimmed_bank_covers_dead_zones_and_unreachable_codes():

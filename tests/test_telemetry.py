@@ -11,6 +11,7 @@ The two load-bearing guarantees:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ def test_histogram_rejects_negative_and_bad_layout():
     hist = Histogram("latency")
     with pytest.raises(ConfigurationError):
         hist.observe(-1.0)
+    hist.observe(1e-6)
+    before = (hist.count, hist.total, hist.min, hist.max, hist._counts.copy())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError):
+            hist.observe(bad)
+        with pytest.raises(ConfigurationError):
+            hist.observe_many([2e-6, bad])
+        assert (hist.count, hist.total, hist.min, hist.max) == before[:4]
+        assert np.array_equal(hist._counts, before[4])
     with pytest.raises(ConfigurationError):
         Histogram("bad", lo=1.0, hi=0.5)
     with pytest.raises(ConfigurationError):

@@ -168,9 +168,12 @@ def test_invalidate_ladders_clears_every_row_adc_memo(tech):
     for adc, ladder in zip(core.row_adcs, ladders):
         assert adc.code_boundaries() is ladder  # memoised until invalidated
     core.invalidate_ladders()
+    # New banks start without a ladder; unchanged trims take the old
+    # one back from the process memo instead of re-bisecting.
+    assert all(adc.bank.ladder is None for adc in core.row_adcs)
     for adc, ladder in zip(core.row_adcs, ladders):
         fresh = adc.code_boundaries()
-        assert fresh is not ladder  # re-bisected
+        assert adc.bank.ladder is fresh
         assert np.array_equal(fresh, ladder)
 
 

@@ -319,6 +319,15 @@ class TestDeadlineEdges:
             assert report.requests == 0 and report.deadline_misses == 1, route
             assert report.samples == 0 and report.batches == 0, route
             assert report.cache_misses == before.cache_misses, route
+        # A malformed dense request raises at submit even when expired,
+        # and is not counted as a deadline miss.
+        session = make_session(FlushPolicy.explicit())
+        nan_weights = weights.astype(float)
+        nan_weights[0, 0] = np.nan
+        for bad_weights, bad_x in ((nan_weights, x), (weights, np.full(6, 5.0))):
+            with pytest.raises(ConfigurationError):
+                session.submit(bad_weights, bad_x, deadline=deadline)
+            assert session.report().deadline_misses == 0 and session.pending == 0
 
     def test_deadline_fires_mid_coalesced_batch(self, request_pair):
         weights, x = request_pair
