@@ -6,18 +6,13 @@ session bit for bit at ``cores=1`` (checked in the tier-1 suite) and
 (2) turns extra cores into modelled fleet throughput without
 sacrificing cache locality — *if* the routing policy is
 cache-affinity.  This bench replays the Zipf-skewed multi-tenant trace
-through every (core count, routing policy) pair, asserts the
-affinity-vs-round-robin hit-rate separation the routing exists for,
-and writes ``BENCH_cluster.json`` at the repo root so the scaling
-trajectory stays machine-readable alongside ``BENCH_runtime.json`` /
-``BENCH_conv.json``.
+through every (core count, routing policy) pair and asserts the
+affinity-vs-round-robin hit-rate separation the routing exists for.
+``serve_bench.py cluster`` writes the same sweep to
+``BENCH_cluster.json``.
 """
 
-from pathlib import Path
-
-from repro.runtime.serving import run_cluster_serve_bench
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
+from serve_bench import run_cluster_serve_bench
 
 
 def test_cluster_scaling_sweep(benchmark, report, tech):
@@ -26,7 +21,6 @@ def test_cluster_scaling_sweep(benchmark, report, tech):
         kwargs={
             "requests": 240,
             "cores_sweep": (1, 2, 4),
-            "json_path": BENCH_JSON,
             "print_fn": lambda _: None,
         },
         iterations=1,
@@ -49,7 +43,6 @@ def test_cluster_scaling_sweep(benchmark, report, tech):
                 f"{result['cache_hit_rate']:>7.0%}  "
                 f"{result['cache_evictions']:>9}"
             )
-    lines.append(f"summary written to: {BENCH_JSON.name}")
     report("\n".join(lines), title="Cluster — routed fleet scaling")
 
     # The point of cache-affinity routing: on a skewed trace it must
@@ -72,4 +65,3 @@ def test_cluster_scaling_sweep(benchmark, report, tech):
         == single["cache_affinity"]["modeled_throughput_per_s"]
         == single["least_loaded"]["modeled_throughput_per_s"]
     )
-    assert BENCH_JSON.exists()

@@ -8,15 +8,9 @@ and (2) fast enough to serve images.  This bench measures both on a
 of magnitude beyond it.  The loop path is timed on a patch subsample
 (it is the slow path by three orders of magnitude) and reported as a
 patches/second rate.
-
-Besides the terminal report, the summary is written to
-``BENCH_conv.json`` at the repo root so the perf trajectory stays
-machine-readable across runs.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +18,6 @@ from repro.analysis.reporting import ascii_table
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.ml.convolution import PhotonicConv2d, im2col
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_conv.json"
 LOOP_PATCH_SAMPLE = 48
 
 
@@ -83,20 +76,6 @@ def test_conv_compiled_speedup(benchmark, report, tech):
             f"{speedup:,.0f}x",
         ),
     ]
-    summary = {
-        "image": [28, 28],
-        "kernels": int(loop.num_kernels),
-        "kernel_size": int(loop.kernel_size),
-        "patches": int(total_patches),
-        "analog_passes_per_patch": int(loop.analog_passes),
-        "loop_patches_per_s": loop_rate,
-        "compiled_patches_per_s": fast_rate,
-        "speedup": speedup,
-        "modelled_patch_throughput_per_s": loop.patch_throughput(),
-        "outputs_match_loop": codes_equal,
-    }
-    BENCH_JSON.write_text(json.dumps(summary, indent=2) + "\n")
-
     lines = [
         "(28, 28) image, 8 signed 3x3 kernels on an 8x9 core "
         f"({total_patches} patches, {loop.analog_passes} analog passes each)",
@@ -105,9 +84,14 @@ def test_conv_compiled_speedup(benchmark, report, tech):
         f"outputs match device loop : {codes_equal} "
         f"(on the {LOOP_PATCH_SAMPLE}-patch timing subsample)",
         f"modelled ADC-bound rate   : {loop.patch_throughput() / 1e9:.0f} G patches/s",
-        f"summary written to        : {BENCH_JSON.name}",
     ]
     report("\n".join(lines), title="Runtime — compiled conv vs patch loop")
 
     assert codes_equal
+    # The modelled figures of this geometry: a 26x26 patch grid, and
+    # signed kernels take two analog passes, so a patch costs two eoADC
+    # sample periods.
+    assert total_patches == 676
+    assert loop.analog_passes == 2
+    assert loop.patch_throughput() == 4e9
     assert speedup >= 10.0

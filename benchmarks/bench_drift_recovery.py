@@ -8,16 +8,11 @@ online and returns to **bit-for-bit** agreement with its compile-time
 golden codes — paying a bounded, explicitly-accounted calibration
 energy/latency overhead.  This bench replays the Zipf multi-tenant
 trace through every (drift severity x probe cadence x recalibration
-threshold) configuration, asserts both halves of that contract, and
-writes ``BENCH_drift.json`` at the repo root so the recovery curves
-stay machine-readable alongside the other ``BENCH_*.json`` artifacts.
+threshold) configuration and asserts both halves of that contract.
+``serve_bench.py drift`` writes the same sweep to ``BENCH_drift.json``.
 """
 
-from pathlib import Path
-
-from repro.runtime.serving import run_drift_serve_bench
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_drift.json"
+from serve_bench import run_drift_serve_bench
 
 
 def test_drift_recovery_sweep(benchmark, report, tech):
@@ -25,7 +20,6 @@ def test_drift_recovery_sweep(benchmark, report, tech):
         run_drift_serve_bench,
         kwargs={
             "requests": 240,
-            "json_path": BENCH_JSON,
             "print_fn": lambda _: None,
         },
         iterations=1,
@@ -45,7 +39,6 @@ def test_drift_recovery_sweep(benchmark, report, tech):
                 f"{config['recalibrations']:>6}  "
                 f"{config['calibration_energy_nj']:>10.2f}"
             )
-    lines.append(f"summary written to: {BENCH_JSON.name}")
     report("\n".join(lines), title="Health — drift recovery sweep")
 
     by_severity = {entry["severity"]: entry["configs"] for entry in summary["sweep"]}
@@ -78,4 +71,3 @@ def test_drift_recovery_sweep(benchmark, report, tech):
         assert (
             tight["calibration_energy_nj"] > unmonitored["calibration_energy_nj"]
         )
-    assert BENCH_JSON.exists()

@@ -7,24 +7,15 @@ with a 256-column batch — the acceptance floor is a 10x speedup, the
 compiled path typically lands orders of magnitude beyond it — and
 reports end-to-end tiled throughput for a 40x40 workload sharded onto
 a 3x3 grid of 16x16 tiles.
-
-Besides the terminal report, the matmul-path summary is written to
-``BENCH_runtime.json`` at the repo root (the conv path writes
-``BENCH_conv.json``) so the perf trajectory covers both serving paths
-machine-readably across runs.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.reporting import ascii_table
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.runtime.tiling import TiledMatmul
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 
 def test_compiled_engine_speedup(benchmark, report, tech):
@@ -62,18 +53,6 @@ def test_compiled_engine_speedup(benchmark, report, tech):
             f"{speedup:,.0f}x",
         ),
     ]
-    summary = {
-        "core": [16, 16],
-        "batch": 256,
-        "loop_inferences_per_s": 256 / loop_time,
-        "compiled_inferences_per_s": 256 / fast_time,
-        "speedup": speedup,
-        "compile_time_ms": compile_time * 1e3,
-        "codes_match_loop": codes_equal,
-        "estimates_match_matmul": estimates_equal,
-    }
-    BENCH_JSON.write_text(json.dumps(summary, indent=2) + "\n")
-
     lines = [
         "16x16 core, 3-bit weights, (16, 256) input batch",
         ascii_table(("path", "time [ms]", "inferences/s", "speedup"), rows),
@@ -82,7 +61,6 @@ def test_compiled_engine_speedup(benchmark, report, tech):
         "(once per weight program)",
         f"codes match device loop   : {codes_equal}",
         f"estimates match matmul    : {estimates_equal}",
-        f"summary written to        : {BENCH_JSON.name}",
     ]
     report("\n".join(lines), title="Runtime — compiled engine vs seed loop")
 

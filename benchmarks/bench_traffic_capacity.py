@@ -5,17 +5,12 @@ offered rate still meeting ``SLO(p99, miss_budget)`` — is a measurable,
 reproducible number on the modelled clock, and that the SLO-derived
 deadline-aware flush policy beats plain max-batch on deadline misses
 when the batch-fill time overruns the deadline.  This bench runs a
-scaled-down ``run_traffic_serve_bench`` (the full 1M-request version is
-``python -m repro serve-bench traffic``), asserts both promises and
-writes ``BENCH_traffic.json`` at the repo root so the capacity curve
-stays machine-readable alongside ``BENCH_cluster.json``.
+scaled-down ``run_traffic_serve_bench`` and asserts both promises; the
+full 1M-request run, ``serve_bench.py traffic``, writes
+``BENCH_traffic.json``.
 """
 
-from pathlib import Path
-
-from repro.runtime.serving import run_traffic_serve_bench
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_traffic.json"
+from serve_bench import run_traffic_serve_bench
 
 
 def test_traffic_capacity_curve(benchmark, report):
@@ -28,7 +23,6 @@ def test_traffic_capacity_curve(benchmark, report):
             "trial_requests": 1500,
             "head_requests": 4000,
             "max_doublings": 4,
-            "json_path": BENCH_JSON,
             "print_fn": lambda _: None,
         },
         iterations=1,
@@ -55,7 +49,6 @@ def test_traffic_capacity_curve(benchmark, report):
         f"head-to-head: max_batch {head['max_batch']['miss_rate']:.1%} "
         f"misses vs slo_aware {head['slo_aware']['miss_rate']:.1%}"
     )
-    lines.append(f"summary written to: {BENCH_JSON.name}")
     report("\n".join(lines), title="Traffic — SLO capacity curve")
 
     # The sustained run holds its SLO and resolves every admitted
@@ -72,4 +65,3 @@ def test_traffic_capacity_curve(benchmark, report):
         head["slo_aware"]["deadline_misses"]
         < head["max_batch"]["deadline_misses"]
     )
-    assert BENCH_JSON.exists()

@@ -1,79 +1,73 @@
-"""The multi-tenant serve-bench harness.
+"""The serve benches: traffic replays through the session and cluster
+front doors.
 
-:func:`synthetic_trace` builds the repeatable multi-tenant workload the
-``python -m repro serve-bench`` command replays — both
-:func:`run_serve_bench` and :func:`run_cnn_serve_bench` drive a
-:class:`~repro.api.PhotonicSession` directly, with a ``max_batch``
-flush policy draining the queues.
-:func:`run_cluster_serve_bench` replays the same trace through
-:class:`~repro.api.PhotonicCluster` fleets of 1/2/4 cores under every
-routing policy and emits ``BENCH_cluster.json``.
-:func:`run_drift_serve_bench` replays it through sessions degrading
-under :func:`drift_suite`, sweeping drift severity x probe cadence x
-recalibration threshold, and emits ``BENCH_drift.json`` (recovery
-curves included).
-:func:`run_traffic_serve_bench` drives open-loop :mod:`repro.traffic`
-arrival streams on the modelled clock — a >=1M-request sustained run,
-SLO capacity curves per (core count, routing policy) and a max-batch
-vs deadline-aware head-to-head — and emits ``BENCH_traffic.json``.
-:func:`run_elastic_serve_bench` measures elastic fleets
-(:mod:`repro.elastic`): cold vs warm scale-up through a persisted
-:class:`~repro.elastic.ProgramStore` (bit-for-bit check included) and
-diurnal/bursty tapes against static vs autoscaled fleets — and emits
-``BENCH_elastic.json``.
+Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/serve_bench.py SCENARIO [count]
+        [--seed N] [--smoke] [--profile] [--trace F] [--dashboard F]
+
+Scenarios (``count`` is the requests replayed, images for ``cnn``):
+
+* ``dense`` — :func:`~repro.traffic.synthetic_trace`, the Zipf-skewed
+  multi-tenant stream, through one :class:`~repro.api.PhotonicSession`
+  under a ``max_batch`` flush policy.
+* ``cnn`` — digit glyphs convolved against one shared kernel bank
+  through the session's conv route.
+* ``cluster`` — the same trace through
+  :class:`~repro.api.PhotonicCluster` fleets of 1/2/4 cores under every
+  routing policy; writes ``BENCH_cluster.json``.
+* ``drift`` — the trace through sessions degrading under
+  :func:`~repro.health.drift_suite`, sweeping drift severity x probe
+  cadence x recalibration threshold, plus an induced incident replayed
+  through :mod:`repro.obs`; writes ``BENCH_drift.json``.
+* ``traffic`` — open-loop :mod:`repro.traffic` arrivals on the
+  modelled clock: a sustained run, SLO capacity curves per (core count,
+  routing policy) and a max-batch vs deadline-aware head-to-head;
+  writes ``BENCH_traffic.json``.
+* ``elastic`` — cold vs warm scale-up through a
+  :class:`~repro.elastic.ProgramStore` and autoscaled vs static fleets
+  on diurnal/bursty tapes; writes ``BENCH_elastic.json``.
+
+``--seed`` fixes every random draw, ``--smoke`` shrinks the run to CI
+size, ``--profile`` runs it under cProfile and prints the hottest
+functions (also stored under ``"profile"`` in the BENCH file),
+``--trace`` writes the modelled-clock span timeline as Chrome
+trace-event JSON (open it in Perfetto) and ``--dashboard`` renders the
+run as a single-file HTML dashboard (the drift scenario also writes
+its incident bundle to ``INCIDENT_drift.json``).  BENCH files land in
+the working directory; this script is their only writer.
 """
 
 from __future__ import annotations
 
+import argparse
+import cProfile
+import json
+import pstats
+import tempfile
+from collections.abc import Callable, Sequence
+from pathlib import Path
+from typing import Any, NamedTuple
+
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..telemetry.profiling import wall_clock
-
-# repro.api.session imports this package's scheduler/tiling modules, so
-# the session and policy are imported lazily inside the benches to keep
-# the package import order cycle-free.
-
-
-def synthetic_trace(
-    tenants: int = 6,
-    requests: int = 240,
-    rows: int = 8,
-    columns: int = 8,
-    max_weight: int = 7,
-    churn: float = 0.02,
-    seed: int = 2025,
-):
-    """A repeatable multi-tenant request stream.
-
-    Yields ``(tenant, weights, x)`` tuples.  Tenant shapes alternate
-    between tile-native, smaller-than-tile and tiled (larger than one
-    tile in both dimensions); popularity is Zipf-skewed so a few
-    tenants dominate (good cache locality) and ``churn`` is the
-    per-request probability the chosen tenant retrains its weights
-    (forcing a fresh program compile).
-    """
-    if tenants < 1 or requests < 0:
-        raise ConfigurationError("need at least one tenant and requests >= 0")
-    rng = np.random.default_rng(seed)
-    shapes = [
-        (rows, columns),
-        (max(rows // 2, 1), max(columns - 2, 1)),
-        (rows + rows // 2, columns + columns // 2),
-        (2 * rows + 1, columns),
-    ]
-    weights = [
-        rng.integers(0, max_weight + 1, shapes[tenant % len(shapes)])
-        for tenant in range(tenants)
-    ]
-    popularity = 1.0 / np.arange(1, tenants + 1)
-    popularity /= popularity.sum()
-    for _ in range(requests):
-        tenant = int(rng.choice(tenants, p=popularity))
-        if rng.uniform() < churn:
-            weights[tenant] = rng.integers(0, max_weight + 1, weights[tenant].shape)
-        x = rng.uniform(0.0, 1.0, weights[tenant].shape[1])
-        yield tenant, weights[tenant], x
+from repro.api import FlushPolicy, PhotonicCluster, PhotonicSession, RoutingPolicy
+from repro.elastic import Autoscaler, ProgramStore
+from repro.errors import ConfigurationError
+from repro.health import HealthPolicy, drift_suite
+from repro.ml.datasets import procedural_digits
+from repro.obs import FlightRecorder, Observer, ProbeErrorBurnRule, save_dashboard
+from repro.telemetry import MetricsRegistry, ModelClock, TraceRecorder, wall_clock
+from repro.traffic import (
+    SLO,
+    Bursty,
+    Diurnal,
+    Poisson,
+    TrafficEngine,
+    WorkloadMix,
+    find_capacity,
+    synthetic_trace,
+)
 
 
 def run_serve_bench(
@@ -97,9 +91,6 @@ def run_serve_bench(
     the modelled-clock span timeline and adds the end-to-end latency
     quantiles to the summary.
     """
-    from ..api.policy import FlushPolicy
-    from ..api.session import PhotonicSession
-
     if flush_every < 1:
         raise ConfigurationError(f"flush interval must be >= 1, got {flush_every}")
     session = PhotonicSession(
@@ -164,8 +155,8 @@ def run_serve_bench(
     return summary
 
 
-#: Routing policies the cluster bench sweeps, in report order.
-CLUSTER_BENCH_POLICIES = ("round_robin", "least_loaded", "cache_affinity")
+#: Routing policies the cluster and traffic sweeps run, in report order.
+ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_affinity")
 
 
 def run_cluster_serve_bench(
@@ -177,7 +168,6 @@ def run_cluster_serve_bench(
     cache_capacity: int = 4,
     seed: int = 2025,
     trace=None,
-    json_path=None,
     print_fn=print,
 ) -> dict:
     """Replay the multi-tenant trace through clusters of 1/2/4 cores.
@@ -188,18 +178,11 @@ def run_cluster_serve_bench(
     routing does to the fleet: ``cache_affinity`` pins each tenant's
     weight program to one core (misses stay ~one per program),
     ``round_robin`` recompiles every hot program on every core.
-    Prints a per-configuration table and returns the summary dict;
-    ``json_path`` additionally writes it (the ``serve-bench cluster``
-    CLI and ``benchmarks/bench_cluster_scaling.py`` both point it at
-    ``BENCH_cluster.json``).  ``trace`` (a
-    :class:`~repro.telemetry.TraceRecorder`) records every
+    Prints a per-configuration table and returns the summary dict.
+    ``trace`` (a :class:`~repro.telemetry.TraceRecorder`) records every
     configuration's modelled span timeline as its own trace process
     and adds the fleet latency quantiles to each policy record.
     """
-    from ..api.cluster import PhotonicCluster
-    from ..api.policy import FlushPolicy
-    from ..api.routing import RoutingPolicy
-
     if flush_every < 1:
         raise ConfigurationError(f"flush interval must be >= 1, got {flush_every}")
     if not cores_sweep or any(cores < 1 for cores in cores_sweep):
@@ -213,7 +196,7 @@ def run_cluster_serve_bench(
     table_rows = []
     for cores in cores_sweep:
         policies = {}
-        for policy_name in CLUSTER_BENCH_POLICIES:
+        for policy_name in ROUTING_POLICIES:
             cluster = PhotonicCluster(
                 cores=cores,
                 grid=(rows, columns),
@@ -286,11 +269,6 @@ def run_cluster_serve_bench(
         "cores_sweep": list(cores_sweep),
         "sweep": sweep,
     }
-    if json_path is not None:
-        import json
-        from pathlib import Path
-
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n")
     lines = [
         f"cluster serve-bench: {requests} requests on {rows} x {columns} "
         f"tiles (flush policy max_batch={flush_every}, seed {seed})",
@@ -299,44 +277,14 @@ def run_cluster_serve_bench(
         f"{'imbalance':>9}",
         *table_rows,
     ]
-    if json_path is not None:
-        lines.append(f"summary written to: {json_path}")
     print_fn("\n".join(lines))
     return summary
 
 
-#: The drift sweep axes of ``serve-bench drift``, in report order.
+#: The drift sweep axes, in report order.
 DRIFT_BENCH_SEVERITIES = (0.5, 1.5)
 DRIFT_BENCH_CADENCES = (0, 1, 4)       # probe_every; 0 = unmonitored
 DRIFT_BENCH_THRESHOLDS = (0.02, 0.2)   # code-error rate triggering recal
-
-
-def drift_suite(severity: float = 1.0):
-    """The serve-bench degradation suite, scaled by ``severity``.
-
-    One of each modelled process: slow thermal wander of the ring
-    resonances, exponential laser aging, TIA gain droop and
-    comparator-offset aging — rates chosen so a ~minute of modelled
-    traffic at severity 1 walks a visible fraction of the 3-bit probe
-    codes.
-    """
-    from ..health import (
-        ComparatorOffsetAging,
-        LaserPowerDecay,
-        ThermalDetuning,
-        TiaGainDrift,
-    )
-
-    if severity <= 0.0:
-        raise ConfigurationError(f"drift severity must be positive, got {severity}")
-    return (
-        ThermalDetuning(amplitude_kelvin=0.35 * severity, period_s=45.0),
-        LaserPowerDecay(rate_per_s=1e-3 * severity),
-        TiaGainDrift(drift_per_s=-8e-4 * severity),
-        ComparatorOffsetAging(
-            volts_per_inference=2e-4 * severity, saturation_volts=0.45
-        ),
-    )
 
 
 def run_drift_serve_bench(
@@ -352,7 +300,6 @@ def run_drift_serve_bench(
     arrival_period_s: float = 0.25,
     probes: int = 8,
     trace=None,
-    json_path=None,
     incident_path=None,
     print_fn=print,
 ) -> dict:
@@ -368,9 +315,7 @@ def run_drift_serve_bench(
     cadences probe every N flushes and recalibrate past the threshold.
     Each record carries the final probe code-error rate, the
     recalibration count, the calibration energy/latency overhead and
-    the per-probe recovery curve; ``json_path`` writes the summary
-    (the CLI and ``benchmarks/bench_drift_recovery.py`` point it at
-    ``BENCH_drift.json``).
+    the per-probe recovery curve.
 
     After the sweep, one extra *incident replay* runs the worst
     severity under a monitor-only policy with a
@@ -379,13 +324,9 @@ def run_drift_serve_bench(
     recorder dumps a bundle whose trailing spans are the offending
     flushes.  The replay's alerts and incident count land under
     ``summary["incident"]``; ``incident_path`` additionally writes the
-    first bundle as standalone JSON (the CLI points it at
+    first bundle as standalone JSON (:func:`main` points it at
     ``INCIDENT_drift.json`` when ``--dashboard`` is on).
     """
-    from ..api.policy import FlushPolicy
-    from ..api.session import PhotonicSession
-    from ..health import HealthPolicy
-
     if flush_every < 1:
         raise ConfigurationError(f"flush interval must be >= 1, got {flush_every}")
     if arrival_period_s < 0.0:
@@ -507,9 +448,6 @@ def run_drift_serve_bench(
     # flush, no auto-recalibration — the probe code-error rate climbs
     # unchecked until the burn-rate rule pages on the modelled clock
     # and the flight recorder dumps the offending flush spans.
-    from ..obs import FlightRecorder, Observer, ProbeErrorBurnRule
-    from ..telemetry import TraceRecorder
-
     incident_trace = (
         trace if trace is not None else TraceRecorder(label="drift-incident")
     )
@@ -560,8 +498,6 @@ def run_drift_serve_bench(
         ],
     }
     if incident_path is not None and observer.incidents:
-        from pathlib import Path
-
         incident["bundle_path"] = str(
             observer.incidents[0].save(Path(incident_path))
         )
@@ -579,11 +515,6 @@ def run_drift_serve_bench(
         "sweep": sweep,
         "incident": incident,
     }
-    if json_path is not None:
-        import json
-        from pathlib import Path
-
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n")
     lines = [
         f"drift serve-bench: {requests} requests on {rows} x {columns} tiles, "
         f"{arrival_period_s:g} s modelled arrival spacing (seed {seed})",
@@ -601,14 +532,8 @@ def run_drift_serve_bench(
     ]
     if incident.get("bundle_path"):
         lines.append(f"incident bundle written to: {incident['bundle_path']}")
-    if json_path is not None:
-        lines.append(f"summary written to: {json_path}")
     print_fn("\n".join(lines))
     return summary
-
-
-#: Routing policies the traffic capacity curve sweeps, in report order.
-TRAFFIC_BENCH_POLICIES = ("round_robin", "least_loaded", "cache_affinity")
 
 
 def run_traffic_serve_bench(
@@ -628,7 +553,6 @@ def run_traffic_serve_bench(
     max_doublings: int = 16,
     seed: int = 2025,
     trace=None,
-    json_path=None,
     print_fn=print,
 ) -> dict:
     """Open-loop traffic on the modelled clock: capacity under an SLO.
@@ -653,18 +577,9 @@ def run_traffic_serve_bench(
        deadline-aware SLO policy, demonstrating the early flush
        converting deadline misses into met deadlines.
 
-    ``json_path`` writes the summary (the ``serve-bench traffic`` CLI
-    points it at ``BENCH_traffic.json``).  ``trace`` records the
-    sustained run's span timeline (capacity trials stay untraced —
+    ``trace`` records the sustained run's span timeline (capacity trials stay untraced —
     they run dozens of disposable targets).
     """
-    from ..api.cluster import PhotonicCluster
-    from ..api.policy import FlushPolicy
-    from ..api.routing import RoutingPolicy
-    from ..api.session import PhotonicSession
-    from ..telemetry import MetricsRegistry, ModelClock
-    from ..traffic import SLO, Poisson, TrafficEngine, WorkloadMix, find_capacity
-
     if flush_every < 1:
         raise ConfigurationError(f"flush interval must be >= 1, got {flush_every}")
     if requests < 1:
@@ -747,7 +662,7 @@ def run_traffic_serve_bench(
         else:
             tape = int(trial_requests)
         policies = {}
-        for routing in TRAFFIC_BENCH_POLICIES:
+        for routing in ROUTING_POLICIES:
             capacity = find_capacity(
                 make_cluster(cores, routing),
                 mix,
@@ -828,11 +743,6 @@ def run_traffic_serve_bench(
         "capacity_curve": curve,
         "head_to_head": head_to_head,
     }
-    if json_path is not None:
-        import json
-        from pathlib import Path
-
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n")
     lines = [
         f"traffic serve-bench: {requests} sustained requests on "
         f"{rows} x {columns} tiles, SLO {slo.describe()} "
@@ -848,7 +758,7 @@ def run_traffic_serve_bench(
         f"{'p99 ns':>8}  {'miss':>6}",
     ]
     for entry in curve:
-        for routing in TRAFFIC_BENCH_POLICIES:
+        for routing in ROUTING_POLICIES:
             record = entry["policies"][routing]
             p99 = record["p99_e2e_s"]
             miss = record["miss_rate"]
@@ -864,8 +774,6 @@ def run_traffic_serve_bench(
             f"{(record['p99_e2e_s'] or 0) * 1e9:,.0f} ns, "
             f"{record['deadline_misses']} misses ({record['miss_rate']:.2%})"
         )
-    if json_path is not None:
-        lines.append(f"summary written to: {json_path}")
     print_fn("\n".join(lines))
     return summary
 
@@ -891,10 +799,6 @@ def run_cnn_serve_bench(
     hits thereafter.  Prints image/patch throughput and cache/energy
     statistics; returns them as a dict for tests and benches.
     """
-    from ..api.policy import FlushPolicy
-    from ..api.session import PhotonicSession
-    from ..ml.datasets import procedural_digits
-
     if images < 1:
         raise ConfigurationError(f"need at least one image, got {images}")
     if flush_every < 1:
@@ -986,7 +890,6 @@ def run_elastic_serve_bench(
     tapes: tuple[str, ...] = ELASTIC_BENCH_TAPES,
     seed: int = 2025,
     trace=None,
-    json_path=None,
     print_fn=print,
 ) -> dict:
     """Elastic fleets: warm scale-up from the program store, and
@@ -1018,21 +921,7 @@ def run_elastic_serve_bench(
     the survivors' p99 caps just under the deadline once any shedding
     occurs, so a p99 bound below the deadline is unmeetable under
     overload — the ``miss_budget`` is the binding criterion.
-
-    ``json_path`` writes the summary (the ``serve-bench elastic`` CLI
-    points it at ``BENCH_elastic.json``).
     """
-    import tempfile
-
-    from ..api.cluster import PhotonicCluster
-    from ..api.policy import FlushPolicy
-    from ..api.session import PhotonicSession
-    from ..elastic import Autoscaler, ProgramStore
-    from ..ml.datasets import procedural_digits
-    from ..telemetry import MetricsRegistry, ModelClock
-    from ..traffic import SLO, Poisson, TrafficEngine, WorkloadMix
-    from ..traffic.arrivals import Bursty, Diurnal
-
     if requests < 1:
         raise ConfigurationError(f"elastic bench needs requests >= 1, got {requests}")
     if not 1 <= min_cores <= max_cores:
@@ -1217,11 +1106,6 @@ def run_elastic_serve_bench(
         "warm_start": warm_start,
         "tapes": tape_results,
     }
-    if json_path is not None:
-        import json
-        from pathlib import Path
-
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n")
     lines = [
         f"elastic serve-bench: {requests} requests per tape on "
         f"{rows} x {columns} tiles, fleets {min_cores}..{max_cores} cores, "
@@ -1250,7 +1134,175 @@ def run_elastic_serve_bench(
             f"{record['core_seconds_saved']:.3g} "
             f"({'equal SLO' if record['equal_slo'] else 'SLO DIFFERS'})"
         )
-    if json_path is not None:
-        lines.append(f"summary written to: {json_path}")
     print_fn("\n".join(lines))
     return summary
+
+
+def profile_call(fn: Callable[[], Any], top: int = 20) -> tuple[Any, list[dict]]:
+    """Run ``fn()`` under cProfile; returns ``(result, rows)``, the
+    ``top`` hottest functions by cumulative time.
+
+    Each row is ``{"function", "calls", "tottime_s", "cumtime_s"}``
+    with ``function`` in the familiar ``file:line(name)`` form (just
+    the name for builtins); profiler bookkeeping frames are kept.
+    """
+    if top < 1:
+        raise ConfigurationError(f"need top >= 1 functions, got {top}")
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn)
+    rows = [
+        {
+            "function": name if filename == "~" else f"{filename}:{line}({name})",
+            "calls": int(calls),
+            "tottime_s": float(tottime),
+            "cumtime_s": float(cumtime),
+        }
+        for (filename, line, name), (calls, _, tottime, cumtime, _) in (
+            pstats.Stats(profiler).stats.items()
+        )
+    ]
+    rows.sort(key=lambda row: (-row["cumtime_s"], -row["tottime_s"]))
+    return result, rows[:top]
+
+
+def format_profile(rows: Sequence[dict]) -> str:
+    """The hot-function ranking as an aligned text table."""
+    lines = [
+        f"profile (top {len(rows)} by cumulative time):",
+        f"{'cumtime s':>10}  {'tottime s':>10}  {'calls':>9}  function",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['cumtime_s']:>10.4f}  {row['tottime_s']:>10.4f}  "
+            f"{row['calls']:>9}  {row['function']}"
+        )
+    return "\n".join(lines)
+
+
+class Scenario(NamedTuple):
+    """One scenario: its runner, the count of a full and of a
+    ``--smoke`` run, the runner arguments a smoke run adds, and the
+    BENCH file the summary is written to (None: printed only)."""
+
+    runner: Callable[..., dict]
+    count: int
+    smoke_count: int
+    smoke_kwargs: dict[str, Any]
+    json_file: str | None
+
+
+# The smokes prove the plumbing, not the figures: shorter tapes, fewer
+# sweep points.  The elastic smoke's tighter deadline and SLO keep
+# overload visible on a tape too short for queueing delay to breach
+# the full-size SLO.
+SCENARIOS = {
+    "dense": Scenario(run_serve_bench, 240, 24, {}, None),
+    "cnn": Scenario(run_cnn_serve_bench, 48, 8, {}, None),
+    "cluster": Scenario(run_cluster_serve_bench, 240, 24, {}, "BENCH_cluster.json"),
+    "drift": Scenario(
+        run_drift_serve_bench,
+        240,
+        24,
+        {"severities": (1.5,), "cadences": (0, 1), "thresholds": (0.05,)},
+        "BENCH_drift.json",
+    ),
+    "traffic": Scenario(
+        run_traffic_serve_bench,
+        1_000_000,
+        20000,
+        {
+            "cores_sweep": (1, 2),
+            "probe_requests": 800,
+            "trial_requests": 600,
+            "head_requests": 2000,
+            "max_doublings": 3,
+        },
+        "BENCH_traffic.json",
+    ),
+    "elastic": Scenario(
+        run_elastic_serve_bench,
+        200_000,
+        3000,
+        {
+            "tapes": ("diurnal",),
+            "probe_requests": 800,
+            "warm_programs": 3,
+            "deadline_s": 1.2e-7,
+            "p99_slo_s": 1.3e-7,
+        },
+        "BENCH_elastic.json",
+    ),
+}
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("count", nargs="?", type=int)
+    parser.add_argument("--seed", type=_seed, default=2025)
+    parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--profile", action="store_true")
+    parser.add_argument("--trace", type=Path, metavar="F")
+    parser.add_argument("--dashboard", type=Path, metavar="F")
+    args = parser.parse_args(argv)
+    scenario = SCENARIOS[args.scenario]
+    count = args.count
+    if count is None:
+        count = scenario.smoke_count if args.smoke else scenario.count
+    if count < 1:
+        noun = "image" if args.scenario == "cnn" else "request"
+        parser.error(f"{args.scenario} {noun} count must be >= 1, got {count}")
+    kwargs = dict(scenario.smoke_kwargs) if args.smoke else {}
+    if args.scenario == "drift":
+        if args.smoke:
+            # Stretch the arrival spacing so the short trace still spans
+            # the full run's minute of modelled aging.
+            kwargs["arrival_period_s"] = 60.0 / count
+        if args.dashboard is not None:
+            kwargs["incident_path"] = Path.cwd() / "INCIDENT_drift.json"
+    recorder = None
+    if args.trace is not None or args.dashboard is not None:
+        recorder = TraceRecorder(label="serve-bench")
+
+    def run() -> dict:
+        return scenario.runner(count, seed=args.seed, trace=recorder, **kwargs)
+
+    if args.profile:
+        summary, hot = profile_call(run)
+        print(format_profile(hot))
+        summary["profile"] = hot
+    else:
+        summary = run()
+    if scenario.json_file is not None:
+        json_path = Path.cwd() / scenario.json_file
+        json_path.write_text(json.dumps(summary, indent=2) + "\n")
+        print(f"summary written to: {json_path}")
+    if args.trace is not None:
+        recorder.save(args.trace)
+        print(f"trace written to: {args.trace}")
+    if args.dashboard is not None:
+        incident = summary.get("incident", {})
+        save_dashboard(
+            args.dashboard,
+            trace=recorder,
+            alerts=incident.get("alerts", ()),
+            incidents=incident.get("incident_markers", ()),
+        )
+        print(f"dashboard written to: {args.dashboard}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

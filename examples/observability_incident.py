@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import FlushPolicy, PhotonicSession
-from repro.health import HealthPolicy
+from repro.health import HealthPolicy, drift_suite
 from repro.obs import (
     FlightRecorder,
     Observer,
@@ -23,8 +23,8 @@ from repro.obs import (
     prometheus_text,
     save_dashboard,
 )
-from repro.runtime.serving import drift_suite, synthetic_trace
 from repro.telemetry import TraceRecorder
+from repro.traffic import synthetic_trace
 
 # -- a session that will go wrong, with an observer attached --------------
 trace = TraceRecorder(label="incident")

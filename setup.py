@@ -4,7 +4,7 @@ The offline environment ships setuptools without the ``wheel`` package,
 so PEP 517 builds cannot produce editable wheels; keeping the metadata
 here (instead of pyproject.toml) lets ``pip install -e .`` fall back to
 ``setup.py develop``.  The ``repro`` console script is the CLI front
-door (``repro serve-bench``, equivalent to ``python -m repro``).
+door (``repro lint``, equivalent to ``python -m repro lint``).
 """
 
 from setuptools import find_packages, setup

@@ -16,7 +16,7 @@ The package rebuilds the paper's full stack in Python:
 * :mod:`repro.ml` — neural-network inference through the tensor core.
 * :mod:`repro.runtime` — batched/tiled/cached inference serving on top
   of the device models (compiled fast path, sharding, batching queue,
-  weight-program cache, traffic bench).
+  weight-program cache).
 * :mod:`repro.api` — the one front door: :class:`PhotonicSession`,
   declarative :class:`Model` graphs, futures-based auto-flush serving
   with pluggable :class:`FlushPolicy` and unified :class:`RunReport`;
@@ -37,22 +37,22 @@ The package rebuilds the paper's full stack in Python:
   re-trim in place; clusters drain the core, re-trim, restore).
 * :mod:`repro.telemetry` — observability: modelled-clock Chrome
   tracing (:class:`TraceRecorder`), counters/gauges/latency-quantile
-  histograms (:class:`MetricsRegistry`), cProfile hooks behind
-  ``serve-bench --profile`` and the shared report export mixin.
+  histograms (:class:`MetricsRegistry`), the one sanctioned host-clock
+  read and the shared report export mixin.
 * :mod:`repro.obs` — active observability on top of the telemetry
   streams: sliding-window :class:`AlertRule` evaluation on the
   modelled clock (multi-window SLO burn rates, latency-shift /
   cache-collapse / shed-spike / probe-error detectors), the
   :class:`FlightRecorder` ring dumping self-contained incident
   bundles, Prometheus text exposition and the single-file HTML
-  dashboard behind ``serve-bench --dashboard`` / ``repro obs``.
+  dashboard behind ``repro obs``.
 * :mod:`repro.traffic` — modelled-time traffic simulation: seeded
   arrival processes (:class:`Poisson`, :class:`Diurnal`,
   :class:`Bursty`, :class:`Replay`), multi-tenant
   :class:`WorkloadMix` with :class:`TokenBucket` rate limits,
   per-request deadlines measured against an :class:`SLO`, the
-  open-loop :class:`TrafficEngine` and the :func:`find_capacity`
-  search behind ``serve-bench traffic``.
+  open-loop :class:`TrafficEngine`, the :func:`find_capacity` search
+  and the closed :func:`synthetic_trace` replay stream.
 * :mod:`repro.analysis` — linearity fits and bench reporting.
 
 Quickstart::

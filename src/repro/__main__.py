@@ -7,25 +7,6 @@ Commands:
 * ``demo`` — a quick 4x8 matrix-vector multiplication through the
   photonic path.
 * ``adc`` — static eoADC conversions across the full-scale range.
-* ``serve-bench [requests]`` — replay a synthetic multi-tenant trace
-  through a :class:`repro.api.PhotonicSession` (max_batch flush
-  policy, no hand-called flushes) and print throughput, batch-fill and
-  cache statistics.
-* ``serve-bench cnn [images]`` — replay a CNN feature-extraction
-  stream (im2col convolutions of digit glyphs against a shared kernel
-  bank) through the session's conv route.
-* ``serve-bench cluster [requests]`` — replay the multi-tenant trace
-  through :class:`repro.api.PhotonicCluster` fleets of 1/2/4 cores
-  under every routing policy and write ``BENCH_cluster.json`` to the
-  working directory.
-* ``serve-bench drift [requests]`` — replay the trace through sessions
-  whose analog stack drifts (thermal detuning, laser decay, TIA and
-  comparator aging), sweeping drift severity x probe cadence x
-  recalibration threshold, and write ``BENCH_drift.json``.
-* ``serve-bench elastic [requests]`` — measure elastic fleets
-  (:mod:`repro.elastic`): cold vs warm scale-up through a persisted
-  program store (bit-for-bit checked) and diurnal/bursty tapes against
-  static vs autoscaled fleets, and write ``BENCH_elastic.json``.
 * ``lint [paths...]`` — run the :mod:`repro.lint` contract checker
   over ``src/`` (or explicit paths); ``--format json`` for the
   machine-readable findings, ``--baseline FILE`` to grandfather,
@@ -37,25 +18,15 @@ Commands:
   optional alerts file (either a JSON list of alert dicts or a
   ``BENCH_drift.json`` whose ``incident`` section carries them).
 
-Every serve-bench scenario shares one option parser
-(:func:`_parse_serve_bench_options`): ``--seed N`` for a reproducible
-trace, ``--smoke`` for a fast CI-sized run, ``--profile`` to wrap the
-run in cProfile and print the hottest functions (also merged into the
-scenario's ``BENCH_*.json`` where one is written),
-``--trace out.json`` to dump the modelled-clock span timeline as
-Chrome trace-event JSON (open it in Perfetto or ``chrome://tracing``),
-and ``--dashboard out.html`` to render the run as a self-contained
-HTML dashboard (latency quantile timelines, per-core utilization,
-pending depth, cache hit rate, alert/incident markers; the drift
-scenario also writes its incident bundle to ``INCIDENT_drift.json``).
+The serving benches run as a script, from the repository root:
+``PYTHONPATH=src python benchmarks/serve_bench.py <scenario>``.
 
-Also installed as the ``repro`` console script (``repro serve-bench``).
+Also installed as the ``repro`` console script (``repro lint``).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,262 +66,6 @@ def _adc(argv: list[str]) -> None:
         print(f"{v_in:>8.2f}  {code:>4}  {code:03b}")
 
 
-@dataclass
-class _ServeBenchOptions:
-    """The options every serve-bench scenario shares."""
-
-    smoke: bool = False
-    seed: int = 2025
-    profile: bool = False
-    trace_path: Path | None = None
-    dashboard_path: Path | None = None
-
-
-def _parse_serve_bench_options(argv: list[str]):
-    """Parse the shared ``--seed`` / ``--smoke`` / ``--profile`` /
-    ``--trace`` / ``--dashboard`` options out of a serve-bench
-    argument list.
-
-    One parser for every scenario, so a new shared option lands once
-    instead of once per scenario.  Returns ``(options, remaining)``
-    with the scenario-specific positionals left in ``remaining``, or
-    ``(None, remaining)`` after printing the validation error (the
-    caller exits 2).
-    """
-    args = list(argv)
-    opts = _ServeBenchOptions()
-    opts.smoke = "--smoke" in args
-    if opts.smoke:
-        args.remove("--smoke")
-    opts.profile = "--profile" in args
-    if opts.profile:
-        args.remove("--profile")
-    if "--seed" in args:
-        at = args.index("--seed")
-        if at + 1 >= len(args):
-            print("serve-bench --seed expects an integer value")
-            return None, args
-        try:
-            opts.seed = int(args[at + 1])
-        except ValueError:
-            print(f"serve-bench --seed expects an integer, got {args[at + 1]!r}")
-            return None, args
-        if opts.seed < 0:
-            print(f"serve-bench --seed must be >= 0, got {opts.seed}")
-            return None, args
-        del args[at : at + 2]
-    if "--trace" in args:
-        at = args.index("--trace")
-        if at + 1 >= len(args) or args[at + 1].startswith("--"):
-            print("serve-bench --trace expects an output path")
-            return None, args
-        opts.trace_path = Path(args[at + 1])
-        del args[at : at + 2]
-    if "--dashboard" in args:
-        at = args.index("--dashboard")
-        if at + 1 >= len(args) or args[at + 1].startswith("--"):
-            print("serve-bench --dashboard expects an output path")
-            return None, args
-        opts.dashboard_path = Path(args[at + 1])
-        del args[at : at + 2]
-    return opts, args
-
-
-def _run_scenario(opts: _ServeBenchOptions, runner, json_path=None, **kwargs) -> int:
-    """Run one serve-bench scenario under the shared observability
-    options: attach a :class:`~repro.telemetry.TraceRecorder` for
-    ``--trace`` / ``--dashboard``, wrap the run in cProfile for
-    ``--profile`` (printing the hot-function ranking and merging it
-    into the scenario's ``BENCH_*.json`` when one is written), and
-    render the :mod:`repro.obs` dashboard for ``--dashboard`` (with
-    alert/incident markers when the runner's summary carries an
-    ``"incident"`` section, as the drift scenario's does)."""
-    recorder = None
-    if opts.trace_path is not None or opts.dashboard_path is not None:
-        from .telemetry import TraceRecorder
-
-        recorder = TraceRecorder(label="serve-bench")
-    if json_path is not None:
-        kwargs = {**kwargs, "json_path": json_path}
-
-    def call():
-        return runner(trace=recorder, **kwargs)
-
-    if opts.profile:
-        from .telemetry import format_profile, profile_call
-
-        result, hot = profile_call(call)
-        print(format_profile(hot))
-        if json_path is not None:
-            import json
-
-            data = json.loads(Path(json_path).read_text())
-            data["profile"] = hot
-            Path(json_path).write_text(json.dumps(data, indent=2) + "\n")
-            print(f"profile merged into: {json_path}")
-    else:
-        result = call()
-    if recorder is not None and opts.trace_path is not None:
-        recorder.save(opts.trace_path)
-        print(f"trace written to: {opts.trace_path}")
-    if opts.dashboard_path is not None:
-        from .obs import save_dashboard
-
-        incident = result.get("incident", {}) if isinstance(result, dict) else {}
-        save_dashboard(
-            opts.dashboard_path,
-            trace=recorder,
-            alerts=incident.get("alerts", ()),
-            incidents=incident.get("incident_markers", ()),
-        )
-        print(f"dashboard written to: {opts.dashboard_path}")
-    return 0
-
-
-def _serve_bench(argv: list[str]) -> int:
-    from .runtime.serving import (
-        run_cluster_serve_bench,
-        run_cnn_serve_bench,
-        run_drift_serve_bench,
-        run_elastic_serve_bench,
-        run_serve_bench,
-        run_traffic_serve_bench,
-    )
-
-    opts, args = _parse_serve_bench_options(argv)
-    if opts is None:
-        return 2
-    smoke = opts.smoke
-
-    if args and args[0] == "cnn":
-        try:
-            images = int(args[1]) if len(args) > 1 else (8 if smoke else 48)
-        except ValueError:
-            print(f"serve-bench cnn expects an image count, got {args[1]!r}")
-            return 2
-        if images < 1:
-            print(f"serve-bench cnn image count must be >= 1, got {images}")
-            return 2
-        return _run_scenario(
-            opts, run_cnn_serve_bench, images=images, seed=opts.seed
-        )
-    if args and args[0] == "drift":
-        try:
-            requests = int(args[1]) if len(args) > 1 else (24 if smoke else 240)
-        except ValueError:
-            print(f"serve-bench drift expects a request count, got {args[1]!r}")
-            return 2
-        if requests < 1:
-            print(f"serve-bench drift request count must be >= 1, got {requests}")
-            return 2
-        sweep_kwargs = {}
-        if smoke:
-            # One severity, unmonitored vs tight auto-recal, with the
-            # arrival spacing stretched so the short trace still spans
-            # the same ~minute of modelled aging.
-            sweep_kwargs = {
-                "severities": (1.5,),
-                "cadences": (0, 1),
-                "thresholds": (0.05,),
-                "arrival_period_s": 60.0 / requests,
-            }
-        if opts.dashboard_path is not None:
-            # The CI artifact: the induced incident's bundle lands next
-            # to BENCH_drift.json whenever a dashboard is rendered.
-            sweep_kwargs["incident_path"] = Path.cwd() / "INCIDENT_drift.json"
-        return _run_scenario(
-            opts,
-            run_drift_serve_bench,
-            json_path=Path.cwd() / "BENCH_drift.json",
-            requests=requests,
-            seed=opts.seed,
-            **sweep_kwargs,
-        )
-    if args and args[0] == "traffic":
-        try:
-            requests = int(args[1]) if len(args) > 1 else (20000 if smoke else 1_000_000)
-        except ValueError:
-            print(f"serve-bench traffic expects a request count, got {args[1]!r}")
-            return 2
-        if requests < 1:
-            print(f"serve-bench traffic request count must be >= 1, got {requests}")
-            return 2
-        sweep_kwargs = {}
-        if smoke:
-            # Single-core curve only, short probe/trial tapes: the CI
-            # smoke proves the plumbing, not the capacity numbers.
-            sweep_kwargs = {
-                "cores_sweep": (1, 2),
-                "probe_requests": 800,
-                "trial_requests": 600,
-                "head_requests": 2000,
-                "max_doublings": 3,
-            }
-        return _run_scenario(
-            opts,
-            run_traffic_serve_bench,
-            json_path=Path.cwd() / "BENCH_traffic.json",
-            requests=requests,
-            seed=opts.seed,
-            **sweep_kwargs,
-        )
-    if args and args[0] == "elastic":
-        try:
-            requests = int(args[1]) if len(args) > 1 else (3000 if smoke else 200_000)
-        except ValueError:
-            print(f"serve-bench elastic expects a request count, got {args[1]!r}")
-            return 2
-        if requests < 1:
-            print(f"serve-bench elastic request count must be >= 1, got {requests}")
-            return 2
-        sweep_kwargs = {}
-        if smoke:
-            # Diurnal tape only, short probe, fewer warm programs: the
-            # CI smoke proves the plumbing, not the capacity numbers.
-            # The tighter deadline/SLO keep overload visible on a tape
-            # too short for queueing delay to breach the full-size SLO.
-            sweep_kwargs = {
-                "tapes": ("diurnal",),
-                "probe_requests": 800,
-                "warm_programs": 3,
-                "deadline_s": 1.2e-7,
-                "p99_slo_s": 1.3e-7,
-            }
-        return _run_scenario(
-            opts,
-            run_elastic_serve_bench,
-            json_path=Path.cwd() / "BENCH_elastic.json",
-            requests=requests,
-            seed=opts.seed,
-            **sweep_kwargs,
-        )
-    if args and args[0] == "cluster":
-        try:
-            requests = int(args[1]) if len(args) > 1 else (24 if smoke else 240)
-        except ValueError:
-            print(f"serve-bench cluster expects a request count, got {args[1]!r}")
-            return 2
-        if requests < 1:
-            print(f"serve-bench cluster request count must be >= 1, got {requests}")
-            return 2
-        return _run_scenario(
-            opts,
-            run_cluster_serve_bench,
-            json_path=Path.cwd() / "BENCH_cluster.json",
-            requests=requests,
-            seed=opts.seed,
-        )
-    try:
-        requests = int(args[0]) if args else (24 if smoke else 240)
-    except ValueError:
-        print(f"serve-bench expects a request count, got {args[0]!r}")
-        return 2
-    if requests < 0:
-        print(f"serve-bench request count must be >= 0, got {requests}")
-        return 2
-    return _run_scenario(opts, run_serve_bench, requests=requests, seed=opts.seed)
-
-
 def _obs(argv: list[str]) -> int:
     """Render the observability dashboard from saved artifacts."""
     import json
@@ -387,7 +102,7 @@ def _obs(argv: list[str]) -> int:
         print(f"obs: unknown argument(s) {args}")
         return 2
     if trace_path is None:
-        print("obs expects --trace TRACE.json (a saved serve-bench --trace dump)")
+        print("obs expects --trace TRACE.json (a saved serve_bench.py --trace dump)")
         return 2
     if not trace_path.exists():
         print(f"obs: trace file not found: {trace_path}")
@@ -487,7 +202,6 @@ def main(argv: list[str] | None = None) -> int:
         "summary": _summary,
         "demo": _demo,
         "adc": _adc,
-        "serve-bench": _serve_bench,
         "lint": _lint,
         "obs": _obs,
     }

@@ -226,8 +226,9 @@ class VectorComputeCore:
         )
 
     def load_weights(self, weights) -> None:
-        """Write a weight vector into the pSRAM planes and ring drives."""
-        weights = np.asarray(weights, dtype=int)
+        """Write a weight vector into the pSRAM planes and ring drives;
+        the core keeps a private copy of ``weights``."""
+        weights = np.array(weights, dtype=int)
         if weights.shape != (self.vector_length,):
             raise ConfigurationError(
                 f"need {self.vector_length} weights, got shape {weights.shape}"

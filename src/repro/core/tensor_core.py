@@ -104,8 +104,8 @@ class PhotonicTensorCore:
         rows, columns)`` stack streams its matrices in order, the flip
         ledgers counting each load, and the core ends holding the last.
         Returns the bits written, ``(..., rows, columns, planes)`` MSB
-        first."""
-        matrix = np.asarray(matrix, dtype=int)
+        first.  The core keeps a private copy of ``matrix``."""
+        matrix = np.array(matrix, dtype=int)
         if (
             matrix.ndim not in (2, 3)
             or matrix.shape[-2:] != (self.rows, self.columns)

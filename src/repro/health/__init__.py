@@ -7,7 +7,8 @@ hardware ages:
 * :mod:`repro.health.drift` — parameterized :class:`DriftModel`
   processes (thermal MRR detuning, laser power decay, TIA gain drift,
   comparator-offset aging) composed into the live :class:`DriftState`
-  of one core, evolving with modelled wall-clock and inference count;
+  of one core, evolving with modelled wall-clock and inference count,
+  and :func:`drift_suite`, one of each process at a chosen severity;
 * :mod:`repro.health.monitor` — :class:`HealthMonitor` replays frozen
   probe vectors against compile-time golden codes and reports the walk
   as a typed :class:`HealthReport`; :class:`HealthPolicy` automates
@@ -27,6 +28,7 @@ from .drift import (
     Perturbation,
     ThermalDetuning,
     TiaGainDrift,
+    drift_suite,
 )
 from .monitor import HealthMonitor, HealthPolicy, HealthReport
 
@@ -42,4 +44,5 @@ __all__ = [
     "Perturbation",
     "ThermalDetuning",
     "TiaGainDrift",
+    "drift_suite",
 ]

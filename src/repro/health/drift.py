@@ -269,6 +269,26 @@ class ComparatorOffsetAging(DriftModel):
         )
 
 
+def drift_suite(severity: float = 1.0) -> tuple[DriftModel, ...]:
+    """One of each drift process, scaled by ``severity``.
+
+    Slow thermal wander of the ring resonances, exponential laser
+    aging, TIA gain droop and comparator-offset aging, at rates chosen
+    so a ~minute of modelled traffic at severity 1 walks a visible
+    fraction of the 3-bit probe codes.
+    """
+    if severity <= 0.0:
+        raise ConfigurationError(f"drift severity must be positive, got {severity}")
+    return (
+        ThermalDetuning(amplitude_kelvin=0.35 * severity, period_s=45.0),
+        LaserPowerDecay(rate_per_s=1e-3 * severity),
+        TiaGainDrift(drift_per_s=-8e-4 * severity),
+        ComparatorOffsetAging(
+            volts_per_inference=2e-4 * severity, saturation_volts=0.45
+        ),
+    )
+
+
 #: The read-out stages attribution decomposes the residual into.
 DRIFT_STAGES = ("optical", "tia", "adc")
 

@@ -157,7 +157,7 @@ class ModelledClockPurity(Rule):
     contract = (
         "wall-clock reads (time.*, datetime.now/utcnow/today) live only "
         "in repro.telemetry.profiling; everything else reads the "
-        "ModelClock or the profiling module's sanctioned helpers"
+        "ModelClock or repro.telemetry.profiling.wall_clock"
     )
     rationale = (
         "traces, latency quantiles and the drift timeline all sit on "

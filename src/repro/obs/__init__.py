@@ -30,7 +30,7 @@
   HTML dashboard (inline SVG, zero external deps) of latency quantile
   timelines, per-core utilization/pending, cache hit rate, alert
   markers and incident annotations; wired as
-  ``serve-bench <scenario> --dashboard out.html`` and
+  ``benchmarks/serve_bench.py <scenario> --dashboard out.html`` and
   ``python -m repro obs``.
 """
 

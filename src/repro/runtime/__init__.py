@@ -2,7 +2,7 @@
 
 The device layer (:mod:`repro.core`) walks one vector at a time through
 Python loops — faithful, but not a serving engine.  This package turns
-it into one, in four layers:
+it into one, in three layers:
 
 * :mod:`~repro.runtime.engine` — :class:`CompiledCore`: a weight
   program snapshotted into dense response matrices and exact ADC code
@@ -21,9 +21,6 @@ it into one, in four layers:
   lets repeated weights skip the 20 GHz pSRAM re-streaming, with
   load energy charged per set weight bit and analog time/energy from
   :class:`~repro.core.performance.PerformanceModel`.
-* :mod:`~repro.runtime.serving` — the ``python -m repro serve-bench``
-  traffic replays (dense, cnn, cluster, drift, traffic, elastic), all
-  driven through the session and cluster front doors.
 """
 
 from .engine import BatchResult, CompiledCore, weight_key
@@ -33,12 +30,6 @@ from .scheduler import (
     Ticket,
     WeightProgramCache,
 )
-from .serving import (
-    run_cluster_serve_bench,
-    run_cnn_serve_bench,
-    run_serve_bench,
-    synthetic_trace,
-)
 from .tiling import DifferentialProgram, TiledMatmul
 
 __all__ = [
@@ -46,11 +37,7 @@ __all__ = [
     "BatchScheduler",
     "CompiledCore",
     "DifferentialProgram",
-    "run_cluster_serve_bench",
-    "run_cnn_serve_bench",
-    "run_serve_bench",
     "SchedulerStats",
-    "synthetic_trace",
     "Ticket",
     "TiledMatmul",
     "weight_key",

@@ -83,8 +83,8 @@ class MonteCarlo:
         (two same-seed runners replay identically call for call);
         ``seed`` instead derives them from a fresh generator, pinning
         *this* call's draws bit-for-bit no matter what ran before it —
-        the same explicit-``--seed`` convention the serve-bench CLI
-        uses.
+        the same explicit-``--seed`` convention the serve benches
+        use.
         """
         if trials < 1:
             raise ConfigurationError(f"need at least one trial, got {trials}")

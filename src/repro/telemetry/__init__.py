@@ -1,4 +1,4 @@
-"""Observability for the serving stack: tracing, metrics, profiling.
+"""Observability for the serving stack: tracing and metrics.
 
 Photonic-accelerator claims live and die on measured
 throughput/energy/latency comparisons; ``repro.telemetry`` turns the
@@ -17,9 +17,6 @@ serving benches from point estimates into auditable distributions:
   with p50/p95/p99/p999 quantile queries and merge bin-for-bin across
   cores.  :attr:`repro.api.RunReport.latency_quantiles` and
   :attr:`repro.api.ClusterReport.latency_quantiles` are fed from here.
-* :func:`profile_call` / :func:`top_hot_functions` — cProfile hooks
-  behind ``serve-bench <scenario> --profile``, ranking the hottest
-  Python functions into the scenario's ``BENCH_*.json``.
 * :func:`wall_clock` — the one sanctioned host-clock accessor; the
   ``modelled-clock-purity`` lint rule forbids ``time.*`` reads
   anywhere else in the stack.
@@ -44,12 +41,7 @@ from .metrics import (
     MetricsRegistry,
     quantiles_from_samples,
 )
-from .profiling import (
-    format_profile,
-    profile_call,
-    top_hot_functions,
-    wall_clock,
-)
+from .profiling import wall_clock
 from .trace import CATEGORIES, TraceEvent, TraceRecorder
 
 __all__ = [
@@ -66,12 +58,9 @@ __all__ = [
     "Telemetry",
     "TraceEvent",
     "TraceRecorder",
-    "format_profile",
     "merged_tenant_quantiles",
-    "profile_call",
     "quantiles_from_samples",
     "tenant_histogram_name",
     "to_serializable",
-    "top_hot_functions",
     "wall_clock",
 ]

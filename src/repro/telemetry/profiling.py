@@ -1,23 +1,8 @@
-"""cProfile hooks: where does the *wall-clock* go?
-
-The modelled clock says where a request spends its modelled time; this
-module answers the complementary question — which Python functions burn
-the host CPU while serving — so optimization PRs (the fused fleet hot
-path, the discrete-event traffic engine) start from a measured
-baseline instead of a guess.  ``serve-bench <scenario> --profile``
-wraps the run in :func:`profile_call` and lands the top-N ranking in
-the scenario's ``BENCH_*.json``.
-"""
+"""The one sanctioned host-clock read, :func:`wall_clock`."""
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import time
-from collections.abc import Callable, Sequence
-from typing import Any
-
-from ..errors import ConfigurationError
 
 
 def wall_clock() -> float:
@@ -34,53 +19,3 @@ def wall_clock() -> float:
     arbitrary), exactly like :func:`time.perf_counter`.
     """
     return time.perf_counter()
-
-
-def top_hot_functions(stats: pstats.Stats, top: int = 20) -> list[dict]:
-    """The ``top`` hottest functions by cumulative time.
-
-    Each row is ``{"function", "calls", "tottime_s", "cumtime_s"}``
-    with ``function`` in the familiar ``file:line(name)`` form;
-    profiler bookkeeping frames are kept (they are part of the truth),
-    but the list is dominated by real serving frames in practice.
-    """
-    if top < 1:
-        raise ConfigurationError(f"need top >= 1 functions, got {top}")
-    rows = []
-    for (filename, line, name), entry in stats.stats.items():
-        call_count, _, tottime, cumtime, _ = entry
-        location = f"{filename}:{line}({name})"
-        if filename == "~":                     # builtins: ~:0(<len>)
-            location = name
-        rows.append(
-            {
-                "function": location,
-                "calls": int(call_count),
-                "tottime_s": float(tottime),
-                "cumtime_s": float(cumtime),
-            }
-        )
-    rows.sort(key=lambda row: (-row["cumtime_s"], -row["tottime_s"]))
-    return rows[: int(top)]
-
-
-def profile_call(fn: Callable[[], Any], top: int = 20) -> tuple[Any, list[dict]]:
-    """Run ``fn()`` under cProfile; returns ``(result, rows)`` where
-    ``rows`` is :func:`top_hot_functions` of the run."""
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn)
-    return result, top_hot_functions(pstats.Stats(profiler), top=top)
-
-
-def format_profile(rows: Sequence[dict]) -> str:
-    """The hot-function ranking as an aligned text table."""
-    lines = [
-        f"profile (top {len(rows)} by cumulative time):",
-        f"{'cumtime s':>10}  {'tottime s':>10}  {'calls':>9}  function",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['cumtime_s']:>10.4f}  {row['tottime_s']:>10.4f}  "
-            f"{row['calls']:>9}  {row['function']}"
-        )
-    return "\n".join(lines)

@@ -11,8 +11,9 @@ traffic simulates in seconds, bit-for-bit reproducibly):
   (:class:`Poisson`, :class:`Diurnal`, :class:`Bursty` MMPP-2,
   deterministic :class:`Replay`), all seeded;
 * :mod:`~repro.traffic.workload` — multi-tenant mixes
-  (:class:`Tenant`, :class:`WorkloadMix`, the serve-bench-compatible
-  :meth:`WorkloadMix.zipf`) with per-tenant deadlines, priorities and
+  (:class:`Tenant`, :class:`WorkloadMix`, and :meth:`WorkloadMix.zipf`,
+  the open-loop twin of the closed :func:`synthetic_trace` replay
+  stream) with per-tenant deadlines, priorities and
   :class:`TokenBucket` rate limits;
 * :mod:`~repro.traffic.slo` — the :class:`SLO` contract (p99 bound +
   deadline-miss budget) and its deadline-aware
@@ -23,7 +24,7 @@ traffic simulates in seconds, bit-for-bit reproducibly):
   flush-policy triggers at their exact modelled due-times;
 * :mod:`~repro.traffic.capacity` — :func:`find_capacity`, the binary
   search for the highest sustained offered load meeting the SLO
-  (behind ``python -m repro serve-bench traffic``).
+  (behind ``benchmarks/serve_bench.py traffic``).
 
 Per-request ``deadline=`` semantics (typed
 :class:`~repro.errors.DeadlineExceededError` sheds, the
@@ -35,7 +36,7 @@ from .arrivals import ArrivalProcess, Bursty, Diurnal, Poisson, Replay
 from .capacity import find_capacity
 from .engine import TrafficEngine
 from .slo import SLO
-from .workload import Tenant, TokenBucket, WorkloadMix
+from .workload import Tenant, TokenBucket, WorkloadMix, synthetic_trace
 
 __all__ = [
     "SLO",
@@ -49,4 +50,5 @@ __all__ = [
     "TrafficEngine",
     "WorkloadMix",
     "find_capacity",
+    "synthetic_trace",
 ]

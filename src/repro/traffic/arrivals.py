@@ -230,7 +230,8 @@ class Replay(ArrivalProcess):
     Zero-variance control arm: request ``k`` arrives at ``(k+1)/rate``
     exactly, regardless of the generator (the D in M/D/c).  Pair it
     with :meth:`WorkloadMix.zipf <repro.traffic.workload.WorkloadMix.zipf>`
-    to replay the serve-bench Zipf trace on a fixed clock grid.
+    to replay the :func:`~repro.traffic.synthetic_trace` Zipf trace on a
+    fixed clock grid.
     """
 
     def __init__(self, rate: float) -> None:

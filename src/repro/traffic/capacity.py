@@ -11,9 +11,9 @@ r must not inherit backlog or cache state from the rate-2r trial —
 and the returned record keeps the full trial history, so a capacity
 curve is auditable point by point.
 
-This is the measurement behind ``serve-bench traffic``'s
-``BENCH_traffic.json`` capacity curves (sustained req/s vs core count
-and routing policy).
+This is the measurement behind the capacity curves of
+``benchmarks/serve_bench.py traffic`` in ``BENCH_traffic.json``
+(sustained req/s vs core count and routing policy).
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ A :class:`WorkloadMix` is the demand side of the traffic engine: a set
 of :class:`Tenant` specs (traffic share, weight-matrix shape, QoS
 priority, per-request deadline, token-bucket rate limit) plus the
 seeded machinery to materialize each tenant's weights and draw the
-per-arrival tenant sequence.  :meth:`WorkloadMix.zipf` mirrors the
-serve-bench :func:`~repro.runtime.serving.synthetic_trace` — the same
-four alternating shapes and 1/k popularity — so traffic-engine runs
-are comparable with the replay benches.
+per-arrival tenant sequence.  :meth:`WorkloadMix.zipf` mirrors
+:func:`synthetic_trace`, the closed replay stream of the serve benches:
+the same four alternating shapes and 1/k popularity, so traffic-engine
+runs are comparable with the replay benches.
 
 :class:`TokenBucket` is the standard leaky-bucket admission gate: a
 tenant with ``rate_limit=`` set only admits requests while its bucket
@@ -122,6 +122,54 @@ class Tenant:
         return TokenBucket(self.rate_limit, max(burst, 1.0))
 
 
+def _tenant_shapes(rows: int, columns: int) -> list[tuple[int, int]]:
+    """The four tenant shapes on a ``rows x columns`` tile, in tenant
+    order: tile-native, smaller than a tile, tiled in both dimensions,
+    and tall."""
+    return [
+        (rows, columns),
+        (max(rows // 2, 1), max(columns - 2, 1)),
+        (rows + rows // 2, columns + columns // 2),
+        (2 * rows + 1, columns),
+    ]
+
+
+def synthetic_trace(
+    tenants: int = 6,
+    requests: int = 240,
+    rows: int = 8,
+    columns: int = 8,
+    max_weight: int = 7,
+    churn: float = 0.02,
+    seed: int = 2025,
+):
+    """A repeatable multi-tenant request stream.
+
+    Yields ``(tenant, weights, x)`` tuples.  Tenant shapes alternate
+    between tile-native, smaller-than-tile and tiled (larger than one
+    tile in both dimensions); popularity is Zipf-skewed so a few
+    tenants dominate (good cache locality) and ``churn`` is the
+    per-request probability the chosen tenant retrains its weights
+    (forcing a fresh program compile).
+    """
+    if tenants < 1 or requests < 0:
+        raise ConfigurationError("need at least one tenant and requests >= 0")
+    rng = np.random.default_rng(seed)
+    shapes = _tenant_shapes(rows, columns)
+    weights = [
+        rng.integers(0, max_weight + 1, shapes[tenant % len(shapes)])
+        for tenant in range(tenants)
+    ]
+    popularity = 1.0 / np.arange(1, tenants + 1)
+    popularity /= popularity.sum()
+    for _ in range(requests):
+        tenant = int(rng.choice(tenants, p=popularity))
+        if rng.uniform() < churn:
+            weights[tenant] = rng.integers(0, max_weight + 1, weights[tenant].shape)
+        x = rng.uniform(0.0, 1.0, weights[tenant].shape[1])
+        yield tenant, weights[tenant], x
+
+
 class WorkloadMix:
     """A normalized set of tenants plus seeded sampling machinery."""
 
@@ -154,22 +202,17 @@ class WorkloadMix:
         deadline_s: float | None = None,
         max_weight: int = 7,
     ) -> "WorkloadMix":
-        """The serve-bench trace as a mix: tenant ``k`` gets popularity
+        """The replay trace as a mix: tenant ``k`` gets popularity
         1/(k+1) and the same four alternating shapes as
-        :func:`~repro.runtime.serving.synthetic_trace` (tile-native,
-        smaller-than-tile, tiled, tall), so cache behaviour matches the
-        replay benches.  ``deadline_s`` stamps every tenant uniformly
-        (None = best effort)."""
+        :func:`synthetic_trace` (tile-native, smaller-than-tile, tiled,
+        tall), so cache behaviour matches the replay benches.
+        ``deadline_s`` stamps every tenant uniformly (None = best
+        effort)."""
         if tenants < 1:
             raise ConfigurationError(
                 f"need at least one tenant, got {tenants}"
             )
-        shapes = [
-            (rows, columns),
-            (max(rows // 2, 1), max(columns - 2, 1)),
-            (rows + rows // 2, columns + columns // 2),
-            (2 * rows + 1, columns),
-        ]
+        shapes = _tenant_shapes(rows, columns)
         return cls(
             tuple(
                 Tenant(

@@ -22,7 +22,7 @@ from repro.api import (
 )
 from repro.api.routing import HashRing
 from repro.errors import ClusterSaturatedError, ConfigurationError
-from repro.runtime.serving import synthetic_trace
+from repro.traffic import synthetic_trace
 
 
 @pytest.fixture()

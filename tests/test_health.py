@@ -30,18 +30,8 @@ from repro.health import (
     Perturbation,
     ThermalDetuning,
     TiaGainDrift,
+    drift_suite,
 )
-
-
-def drift_suite(severity: float = 1.0):
-    return (
-        ThermalDetuning(amplitude_kelvin=0.35 * severity, period_s=45.0),
-        LaserPowerDecay(rate_per_s=1e-3 * severity),
-        TiaGainDrift(drift_per_s=-8e-4 * severity),
-        ComparatorOffsetAging(
-            volts_per_inference=2e-4 * severity, saturation_volts=0.45
-        ),
-    )
 
 
 def aged_session(**kwargs):

@@ -398,15 +398,11 @@ def test_repo_is_lint_clean(monkeypatch, capsys):
 
 
 def test_previously_violating_modules_stay_clean():
-    # serving.py / session.py read the host clock directly and session
-    # used telemetry unguarded; constants.py raised bare ValueError.
+    # session.py read the host clock directly and used telemetry
+    # unguarded; constants.py raised bare ValueError.
     run = run_lint(
         REPO_ROOT,
-        paths=[
-            "src/repro/runtime/serving.py",
-            "src/repro/api/session.py",
-            "src/repro/constants.py",
-        ],
+        paths=["src/repro/api/session.py", "src/repro/constants.py"],
     )
     assert run.findings == [], [f.render() for f in run.findings]
 

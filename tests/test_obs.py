@@ -45,9 +45,9 @@ from repro.obs import (
     save_dashboard,
     slo_burn_rules,
 )
-from repro.runtime.serving import drift_suite, synthetic_trace
+from repro.health import drift_suite
 from repro.telemetry import ModelClock, TraceRecorder
-from repro.traffic import SLO, Poisson, TrafficEngine, WorkloadMix
+from repro.traffic import SLO, Poisson, TrafficEngine, WorkloadMix, synthetic_trace
 
 GRID = (8, 8)
 

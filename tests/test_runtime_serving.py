@@ -1,5 +1,5 @@
 """Tests for the dense and conv request routes through the session
-front door, and the serve-bench harness (repro.runtime.serving)."""
+front door."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,6 @@ from repro.api import FlushPolicy, PhotonicSession
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.errors import ConfigurationError, PendingFlushError
 from repro.ml.convolution import PhotonicConv2d
-from repro.runtime.serving import (
-    run_cluster_serve_bench,
-    run_cnn_serve_bench,
-    run_serve_bench,
-    synthetic_trace,
-)
 
 
 @pytest.fixture()
@@ -295,69 +289,3 @@ class TestConvRoute:
         with pytest.raises(ConfigurationError, match="not flushed"):
             future.value
         assert conv_session.flush() == 1 and future.done
-
-
-def test_run_cnn_serve_bench_smoke(tech, capsys):
-    summary = run_cnn_serve_bench(images=12, flush_every=4, seed=5)
-    output = capsys.readouterr().out
-    assert "images/s" in output and "hit rate" in output
-    assert summary["images"] == 12
-    assert summary["patches"] == 12 * 36  # 8x8 glyphs, 3x3 kernels
-    assert summary["cache_misses"] == 1 and summary["cache_hits"] == 2
-    assert summary["weight_energy_saved_pj"] > 0.0
-    assert summary["images_per_s"] > 0.0
-
-
-def test_synthetic_trace_is_deterministic():
-    first = list(synthetic_trace(requests=20, rows=4, columns=4, seed=9))
-    second = list(synthetic_trace(requests=20, rows=4, columns=4, seed=9))
-    assert len(first) == 20
-    for (ta, wa, xa), (tb, wb, xb) in zip(first, second):
-        assert ta == tb
-        assert np.array_equal(wa, wb)
-        assert np.array_equal(xa, xb)
-    shapes = {w.shape for _, w, _ in first}
-    assert len(shapes) > 1  # mixed tenant shapes
-
-
-def test_run_cluster_serve_bench_smoke(tech, capsys, tmp_path):
-    import json
-
-    json_path = tmp_path / "BENCH_cluster.json"
-    summary = run_cluster_serve_bench(requests=60, cores_sweep=(1, 2),
-                                      rows=4, columns=6, flush_every=8,
-                                      seed=5, json_path=json_path)
-    output = capsys.readouterr().out
-    assert "cluster serve-bench" in output and "routing" in output
-    assert [entry["cores"] for entry in summary["sweep"]] == [1, 2]
-    for entry in summary["sweep"]:
-        assert entry["throughput_per_s"] > 0.0
-        assert set(entry["policies"]) == {"round_robin", "least_loaded",
-                                          "cache_affinity"}
-    # The acceptance property: on the skewed trace, affinity routing
-    # beats round-robin's aggregate hit rate on the 2-core fleet.
-    multi = summary["sweep"][1]["policies"]
-    assert (multi["cache_affinity"]["cache_hit_rate"]
-            > multi["round_robin"]["cache_hit_rate"])
-    assert json.loads(json_path.read_text())["requests"] == 60
-
-
-def test_run_cluster_serve_bench_validation(tech):
-    with pytest.raises(ConfigurationError, match="flush interval"):
-        run_cluster_serve_bench(requests=4, flush_every=0)
-    with pytest.raises(ConfigurationError, match="cores_sweep"):
-        run_cluster_serve_bench(requests=4, cores_sweep=())
-    with pytest.raises(ConfigurationError, match="cores_sweep"):
-        run_cluster_serve_bench(requests=4, cores_sweep=(1, 0))
-
-
-def test_run_serve_bench_smoke(tech, capsys):
-    summary = run_serve_bench(requests=40, rows=4, columns=4, flush_every=8,
-                              cache_capacity=3, seed=7)
-    output = capsys.readouterr().out
-    assert "inferences/s" in output
-    assert summary["requests"] == 40
-    assert summary["throughput_per_s"] > 0.0
-    assert 0.0 < summary["batch_fill"] <= 1.0
-    assert summary["cache_hits"] + summary["cache_misses"] > 0
-    assert summary["weight_energy_saved_pj"] > 0.0

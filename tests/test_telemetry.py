@@ -1,5 +1,5 @@
 """Tests for repro.telemetry: the modelled clock, metrics, tracing,
-profiling hooks, and their wiring through the serving stack.
+and their wiring through the serving stack.
 
 The two load-bearing guarantees:
 
@@ -36,8 +36,6 @@ from repro.telemetry import (
     ModelClock,
     Telemetry,
     TraceRecorder,
-    format_profile,
-    profile_call,
     quantiles_from_samples,
     to_serializable,
 )
@@ -551,25 +549,3 @@ def test_reports_export_to_dict_and_json():
 
     assert to_serializable(np.float64(1.5)) == 1.5
     assert to_serializable((np.int64(2),)) == [2]
-
-
-# -- profiling ---------------------------------------------------------------
-def test_profile_call_ranks_hot_functions():
-    def workload():
-        return sum(index * index for index in range(50_000))
-
-    result, rows = profile_call(workload, top=5)
-    assert result == sum(index * index for index in range(50_000))
-    assert 1 <= len(rows) <= 5
-    assert set(rows[0]) == {"function", "calls", "tottime_s", "cumtime_s"}
-    # Sorted by cumulative time, descending.
-    cumtimes = [row["cumtime_s"] for row in rows]
-    assert cumtimes == sorted(cumtimes, reverse=True)
-    text = format_profile(rows)
-    assert text.startswith(f"profile (top {len(rows)} by cumulative time):")
-    assert "function" in text
-
-
-def test_profile_call_rejects_bad_top():
-    with pytest.raises(ConfigurationError):
-        profile_call(lambda: None, top=0)

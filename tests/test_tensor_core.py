@@ -101,6 +101,23 @@ def test_weight_matrix_round_trip(core):
         assert np.array_equal(core.row_cores[row].weights, matrix[row])
 
 
+def test_load_keeps_a_private_copy_of_the_weights(tech):
+    # An in-place edit of the caller's array after a load must not
+    # reach the loaded weights: the pSRAM bits keep the old ones.
+    core = PhotonicTensorCore(rows=2, columns=3, technology=tech)
+    w = np.array([[1, 2, 3], [4, 5, 6]])
+    core.load_weight_matrix(w)
+    w[0, 0] = 7
+    assert core.weight_matrix[0, 0] == 1
+    assert core.row_cores[0].weights[0] == 1
+    assert core.compile().weight_matrix[0, 0] == 1
+
+    w = np.array([[1, 2, 3], [4, 5, 6]])
+    core.row_cores[0].load_weights(w[0])
+    w[0, 0] = 7
+    assert core.row_cores[0].weights[0] == 1
+
+
 def test_dequantize_codes_inverts_code_mapping(core):
     codes = np.array([0, 3, 7, 5])
     estimates = core.dequantize_codes(codes)
