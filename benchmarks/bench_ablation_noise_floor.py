@@ -7,8 +7,6 @@ shrink at fixed error targets, and where the analog compute path's
 effective resolution sits relative to the 3-bit eoADC.
 """
 
-import numpy as np
-
 from repro.analysis.noise import (
     ComputePathNoiseAnalysis,
     EoAdcNoiseAnalysis,

@@ -7,8 +7,6 @@ sweep the performance model across array sizes and weight precisions
 and compare the electrical IMC macro's RC-limited numbers.
 """
 
-import numpy as np
-
 from repro.analysis.reporting import ascii_table
 from repro.baselines.electrical_imc import ElectricalImcMacro
 from repro.core.performance import PerformanceModel

@@ -9,13 +9,12 @@ reports end-to-end tiled throughput for a 40x40 workload sharded onto
 a 3x3 grid of 16x16 tiles.
 """
 
-import time
-
 import numpy as np
 
 from repro.analysis.reporting import ascii_table
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.runtime.tiling import TiledMatmul
+from repro.telemetry.profiling import wall_clock
 
 
 def test_compiled_engine_speedup(benchmark, report, tech):
@@ -24,18 +23,18 @@ def test_compiled_engine_speedup(benchmark, report, tech):
     core.load_weight_matrix(rng.integers(0, 8, (16, 16)))
     batch = rng.uniform(0.0, 1.0, (16, 256))
 
-    compile_start = time.perf_counter()
+    compile_start = wall_clock()
     engine = core.compile()
-    compile_time = time.perf_counter() - compile_start
+    compile_time = wall_clock() - compile_start
 
-    loop_start = time.perf_counter()
+    loop_start = wall_clock()
     loop_estimates = core.matmul(batch)
-    loop_time = time.perf_counter() - loop_start
+    loop_time = wall_clock() - loop_start
 
     result = benchmark(engine.matmul, batch)
-    fast_start = time.perf_counter()
+    fast_start = wall_clock()
     engine.matmul(batch)
-    fast_time = time.perf_counter() - fast_start
+    fast_time = wall_clock() - fast_start
     speedup = loop_time / fast_time
 
     loop_codes = np.stack(
@@ -71,15 +70,15 @@ def test_compiled_engine_speedup(benchmark, report, tech):
 def test_tiled_large_matrix_throughput(benchmark, report, tech):
     rng = np.random.default_rng(2)
     weights = rng.integers(0, 8, (40, 40))
-    build_start = time.perf_counter()
+    build_start = wall_clock()
     tiled = TiledMatmul(weights, PhotonicTensorCore(rows=16, columns=16, technology=tech))
-    build_time = time.perf_counter() - build_start
+    build_time = wall_clock() - build_start
     batch = rng.uniform(0.0, 1.0, (40, 32))
 
     estimates = benchmark(tiled.matmul, batch)
-    run_start = time.perf_counter()
+    run_start = wall_clock()
     tiled.matmul(batch)
-    run_time = time.perf_counter() - run_start
+    run_time = wall_clock() - run_start
 
     exact = weights @ batch
     bound = tiled.quantization_error_bound()

@@ -13,7 +13,6 @@ the compile.  This example walks the three `repro.elastic` layers:
 """
 
 import tempfile
-import time
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from repro import (
     PhotonicSession,
     ProgramStore,
 )
+from repro.telemetry.profiling import wall_clock
 
 rng = np.random.default_rng(11)
 PROGRAMS = [rng.integers(0, 8, (8, 8)) for _ in range(6)]
@@ -34,10 +34,10 @@ INPUTS = [rng.random(8) for _ in PROGRAMS]
 
 def serve_all(session):
     """Compile-and-serve every program once; returns (results, wall s)."""
-    start = time.perf_counter()
+    start = wall_clock()
     futures = [session.submit(w, x) for w, x in zip(PROGRAMS, INPUTS)]
     session.flush()
-    return [f.result() for f in futures], time.perf_counter() - start
+    return [f.result() for f in futures], wall_clock() - start
 
 
 # -- 1. persisted warm starts ---------------------------------------------

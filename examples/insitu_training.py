@@ -10,8 +10,6 @@ is this fast and cheap.
 Run:  python examples/insitu_training.py
 """
 
-import numpy as np
-
 from repro import PhotonicTensorCore
 from repro.ml import InSituTrainer, gaussian_blobs, train_test_split
 

@@ -10,8 +10,6 @@ extension).
 Run:  python examples/neural_inference.py
 """
 
-import numpy as np
-
 from repro import PhotonicTensorCore
 from repro.ml import MLP, PhotonicMLP, procedural_digits, train_test_split
 

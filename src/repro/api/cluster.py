@@ -109,7 +109,8 @@ class ClusterReport(ReportExport):
     #: Integral of the active-core count over modelled time [core·s]:
     #: the capacity a fleet actually paid for — an autoscaled fleet
     #: meeting the same SLO as a static max-size fleet shows the
-    #: savings here.  0.0 without a modelled clock.
+    #: savings here.  Timed on the injected ``clock=`` when one is
+    #: shared, else on the furthest-along core's service clock.
     core_seconds: float = 0.0
     #: Requests pending per core at report time (the per-core
     #: :attr:`~repro.runtime.scheduler.SchedulerStats.pending` signal
@@ -423,11 +424,11 @@ class PhotonicCluster:
         #: binding: holds the fleet registry (routed/shed/drain
         #: counters) and the "fleet" trace track carrying shed / drain /
         #: restore instants.  Each core session gets its *own* binding
-        #: (own modelled clock and registry — cores digitize
-        #: concurrently on independent timelines) sharing the recorder
-        #: and the cluster's trace process.  None without
-        #: ``trace=``/``metrics=``, and then the fleet makes zero
-        #: telemetry calls.
+        #: (own registry, and a clock that becomes that core's service
+        #: clock — cores digitize concurrently on independent
+        #: timelines) sharing the recorder and the cluster's trace
+        #: process.  None without ``trace=``/``metrics=``, and then the
+        #: fleet makes zero telemetry calls.
         if trace is not None and not isinstance(trace, TraceRecorder):
             raise ConfigurationError(
                 f"trace must be a repro.telemetry.TraceRecorder, "
@@ -557,8 +558,9 @@ class PhotonicCluster:
 
     # -- slot construction ---------------------------------------------------
     def _core_binding(self, index: int) -> Telemetry | None:
-        """One core slot's telemetry binding (own modelled clock and
-        registry, shared recorder/process); None without telemetry."""
+        """One core slot's telemetry binding (own registry, and a clock
+        the slot's session makes its service clock; shared
+        recorder/process); None without telemetry."""
         if self.telemetry is None:
             return None
         return Telemetry(
@@ -684,16 +686,9 @@ class PhotonicCluster:
     # -- telemetry -----------------------------------------------------------
     def _fleet_now(self) -> float:
         """The fleet's modelled 'now': cores run concurrently on
-        independent clocks, so fleet-scope events (sheds, drains)
-        timestamp at the furthest-along core."""
-        return max(
-            (
-                session.telemetry.clock.now
-                for session in self._sessions
-                if session.telemetry is not None
-            ),
-            default=0.0,
-        )
+        independent service clocks, so fleet-scope events (sheds,
+        drains) timestamp at the furthest-along core."""
+        return max(session.scheduler.clock.now for session in self._sessions)
 
     def _fleet_instant(self, name: str, args: dict | None = None) -> None:
         """Emit one instant event on the fleet trace track (no-op
@@ -734,7 +729,8 @@ class PhotonicCluster:
     def _elastic_now(self) -> float:
         """Modelled 'now' for scale decisions and core-second
         accounting: the injected clock when one is shared fleet-wide,
-        else the furthest-along core clock (0.0 without either)."""
+        else the furthest-along core's service clock (attached or
+        not)."""
         clock = self._clock
         if clock is not None:
             return float(clock() if callable(clock) else clock.now)
@@ -938,7 +934,7 @@ class PhotonicCluster:
             loads = [self._sessions[index].pending for index in candidates]
         else:
             loads = [0] * len(candidates)     # only the length is read
-        return candidates[self.routing.select(None, loads, self._cursor)], None
+        return candidates[self.routing.select(loads, self._cursor)], None
 
     def _widest_weight(self) -> int:
         """The largest weight any core of the fleet holds."""

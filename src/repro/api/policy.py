@@ -25,10 +25,11 @@ hand-placing ``flush()`` calls:
 Limits compose: ``FlushPolicy(batch_limit=64, delay_limit=0.01)``
 flushes on whichever trips first.
 
-Ages and deadlines are measured on whatever clock the session reads —
-the host wall clock by default, or an injected modelled clock
-(``PhotonicSession(clock=...)``) for open-loop simulation (see
-:mod:`repro.traffic`).
+Ages and deadline slack are measured on an injected modelled clock
+(``PhotonicSession(clock=...)``) when one is given, as in open-loop
+simulation (see :mod:`repro.traffic`).  Without one, deadline slack
+reads the session's modelled service clock and ages the host wall
+clock.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ class FlushPolicy:
             raise ConfigurationError(
                 f"batch limit must be >= 1, got {self.batch_limit}"
             )
-        if self.delay_limit is not None and self.delay_limit < 0.0:
+        if self.delay_limit is not None and not (self.delay_limit >= 0.0):
             raise ConfigurationError(
                 f"delay limit must be >= 0, got {self.delay_limit}"
             )
-        if self.deadline_headroom is not None and self.deadline_headroom < 0.0:
+        if self.deadline_headroom is not None and not (self.deadline_headroom >= 0.0):
             raise ConfigurationError(
                 f"deadline headroom must be >= 0, got {self.deadline_headroom}"
             )

@@ -22,9 +22,10 @@ routed request lands on — the cluster-level twin of
   once per rotation and memoises the core (see
   :meth:`~repro.api.cluster.PhotonicCluster._route`).
 
-Policies are pure deciders: :meth:`select` maps (routing key, per-core
-loads, round-robin cursor) to a core index and keeps no state — the
-cluster owns the cursor, so one policy object can be shared.
+Policies are pure deciders: :meth:`select` maps (per-core loads,
+round-robin cursor) to a core index and keeps no state — the cluster
+owns the cursor, so one policy object can be shared.  Cache-affinity
+keys resolve on the cluster's :class:`HashRing` instead.
 
 :class:`HashRing` is the stateful companion for *elastic* fleets: a
 consistent-hash ring over the current member set that the cluster
@@ -82,8 +83,9 @@ class RoutingPolicy:
     # -- decision ------------------------------------------------------------
     @property
     def needs_key(self) -> bool:
-        """Whether :meth:`select` reads the routing key — lets callers
-        skip serializing a weight program the policy would ignore."""
+        """Whether the policy routes by weight-program key (on a
+        :class:`HashRing`) — lets callers skip serializing a weight
+        program the other policies ignore."""
         return self.kind == "cache_affinity"
 
     @property
@@ -92,23 +94,13 @@ class RoutingPolicy:
         still needs the list's *length* for the fleet size)."""
         return self.kind == "least_loaded"
 
-    @staticmethod
-    def _hash_slot(key: bytes, cores: int) -> int:
-        """Stable hash of a program key onto ``cores`` slots.  blake2b
-        rather than ``hash()``: Python string hashing is salted per
-        process, and affinity must survive restarts so a replayed trace
-        lands on the same cores."""
-        digest = hashlib.blake2b(key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") % cores
+    def select(self, loads: Sequence[int], cursor: int) -> int:
+        """The core index for one request without a program key.
 
-    def select(self, key: bytes | None, loads: Sequence[int], cursor: int) -> int:
-        """The core index for one request.
-
-        ``key`` is the request's weight-program routing key (None for
-        traffic with no program identity, which falls back to the
-        round-robin cursor under every policy), ``loads`` the per-core
-        pending request counts, ``cursor`` the cluster's monotonically
-        increasing submit counter.
+        ``loads`` is the per-core pending request counts, ``cursor``
+        the cluster's monotonically increasing submit counter;
+        least-loaded reads the loads, and every other policy takes the
+        round-robin cursor.
         """
         cores = len(loads)
         if cores < 1:
@@ -117,8 +109,6 @@ class RoutingPolicy:
             return 0
         if self.kind == "least_loaded":
             return min(range(cores), key=lambda index: (loads[index], index))
-        if self.kind == "cache_affinity" and key is not None:
-            return self._hash_slot(key, cores)
         return cursor % cores
 
     def describe(self) -> str:

@@ -28,6 +28,7 @@ resolves.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -77,7 +78,8 @@ _LEDGER_FIELDS = (
 
 #: Everything the ``clock`` knob accepts: a shared
 #: :class:`~repro.telemetry.ModelClock`, any zero-argument callable
-#: returning seconds, or None (host wall clock, the default).
+#: returning seconds, or None (the default: deadlines read the
+#: modelled service clock, ``max_delay`` ages the host wall clock).
 ClockSource = ModelClock | Callable[[], float] | None
 
 
@@ -217,7 +219,7 @@ class DeployedModel:
             for batch, future in entries:
                 future._resolve(outputs[offset : offset + len(batch)])
                 offset += len(batch)
-        resolved_at = scheduler._service_clock().now
+        resolved_at = scheduler.clock.now
         for _, future in queue:
             future._resolved_at = resolved_at
         return len(queue)
@@ -325,13 +327,17 @@ class PhotonicSession:
                 f"returning seconds, or None (host wall clock), "
                 f"got {type(clock).__name__}"
             )
-        #: Injectable time source the flush policy and ``deadline=``
-        #: stamps read (:data:`ClockSource`).  None = host wall clock
-        #: via :func:`~repro.telemetry.profiling.wall_clock` (the
-        #: pre-existing behaviour); the open-loop traffic engine
-        #: injects a :class:`~repro.telemetry.ModelClock` it advances
-        #: to each arrival so simulation results never depend on host
-        #: timing (see :mod:`repro.traffic`).
+        #: Injectable time source (:data:`ClockSource`): ``deadline=``
+        #: stamps, the ``deadline_headroom`` slack, queue stamps and
+        #: ``max_delay`` ages read it, and every flush pulls the
+        #: service clock up to it (never backwards).  None = the first
+        #: three read the modelled service clock (``scheduler.clock``)
+        #: and only ``max_delay`` ages read the host wall clock, via
+        #: :func:`~repro.telemetry.profiling.wall_clock`.  The
+        #: open-loop traffic engine injects a
+        #: :class:`~repro.telemetry.ModelClock` it advances to each
+        #: arrival so simulation results never depend on host timing
+        #: (see :mod:`repro.traffic`).
         self.clock = clock
         # -- telemetry (repro.telemetry) --------------------------------
         #: Optional :class:`~repro.telemetry.Telemetry` binding: the
@@ -361,9 +367,9 @@ class PhotonicSession:
         #: Optional :class:`~repro.obs.Observer`: the alerting monitor
         #: this session feeds its flush/health/event stream.  None (the
         #: default) = the serving path makes zero obs calls.  An
-        #: attached observer needs the modelled clock and per-flush
-        #: latency windows, so it implies a metrics-only telemetry
-        #: binding when none was passed.
+        #: attached observer needs per-flush latency windows, so it
+        #: implies a metrics-only telemetry binding when none was
+        #: passed.
         if obs is not None:
             from ..obs import Observer as _Observer
 
@@ -386,6 +392,9 @@ class PhotonicSession:
             label="session",
         )
         self.scheduler.telemetry = self.telemetry
+        if self.telemetry is not None:
+            # One timeline: telemetry stamps the service clock itself.
+            self.scheduler.clock = self.telemetry.clock
         #: The physical tile's shape.
         self.rows = self.scheduler.rows
         self.columns = self.scheduler.columns
@@ -401,7 +410,7 @@ class PhotonicSession:
         self._deadline_misses = 0
         self._flushes = 0
         #: Service-clock timestamp the current flush started at
-        #: (queue-wait = flush start - submit time).
+        #: (queue-wait = flush start - submit stamp).
         self._flush_started = 0.0
         self._submit_count = 0
 
@@ -560,8 +569,9 @@ class PhotonicSession:
         the single-tile and the tiled path), and a positive float is
         applied as-is.
 
-        ``deadline`` (seconds from now on the session's clock, None =
-        best effort) sheds the request with a
+        ``deadline`` (seconds from now, None = best effort; "now" is
+        the injected ``clock=`` when one is given, else the modelled
+        service clock, and a NaN is rejected) sheds the request with a
         :class:`~repro.errors.DeadlineExceededError` instead of serving
         it late: a non-positive deadline sheds at submit, and a flush
         whose batch cannot complete in time sheds at evaluation —
@@ -602,10 +612,10 @@ class PhotonicSession:
         if out_features <= self.rows and in_features <= columns:
             padded = np.zeros(columns)
             padded[:in_features] = x
-            self.scheduler.enqueue("native", weights, padded, future, gain, out_features)
+            self.scheduler.submit("native", weights, padded, future, gain, out_features)
             self._queued(future, "native")
         else:
-            self.scheduler.enqueue("tiled", weights, x.copy(), future, gain)
+            self.scheduler.submit("tiled", weights, x.copy(), future, gain)
             self._queued(future, "tiled")
         return future
 
@@ -667,7 +677,7 @@ class PhotonicSession:
             return future
         # A private copy: ``normalize_image`` may return a view of the
         # caller's array, which could change before the flush unrolls it.
-        self.scheduler.enqueue(
+        self.scheduler.submit(
             "conv",
             kernels,
             (image.copy(), kernel_size, stride, out_rows * out_cols),
@@ -822,19 +832,23 @@ class PhotonicSession:
         report = self.ensure_monitor().check(recalibrated=recalibrated)
         self._health_history.append(report)
         obs = self.obs
-        tel = self.telemetry
-        if obs is not None and tel is not None:
-            obs.observe_health(tel.clock.now, self.label, report)
+        if obs is not None:
+            obs.observe_health(self.scheduler.clock.now, self.label, report)
         return report
 
     def age(self, seconds: float) -> None:
-        """Model idle wall-clock passing (traffic gaps age the analog
-        stack too); a no-op on a session without drift."""
-        if seconds < 0.0:
-            raise ConfigurationError(f"age must be non-negative, got {seconds}")
+        """Model ``seconds`` of idle time passing: the service clock
+        advances by them (later completions and deadline sheds read the
+        gap) and, with drift attached, the analog stack ages too.
+        ``seconds`` must be finite and non-negative; it is checked
+        before anything moves."""
+        if not (0.0 <= seconds < math.inf):
+            raise ConfigurationError(
+                f"age must be finite and non-negative, got {seconds}"
+            )
         if self.drift is not None:
             self.drift.advance(seconds=seconds)
-        self.scheduler._service_clock().advance(seconds)
+        self.scheduler.clock.advance(seconds)
 
     def recalibrate(self) -> HealthReport | None:
         """Re-trim the core online and invalidate exactly the stale
@@ -872,7 +886,7 @@ class PhotonicSession:
         retrim_time = conversions / adc.sample_rate
         self._calibration_time += retrim_time
         self._calibration_energy += conversions * adc.energy_per_conversion
-        clock = self.scheduler._service_clock()
+        clock = self.scheduler.clock
         retrim_start = clock.now
         clock.advance(retrim_time)
         tel = self.telemetry
@@ -891,7 +905,7 @@ class PhotonicSession:
             obs = self.obs
             if obs is not None:
                 obs.note_event(
-                    tel.clock.now,
+                    clock.now,
                     "recalibrate",
                     {"source": self.label, "epoch": self.drift.epoch + 1},
                 )
@@ -939,8 +953,8 @@ class PhotonicSession:
 
     # -- clocks & deadlines --------------------------------------------------
     def _now(self) -> float:
-        """The flush policy's 'now' [s]: the injected clock source when
-        one is set, the host wall clock otherwise."""
+        """The ``max_delay`` age source [s]: the injected clock source
+        when one is set, the host wall clock otherwise."""
         clock = self.clock
         if clock is None:
             return wall_clock()
@@ -949,21 +963,25 @@ class PhotonicSession:
         return float(clock())
 
     def _stamp_now(self) -> float:
-        """The timestamp base ``deadline=`` offsets add onto: the
-        injected clock first, else the telemetry clock (so deadlines
-        and latency stamps share one timeline), else wall clock."""
-        tel = self.telemetry
-        if self.clock is None and tel is not None:
-            return tel.clock.now
+        """'Now' for deadline stamps, the deadline slack and queue
+        stamps [s]: the injected clock when one is set, else the
+        modelled service clock, so a deadline is always judged on
+        modelled time."""
+        if self.clock is None:
+            return self.scheduler.clock.now
         return self._now()
 
     def _resolve_deadline(self, deadline: float | None) -> float | None:
         """Turn a relative ``deadline=`` [s] into an absolute timestamp
-        on the session's clock; validates the type here so every submit
+        (see :meth:`_stamp_now`); validates it here so every submit
         route shares one error message."""
         if deadline is None:
             return None
-        if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
+        if (
+            not isinstance(deadline, (int, float))
+            or isinstance(deadline, bool)
+            or math.isnan(deadline)
+        ):
             raise ConfigurationError(
                 f"deadline must be seconds from now (a number) or None, "
                 f"got {deadline!r}"
@@ -1032,23 +1050,24 @@ class PhotonicSession:
             )
 
     # -- flush ---------------------------------------------------------------
-    def _deadline_slack(self, now: float) -> float | None:
-        """Seconds until the most urgent pending deadline expires
-        (None = no pending deadline, or the policy ignores them —
-        skipping the arithmetic keeps the common path free)."""
+    def _deadline_slack(self) -> float | None:
+        """Seconds until the most urgent pending deadline expires, on
+        the deadlines' own timeline (:meth:`_stamp_now`); None = no
+        pending deadline, or the policy ignores them — skipping the
+        arithmetic keeps the common path free."""
         if (
             self.flush_policy.deadline_headroom is None
             or self._earliest_deadline is None
         ):
             return None
-        return self._earliest_deadline - now
+        return self._earliest_deadline - self._stamp_now()
 
     def _after_submit(self) -> None:
         now = self._now()
         if self._oldest_pending is None:
             self._oldest_pending = now
         if self.flush_policy.should_flush(
-            self.pending, now - self._oldest_pending, self._deadline_slack(now)
+            self.pending, now - self._oldest_pending, self._deadline_slack()
         ):
             self.flush()
 
@@ -1061,13 +1080,14 @@ class PhotonicSession:
         call this periodically; it flushes if the policy has tripped
         and returns the resolved count (0 when nothing was due).  Ages
         are measured on the session's clock source — the host wall
-        clock by default, the injected ``clock=`` in simulation.
+        clock by default, the injected ``clock=`` in simulation — and
+        deadline slack as in :meth:`_stamp_now`.
         """
         if self._oldest_pending is None:
             return 0
         now = self._now()
         if self.flush_policy.should_flush(
-            self.pending, now - self._oldest_pending, self._deadline_slack(now)
+            self.pending, now - self._oldest_pending, self._deadline_slack()
         ):
             return self.flush()
         return 0
@@ -1091,20 +1111,26 @@ class PhotonicSession:
         """Evaluate every pending request; returns resolved count.
 
         The scheduler's one loop serves every dense and conv group, then
-        model endpoints drain, all on one modelled service clock: the
-        telemetry clock when a binding is attached, otherwise a clock
-        started at the session clock's 'now'.  Requests carrying a
-        ``deadline=`` are shed instead of evaluated when their batch's
-        modelled completion time falls past the deadline (the estimate
-        uses the *pre-shed* batch size, so a shed never resurrects a
-        later request).
+        model endpoints drain, all on the one modelled service clock
+        (``scheduler.clock``), attached or not.  With an injected
+        ``clock=`` the flush first pulls the service clock up to its
+        'now' (never backwards): an idle core starts serving at the
+        present, a backlogged one keeps its later time.  Requests
+        carrying a ``deadline=`` are shed instead of evaluated when
+        their batch's modelled completion time falls past the deadline
+        (the estimate uses the *pre-shed* batch size, so a shed never
+        resurrects a later request).
         """
         tel = self.telemetry
-        now = tel.clock.now if tel is not None else self._now()
-        self._flush_started = now
+        clock = self.scheduler.clock
+        if self.clock is not None:
+            now = self._now()
+            if clock.now < now:
+                clock.now = now
+        self._flush_started = clock.now
         window, self._window = self._window, []
         try:
-            resolved = self.scheduler.flush(now=now)
+            resolved = self.scheduler.flush()
             for endpoint in self._endpoints:
                 if endpoint._queue:
                     if endpoint._needs_rebind:
@@ -1145,10 +1171,8 @@ class PhotonicSession:
             )
         self._maybe_run_health()
         obs = self.obs
-        if obs is not None and tel is not None:
-            obs.observe_flush(
-                tel.clock.now, self.label, report, pending=self.pending
-            )
+        if obs is not None:
+            obs.observe_flush(clock.now, self.label, report, pending=self.pending)
         return resolved
 
     def _emit_flush_telemetry(
@@ -1168,7 +1192,7 @@ class PhotonicSession:
             f"flush #{self._flushes}",
             "flush",
             self._flush_started,
-            tel.clock.now - self._flush_started,
+            self.scheduler.clock.now - self._flush_started,
             args={
                 "requests": report.requests,
                 "batches": report.batches,

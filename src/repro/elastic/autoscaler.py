@@ -146,7 +146,7 @@ class Autoscaler:
                 f"autoscaler tolerances must be >= 0, got "
                 f"shed={self.shed_tolerance}, miss={self.miss_tolerance}"
             )
-        if self.cooldown_s < 0.0:
+        if not (self.cooldown_s >= 0.0):
             raise ConfigurationError(
                 f"autoscaler cooldown_s must be >= 0 s, got {self.cooldown_s}"
             )

@@ -176,8 +176,9 @@ class HealthMonitor:
     residual, so golden never depends on *when* the monitor was
     built).  The probe engine is compiled through the session core —
     the pSRAM streaming it costs is charged to the session's
-    calibration ledger, and :meth:`recompile` rebuilds it after a
-    recalibration so the engine carries the fresh trims.
+    calibration ledger and service clock, and :meth:`recompile`
+    rebuilds it after a recalibration so the engine carries the fresh
+    trims.
     """
 
     def __init__(self, session, probes: int = 8, seed: int = 1310) -> None:
@@ -198,27 +199,24 @@ class HealthMonitor:
         self._golden = None
         self.recompile()
 
-    @property
-    def golden_codes(self) -> np.ndarray:
-        """The pristine probe codes frozen at compile time (copy)."""
-        return self._golden.copy()
-
     def recompile(self) -> None:
         """(Re)compile the probe engine through the session core,
         charging the weight streaming (one switch per set weight bit,
         :meth:`~repro.core.tensor_core.PhotonicTensorCore.program_energy`)
-        to the calibration ledger.  The golden codes are computed once —
-        pristine evaluation does not depend on the core's age."""
+        to the calibration ledger and the session's service clock.  The
+        golden codes are computed once — pristine evaluation does not
+        depend on the core's age."""
         session = self._session
         core = session.core
         core.load_weight_matrix(self.probe_weights)
+        stream_time = core.weight_update_time()
         session._calibration_energy += core.program_energy(self.probe_weights)
-        session._calibration_time += core.weight_update_time()
+        session._calibration_time += stream_time
+        clock = session.scheduler.clock
+        stream_start = clock.now
+        clock.advance(stream_time)
         tel = session.telemetry
         if tel is not None:
-            stream_time = core.weight_update_time()
-            stream_start = tel.clock.now
-            tel.clock.advance(stream_time)
             tel.span(
                 "compile probes",
                 "health",
@@ -235,7 +233,7 @@ class HealthMonitor:
     def check(self, recalibrated: bool = False) -> HealthReport:
         """Replay the probes through the live core and compare against
         golden; charges the probe conversions to the calibration ledger
-        and returns the typed report."""
+        and the session's service clock, and returns the typed report."""
         session = self._session
         codes = self._engine.matmul(self.probe_inputs).codes
         total = codes.size
@@ -269,11 +267,12 @@ class HealthMonitor:
         session._probe_vectors += self.probes
         session._calibration_time += probe_time
         session._calibration_energy += probe_time * performance.total_power
+        clock = session.scheduler.clock
+        probe_start = clock.now
+        clock.advance(probe_time)
 
         tel = session.telemetry
         if tel is not None:
-            probe_start = tel.clock.now
-            tel.clock.advance(probe_time)
             tel.metrics.counter("probe_runs").inc()
             blame = (
                 max(attribution, key=attribution.get) if errors else None

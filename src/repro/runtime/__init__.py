@@ -15,21 +15,18 @@ it into one, in three layers:
   ragged-edge padding and per-tile TIA range calibration.
 * :mod:`~repro.runtime.scheduler` — :class:`BatchScheduler` +
   :class:`WeightProgramCache`: the one flush executor behind
-  :class:`repro.api.PhotonicSession`.  In-grid, tiled and conv
-  requests coalesce per (weight program, gain) and run as batched
-  matmuls on one modelled service clock; an LRU of compiled programs
-  lets repeated weights skip the 20 GHz pSRAM re-streaming, with
+  :class:`repro.api.PhotonicSession`, with one request entry point
+  (``submit``).  In-grid, tiled and conv requests coalesce per (weight
+  program, gain) and run as batched matmuls on the scheduler's one
+  modelled service clock (``BatchScheduler.clock``, the session's
+  timeline whether or not telemetry is attached); an LRU of compiled
+  programs lets repeated weights skip the 20 GHz pSRAM re-streaming, with
   load energy charged per set weight bit and analog time/energy from
   :class:`~repro.core.performance.PerformanceModel`.
 """
 
 from .engine import BatchResult, CompiledCore, weight_key
-from .scheduler import (
-    BatchScheduler,
-    SchedulerStats,
-    Ticket,
-    WeightProgramCache,
-)
+from .scheduler import BatchScheduler, SchedulerStats, WeightProgramCache
 from .tiling import DifferentialProgram, TiledMatmul
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "CompiledCore",
     "DifferentialProgram",
     "SchedulerStats",
-    "Ticket",
     "TiledMatmul",
     "weight_key",
     "WeightProgramCache",

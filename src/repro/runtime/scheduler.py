@@ -49,8 +49,10 @@ Accounting rides on the device models: load energy is one pSRAM switch
 per set weight bit of the program, analog time/energy come from
 :class:`~repro.core.performance.PerformanceModel`, and every cache hit
 is credited with the re-streaming cost it avoided.  Every load and
-batch advances one modelled service clock, which deadline shedding
-reads.
+batch advances the scheduler's one modelled service clock
+(:attr:`BatchScheduler.clock`), which deadline shedding reads; the
+owning session's probes, re-trims and idle gaps advance the same clock,
+with or without telemetry attached.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import numpy as np
 from ..config import Technology, default_technology
 from ..core.performance import PerformanceModel
 from ..core.quantization import quantize_weights_differential
-from ..core.tensor_core import MatvecResult, PhotonicTensorCore
+from ..core.tensor_core import PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
 from ..ml.convolution import encode_patch_batch, im2col_channels
 from ..ml.layers import compile_differential_program
@@ -267,39 +269,6 @@ class WeightProgramCache:
         return self.hits / total if total else 0.0
 
 
-class Ticket:
-    """Handle for one standalone :meth:`BatchScheduler.submit` request;
-    resolved by the next flush."""
-
-    __slots__ = ("result", "expired", "_deadline", "_resolved_at")
-
-    def __init__(self, deadline: float | None = None) -> None:
-        self.result: MatvecResult | None = None
-        #: True when the flush shed this request: its batch's modelled
-        #: completion time fell past the deadline.
-        self.expired = False
-        self._deadline = deadline
-        self._resolved_at: float | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
-
-    @property
-    def deadline(self) -> float | None:
-        """Absolute deadline [s] on the flush's service clock (None =
-        best effort, never shed)."""
-        return self._deadline
-
-    @property
-    def resolved_at(self) -> float | None:
-        """Service-clock timestamp [s] the request's batch completed at."""
-        return self._resolved_at
-
-    def _expire(self) -> None:
-        self.expired = True
-
-
 class _Group:
     """One pending (program, gain) group: the weight source its program
     compiles from, and per request its input, handle and kept rows."""
@@ -437,8 +406,11 @@ class BatchScheduler:
         #: the owning session).  None = zero telemetry calls on the
         #: flush path.
         self.telemetry = None
-        #: The service clock while no telemetry binding is attached.
-        self._clock = ModelClock()
+        #: The one modelled service clock [s]: every load, batch and
+        #: shed reads or advances it.  A session with a telemetry
+        #: binding makes the binding's clock this clock, so telemetry
+        #: stamps the same timeline.
+        self.clock = ModelClock()
 
     @property
     def pending(self) -> int:
@@ -447,33 +419,6 @@ class BatchScheduler:
 
     # -- request path --------------------------------------------------------
     def submit(
-        self, weights, x, gain: float = 1.0, deadline: float | None = None
-    ) -> Ticket:
-        """Queue one in-grid matvec request; resolved by the next
-        :meth:`flush`.
-
-        ``deadline`` is an *absolute* timestamp on the flush's service
-        clock: if the request's batch cannot complete by then (see
-        :meth:`flush`), the request is shed instead of evaluated.
-        """
-        weights = np.asarray(weights)
-        if weights.shape != (self.rows, self.columns):
-            raise ConfigurationError(
-                f"weight matrix must be {self.rows}x{self.columns}, "
-                f"got shape {weights.shape}"
-            )
-        x = np.array(x, dtype=float)
-        if x.shape != (self.columns,):
-            raise ConfigurationError(
-                f"input must have shape ({self.columns},), got {x.shape}"
-            )
-        if gain <= 0.0:
-            raise ConfigurationError(f"TIA gain must be positive, got {gain}")
-        ticket = Ticket(deadline)
-        self.enqueue("native", weights, x, ticket, float(gain))
-        return ticket
-
-    def enqueue(
         self,
         kind: str,
         source: np.ndarray,
@@ -482,7 +427,9 @@ class BatchScheduler:
         gain: float | str = 1.0,
         rows: int | None = None,
     ) -> None:
-        """Queue one request on its (program, gain) group.
+        """Queue one request on its (program, gain) group: the
+        scheduler's one request entry point, called by the owning
+        session's submit routes.
 
         ``kind`` says what the other arguments hold: ``"native"`` — the
         weight matrix as given (at most one tile; padded here) and the
@@ -494,10 +441,11 @@ class BatchScheduler:
         unrolled and encoded with its batch at flush.  Dense requests
         are validated here (the weights once per flush window, see
         :meth:`_dense_program`), and a native ``gain="auto"`` takes the
-        gain calibrated there.  ``handle`` is what the flush resolves (a
-        session future or a :class:`Ticket`); ``rows`` keeps that many
-        outputs of a native request (None: a Ticket, given the whole
-        :class:`MatvecResult`).  The caller hands over ``column``.
+        gain calibrated there.  ``handle`` is the session future the
+        flush resolves (or sheds, when its absolute ``_deadline`` on
+        :attr:`clock` falls before its batch completes); ``rows`` keeps
+        that many outputs of a native request.  The caller hands over
+        ``column``.
         """
         if kind == "conv":
             key, source, weight_scale = self._conv_program(source)
@@ -582,13 +530,6 @@ class BatchScheduler:
         return program
 
     # -- the shared flush helpers --------------------------------------------
-    def _service_clock(self) -> ModelClock:
-        """The one modelled service clock: the telemetry binding's when
-        attached (telemetry reads the timeline it already keeps), else
-        the scheduler's own."""
-        tel = self.telemetry
-        return tel.clock if tel is not None else self._clock
-
     def _compile(self, kind: str, source: np.ndarray):
         if kind != "conv":
             return TiledMatmul(source, self.core)
@@ -597,7 +538,7 @@ class BatchScheduler:
 
     def _program(self, kind: str, key: bytes, source: np.ndarray):
         """Fetch, warm-restore or compile one program (``kind`` as in
-        :meth:`enqueue`; model layers bind theirs as ``"conv"``).  A hit
+        :meth:`submit`; model layers bind theirs as ``"conv"``).  A hit
         is credited with the pSRAM streaming it avoids; a miss pays it
         on the ledger and the service clock, even when the program is
         restored from the attached store (that skips only the host-side
@@ -625,7 +566,7 @@ class BatchScheduler:
         insert = cache._insert if restored else cache.put
         if insert(key, program) is not None:
             stats.cache_evictions += 1
-        clock = self._service_clock()
+        clock = self.clock
         start = clock.now
         clock.advance(load_time)
         if tel is not None:
@@ -649,7 +590,7 @@ class BatchScheduler:
         """Expire every handle whose deadline falls before a completion
         ``seconds`` of service from the clock's now; returns the
         survivors' indices, or None when every request survives."""
-        completion = self._service_clock().now + seconds
+        completion = self.clock.now + seconds
         live = []
         for index, handle in enumerate(handles):
             if handle._deadline is not None and handle._deadline < completion:
@@ -675,7 +616,7 @@ class BatchScheduler:
         stats.samples += columns * passes
         stats.analog_time += seconds
         stats.analog_energy += columns * period * self._tile_power * tiles
-        self._service_clock().advance(seconds)
+        self.clock.advance(seconds)
 
     def _clear_pending(self) -> None:
         """End the flush window: drop every pending group and the
@@ -686,23 +627,16 @@ class BatchScheduler:
         self._queued = 0
 
     # -- evaluation ----------------------------------------------------------
-    def flush(self, now: float | None = None) -> int:
+    def flush(self) -> int:
         """Evaluate every pending group; returns resolved request count.
 
         Groups run by kind — in-grid, tiled, conv — each in first-submit
         order: the program is fetched, restored or compiled
         (:meth:`_program`), then each batch (in-grid groups chunk at
         ``max_batch``, the others run whole) goes through :meth:`_run`.
-
-        The service clock is the telemetry binding's when one is
-        attached, otherwise the scheduler's own, restarted at ``now``
-        (the owning session's clock).  With neither, deadlines cannot
-        be judged and every request runs.
+        Everything runs on :attr:`clock`, which carries on from where the
+        last flush, probe or idle gap left it.
         """
-        clock = self._service_clock()
-        if now is not None and clock is self._clock:
-            clock.now = now
-        judge = now is not None or clock is not self._clock
         resolved = 0
         try:
             for kind, table in self._pending.items():
@@ -712,7 +646,7 @@ class BatchScheduler:
                     step = self.max_batch if kind == "native" else size
                     for start in range(0, size, step):
                         part = slice(start, start + step)
-                        resolved += self._run(kind, key, gain, program, group, part, judge)
+                        resolved += self._run(kind, key, gain, program, group, part)
         finally:
             # Never leave a stale group behind: a failed compile or
             # evaluation must not wedge every subsequent flush.
@@ -721,7 +655,7 @@ class BatchScheduler:
         return resolved
 
     def _run(
-        self, kind: str, key: bytes, gain, program, group: _Group, part: slice, judge: bool
+        self, kind: str, key: bytes, gain, program, group: _Group, part: slice
     ) -> int:
         """One batch of a group; returns its resolved count.
 
@@ -733,7 +667,7 @@ class BatchScheduler:
         clock are charged.
         """
         inputs, handles, rows = group.inputs[part], group.handles[part], group.rows[part]
-        if judge and group.has_deadline:
+        if group.has_deadline:
             columns = (
                 sum(entry[3] for entry in inputs) if kind == "conv" else len(inputs)
             )
@@ -744,7 +678,7 @@ class BatchScheduler:
                 rows = [rows[index] for index in live]
                 if not handles:
                     return 0
-        clock = self._service_clock()
+        clock = self.clock
         start = clock.now
         if kind == "conv":
             batch, scales = encode_patch_batch(_unroll(inputs))
@@ -763,13 +697,9 @@ class BatchScheduler:
             batch = np.stack(inputs, axis=1)
             result = program.tiles[0][0].matmul(batch, gain=gain)
             for offset, (handle, kept) in enumerate(zip(handles, rows)):
-                if kept is None:
-                    handle.result = result.column(offset)
-                else:
-                    handle._resolve(
-                        result.estimates[:kept, offset],
-                        codes=result.codes[:kept, offset],
-                    )
+                handle._resolve(
+                    result.estimates[:kept, offset], codes=result.codes[:kept, offset]
+                )
         columns = batch.shape[1]
         self._stats.batches += 1
         self._charge(columns, program.passes, program.tile_count)

@@ -492,7 +492,3 @@ class TiledMatmul:
                 f"input must have shape ({self.in_features},), got {x.shape}"
             )
         return self.matmul(x[:, np.newaxis], gain=gain)[:, 0]
-
-    def ideal_matmul(self, batch) -> np.ndarray:
-        """Infinite-precision reference: W @ X in dot units."""
-        return self.weight_matrix @ self._validated_batch(batch)

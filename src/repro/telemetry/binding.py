@@ -1,17 +1,20 @@
 """The per-core telemetry binding the serving stack instruments against.
 
 A :class:`Telemetry` ties together one core timeline's observability
-state: the :class:`~repro.telemetry.ModelClock` its timestamps read,
-the (optional, shared) :class:`~repro.telemetry.TraceRecorder` its
-spans land in, the :class:`~repro.telemetry.MetricsRegistry` its
-counters and latency histograms feed, and the per-flush latency window
-behind :attr:`~repro.api.futures.RunReport.latency_quantiles`.
+state: the :class:`~repro.telemetry.ModelClock` its timestamps read
+(the session it is attached to makes this clock its one service clock,
+``BatchScheduler.clock``, so the binding reads the session's timeline
+rather than keeping a second one), the (optional, shared)
+:class:`~repro.telemetry.TraceRecorder` its spans land in, the
+:class:`~repro.telemetry.MetricsRegistry` its counters and latency
+histograms feed, and the per-flush latency window behind
+:attr:`~repro.api.futures.RunReport.latency_quantiles`.
 
 The binding is the *only* telemetry object the hot path ever touches,
 and only behind a single ``is not None`` check — a session constructed
 without ``trace=``/``metrics=`` holds ``telemetry = None`` and makes
-zero telemetry calls, keeping the uninstrumented flush path bit-for-bit
-identical to the pre-telemetry stack.
+zero telemetry calls; its service clock advances exactly as an
+attached one's, so attaching telemetry changes no served result.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class Telemetry:
     """One core timeline's telemetry state.
 
     ``trace`` may be None (metrics without spans); ``metrics`` and
-    ``clock`` default to fresh instances.  ``process``/``track`` name
+    ``clock`` default to fresh instances, and the session the binding
+    is attached to serves on ``clock``.  ``process``/``track`` name
     the Chrome trace tracks this binding emits onto — a cluster builds
     one binding per core, all sharing the recorder and process but each
     with its own clock and registry (cores digitize concurrently on

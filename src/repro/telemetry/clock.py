@@ -15,31 +15,35 @@ makespan is the maximum across clocks — mirroring
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError
 
 
 class ModelClock:
     """A monotonically advancing modelled-time counter [s].
 
-    ``advance`` is called by the instrumented serving path with the
-    modelled duration of whatever just happened (a batch of ADC
-    conversions, a weight-program compile, an idle arrival gap); ``now``
-    is the current modelled timestamp, starting at 0.0.
+    ``advance`` is called by the serving path with the modelled
+    duration of whatever just happened (a batch of ADC conversions, a
+    weight-program compile, an idle arrival gap); ``now`` is the
+    current modelled timestamp, starting at 0.0.  Starts and advances
+    must be finite and non-negative: a NaN or inf would poison every
+    later timestamp.
     """
 
     __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ConfigurationError(f"clock must start >= 0, got {start}")
+        if not (0.0 <= start < math.inf):
+            raise ConfigurationError(f"clock must start finite and >= 0, got {start}")
         #: Current modelled time [s] since the clock was created.
         self.now = float(start)
 
     def advance(self, seconds: float) -> float:
         """Move modelled time forward; returns the new ``now``."""
-        if seconds < 0.0:
+        if not (0.0 <= seconds < math.inf):
             raise ConfigurationError(
-                f"modelled time only advances, got {seconds}"
+                f"modelled time only advances by finite steps, got {seconds}"
             )
         self.now += seconds
         return self.now

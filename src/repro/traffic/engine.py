@@ -13,8 +13,8 @@ clocks:
   sets that clock to each arrival's timestamp before submitting, so
   flush-policy ages, ``deadline=`` stamps and queue-wait measurements
   read simulated time, never host time;
-* each core's telemetry clock is the *service* timeline (it advances
-  by modelled batch/compile durations inside flushes); before every
+* each core's *service* clock (``session.scheduler.clock``) advances
+  by modelled batch/compile durations inside flushes; before every
   event the engine pre-advances idle service clocks to the event time,
   so a backlogged core shows queue-wait and an idle one does not;
 * between arrivals the engine fires the target's flush-policy triggers
@@ -112,7 +112,7 @@ class TrafficEngine:
                 raise ConfigurationError(
                     "the traffic engine needs telemetry on every core "
                     "(construct the target with metrics= or trace=) — "
-                    "latency quantiles and service clocks live there"
+                    "the latency quantiles live there"
                 )
             self._bindings.append(tel)
         self.target = target
@@ -122,7 +122,7 @@ class TrafficEngine:
         self.seed = int(seed)
         self.clock = clock
         self._service_clocks = tuple(
-            binding.clock for binding in self._bindings
+            session.scheduler.clock for session in self._sessions
         )
         #: The cluster membership version this engine's session
         #: snapshot was taken at (None for plain sessions, which never
@@ -156,9 +156,7 @@ class TrafficEngine:
                 )
         self._sessions = sessions
         self._bindings = [session.telemetry for session in sessions]
-        self._service_clocks = tuple(
-            binding.clock for binding in self._bindings
-        )
+        self._service_clocks = tuple(session.scheduler.clock for session in sessions)
         self._membership_seen = version
 
     # -- discrete-event machinery --------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 from repro.api import (
     ClusterReport,
-    Conv2d,
     Dense,
     FlushPolicy,
     Model,
@@ -78,35 +77,25 @@ class TestRoutingPolicies:
     def test_single_core_short_circuits(self):
         for policy in (RoutingPolicy.round_robin(), RoutingPolicy.least_loaded(),
                        RoutingPolicy.cache_affinity()):
-            assert policy.select(b"key", [5], cursor=9) == 0
+            assert policy.select([5], cursor=9) == 0
 
     def test_round_robin_cycles(self):
         policy = RoutingPolicy.round_robin()
-        picks = [policy.select(None, [0, 0, 0], cursor) for cursor in range(6)]
+        picks = [policy.select([0, 0, 0], cursor) for cursor in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_least_loaded_picks_minimum_and_breaks_ties_low(self):
         policy = RoutingPolicy.least_loaded()
-        assert policy.select(None, [3, 1, 2], cursor=0) == 1
-        assert policy.select(None, [2, 2, 2], cursor=5) == 0
-
-    def test_cache_affinity_is_deterministic_per_key(self):
-        policy = RoutingPolicy.cache_affinity()
-        first = policy.select(b"program-a", [0, 0, 0, 0], cursor=0)
-        assert all(policy.select(b"program-a", [9, 9, 9, 9], cursor=c) == first
-                   for c in range(5))
-        # Distinct keys spread over the fleet (not all on one slot).
-        keys = [f"program-{i}".encode() for i in range(32)]
-        slots = {policy.select(key, [0, 0, 0, 0], 0) for key in keys}
-        assert len(slots) > 1
+        assert policy.select([3, 1, 2], cursor=0) == 1
+        assert policy.select([2, 2, 2], cursor=5) == 0
 
     def test_cache_affinity_keyless_falls_back_to_cursor(self):
         policy = RoutingPolicy.cache_affinity()
-        assert policy.select(None, [0, 0, 0], cursor=4) == 1
+        assert policy.select([0, 0, 0], cursor=4) == 1
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one core"):
-            RoutingPolicy.round_robin().select(None, [], 0)
+            RoutingPolicy.round_robin().select([], 0)
 
 
 class TestRoutedSubmits:

@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro`` entry point."""
 
-import pytest
-
 from repro.__main__ import main
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import (
     EoAdcSpec,
-    Technology,
     default_technology,
     photon_lifetime,
     ring_fsr,

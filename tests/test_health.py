@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError
 from repro.health import (
     DRIFT_STAGES,
     ComparatorOffsetAging,
-    DriftModel,
     DriftState,
     LaserPowerDecay,
     Perturbation,

@@ -1,6 +1,5 @@
 """Tests for in-situ training with photonic forward passes."""
 
-import numpy as np
 import pytest
 
 from repro.core.tensor_core import PhotonicTensorCore

@@ -7,13 +7,12 @@ from repro.core.compute_core import VectorComputeCore
 from repro.core.eoadc import EoAdc
 from repro.core.psram import PsramBitcell
 from repro.core.tensor_core import PhotonicTensorCore
-from repro.photonics.coupler import PowerSplitter
 from repro.photonics.laser import CWLaser
 from repro.photonics.mrr import AddDropMRR
 from repro.photonics.network import PhotonicCircuit
 from repro.photonics.photodiode import Photodiode
 from repro.photonics.pn_junction import InjectionTuner
-from repro.sim.waveform import PulseTrain, StepSequence
+from repro.sim.waveform import StepSequence
 
 
 def test_network_evaluation_matches_analytic_compute(tech):

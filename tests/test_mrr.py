@@ -6,7 +6,6 @@ import pytest
 from repro.config import RingSpec
 from repro.errors import ConfigurationError
 from repro.photonics.mrr import AddDropMRR, AllPassMRR
-from repro.photonics.pn_junction import DepletionTuner, InjectionTuner
 from repro.photonics.signal import WDMSignal
 
 

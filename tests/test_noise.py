@@ -1,7 +1,5 @@
 """Tests for the noise-floor analyses."""
 
-import math
-
 import pytest
 
 from repro.analysis.noise import (

@@ -824,8 +824,9 @@ def test_flush_executor_matches_requests_served_alone(requests, data):
     assert canonical.report() == dry.report()
     deadlines = [None if case[3] is None else case[3] * span for case in cases]
 
+    plain, observed = _exec_session(), _exec_session(metrics=MetricsRegistry(), obs=Observer())
     runs = []
-    for session in (_exec_session(), _exec_session(metrics=MetricsRegistry(), obs=Observer())):
+    for session in (plain, observed):
         futures = [_exec_submit(session, case, d) for case, d in zip(cases, deadlines)]
         runs.append((futures, session.flush(), session.report()))
     (futures, resolved, report), (attached, attached_resolved, attached_report) = runs
@@ -855,18 +856,27 @@ def test_flush_executor_matches_requests_served_alone(requests, data):
             assert future.codes is None
 
     # Metrics and an observer attached: same values, codes, sheds and
-    # ledger; only the quantiles differ.
-    assert attached_resolved == resolved
-    for future, twin in zip(futures, attached):
-        assert twin.expired == future.expired
-        if not future.expired:
-            assert np.array_equal(twin.value, future.value)
-            assert (twin.codes is None) == (future.codes is None)
-            if future.codes is not None:
-                assert np.array_equal(twin.codes, future.codes)
-    for field in RunReport.__dataclass_fields__:
-        if field not in ("latency_quantiles", "tenant_quantiles"):
-            assert getattr(attached_report, field) == getattr(report, field), field
+    # ledger; only the quantiles differ.  A second flush of the same
+    # cases starts where the first left each service clock, so a
+    # timeline that forks after the first flush shows there.
+    second = [[_exec_submit(session, case, d) for case, d in zip(cases, deadlines)]
+              for session in (plain, observed)]
+    rounds = [
+        (futures, attached, resolved, attached_resolved, report, attached_report),
+        (*second, plain.flush(), observed.flush(), plain.report(), observed.report()),
+    ]
+    for mine, twins, count, twin_count, totals, twin_totals in rounds:
+        assert twin_count == count
+        for future, twin in zip(mine, twins):
+            assert twin.expired == future.expired
+            if not future.expired:
+                assert np.array_equal(twin.value, future.value)
+                assert (twin.codes is None) == (future.codes is None)
+                if future.codes is not None:
+                    assert np.array_equal(twin.codes, future.codes)
+        for field in RunReport.__dataclass_fields__:
+            if field not in ("latency_quantiles", "tenant_quantiles"):
+                assert getattr(twin_totals, field) == getattr(totals, field), field
 
     # A matmul failure in any one route never wedges the session.  The
     # broken run follows the plain run's timeline until the failure, so

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.psram import PsramArray, PsramBitcell
+from repro.core.psram import PsramArray
 from repro.errors import ConfigurationError
 from repro.sim.waveform import PulseTrain
 

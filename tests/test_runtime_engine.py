@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.errors import ConfigurationError
-from repro.runtime.engine import BatchResult, CompiledCore, weight_key
+from repro.runtime.engine import BatchResult, weight_key
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,8 @@ The two load-bearing guarantees:
   the modelled clock (request/flush/batch/compile/cache/health/fleet
   spans) and the reports grow latency quantile summaries;
 * without one, the serving path makes zero telemetry calls and every
-  value and report is bit-for-bit identical to the instrumented run.
+  value and report is bit-for-bit identical to the instrumented run:
+  both serve, shed and probe on the one modelled service clock.
 """
 
 import json
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    ClusterReport,
     FlushPolicy,
     Model,
     PhotonicCluster,
@@ -26,6 +26,7 @@ from repro.api import (
     RunReport,
 )
 from repro.api.graph import Dense, ReLU
+from repro.elastic import Autoscaler
 from repro.errors import ClusterSaturatedError, ConfigurationError
 from repro.health import HealthPolicy, ThermalDetuning, TiaGainDrift
 from repro.telemetry import (
@@ -53,6 +54,47 @@ def test_model_clock_starts_at_zero_and_advances():
 def test_model_clock_rejects_negative_advance():
     with pytest.raises(ConfigurationError):
         ModelClock().advance(-1e-9)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        pytest.param(lambda session: ModelClock(start=_NAN), id="clock-start-nan"),
+        pytest.param(lambda session: ModelClock(start=_INF), id="clock-start-inf"),
+        pytest.param(lambda session: ModelClock().advance(_NAN), id="advance-nan"),
+        pytest.param(lambda session: ModelClock().advance(_INF), id="advance-inf"),
+        pytest.param(lambda session: session.age(_NAN), id="age-nan"),
+        pytest.param(lambda session: session.age(_INF), id="age-inf"),
+        pytest.param(
+            lambda session: PhotonicCluster(
+                cores=2, grid=(4, 6), drift=[ThermalDetuning()]
+            ).age(_NAN),
+            id="cluster-age-nan",
+        ),
+        pytest.param(lambda session: FlushPolicy.max_delay(_NAN), id="max-delay-nan"),
+        pytest.param(lambda session: FlushPolicy.deadline_aware(_NAN), id="headroom-nan"),
+        pytest.param(lambda session: Autoscaler(cooldown_s=_NAN), id="cooldown-nan"),
+        pytest.param(
+            lambda session: session.submit(
+                np.ones((4, 6), dtype=int), np.full(6, 0.5), deadline=_NAN
+            ),
+            id="deadline-nan",
+        ),
+    ],
+)
+def test_nan_and_inf_time_values_are_rejected(poison):
+    """A NaN passes every ``x < 0`` check and an inf clock never comes
+    back: both fail typed, before the drift state, the service clock or
+    the queue moves."""
+    session = PhotonicSession(grid=(4, 6), drift=[ThermalDetuning()])
+    with pytest.raises(ConfigurationError):
+        poison(session)
+    assert session.drift.elapsed_s == 0.0
+    assert session.scheduler.clock.now == 0.0
+    assert session.pending == 0
 
 
 # -- quantiles_from_samples --------------------------------------------------
@@ -399,6 +441,66 @@ def test_traced_run_is_bit_for_bit_identical_to_untraced():
         assert getattr(plain_report, field) == getattr(traced_report, field), field
     assert plain_report.latency_quantiles is None
     assert traced_report.latency_quantiles is not None
+
+
+# -- one service timeline, attached or not ----------------------------------
+def _timeline_run(metrics, clock=None, policy=None, deadline=4e-9, flushes=4):
+    """``flushes`` hand flushes of 20 distinct 8x8 programs with
+    ``deadline`` [s] each, on a drifting core probed after every
+    flush; returns the session and its futures."""
+    rng = np.random.default_rng(22)
+    weights = [rng.integers(0, 8, (8, 8)) for _ in range(20)]
+    session = PhotonicSession(
+        grid=(8, 8),
+        drift=[ThermalDetuning()],
+        health_policy=HealthPolicy(probe_every=1),
+        clock=clock,
+        metrics=metrics,
+        flush_policy=policy,
+    )
+    futures = []
+    for _ in range(flushes):
+        for w in weights:
+            futures.append(session.submit(w, rng.uniform(0.0, 1.0, 8), deadline=deadline))
+        session.flush()
+    return session, futures
+
+
+def _assert_one_timeline(**kwargs):
+    """The run with ``metrics=`` sheds, serves and accounts exactly as
+    the plain run, and sheds some but not all of its requests."""
+    plain, futures = _timeline_run(None, **kwargs)
+    attached, twins = _timeline_run(MetricsRegistry(), **kwargs)
+    assert [f.expired for f in futures] == [t.expired for t in twins]
+    for future, twin in zip(futures, twins):
+        if not future.expired:
+            assert np.array_equal(future.codes, twin.codes)
+    report, twin_report = plain.report(), attached.report()
+    for field in ("deadline_misses", "analog_time", "batches"):
+        assert getattr(report, field) == getattr(twin_report, field), field
+    assert plain.flushes == attached.flushes
+    assert 0 < report.deadline_misses < len(futures)
+
+
+def test_injected_clock_sheds_alike_with_and_without_metrics():
+    """With an injected clock, every flush carries on from the service
+    clock's time: loads and probes of earlier flushes count for the
+    plain session exactly as for the attached one."""
+    _assert_one_timeline(clock=ModelClock())
+
+
+def test_host_timed_session_judges_deadlines_on_modelled_time():
+    """Without an injected clock, deadlines are stamped and judged on
+    the modelled service clock, never on the host clock."""
+    _assert_one_timeline()
+
+
+def test_deadline_slack_reads_the_service_clock():
+    """The deadline-aware policy's slack is a modelled deadline minus
+    the modelled now, attached or not."""
+    _assert_one_timeline(
+        policy=FlushPolicy.deadline_aware(2e-9), deadline=3e-9, flushes=2
+    )
 
 
 # -- RunReport.combined guards ----------------------------------------------
