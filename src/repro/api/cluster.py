@@ -275,6 +275,8 @@ class ReplicatedModel:
         priority = cluster._validated_priority(priority)
         if cluster._saturated(priority):
             self._endpoints[0]._validated_batch(batch)
+            if deadline is not None:
+                PhotonicSession._check_deadline(deadline)
             cluster._shed_saturated()
         drained = self._cluster._drained
         slots = [
@@ -984,6 +986,8 @@ class PhotonicCluster:
         priority = self._validated_priority(priority)
         if self._saturated(priority):
             PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
+            if deadline is not None:
+                PhotonicSession._check_deadline(deadline)
             self._shed_saturated()
         weights = np.asarray(weights)
         index, content = self._route("dense", weights, min_adc_bits)
@@ -1028,6 +1032,8 @@ class PhotonicCluster:
         priority = self._validated_priority(priority)
         if self._saturated(priority):
             PhotonicSession._validated_conv(kernels, image, stride, gain)
+            if deadline is not None:
+                PhotonicSession._check_deadline(deadline)
             self._shed_saturated()
         bank = np.asarray(kernels)
         index, content = self._route("conv", bank, min_adc_bits)

@@ -178,6 +178,8 @@ class DeployedModel:
         whose deadline expires before its drain begins is shed."""
         batch = self._validated_batch(batch)
         session = self._session
+        if deadline is not None:
+            session._check_deadline(deadline)
         self._submitted += 1
         label = ("model '{}' batch #{}", self.label, self._submitted)
         future = session._new_future(label, deadline, tenant)
@@ -597,6 +599,8 @@ class PhotonicSession:
             # raises instead of counting as a deadline miss.
             check_dense_weights(weights, self.core.max_weight)
             check_unit_inputs(x)
+        if deadline is not None:
+            self._check_deadline(deadline)
         self._submit_count += 1
         label = ("dense {}x{} request #{}", out_features, in_features, self._submit_count)
         future = self._new_future(label, deadline, tenant)
@@ -669,6 +673,8 @@ class PhotonicSession:
             kernels, image, stride, gain
         )
         kernel_size = kernels.shape[2]
+        if deadline is not None:
+            self._check_deadline(deadline)
         self._submit_count += 1
         label = ("conv {}-kernel request #{}", kernels.shape[0], self._submit_count)
         shape = (kernels.shape[0], out_rows, out_cols)
@@ -971,12 +977,12 @@ class PhotonicSession:
             return self.scheduler.clock.now
         return self._now()
 
-    def _resolve_deadline(self, deadline: float | None) -> float | None:
-        """Turn a relative ``deadline=`` [s] into an absolute timestamp
-        (see :meth:`_stamp_now`); validates it here so every submit
-        route shares one error message."""
-        if deadline is None:
-            return None
+    @staticmethod
+    def _check_deadline(deadline: float) -> None:
+        """Reject a ``deadline=`` [s] that is not a number, or is NaN:
+        every submit route runs this before it counts or numbers the
+        request, and fleet admission before it sheds one, so all share
+        one error message."""
         if (
             not isinstance(deadline, (int, float))
             or isinstance(deadline, bool)
@@ -986,7 +992,6 @@ class PhotonicSession:
                 f"deadline must be seconds from now (a number) or None, "
                 f"got {deadline!r}"
             )
-        return self._stamp_now() + float(deadline)
 
     def _new_future(
         self,
@@ -995,11 +1000,13 @@ class PhotonicSession:
         tenant: str | None,
         shape: tuple | None = None,
     ) -> Future:
-        """A future for the next flush, carrying its absolute deadline;
-        shed at once (it never enters a queue) when the relative
-        ``deadline`` is already non-positive.  ``label`` is the
-        ``(template, *args)`` its label formats from on first read."""
-        deadline_at = self._resolve_deadline(deadline)
+        """A future for the next flush, carrying its absolute deadline
+        (the relative ``deadline``, already checked by
+        :meth:`_check_deadline`, past :meth:`_stamp_now`); shed at once
+        (it never enters a queue) when ``deadline`` is already
+        non-positive.  ``label`` is the ``(template, *args)`` its label
+        formats from on first read."""
+        deadline_at = None if deadline is None else self._stamp_now() + float(deadline)
         future = Future(self, label, self._flushes + 1, shape=shape)
         future._deadline = deadline_at
         future._tenant = tenant

@@ -9,13 +9,13 @@ subsystem provides the three cooperating layers:
 * :class:`ProgramStore` — content-addressed serialization of compiled
   weight programs (dense response matrices, exact bisected ADC
   ladders, tile layouts, drift-compensation snapshots and their
-  ``calibration_epoch``) plus per-core calibration records, as
-  pairs of one raw checksummed array payload and one JSON manifest,
-  keyed by a blake2b of weights/shape/ADC precision/technology.  The
-  serving caches write freshly compiled programs through and read
-  misses back, so a fresh :class:`~repro.api.PhotonicSession` — or
-  another process — restores programs bit-for-bit without
-  recompiling.
+  ``calibration_epoch``) plus per-core calibration records, one
+  checksummed file per program (a JSON header line, then the raw
+  arrays), keyed by a blake2b of weights/shape/ADC precision/
+  technology.  The serving caches write freshly compiled programs
+  through and read misses back, so a fresh
+  :class:`~repro.api.PhotonicSession` — or another process — restores
+  programs bit-for-bit without recompiling.
 * :class:`Autoscaler` — a pure scaling policy attached via
   ``PhotonicCluster(autoscaler=)``: it watches pending-queue depth,
   shed rate, and deadline-miss rate on a flush-count watermark and

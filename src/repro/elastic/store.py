@@ -9,32 +9,43 @@ already detached from the device.  Entries are
 :class:`~repro.runtime.tiling.TiledMatmul` grids of such snapshots
 (every dense program, in-grid ones included) or
 :class:`~repro.runtime.tiling.DifferentialProgram` pairs of grids.
-:class:`ProgramStore` writes each to disk as one raw payload
-(``<digest>.bin``: every array, little-endian float64 or int64,
-concatenated in sorted-name order) plus one JSON manifest
-(``<digest>.json``: scalars, epoch, the payload's array layout, length
-and blake2b checksum), keyed by a blake2b digest of the cache key and a
+:class:`ProgramStore` writes each to disk as one file, ``<digest>.bin``
+(store format 3), keyed by a blake2b digest of the cache key and a
 :func:`core_fingerprint` of the compiling core, so a fresh session — or
 another process — restores the program bit-for-bit instead of
-recompiling.
+recompiling.  The file holds, in order:
 
-Integrity is checked on every load, before any array is built (nothing
-is unzipped or unpickled): a damaged manifest or payload, or an entry
-of another store format, raises
+1. one fixed line, ``repro-program-store 3 <checksum>``: the blake2b
+   (32 hex digits) of every byte after the line;
+2. one JSON header line: kind, digest, fingerprint, calibration epoch,
+   the scalars (``meta``) and each array's ``[name, dtype, shape]``;
+3. the payload: every array, little-endian float64 or int64,
+   concatenated in sorted-name order.
+
+A restore is one read of that file, and a save writes one private temp
+file and renames it into place.
+
+Integrity is checked on every load: the checksum first, before any
+JSON is parsed or any array built (nothing is unzipped or unpickled),
+then the header and the payload layout.  Any damage, header scalars
+included, or an entry of another store format (a format-2
+``<digest>.bin`` is a bare payload) raises
 :class:`~repro.errors.CorruptProgramError`; an entry compiled under a
 different calibration epoch raises
 :class:`~repro.errors.StaleProgramError` (its compensation snapshot no
 longer describes the hardware trims).  Serving paths catch
 :class:`~repro.errors.ProgramStoreError` and fall back to a cold
 compile; the fresh program then overwrites the stale or damaged entry
-(an unknown kind, such as a retired one, counts as damaged).
+(an unknown kind, such as a retired one, counts as damaged).  Format-1
+entries (``<digest>.npz``) are never opened: they read as misses.
 
 Calibration records travel separately (:meth:`ProgramStore.
 save_calibration`): a small JSON file per core label holding the
 drift epoch, compensation trims, and modelled age, so a replacement
 core can adopt the fleet's calibration state before warm-starting
 programs compiled under it — the persisted ADC register-map idiom of
-deployable in-memory compute.
+deployable in-memory compute.  Records carry their own format number
+(still 2): their layout did not change with the program entries'.
 """
 
 from __future__ import annotations
@@ -53,14 +64,25 @@ from ..errors import ConfigurationError, CorruptProgramError, StaleProgramError
 from ..health.drift import DriftState
 from ..runtime.tiling import DifferentialProgram, TiledMatmul
 
-#: Manifest schema version; bumped on any layout change so old entries
-#: are rejected as corrupt instead of misread.
-STORE_FORMAT = 2
+#: Entry layout version, named in every entry's first line; bumped on
+#: any layout change so old entries are rejected as corrupt instead of
+#: misread.
+STORE_FORMAT = 3
+
+#: Calibration record layout version, kept apart from
+#: :data:`STORE_FORMAT` so a program-entry change leaves records valid.
+_CALIBRATION_FORMAT = 2
 
 _KINDS = ("tiled", "differential")
 
-#: The only payload dtypes a manifest may name (8 bytes each).
+#: The only payload dtypes a header may name (8 bytes each).
 _DTYPES = ("<f8", "<i8")
+
+#: An entry's first line is this prefix, the blake2b (32 hex digits) of
+#: every byte after the line, and a newline; the header line starts at
+#: :data:`_HEADER_AT`.
+_MAGIC = f"repro-program-store {STORE_FORMAT} ".encode()
+_HEADER_AT = len(_MAGIC) + 33
 
 
 def core_fingerprint(
@@ -89,28 +111,30 @@ def _flatten_arrays(state: dict[str, Any], prefix: str = "") -> dict[str, np.nda
     return {f"{prefix}{name}": array for name, array in state["arrays"].items()}
 
 
-def _checksum(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+def _checksum(data: bytes | memoryview) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).hexdigest().encode()
 
 
-def _unpack(payload: bytes, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
-    """The arrays the manifest's ``[name, dtype, shape]`` rows carve out
-    of ``payload`` (read-only views), once the payload's length and
-    checksum match; the rows must cover it exactly with
-    :data:`_DTYPES` arrays."""
-    found = (len(payload), _checksum(payload))
-    if found != (manifest["payload_bytes"], manifest["payload_blake2b"]):
-        raise CorruptProgramError(f"length and checksum {found} do not match")
+def _seal(header: dict[str, Any], chunks: list[bytes]) -> bytes:
+    """One entry's bytes: the first line, sealing the header line and
+    the payload ``chunks`` that follow it."""
+    body = b"".join([json.dumps(header).encode(), b"\n", *chunks])
+    return _MAGIC + _checksum(body) + b"\n" + body
+
+
+def _unpack(raw: bytes, offset: int, header: dict[str, Any]) -> dict[str, np.ndarray]:
+    """The arrays the header's ``[name, dtype, shape]`` rows carve out
+    of ``raw`` from ``offset`` on (read-only views); the rows must cover
+    the rest of ``raw`` exactly with :data:`_DTYPES` arrays."""
     arrays = {}
-    offset = 0
-    for name, dtype, shape in manifest["arrays"]:
+    for name, dtype, shape in header["arrays"]:
         if dtype not in _DTYPES or not all(type(n) is int and n >= 0 for n in shape):
             raise CorruptProgramError(f"array {name!r} is {dtype!r} of shape {shape!r}")
         count = math.prod(shape)
-        arrays[name] = np.frombuffer(payload, dtype, count, offset).reshape(shape)
+        arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape)
         offset += 8 * count
-    if offset != len(payload):
-        raise CorruptProgramError(f"layout covers {offset} of {len(payload)} bytes")
+    if offset != len(raw):
+        raise CorruptProgramError(f"layout ends at byte {offset} of {len(raw)}")
     return arrays
 
 
@@ -128,6 +152,9 @@ class ProgramStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``root`` as a string ending in a separator: entry paths are
+        #: one concatenation, not a ``Path`` join per call.
+        self._prefix = os.path.join(self.root, "")
         #: Entries written (excluding skipped already-present saves).
         self.saves = 0
         #: Saves skipped because a same-epoch entry already exists.
@@ -138,10 +165,10 @@ class ProgramStore:
         self.misses = 0
         #: Loads rejected for a calibration-epoch mismatch.
         self.stale_rejects = 0
-        #: Loads rejected for damaged manifests/payloads.
+        #: Loads rejected for damaged or other-format entries.
         self.corrupt_rejects = 0
         #: Digests whose last load raised CorruptProgramError: the next
-        #: save overwrites them even when the manifest's epoch matches.
+        #: save overwrites them even when the header's epoch matches.
         self._damaged: set[str] = set()
 
     # -- addressing ----------------------------------------------------------
@@ -151,36 +178,29 @@ class ProgramStore:
             fingerprint.encode() + b"|" + key, digest_size=16
         ).hexdigest()
 
-    def _manifest_path(self, digest: str) -> Path:
-        return self.root / f"{digest}.json"
+    def _entry_path(self, digest: str) -> str:
+        return f"{self._prefix}{digest}.bin"
 
-    def _arrays_path(self, digest: str) -> Path:
-        return self.root / f"{digest}.bin"
-
-    def _write(self, path: Path, data: bytes) -> None:
+    def _write(self, path: str | Path, data: bytes) -> None:
         """Write ``path`` atomically through a private temp file (a fresh
         random name, created exclusively, with the usual umask mode), so
         two writers of one entry never share or rename away a temp file."""
-        tmp = self.root / f".{os.urandom(8).hex()}.tmp"
+        tmp = f"{self._prefix}.{os.urandom(8).hex()}.tmp"
         try:
             with open(tmp, "xb") as file:
                 file.write(data)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
             raise
 
     def __len__(self) -> int:
-        """Persisted program entries (manifest count)."""
-        return sum(
-            1
-            for path in self.root.glob("*.json")
-            if not path.name.startswith("calibration-")
-        )
+        """Persisted program entries (``.bin`` file count)."""
+        return sum(1 for _ in self.root.glob("*.bin"))
 
     def contains(self, key: bytes, fingerprint: str) -> bool:
         """Whether an entry exists (without validating it)."""
-        return self._manifest_path(self.digest(key, fingerprint)).exists()
+        return os.path.exists(self._entry_path(self.digest(key, fingerprint)))
 
     # -- programs ------------------------------------------------------------
     def save(
@@ -199,7 +219,8 @@ class ProgramStore:
         """
         kind, epoch, state = self._disassemble(program)
         digest = self.digest(key, fingerprint)
-        if self._peek_epoch(digest) == epoch and digest not in self._damaged:
+        path = self._entry_path(digest)
+        if digest not in self._damaged and self._peek_epoch(path) == epoch:
             self.save_skips += 1
             return digest
         layout = []
@@ -208,22 +229,15 @@ class ProgramStore:
             array = array.astype(array.dtype.newbyteorder("<"), copy=False)
             layout.append([name, array.dtype.str, list(array.shape)])
             chunks.append(array.tobytes())
-        payload = b"".join(chunks)
-        manifest = {
-            "format": STORE_FORMAT,
+        header = {
             "kind": kind,
             "digest": digest,
             "fingerprint": fingerprint,
             "calibration_epoch": epoch,
             "meta": self._state_meta(kind, state),
             "arrays": layout,
-            "payload_bytes": len(payload),
-            "payload_blake2b": _checksum(payload),
         }
-        # Payload first: a reader that sees the new manifest finds the
-        # payload it describes.
-        self._write(self._arrays_path(digest), payload)
-        self._write(self._manifest_path(digest), json.dumps(manifest).encode())
+        self._write(path, _seal(header, chunks))
         self._damaged.discard(digest)
         self.saves += 1
         return digest
@@ -249,21 +263,22 @@ class ProgramStore:
         """
         digest = self.digest(key, fingerprint)
         try:
-            raw = self._manifest_path(digest).read_bytes()
+            with open(self._entry_path(digest), "rb") as file:
+                raw = file.read()
         except FileNotFoundError:
             self.misses += 1
             return None
         try:
-            manifest = self._read_manifest(raw, digest)
-            if int(manifest["calibration_epoch"]) != int(epoch):
+            header, offset = self._read_header(raw, digest)
+            if header["calibration_epoch"] != int(epoch):
                 self.stale_rejects += 1
                 raise StaleProgramError(
                     f"store entry {digest} was compiled under calibration epoch "
-                    f"{manifest['calibration_epoch']}, core is at epoch {epoch}; "
+                    f"{header['calibration_epoch']}, core is at epoch {epoch}; "
                     f"recompile (the fresh program overwrites this entry)"
                 )
-            arrays = self._read_arrays(digest, manifest)
-            program = self._assemble(manifest, arrays, technology, drift_state)
+            arrays = self._read_arrays(raw, offset, header, digest)
+            program = self._assemble(header, arrays, technology, drift_state)
         except CorruptProgramError:
             self.corrupt_rejects += 1
             self._damaged.add(digest)
@@ -281,7 +296,7 @@ class ProgramStore:
         trims, modelled age) under ``label``; returns the record path."""
         compensation = state.compensation
         record = {
-            "format": STORE_FORMAT,
+            "format": _CALIBRATION_FORMAT,
             "label": label,
             "epoch": int(state.epoch),
             "elapsed_s": float(state.elapsed_s),
@@ -311,7 +326,7 @@ class ProgramStore:
             ) from error
         if (
             not isinstance(record, dict)
-            or record.get("format") != STORE_FORMAT
+            or record.get("format") != _CALIBRATION_FORMAT
             or not isinstance(record.get("compensation"), list)
             or len(record["compensation"]) != 3
         ):
@@ -371,59 +386,69 @@ class ProgramStore:
             }
         return dict(state["meta"])
 
-    def _peek_epoch(self, digest: str) -> int | None:
-        """The existing entry's epoch, or None when absent/unreadable."""
+    def _peek_epoch(self, path: str) -> int | None:
+        """The existing entry's epoch, read from its first two lines
+        alone (the checksum is not verified), or None when the entry is
+        absent, of another format or unreadable."""
         try:
-            manifest = json.loads(self._manifest_path(digest).read_bytes())
-            if manifest.get("format") != STORE_FORMAT:
-                return None
-            return int(manifest["calibration_epoch"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            with open(path, "rb") as file:
+                if not file.readline().startswith(_MAGIC):
+                    return None
+                return int(json.loads(file.readline())["calibration_epoch"])
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def _read_manifest(self, raw: bytes, digest: str) -> dict[str, Any]:
+    def _read_header(self, raw: bytes, digest: str) -> tuple[dict[str, Any], int]:
+        """An entry's header and the offset of its payload in ``raw``,
+        once its first line is this format's and its checksum matches
+        every byte after that line (checked before anything is
+        parsed)."""
+        if raw[:_HEADER_AT] != _MAGIC + _checksum(memoryview(raw)[_HEADER_AT:]) + b"\n":
+            raise CorruptProgramError(
+                f"store entry {digest}.bin is unreadable: its first line is not "
+                f"the format-{STORE_FORMAT} checksum of the rest (damaged, or "
+                f"written by another store format); delete the entry and recompile"
+            )
         try:
-            manifest = json.loads(raw)
+            end = raw.index(b"\n", _HEADER_AT)
+            header = json.loads(raw[_HEADER_AT:end])
         except ValueError as error:
             raise CorruptProgramError(
-                f"store manifest {digest}.json is unreadable: {error}; "
+                f"store entry {digest}.bin has an unreadable header: {error}; "
                 f"delete the entry and recompile"
             ) from error
-        if not isinstance(manifest, dict) or manifest.get("format") != STORE_FORMAT:
-            raise CorruptProgramError(
-                f"store manifest {digest}.json has format "
-                f"{manifest.get('format') if isinstance(manifest, dict) else '?'}, "
-                f"expected {STORE_FORMAT}; delete the entry and recompile"
-            )
+        if not isinstance(header, dict):
+            header = {}
         kind, named, epoch = (
-            manifest.get(field) for field in ("kind", "digest", "calibration_epoch")
+            header.get(field) for field in ("kind", "digest", "calibration_epoch")
         )
         if kind not in _KINDS or named != digest or not isinstance(epoch, int):
             raise CorruptProgramError(
-                f"store manifest {digest}.json names kind {kind!r}, digest "
+                f"store entry {digest}.bin names kind {kind!r}, digest "
                 f"{named!r}, epoch {epoch!r}; delete the entry and recompile"
             )
-        return manifest
+        return header, end + 1
 
-    def _read_arrays(self, digest: str, manifest: dict[str, Any]) -> dict[str, np.ndarray]:
-        path = self._arrays_path(digest)
+    def _read_arrays(
+        self, raw: bytes, offset: int, header: dict[str, Any], digest: str
+    ) -> dict[str, np.ndarray]:
         try:
-            return _unpack(path.read_bytes(), manifest)
-        except (OSError, KeyError, TypeError, ValueError) as error:
+            return _unpack(raw, offset, header)
+        except (KeyError, TypeError, ValueError) as error:
             raise CorruptProgramError(
-                f"store payload {path.name} is missing or does not match its "
-                f"manifest: {error}; delete the entry and recompile"
+                f"store entry {digest}.bin has a payload that does not match "
+                f"its header: {error}; delete the entry and recompile"
             ) from error
 
     def _assemble(
         self,
-        manifest: dict[str, Any],
+        header: dict[str, Any],
         arrays: dict[str, np.ndarray],
         technology: Technology,
         drift_state: DriftState | None,
     ) -> TiledMatmul | DifferentialProgram:
-        kind = manifest["kind"]
-        meta = manifest["meta"]
+        kind = header["kind"]
+        meta = header["meta"]
         try:
             if kind == "tiled":
                 return TiledMatmul.from_state(
@@ -447,7 +472,7 @@ class ProgramStore:
             )
         except (KeyError, IndexError, TypeError, ValueError) as error:
             raise CorruptProgramError(
-                f"store entry {manifest.get('digest')} ({kind}) could not be "
+                f"store entry {header['digest']} ({kind}) could not be "
                 f"reassembled: {error}; delete the entry and recompile"
             ) from error
 

@@ -80,9 +80,9 @@ class ProgramStoreError(ReproError):
 
 
 class CorruptProgramError(ProgramStoreError, ValueError):
-    """A store entry's manifest or array payload is damaged or
-    inconsistent (unparsable JSON, missing arrays, digest mismatch,
-    unknown format version).
+    """A store entry is damaged or inconsistent (checksum mismatch,
+    unparsable header, missing arrays, digest mismatch, unknown format
+    version).
 
     Doubles as a :class:`ValueError` (the persisted *value* is the
     problem) while staying catchable via the package-wide

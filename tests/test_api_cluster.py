@@ -263,6 +263,11 @@ class TestQoS:
             lambda: cluster.submit_conv(kernels, -image),
             lambda: cluster.submit_conv(kernels, image, gain="auto"),
             lambda: cluster.submit_conv(kernels, image, stride=0),
+            lambda: cluster.submit(weights, rng.uniform(0.0, 1.0, 6), deadline=float("nan")),
+            lambda: cluster.submit(weights, rng.uniform(0.0, 1.0, 6), deadline="soon"),
+            lambda: cluster.submit_conv(kernels, image, deadline=float("nan")),
+            lambda: cluster.submit_conv(kernels, image, deadline="soon"),
+            lambda: model.submit(rng.uniform(0.0, 1.0, (2, 6)), deadline=float("nan")),
         )
         for submit in malformed:
             with pytest.raises(ConfigurationError):

@@ -79,6 +79,22 @@ class TestFutures:
         session.flush()
         assert future.value.shape == (4,)
 
+    def test_rejected_deadline_uses_up_no_request_number(self, session):
+        """Regression: the dense and conv routes numbered a request
+        before its ``deadline=`` was checked, so a rejected one used up
+        a number and the next label skipped it."""
+        rng = np.random.default_rng(4)
+        weights, x = rng.integers(0, 8, (4, 6)), rng.uniform(0.0, 1.0, 6)
+        kernels, image = rng.normal(0.0, 1.0, (2, 3, 3)), rng.uniform(0.0, 1.0, (5, 5))
+        for bad in (float("nan"), "soon"):
+            with pytest.raises(ConfigurationError, match="deadline"):
+                session.submit(weights, x, deadline=bad)
+            with pytest.raises(ConfigurationError, match="deadline"):
+                session.submit_conv(kernels, image, deadline=bad)
+        assert session.submit(weights, x).label == "dense 4x6 request #1"
+        assert session.submit_conv(kernels, image).label == "conv 2-kernel request #2"
+        assert session.pending == 2
+
     def test_tiled_and_conv_futures(self, session):
         rng = np.random.default_rng(3)
         tiled = session.submit(rng.integers(0, 8, (7, 9)), rng.uniform(0.0, 1.0, 9))

@@ -5,6 +5,7 @@ cluster integration (scale up/down, heterogeneous capability routing,
 fleet telemetry, traffic-engine membership refresh)."""
 
 import gc
+import hashlib
 import json
 import os
 import weakref
@@ -58,6 +59,17 @@ def session_fingerprint(session):
 @pytest.fixture()
 def store(tmp_path):
     return ProgramStore(tmp_path / "programs")
+
+
+def sealed(header, payload, store_format=3):
+    """``header`` (a dict, or raw bytes) and ``payload`` as one entry
+    file with a valid checksum: the documented first line, the blake2b
+    of every byte after it, then the header line and the payload."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode()
+    body = header + b"\n" + payload
+    checksum = hashlib.blake2b(body, digest_size=16).hexdigest()
+    return f"repro-program-store {store_format} {checksum}\n".encode() + body
 
 
 class TestProgramStoreRoundTrip:
@@ -142,6 +154,23 @@ class TestProgramStoreRoundTrip:
             store.load_calibration("slot")
         assert store.corrupt_rejects == 1
 
+    def test_calibration_record_keeps_its_format(self, store):
+        """Records carry their own format number: a program-entry format
+        change must not reject a record saved in the unchanged layout."""
+        store._calibration_path("slot").write_text(json.dumps({
+            "format": 2, "label": "slot", "epoch": 3, "elapsed_s": 30.0,
+            "inferences": 12, "compensation": [0.5, 1.25, 0.002],
+        }, indent=2) + "\n")
+        state = DriftState()
+        assert store.apply_calibration("slot", state)
+        assert (state.epoch, state.elapsed_s, state.inferences) == (3, 30.0, 12)
+        compensation = state.compensation
+        assert (compensation.current_scale, compensation.gain_scale,
+                compensation.voltage_offset) == (0.5, 1.25, 0.002)
+        store.save_calibration("slot", state)
+        assert json.loads(store._calibration_path("slot").read_text())["format"] == 2
+        assert store.corrupt_rejects == 0
+
 
 class TestProgramStoreRejections:
     def populate(self, tech, store):
@@ -160,19 +189,35 @@ class TestProgramStoreRejections:
             store.load(key, fingerprint=fingerprint, epoch=2, technology=tech)
         assert store.stale_rejects == 1
 
+    def entry(self, store, key, fingerprint):
+        """The path of one program's entry file, its header and its
+        payload."""
+        path = store.root / f"{store.digest(key, fingerprint)}.bin"
+        _, header, payload = path.read_bytes().split(b"\n", 2)
+        return path, json.loads(header), payload
+
     def test_corrupt_manifest_is_typed(self, tech, store):
         session, key, fingerprint = self.populate(tech, store)
-        digest = store.digest(key, fingerprint)
-        store._manifest_path(digest).write_text("{ not json")
+        path, _, payload = self.entry(store, key, fingerprint)
+        first_line = path.read_bytes().split(b"\n", 1)[0]
+        # The checksum fails before the damaged header is parsed.
+        path.write_bytes(first_line + b"\n{ not json\n" + payload)
         with pytest.raises(CorruptProgramError, match="unreadable"):
             store.load(key, fingerprint=fingerprint, epoch=0, technology=tech)
         assert store.corrupt_rejects == 1
+        # With a valid checksum the header still does not parse.
+        path.write_bytes(sealed(b"{ not json", payload))
+        with pytest.raises(CorruptProgramError, match="unreadable header"):
+            store.load(key, fingerprint=fingerprint, epoch=0, technology=tech)
+        assert store.corrupt_rejects == 2
 
     def test_missing_arrays_are_corrupt(self, tech, store):
         session, key, fingerprint = self.populate(tech, store)
-        store._arrays_path(store.digest(key, fingerprint)).unlink()
+        path, header, _ = self.entry(store, key, fingerprint)
+        path.write_bytes(sealed(header, b""))
         with pytest.raises(CorruptProgramError, match="payload"):
             store.load(key, fingerprint=fingerprint, epoch=0, technology=tech)
+        assert store.corrupt_rejects == 1
 
     def test_serving_falls_back_to_recompile(self, tech, store):
         rng = np.random.default_rng(5)
@@ -180,7 +225,8 @@ class TestProgramStoreRejections:
         x = rng.random(GRID[1])
         session, key, fingerprint = self.populate(tech, store)
         expected = session.submit(weights, x).result()
-        store._manifest_path(store.digest(key, fingerprint)).write_text("junk")
+        path, _, _ = self.entry(store, key, fingerprint)
+        path.write_text("junk")
 
         fallback = fresh_session(tech, store)
         assert np.array_equal(expected, fallback.submit(weights, x).result())
@@ -191,7 +237,8 @@ class TestProgramStoreRejections:
 
     @pytest.mark.parametrize("damage", [
         "payload", "dense kind", "truncated payload", "flipped byte",
-        "object dtype", "shape overrun", "format 1",
+        "object dtype", "shape overrun", "format 1", "header scalar",
+        "format 2",
     ])
     def test_entry_that_fails_to_load_is_overwritten(self, tech, store, damage):
         """Regression: a save skipped any entry whose manifest parsed at
@@ -199,32 +246,52 @@ class TestProgramStoreRejections:
         payload, or a retired ``"dense"`` kind) was rejected by every
         fresh session and never rewritten.  A truncated ``.npz`` payload
         escaped as an untyped ``zipfile.BadZipFile``, so serving never
-        fell back to a compile at all."""
+        fell back to a compile at all.  The format-2 manifest was not
+        checksummed, so a changed header scalar (the TIA gain) restored
+        silently and served other codes.  Damage to the raw bytes must
+        fail the checksum; header damage under a valid checksum (a
+        foreign writer) must fail the header and layout checks."""
         rng = np.random.default_rng(5)
         weights = rng.integers(0, 8, GRID)
         x = rng.random(GRID[1])
         session, key, fingerprint = self.populate(tech, store)
         expected = session.submit(weights, x).result()
-        digest = store.digest(key, fingerprint)
-        payload = store._arrays_path(digest)
-        manifest = json.loads(store._manifest_path(digest).read_text())
+        path, header, payload = self.entry(store, key, fingerprint)
+        raw = path.read_bytes()
         if damage == "payload":
-            payload.write_bytes(b"garbage")
+            path.write_bytes(raw[: len(raw) - len(payload)] + b"garbage")
         elif damage == "truncated payload":
-            payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
+            path.write_bytes(raw[: len(raw) - len(payload) // 2])
         elif damage == "flipped byte":
-            data = bytearray(payload.read_bytes())
-            data[len(data) // 2] ^= 1
-            payload.write_bytes(bytes(data))
-        elif damage == "dense kind":
-            manifest["kind"] = "dense"
-        elif damage == "object dtype":
-            manifest["arrays"][0][1] = "|O"
-        elif damage == "shape overrun":
-            manifest["arrays"][0][2][0] += 1
-        else:  # the .npz layout of store format 1
-            manifest.update(format=1, arrays=[row[0] for row in manifest["arrays"]])
-        store._manifest_path(digest).write_text(json.dumps(manifest))
+            data = bytearray(raw)
+            data[len(data) - len(payload) // 2] ^= 1
+            path.write_bytes(bytes(data))
+        elif damage == "header scalar":
+            header["meta"]["tile"]["tia_gain"] *= 1.37
+            path.write_bytes(
+                raw.split(b"\n", 1)[0] + b"\n" + json.dumps(header).encode()
+                + b"\n" + payload
+            )
+        elif damage == "format 2":
+            # Two files: a bare payload and a JSON manifest beside it.
+            path.write_bytes(payload)
+            path.with_suffix(".json").write_text(json.dumps({
+                "format": 2, **header, "payload_bytes": len(payload),
+                "payload_blake2b": hashlib.blake2b(payload, digest_size=16).hexdigest(),
+            }))
+        else:
+            if damage == "dense kind":
+                header["kind"] = "dense"
+            elif damage == "object dtype":
+                header["arrays"][0][1] = "|O"
+            elif damage == "shape overrun":
+                header["arrays"][0][2][0] += 1
+            path.write_bytes(
+                # The .npz layout of store format 1 named arrays only.
+                sealed({**header, "arrays": [row[0] for row in header["arrays"]]},
+                       payload, store_format=1)
+                if damage == "format 1" else sealed(header, payload)
+            )
         saves = store.saves
 
         first = fresh_session(tech, store)
@@ -278,9 +345,7 @@ class TestProgramStoreRejections:
         first.save(b"key", program, fingerprint="abc")
         assert first.saves == second.saves == 1
         digest = first.digest(b"key", "abc")
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            f"{digest}.bin", f"{digest}.json"
-        ]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{digest}.bin"]
         restored = ProgramStore(tmp_path).load(
             b"key", fingerprint="abc", epoch=0, technology=tech
         )
