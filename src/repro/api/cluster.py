@@ -38,18 +38,28 @@ On top of the per-core sessions the cluster adds:
   program shape on the cheapest capable core, and cache-affinity
   routing runs on an incremental :class:`~repro.api.routing.HashRing`
   so hot programs keep their homes across membership changes.
+
+Each fleet concern has one path.  Every submit route passes one
+admission gate (``_admit``), which runs the request's session-side
+checks only on the shed path.  Every fleet transition (shed, drain,
+restore, add_core, scale up and down) reaches the fleet registry, the
+trace's "fleet" track and the observer through one recorder
+(``_record``).  Fleet latency quantiles come from
+:func:`repro.telemetry.merged_latency_quantiles`.  ``grid=`` goes
+through the session's own parser, and the ``program_store=`` and
+``obs=`` type checks are left to the sessions the cluster builds.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..config import Technology
+from ..config import Technology, default_technology
 from ..elastic import Autoscaler, CoreSpec, FleetSnapshot, ProgramStore
 from ..errors import ClusterSaturatedError, ConfigurationError
 from ..health.drift import DriftModel, DriftState
@@ -57,20 +67,19 @@ from ..health.monitor import HealthPolicy, HealthReport
 from ..runtime.engine import weight_key
 from ..runtime.scheduler import check_dense_weights
 from ..telemetry import (
-    END_TO_END_HISTOGRAM,
-    QUEUE_WAIT_HISTOGRAM,
-    Histogram,
     MetricsRegistry,
+    ModelClock,
     ReportExport,
     Telemetry,
     TraceRecorder,
+    merged_latency_quantiles,
     merged_tenant_quantiles,
 )
 from .futures import Future, RunReport
 from .graph import Model
 from .policy import FlushPolicy
 from .routing import HashRing, RoutingPolicy
-from .session import ClockSource, DeployedModel, DriftLike, PhotonicSession
+from .session import DeployedModel, DriftLike, PhotonicSession
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -122,8 +131,8 @@ class ClusterReport(ReportExport):
     #: Fleet-wide modelled latency distributions, merged bin-for-bin
     #: from the per-core telemetry histograms (quantiles are not
     #: additive, so the merge happens at the histogram level — see
-    #: :meth:`repro.telemetry.Histogram.merged`).  None on a cluster
-    #: without telemetry or before any request resolved.
+    #: :func:`repro.telemetry.merged_latency_quantiles`).  None on a
+    #: cluster without telemetry or before any request resolved.
     latency_quantiles: dict | None = None
     #: Fleet-wide per-tenant queue-wait / service-time split, merged
     #: bin-for-bin from the per-core per-tenant histograms (see
@@ -271,13 +280,9 @@ class ReplicatedModel:
         replica is drained, the batch falls back to the full set so
         the model never refuses traffic).
         """
-        cluster = self._cluster
-        priority = cluster._validated_priority(priority)
-        if cluster._saturated(priority):
-            self._endpoints[0]._validated_batch(batch)
-            if deadline is not None:
-                PhotonicSession._check_deadline(deadline)
-            cluster._shed_saturated()
+        priority = self._cluster._admit(
+            priority, deadline, self._endpoints[0]._validated_batch, batch
+        )
         drained = self._cluster._drained
         slots = [
             slot
@@ -330,8 +335,6 @@ class PhotonicCluster:
         cores: int = 1,
         technology: Technology | None = None,
         grid: tuple[int, int] | None = None,
-        rows: int | None = None,
-        columns: int | None = None,
         weight_bits: int | None = None,
         adc_bits: int | None = None,
         cache_capacity: int = 8,
@@ -346,7 +349,7 @@ class PhotonicCluster:
         program_store: ProgramStore | None = None,
         trace: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
-        clock: "ClockSource" = None,
+        clock: ModelClock | None = None,
         obs: Observer | None = None,
         label: str = "cluster",
     ) -> None:
@@ -377,11 +380,6 @@ class PhotonicCluster:
                 f"autoscaler must be a repro.elastic.Autoscaler, "
                 f"got {type(autoscaler).__name__}"
             )
-        if program_store is not None and not isinstance(program_store, ProgramStore):
-            raise ConfigurationError(
-                f"program_store must be a repro.elastic.ProgramStore, "
-                f"got {type(program_store).__name__}"
-            )
         if core_specs is not None:
             specs = tuple(core_specs)
             if len(specs) != int(cores):
@@ -397,20 +395,14 @@ class PhotonicCluster:
                     )
         else:
             specs = (None,) * int(cores)
-        if grid is not None:
-            # Normalize once so per-slot CoreSpec overrides can replace
-            # rows/columns independently of how the default was spelled.
-            if rows is not None or columns is not None:
-                raise ConfigurationError(
-                    "pass either grid=(rows, columns) or rows=/columns=, "
-                    "not both"
-                )
-            try:
-                rows, columns = (int(dim) for dim in grid)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"grid must be a (rows, columns) pair, got {grid!r}"
-                ) from None
+        # Resolved once (no grid = the technology's default tile), so a
+        # slot's CoreSpec can override rows and columns independently.
+        rows, columns = PhotonicSession._validated_grid(grid)
+        if rows is None:
+            tensor = (
+                technology if technology is not None else default_technology()
+            ).tensor
+            rows, columns = tensor.rows, tensor.columns
         self.routing = routing if routing is not None else RoutingPolicy.round_robin()
         self.max_pending = max_pending
         #: Fleet maintenance policy; per-core sessions stay policy-free
@@ -458,21 +450,14 @@ class PhotonicCluster:
             self.telemetry = None
         # -- active observability (repro.obs) ---------------------------
         #: Optional :class:`~repro.obs.Observer` shared by the fleet:
-        #: every core session feeds it flush/health samples, and the
-        #: cluster feeds it shed / drain / restore / scale events.
-        #: None (the default) = the serving path makes zero obs calls.
-        if obs is not None:
-            from ..obs import Observer as _Observer
-
-            if not isinstance(obs, _Observer):
-                raise ConfigurationError(
-                    f"obs must be a repro.obs.Observer, "
-                    f"got {type(obs).__name__}"
-                )
+        #: every core session feeds it flush/health samples (and checks
+        #: its type), and the cluster feeds it shed / drain / restore /
+        #: scale events.  None (the default) = the serving path makes
+        #: zero obs calls.
         self.obs = obs
-        #: Suppresses the inner drain/restore/add_core observer events
-        #: while a scale_up/scale_down reuses that machinery (the scale
-        #: event covers the transition).
+        #: Set while a scale_up/scale_down reuses the drain, restore or
+        #: add_core machinery: :meth:`_record` then sends the observer
+        #: the scale event alone.
         self._in_scale_change = False
         #: The elastic policy (None = fixed fleet) and the shared
         #: compiled-program store (None = every slot cold-compiles).
@@ -580,9 +565,9 @@ class PhotonicCluster:
         spec = spec if spec is not None else CoreSpec()
         return PhotonicSession(
             technology=defaults["technology"],
-            rows=spec.rows if spec.rows is not None else defaults["rows"],
-            columns=(
-                spec.columns if spec.columns is not None else defaults["columns"]
+            grid=(
+                spec.rows if spec.rows is not None else defaults["rows"],
+                spec.columns if spec.columns is not None else defaults["columns"],
             ),
             weight_bits=(
                 spec.weight_bits
@@ -692,13 +677,37 @@ class PhotonicCluster:
         drains) timestamp at the furthest-along core."""
         return max(session.scheduler.clock.now for session in self._sessions)
 
-    def _fleet_instant(self, name: str, args: dict | None = None) -> None:
-        """Emit one instant event on the fleet trace track (no-op
-        without telemetry)."""
+    def _record(
+        self,
+        name: str,
+        args: dict,
+        kind: str | None = None,
+        counter: str | None = None,
+        active: bool = False,
+        obs_args: dict | None = None,
+    ) -> None:
+        """Write one fleet transition to every attached sink, in order:
+        ``counter`` incremented and (with ``active``) the
+        ``active_cores`` gauge set in the fleet registry, the instant
+        ``name`` with ``args`` on the fleet trace track, then the
+        observer event ``kind`` with ``obs_args`` (else ``args``), both
+        stamped at :meth:`_fleet_now`.  A scale change records itself,
+        so the drain, restore or add_core it performs sends no observer
+        event."""
         tel = self.telemetry
         if tel is not None:
+            metrics = tel.metrics
+            if counter is not None:
+                metrics.counter(counter).inc()
+            if active:
+                metrics.gauge("active_cores").set(len(self.active_cores))
             tel.clock.now = self._fleet_now()
             tel.instant(name, "fleet", args)
+        obs = self.obs
+        if obs is not None and kind is not None and not self._in_scale_change:
+            obs.note_event(
+                self._fleet_now(), kind, args if obs_args is None else obs_args
+            )
 
     def _obs_fleet_snapshot(self) -> dict:
         """The fleet's state at an incident dump (see
@@ -720,13 +729,6 @@ class PhotonicCluster:
             "at": self._fleet_now(),
         }
 
-    def _obs_event(self, kind: str, args: dict | None = None) -> None:
-        """Feed one fleet transition to the observer (no-op without
-        one), stamped at the fleet's modelled now."""
-        obs = self.obs
-        if obs is not None:
-            obs.note_event(self._fleet_now(), kind, args)
-
     # -- elastic bookkeeping -------------------------------------------------
     def _elastic_now(self) -> float:
         """Modelled 'now' for scale decisions and core-second
@@ -734,9 +736,7 @@ class PhotonicCluster:
         else the furthest-along core's service clock (attached or
         not)."""
         clock = self._clock
-        if clock is not None:
-            return float(clock() if callable(clock) else clock.now)
-        return self._fleet_now()
+        return clock.now if clock is not None else self._fleet_now()
 
     def _accrue_core_seconds(self) -> None:
         """Advance the core-seconds integral to 'now' at the *current*
@@ -748,57 +748,49 @@ class PhotonicCluster:
             self._core_seconds += elapsed * len(self.active_cores)
             self._seconds_accrued_at = now
 
-    def _fleet_deadline_misses(self) -> int:
-        """Cumulative deadline-shed requests across the fleet (the
-        autoscaler's miss signal; cheap — no report construction)."""
-        return sum(
-            session.scheduler.stats().deadline_misses + session._deadline_misses
-            for session in self._sessions
-        )
-
     # -- QoS -----------------------------------------------------------------
-    @staticmethod
-    def _validated_priority(priority: int) -> int:
+    def _admit(
+        self,
+        priority: int,
+        deadline: float | None,
+        check: Callable[..., object],
+        *request: object,
+    ) -> int:
+        """Admission control, the one gate of every submit route:
+        returns the checked ``priority`` of a request that may queue.
+        Once ``max_pending`` requests are queued fleet-wide, best-effort
+        traffic (priority <= 0) is shed; positive priority bypasses.  A
+        request about to be shed first meets the validation its session
+        would run, ``check(*request)`` and the deadline check, so a
+        malformed one raises that error, is not counted and queues
+        nothing; a well-formed one is counted and recorded, and raises
+        :class:`ClusterSaturatedError`.  An admitted request is
+        validated by its session alone."""
         if not isinstance(priority, (int, np.integer)) or isinstance(priority, bool):
             raise ConfigurationError(
                 f"priority must be an integer (0 = best-effort, higher "
                 f"flushes first and bypasses shedding), got {priority!r}"
             )
-        return int(priority)
-
-    def _saturated(self, priority: int) -> bool:
-        """Admission control: once ``max_pending`` requests are queued
-        fleet-wide, best-effort traffic (priority <= 0) is shed
-        (:meth:`_shed_saturated`); positive priority bypasses.  Each
-        submit path first runs on a request about to be shed the
-        validation its session would run, so a malformed one raises
-        that error, is not counted and queues nothing; an admitted
-        request is validated by its session alone."""
-        return (
-            self.max_pending is not None
-            and priority <= 0
-            and self.pending >= self.max_pending
-        )
-
-    def _shed_saturated(self) -> NoReturn:
-        """Shed one well-formed best-effort request: count it and raise
-        :class:`ClusterSaturatedError`."""
+        priority = int(priority)
+        if (
+            self.max_pending is None
+            or priority > 0
+            or self.pending < self.max_pending
+        ):
+            return priority
+        check(*request)
+        if deadline is not None:
+            PhotonicSession._check_deadline(deadline)
         self._shed += 1
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("shed").inc()
-            self._fleet_instant(
-                "shed",
-                args={
-                    "pending": self.pending,
-                    "max_pending": self.max_pending,
-                },
-            )
-        self._obs_event(
+        pending = self.pending
+        self._record(
             "shed",
-            {"pending": self.pending, "max_pending": self.max_pending},
+            {"pending": pending, "max_pending": self.max_pending},
+            kind="shed",
+            counter="shed",
         )
         raise ClusterSaturatedError(
-            f"cluster saturated: {self.pending} requests pending >= "
+            f"cluster saturated: {pending} requests pending >= "
             f"max_pending={self.max_pending}; flush()/poll() to drain, "
             "raise max_pending, or submit with priority > 0 to bypass"
         )
@@ -942,6 +934,13 @@ class PhotonicCluster:
         """The largest weight any core of the fleet holds."""
         return max(session.core.max_weight for session in self._sessions)
 
+    def _check_dense(
+        self, weights: ArrayLike, x: ArrayLike, gain: float | str | None
+    ) -> None:
+        """The session's dense checks for a request no core holds yet,
+        against the fleet's widest weight."""
+        PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
+
     def _accept(self, core: int, priority: int, content: tuple | None) -> None:
         """Bookkeeping for one routed request its session accepted.  A
         miss's route is memoised *before* :meth:`_note_routed`, whose
@@ -983,12 +982,7 @@ class PhotonicCluster:
         cores when none reaches it).  Under cache-affinity each
         weight program is routed once per rotation (see
         :meth:`_route`)."""
-        priority = self._validated_priority(priority)
-        if self._saturated(priority):
-            PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
-            if deadline is not None:
-                PhotonicSession._check_deadline(deadline)
-            self._shed_saturated()
+        priority = self._admit(priority, deadline, self._check_dense, weights, x, gain)
         weights = np.asarray(weights)
         index, content = self._route("dense", weights, min_adc_bits)
         future = self._sessions[index].submit(
@@ -1029,12 +1023,10 @@ class PhotonicCluster:
         traffic shares one core's cache under cache-affinity.  Each
         bank is quantized and keyed for routing once per rotation (see
         :meth:`_route`).  ``min_adc_bits`` follows :meth:`submit`."""
-        priority = self._validated_priority(priority)
-        if self._saturated(priority):
-            PhotonicSession._validated_conv(kernels, image, stride, gain)
-            if deadline is not None:
-                PhotonicSession._check_deadline(deadline)
-            self._shed_saturated()
+        priority = self._admit(
+            priority, deadline, PhotonicSession._validated_conv,
+            kernels, image, stride, gain,
+        )
         bank = np.asarray(kernels)
         index, content = self._route("conv", bank, min_adc_bits)
         future = self._sessions[index].submit_conv(
@@ -1113,19 +1105,15 @@ class PhotonicCluster:
         self._drained.add(core)
         self.invalidate_routes()
         self._drains += 1
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("drains").inc()
-            self._fleet_instant(f"drain core {core}", args={"core": core})
-        if not self._in_scale_change:
-            self._obs_event("drain", {"core": core})
+        self._record(
+            f"drain core {core}", {"core": core}, kind="drain", counter="drains"
+        )
 
     def restore(self, core: int) -> None:
         """Return a drained (or parked) core to the routing rotation."""
         core = self._validated_core(core)
         if core in self._drained:
-            self._fleet_instant(f"restore core {core}", args={"core": core})
-            if not self._in_scale_change:
-                self._obs_event("restore", {"core": core})
+            self._record(f"restore core {core}", {"core": core}, kind="restore")
         self._drained.discard(core)
         self._parked.discard(core)
         self.invalidate_routes()
@@ -1162,24 +1150,19 @@ class PhotonicCluster:
         self._ring.add(index)
         self.invalidate_routes()
         self.membership_version += 1
-        if self.telemetry is not None:
-            self.telemetry.metrics.gauge("active_cores").set(
-                len(self.active_cores)
-            )
-            self._fleet_instant(
-                f"add core {index}",
-                args={
-                    "core": index,
-                    "spec": spec.describe() if spec is not None else "default",
-                    "warm": self.program_store is not None,
-                    "active": len(self.active_cores),
-                },
-            )
-        if not self._in_scale_change:
-            self._obs_event(
-                "add_core",
-                {"core": index, "active": len(self.active_cores)},
-            )
+        active = len(self.active_cores)
+        self._record(
+            f"add core {index}",
+            {
+                "core": index,
+                "spec": spec.describe() if spec is not None else "default",
+                "warm": self.program_store is not None,
+                "active": active,
+            },
+            kind="add_core",
+            active=True,
+            obs_args={"core": index, "active": active},
+        )
         return index
 
     def scale_up(self, spec: CoreSpec | None = None) -> int:
@@ -1209,26 +1192,12 @@ class PhotonicCluster:
             self._in_scale_change = False
         self._scale_ups += 1
         self._last_scale_at = self._elastic_now()
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("scale_ups").inc()
-            self.telemetry.metrics.gauge("active_cores").set(
-                len(self.active_cores)
-            )
-            self._fleet_instant(
-                f"scale up core {core}",
-                args={
-                    "core": core,
-                    "warm_start": warm_start,
-                    "active": len(self.active_cores),
-                },
-            )
-        self._obs_event(
-            "scale_up",
-            {
-                "core": core,
-                "warm_start": warm_start,
-                "active": len(self.active_cores),
-            },
+        self._record(
+            f"scale up core {core}",
+            {"core": core, "warm_start": warm_start, "active": len(self.active_cores)},
+            kind="scale_up",
+            counter="scale_ups",
+            active=True,
         )
         return core
 
@@ -1272,18 +1241,12 @@ class PhotonicCluster:
         self._parked.add(core)
         self._scale_downs += 1
         self._last_scale_at = self._elastic_now()
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter("scale_downs").inc()
-            self.telemetry.metrics.gauge("active_cores").set(
-                len(self.active_cores)
-            )
-            self._fleet_instant(
-                f"scale down core {core}",
-                args={"core": core, "active": len(self.active_cores)},
-            )
-        self._obs_event(
-            "scale_down",
+        self._record(
+            f"scale down core {core}",
             {"core": core, "active": len(self.active_cores)},
+            kind="scale_down",
+            counter="scale_downs",
+            active=True,
         )
         return core
 
@@ -1307,7 +1270,9 @@ class PhotonicCluster:
         shed = self._shed
         shed_delta = shed - self._scale_shed_seen
         self._scale_shed_seen = shed
-        misses = self._fleet_deadline_misses()
+        misses = sum(
+            session.scheduler._stats.deadline_misses for session in self._sessions
+        )
         miss_delta = misses - self._scale_miss_seen
         self._scale_miss_seen = misses
         snapshot = FleetSnapshot(
@@ -1439,51 +1404,17 @@ class PhotonicCluster:
         return resolved
 
     # -- reporting -----------------------------------------------------------
-    def _merged_latency_quantiles(self) -> dict | None:
-        """Fleet latency distributions: per-core telemetry histograms
-        merged bin-for-bin (quantiles are not additive, so the merge
-        happens at the histogram level).  None without telemetry or
-        before any request resolved — :meth:`Histogram.merged` of an
-        empty sequence is None, so a telemetry-less fleet never fakes a
-        distribution."""
-        bindings = [
-            session.telemetry
-            for session in self._sessions
-            if session.telemetry is not None
-        ]
-        e2e = Histogram.merged(
-            [b.metrics.histogram(END_TO_END_HISTOGRAM) for b in bindings],
-            name=END_TO_END_HISTOGRAM,
-        )
-        if e2e is None:
-            return None
-        summary = e2e.summary()
-        if summary is None:
-            return None
-        wait = Histogram.merged(
-            [b.metrics.histogram(QUEUE_WAIT_HISTOGRAM) for b in bindings],
-            name=QUEUE_WAIT_HISTOGRAM,
-        )
-        return {"queue_wait": wait.summary(), "end_to_end": summary}
-
-    def _merged_tenant_quantiles(self) -> dict | None:
-        """Fleet per-tenant latency split, merged bin-for-bin across
-        the per-core telemetry histograms (see
-        :func:`repro.telemetry.merged_tenant_quantiles`)."""
-        return merged_tenant_quantiles(
-            [
-                session.telemetry
-                for session in self._sessions
-                if session.telemetry is not None
-            ]
-        )
-
     def report(self) -> ClusterReport:
         """Cumulative fleet accounting: per-core RunReports plus their
         rolled-up totals, routing spread, shed count and (with
         telemetry) the merged fleet latency distributions."""
         self._accrue_core_seconds()
         per_core = tuple(session.report() for session in self._sessions)
+        bindings = [
+            session.telemetry
+            for session in self._sessions
+            if session.telemetry is not None
+        ]
         return ClusterReport(
             cores=self.cores,
             routing=self.routing.describe(),
@@ -1500,8 +1431,8 @@ class PhotonicCluster:
             deadline_shed=tuple(
                 report.deadline_misses for report in per_core
             ),
-            latency_quantiles=self._merged_latency_quantiles(),
-            tenant_quantiles=self._merged_tenant_quantiles(),
+            latency_quantiles=merged_latency_quantiles(bindings),
+            tenant_quantiles=merged_tenant_quantiles(bindings),
         )
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ resolves.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -75,12 +75,6 @@ _LEDGER_FIELDS = (
     "cache_evictions", "weight_energy_spent", "weight_energy_saved",
     "weight_time_spent", "analog_time", "analog_energy", "deadline_misses",
 )
-
-#: Everything the ``clock`` knob accepts: a shared
-#: :class:`~repro.telemetry.ModelClock`, any zero-argument callable
-#: returning seconds, or None (the default: deadlines read the
-#: modelled service clock, ``max_delay`` ages the host wall clock).
-ClockSource = ModelClock | Callable[[], float] | None
 
 
 @dataclass
@@ -288,8 +282,6 @@ class PhotonicSession:
         self,
         technology: Technology | None = None,
         grid: tuple[int, int] | None = None,
-        rows: int | None = None,
-        columns: int | None = None,
         weight_bits: int | None = None,
         adc_bits: int | None = None,
         cache_capacity: int = 8,
@@ -300,44 +292,31 @@ class PhotonicSession:
         trace: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
         telemetry: Telemetry | None = None,
-        clock: ClockSource = None,
+        clock: ModelClock | None = None,
         program_store: ProgramStore | None = None,
         obs: Observer | None = None,
         label: str = "session",
     ) -> None:
-        if grid is not None:
-            if rows is not None or columns is not None:
-                raise ConfigurationError(
-                    "pass either grid=(rows, columns) or rows=/columns=, not both"
-                )
-            try:
-                rows, columns = (int(dim) for dim in grid)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"grid must be a (rows, columns) pair, got {grid!r}"
-                ) from None
+        rows, columns = self._validated_grid(grid)
         self.technology = technology if technology is not None else default_technology()
         self.flush_policy = (
             flush_policy if flush_policy is not None else FlushPolicy.explicit()
         )
         self.label = str(label)
-        if clock is not None and not (
-            isinstance(clock, ModelClock) or callable(clock)
-        ):
+        if clock is not None and not isinstance(clock, ModelClock):
             raise ConfigurationError(
-                f"clock must be a repro.telemetry.ModelClock, a callable "
-                f"returning seconds, or None (host wall clock), "
-                f"got {type(clock).__name__}"
+                f"clock must be a repro.telemetry.ModelClock or None "
+                f"(host wall clock), got {type(clock).__name__}"
             )
-        #: Injectable time source (:data:`ClockSource`): ``deadline=``
-        #: stamps, the ``deadline_headroom`` slack, queue stamps and
-        #: ``max_delay`` ages read it, and every flush pulls the
-        #: service clock up to it (never backwards).  None = the first
-        #: three read the modelled service clock (``scheduler.clock``)
-        #: and only ``max_delay`` ages read the host wall clock, via
+        #: Injected time source, a :class:`~repro.telemetry.ModelClock`
+        #: the caller advances (or None): ``deadline=`` stamps, the
+        #: ``deadline_headroom`` slack, queue stamps and ``max_delay``
+        #: ages read its ``now``, and every flush pulls the service
+        #: clock up to it (never backwards).  None = the first three
+        #: read the modelled service clock (``scheduler.clock``) and
+        #: only ``max_delay`` ages read the host wall clock, via
         #: :func:`~repro.telemetry.profiling.wall_clock`.  The
-        #: open-loop traffic engine injects a
-        #: :class:`~repro.telemetry.ModelClock` it advances to each
+        #: open-loop traffic engine injects a clock it advances to each
         #: arrival so simulation results never depend on host timing
         #: (see :mod:`repro.traffic`).
         self.clock = clock
@@ -407,9 +386,6 @@ class PhotonicSession:
         #: Most urgent absolute deadline among pending requests (None =
         #: no pending request carries one); feeds the SLO-aware policy.
         self._earliest_deadline: float | None = None
-        #: Requests shed at submit (already expired); flush-time sheds
-        #: count in :class:`~repro.runtime.scheduler.SchedulerStats`.
-        self._deadline_misses = 0
         self._flushes = 0
         #: Service-clock timestamp the current flush started at
         #: (queue-wait = flush start - submit stamp).
@@ -459,28 +435,8 @@ class PhotonicSession:
                 self.core.weight_bits,
                 self.core.row_adcs[0].bits,
             )
-
-            # Close over the core, not ``self``: the session's own caches
-            # hold these, so closing over it would make a reference cycle.
-            core = self.core
-
-            def _current_epoch() -> int:
-                drift_state = core.drift_state
-                if drift_state is not None and drift_state.active:
-                    return drift_state.epoch
-                return 0
-
-            def _current_drift():
-                return core.drift_state
-
             for cache in (self.scheduler.cache, self.tiled_cache):
-                cache.attach_store(
-                    program_store,
-                    fingerprint=fingerprint,
-                    technology=self.technology,
-                    epoch_source=_current_epoch,
-                    drift_source=_current_drift,
-                )
+                cache.attach_store(program_store, self.core, fingerprint)
         self._last_totals = self._totals()
 
     # -- geometry ------------------------------------------------------------
@@ -529,6 +485,23 @@ class PhotonicSession:
         if gain <= 0.0:
             raise ConfigurationError(f"TIA gain must be positive, got {gain}")
         return float(gain)
+
+    @staticmethod
+    def _validated_grid(
+        grid: tuple[int, int] | None,
+    ) -> tuple[int | None, int | None]:
+        """``grid=`` as ``(rows, columns)`` ints, or ``(None, None)``
+        for the technology's default tile; the one parser of the
+        session and the cluster."""
+        if grid is None:
+            return None, None
+        try:
+            rows, columns = (int(dim) for dim in grid)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"grid must be a (rows, columns) pair, got {grid!r}"
+            ) from None
+        return rows, columns
 
     # -- raw dense route -----------------------------------------------------
     @staticmethod
@@ -964,9 +937,7 @@ class PhotonicSession:
         clock = self.clock
         if clock is None:
             return wall_clock()
-        if isinstance(clock, ModelClock):
-            return clock.now
-        return float(clock())
+        return clock.now
 
     def _stamp_now(self) -> float:
         """'Now' for deadline stamps, the deadline slack and queue
@@ -1016,9 +987,10 @@ class PhotonicSession:
 
     def _shed_future(self, future: Future) -> None:
         """Fail one request expired at submit: reads raise the typed
-        error, the miss counts on this session's ledger."""
+        error, the miss counts on the scheduler's ledger with the
+        flush-time sheds."""
         future._expire()
-        self._deadline_misses += 1
+        self.scheduler._stats.deadline_misses += 1
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("deadline_misses").inc()
@@ -1222,10 +1194,8 @@ class PhotonicSession:
     # -- reporting -----------------------------------------------------------
     def _totals(self) -> dict:
         stats = self.scheduler._stats
-        totals = {name: getattr(stats, name) for name in _LEDGER_FIELDS}
-        totals["deadline_misses"] += self._deadline_misses
         return {
-            **totals,
+            **{name: getattr(stats, name) for name in _LEDGER_FIELDS},
             "probe_runs": self._probe_runs,
             "probe_vectors": self._probe_vectors,
             "recalibrations": self._recalibrations,

@@ -60,7 +60,12 @@ from typing import Any
 import numpy as np
 
 from ..config import Technology
-from ..errors import ConfigurationError, CorruptProgramError, StaleProgramError
+from ..errors import (
+    ConfigurationError,
+    CorruptProgramError,
+    ProgramStoreError,
+    StaleProgramError,
+)
 from ..health.drift import DriftState
 from ..runtime.tiling import DifferentialProgram, TiledMatmul
 
@@ -142,11 +147,11 @@ class ProgramStore:
     """A directory of persisted compiled programs + calibration records.
 
     Every public accessor either returns the requested object or
-    raises a typed :class:`~repro.errors.ProgramStoreError` subclass;
+    raises a typed :class:`~repro.errors.ProgramStoreError`;
     absence is ``None`` (a miss, not an error).  Counters
     (``saves``/``save_skips``/``restores``/``misses``/
-    ``stale_rejects``/``corrupt_rejects``) make warm-start behaviour
-    observable in tests and benches.
+    ``stale_rejects``/``corrupt_rejects``/``write_failures``) make
+    warm-start behaviour observable in tests and benches.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -165,8 +170,10 @@ class ProgramStore:
         self.misses = 0
         #: Loads rejected for a calibration-epoch mismatch.
         self.stale_rejects = 0
-        #: Loads rejected for damaged or other-format entries.
+        #: Loads rejected for damaged, unreadable or other-format entries.
         self.corrupt_rejects = 0
+        #: Entry or record writes the file system refused.
+        self.write_failures = 0
         #: Digests whose last load raised CorruptProgramError: the next
         #: save overwrites them even when the header's epoch matches.
         self._damaged: set[str] = set()
@@ -184,12 +191,19 @@ class ProgramStore:
     def _write(self, path: str | Path, data: bytes) -> None:
         """Write ``path`` atomically through a private temp file (a fresh
         random name, created exclusively, with the usual umask mode), so
-        two writers of one entry never share or rename away a temp file."""
+        two writers of one entry never share or rename away a temp file.
+        A write the file system refuses (say, a directory in the entry's
+        place) removes the temp file, counts in ``write_failures`` and
+        raises :class:`~repro.errors.ProgramStoreError`."""
         tmp = f"{self._prefix}.{os.urandom(8).hex()}.tmp"
         try:
             with open(tmp, "xb") as file:
                 file.write(data)
             os.replace(tmp, path)
+        except OSError as error:
+            Path(tmp).unlink(missing_ok=True)
+            self.write_failures += 1
+            raise ProgramStoreError(f"cannot write {path}: {error}") from error
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
@@ -215,7 +229,8 @@ class ProgramStore:
         Content-addressed writes are idempotent: when a valid entry
         with the same calibration epoch already exists the write is
         skipped (``save_skips``), while a stale entry, or one a load
-        rejected as damaged, is overwritten atomically.
+        rejected as damaged, is overwritten atomically.  A write that
+        fails raises :class:`~repro.errors.ProgramStoreError`.
         """
         kind, epoch, state = self._disassemble(program)
         digest = self.digest(key, fingerprint)
@@ -257,18 +272,23 @@ class ProgramStore:
         an entry persisted under any other epoch raises
         :class:`~repro.errors.StaleProgramError`.  ``drift_state``
         rebinds restored engines to the requesting core's live drift
-        trajectory.  Damaged entries raise
-        :class:`~repro.errors.CorruptProgramError`, and the next
-        :meth:`save` of the digest overwrites them.
+        trajectory.  Damaged entries, and entries that exist but cannot
+        be read, raise :class:`~repro.errors.CorruptProgramError`, and
+        the next :meth:`save` of the digest overwrites them.
         """
         digest = self.digest(key, fingerprint)
         try:
-            with open(self._entry_path(digest), "rb") as file:
-                raw = file.read()
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        try:
+            try:
+                with open(self._entry_path(digest), "rb") as file:
+                    raw = file.read()
+            except FileNotFoundError:
+                self.misses += 1
+                return None
+            except OSError as error:
+                raise CorruptProgramError(
+                    f"store entry {digest}.bin cannot be read: {error}; "
+                    f"delete the entry and recompile"
+                ) from error
             header, offset = self._read_header(raw, digest)
             if header["calibration_epoch"] != int(epoch):
                 self.stale_rejects += 1

@@ -75,14 +75,15 @@ class ProgramStoreError(ReproError):
     Base class for every failure mode of
     :class:`repro.elastic.ProgramStore`: callers that warm-start
     opportunistically catch this one type and fall back to a cold
-    compile, while tests can assert the precise subclass.
+    compile, while tests can assert the precise subclass.  A store
+    file the file system refuses to write raises this type itself.
     """
 
 
 class CorruptProgramError(ProgramStoreError, ValueError):
     """A store entry is damaged or inconsistent (checksum mismatch,
     unparsable header, missing arrays, digest mismatch, unknown format
-    version).
+    version), or exists but cannot be read.
 
     Doubles as a :class:`ValueError` (the persisted *value* is the
     problem) while staying catchable via the package-wide

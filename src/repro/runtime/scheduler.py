@@ -130,10 +130,8 @@ class WeightProgramCache:
         #: payload) — each one fell back to a cold compile.
         self.store_rejects = 0
         self._store = None
+        self._store_core: PhotonicTensorCore | None = None
         self._store_fingerprint: str | None = None
-        self._store_technology = None
-        self._store_epoch = None
-        self._store_drift = None
 
     def __len__(self) -> int:
         return len(self._programs)
@@ -186,9 +184,10 @@ class WeightProgramCache:
         if self._store is not None:
             try:
                 self._store.save(key, program, fingerprint=self._store_fingerprint)
-            except ConfigurationError:
+            except (ConfigurationError, ProgramStoreError):
                 # A value kind the store does not persist (the cache is
-                # generic); keep it hot-tier only.
+                # generic), or an entry it cannot write; keep it
+                # hot-tier only.
                 pass
         return self._insert(key, program)
 
@@ -205,30 +204,23 @@ class WeightProgramCache:
 
     # -- persistence tier ----------------------------------------------------
     def attach_store(
-        self,
-        store,
-        *,
-        fingerprint: str,
-        technology,
-        epoch_source,
-        drift_source=None,
+        self, store, core: PhotonicTensorCore, fingerprint: str
     ) -> None:
         """Back this cache with a :class:`repro.elastic.ProgramStore`.
 
-        ``fingerprint`` identifies the compiling core (:func:`repro.
-        elastic.core_fingerprint`); ``epoch_source`` is a zero-argument
-        callable yielding the core's *current* calibration epoch at
-        read-back time (entries from other epochs are rejected and
-        recompiled); ``drift_source`` likewise yields the live
-        :class:`~repro.health.DriftState` restored engines rebind to.
-        Once attached, :meth:`put` writes through and
-        :meth:`read_back` restores misses.
+        ``core`` is the core the cached programs compile on, and
+        ``fingerprint`` its :func:`repro.elastic.core_fingerprint`
+        (computed once by the caller).  :meth:`read_back` reads the
+        core at restore time: its technology, its live
+        :class:`~repro.health.DriftState` (restored engines rebind to
+        it) and its *current* calibration epoch (entries from other
+        epochs are rejected and recompiled).  Once attached,
+        :meth:`put` writes through and :meth:`read_back` restores
+        misses.
         """
         self._store = store
+        self._store_core = core
         self._store_fingerprint = fingerprint
-        self._store_technology = technology
-        self._store_epoch = epoch_source
-        self._store_drift = drift_source
 
     @property
     def store(self):
@@ -247,13 +239,14 @@ class WeightProgramCache:
         """
         if self._store is None:
             return None
-        drift = self._store_drift() if self._store_drift is not None else None
+        core = self._store_core
+        drift = core.drift_state
         try:
             program = self._store.load(
                 key,
                 fingerprint=self._store_fingerprint,
-                epoch=self._store_epoch() if self._store_epoch is not None else 0,
-                technology=self._store_technology,
+                epoch=drift.epoch if drift is not None and drift.active else 0,
+                technology=core.technology,
                 drift_state=drift,
             )
         except ProgramStoreError:
@@ -317,8 +310,9 @@ class SchedulerStats:
     #: active grid burning its tile count times one tile's power).
     analog_time: float = 0.0
     analog_energy: float = 0.0
-    #: Requests shed at flush because their batch's modelled completion
-    #: time fell past their ``deadline=``.
+    #: Requests shed for their ``deadline=``: at submit, already
+    #: expired (the owning session counts these here), and at flush,
+    #: when their batch's modelled completion time fell past it.
     deadline_misses: int = 0
 
     @property

@@ -15,8 +15,12 @@ serving benches from point estimates into auditable distributions:
 * :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` families; histograms use fixed log-spaced bins
   with p50/p95/p99/p999 quantile queries and merge bin-for-bin across
-  cores.  :attr:`repro.api.RunReport.latency_quantiles` and
-  :attr:`repro.api.ClusterReport.latency_quantiles` are fed from here.
+  cores.  :func:`merged_latency_quantiles` and
+  :func:`merged_tenant_quantiles` are the one rollup of a set of
+  bindings' histograms: :attr:`repro.api.RunReport.latency_quantiles`
+  is their one-binding case, :attr:`repro.api.ClusterReport.
+  latency_quantiles` and the traffic engine's per-tenant summary the
+  fleet's.
 * :func:`wall_clock` — the one sanctioned host-clock accessor; the
   ``modelled-clock-purity`` lint rule forbids ``time.*`` reads
   anywhere else in the stack.
@@ -29,6 +33,7 @@ from .binding import (
     QUEUE_WAIT_HISTOGRAM,
     SERVICE_TIME_HISTOGRAM,
     Telemetry,
+    merged_latency_quantiles,
     merged_tenant_quantiles,
     tenant_histogram_name,
 )
@@ -58,6 +63,7 @@ __all__ = [
     "Telemetry",
     "TraceEvent",
     "TraceRecorder",
+    "merged_latency_quantiles",
     "merged_tenant_quantiles",
     "quantiles_from_samples",
     "tenant_histogram_name",

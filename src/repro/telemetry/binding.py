@@ -39,6 +39,29 @@ def tenant_histogram_name(base: str, tenant: str) -> str:
     return f"{base}/{tenant}"
 
 
+def merged_latency_quantiles(bindings: Sequence[Telemetry]) -> dict | None:
+    """Cumulative queue-wait / end-to-end latency merged bin-for-bin
+    across bindings (quantiles are not additive, so the rollup happens
+    at the histogram level, :meth:`Histogram.merged`).  Returns
+    ``{"queue_wait": summary, "end_to_end": summary}``, or None when no
+    binding resolved a request — the shape behind
+    :attr:`repro.api.RunReport.latency_quantiles` (one binding) and
+    :attr:`repro.api.ClusterReport.latency_quantiles` (every core's).
+    """
+    e2e = Histogram.merged(
+        [binding.metrics.histogram(END_TO_END_HISTOGRAM) for binding in bindings],
+        name=END_TO_END_HISTOGRAM,
+    )
+    summary = e2e.summary() if e2e is not None else None
+    if summary is None:
+        return None
+    wait = Histogram.merged(
+        [binding.metrics.histogram(QUEUE_WAIT_HISTOGRAM) for binding in bindings],
+        name=QUEUE_WAIT_HISTOGRAM,
+    )
+    return {"queue_wait": wait.summary(), "end_to_end": summary}
+
+
 def merged_tenant_quantiles(
     bindings: Sequence[Telemetry],
 ) -> dict | None:
@@ -232,15 +255,7 @@ class Telemetry:
         """The cumulative latency quantile summary (histogram-derived),
         in the same shape as a flush window's; None before any request
         resolved."""
-        e2e = self.metrics.histogram(END_TO_END_HISTOGRAM).summary()
-        if e2e is None:
-            return None
-        return {
-            "queue_wait": self.metrics.histogram(
-                QUEUE_WAIT_HISTOGRAM
-            ).summary(),
-            "end_to_end": e2e,
-        }
+        return merged_latency_quantiles([self])
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,10 @@ from repro.api import (
     RunReport,
 )
 from repro.api.routing import HashRing
+from repro.elastic import ProgramStore
 from repro.errors import ClusterSaturatedError, ConfigurationError
+from repro.obs import Observer
+from repro.telemetry import MetricsRegistry, TraceRecorder
 from repro.traffic import synthetic_trace
 
 
@@ -744,3 +747,73 @@ class TestMalformedWeights:
         door = front_door(tech, "cache_affinity")
         with pytest.raises(ConfigurationError, match=r"got range \[-1e\+30, 3.0\]"):
             door.submit(np.where(np.eye(4, 6) > 0, -1e30, 3.0), np.zeros(6))
+
+
+class TestFleetTransitions:
+    def test_every_transition_reaches_every_sink_in_order(self, tech, tmp_path):
+        """A shed, a maintenance drain and restore, a plain add_core,
+        then scale_down, scale_up (unpark) and scale_up (grow): each
+        lands on the fleet trace track, the observer and the fleet
+        registry with its exact name, time and arguments.  A scale
+        change narrates its inner drain/restore/add_core on the trace
+        only; the observer sees the scale event alone."""
+        recorder = TraceRecorder()
+        observer = Observer(rules=[])
+        cluster = PhotonicCluster(
+            cores=2, technology=tech, grid=(4, 6), max_pending=1,
+            trace=recorder, metrics=MetricsRegistry(), obs=observer,
+            program_store=ProgramStore(tmp_path / "store"),
+        )
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 8, (4, 6))
+        cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
+        with pytest.raises(ClusterSaturatedError):
+            cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
+        cluster.drain(0)             # flushes core 0's request first
+        served_at = cluster.sessions[0].scheduler.clock.now
+        assert served_at > 0.0
+        cluster.restore(0)
+        assert cluster.add_core() == 2
+        assert cluster.scale_down() == 2
+        assert cluster.scale_up() == 2          # unparks core 2
+        assert cluster.scale_up() == 3          # grows core 3
+
+        instants = [(event.name, event.start_s, event.args)
+                    for event in recorder.events_in("fleet")]
+        assert instants == [
+            ("shed", 0.0, {"pending": 1, "max_pending": 1}),
+            ("drain core 0", served_at, {"core": 0}),
+            ("restore core 0", served_at, {"core": 0}),
+            ("add core 2", served_at,
+             {"core": 2, "spec": "default", "warm": True, "active": 3}),
+            ("drain core 2", served_at, {"core": 2}),
+            ("scale down core 2", served_at, {"core": 2, "active": 2}),
+            ("restore core 2", served_at, {"core": 2}),
+            ("scale up core 2", served_at,
+             {"core": 2, "warm_start": "unparked", "active": 3}),
+            ("add core 3", served_at,
+             {"core": 3, "spec": "default", "warm": True, "active": 4}),
+            ("scale up core 3", served_at,
+             {"core": 3, "warm_start": "store", "active": 4}),
+        ]
+        events = [(event.at, event.kind, event.args) for event in observer._events]
+        assert events == [
+            (0.0, "shed", {"pending": 1, "max_pending": 1}),
+            (served_at, "drain", {"core": 0}),
+            (served_at, "restore", {"core": 0}),
+            (served_at, "add_core", {"core": 2, "active": 3}),
+            (served_at, "scale_down", {"core": 2, "active": 2}),
+            (served_at, "scale_up",
+             {"core": 2, "warm_start": "unparked", "active": 3}),
+            (served_at, "scale_up",
+             {"core": 3, "warm_start": "store", "active": 4}),
+        ]
+        metrics = cluster.telemetry.metrics
+        counters = {name: metrics.counter(name).value
+                    for name in ("shed", "routed", "drains", "scale_ups", "scale_downs")}
+        assert counters == {"shed": 1, "routed": 1, "drains": 2,
+                            "scale_ups": 2, "scale_downs": 1}
+        assert metrics.gauge("active_cores").value == 4
+        report = cluster.report()
+        assert (report.shed, report.drains, report.scale_ups,
+                report.scale_downs) == (1, 2, 2, 1)

@@ -38,11 +38,12 @@ class TestSessionConstruction:
         assert session.rows == 4 and session.columns == 6
         assert session.core.rows == 4
 
-    def test_grid_and_rows_are_exclusive(self, tech):
-        with pytest.raises(ConfigurationError, match="not both"):
-            PhotonicSession(technology=tech, grid=(4, 6), rows=4)
-        with pytest.raises(ConfigurationError, match="pair"):
-            PhotonicSession(technology=tech, grid=4)
+    def test_grid_must_be_a_pair(self, tech):
+        # The session and the cluster share one grid= parser.
+        for front_door in (PhotonicSession, PhotonicCluster):
+            for grid in (4, (4,), (4, 6, 8), ("four", 6)):
+                with pytest.raises(ConfigurationError, match="pair"):
+                    front_door(technology=tech, grid=grid)
 
     def test_default_policy_is_explicit(self, session):
         assert session.flush_policy.describe() == "explicit"

@@ -303,6 +303,31 @@ class TestProgramStoreRejections:
         assert store.corrupt_rejects == 1
         assert store.restores == 1
 
+    def test_entry_that_cannot_be_opened_falls_back_to_compile(self, tech, store):
+        """Regression: only a missing entry read as a miss, so an entry
+        the store cannot open (a directory in its place) raised
+        ``IsADirectoryError`` from every flush that needed the program,
+        and the compile's write-through then failed on it as well.  A
+        directory, not file modes: a superuser reads a mode-000 file."""
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 8, GRID)
+        x = rng.random(GRID[1])
+        session, key, fingerprint = self.populate(tech, store)
+        expected = session.submit(weights, x).result()
+        path, _, _ = self.entry(store, key, fingerprint)
+        path.unlink()
+        path.mkdir()
+        for loads in (1, 2):
+            fresh = fresh_session(tech, store)
+            assert np.array_equal(expected, fresh.submit(weights, x).result())
+            assert store.corrupt_rejects == loads
+            assert store.write_failures == loads
+            # The compiled program stays in the LRU, so a repeat hits it.
+            assert np.array_equal(expected, fresh.submit(weights, x).result())
+            assert fresh.scheduler.cache.hits == 1
+        assert path.is_dir()
+        assert [entry.name for entry in store.root.iterdir()] == [path.name]
+
     def test_restored_program_is_not_written_back(self, tech, store):
         """Regression: every restore passed the program back to
         ``save``, which rebuilt its state and re-read the manifest only
@@ -577,6 +602,21 @@ class TestElasticCluster:
         assert all(np.array_equal(futures[0].result(), f.result())
                    for f in futures[1:])
         assert expected.shape == futures[0].result().shape
+
+    def test_core_spec_overrides_one_dimension(self, tech):
+        """A slot naming only rows or columns keeps the cluster's other
+        dimension: its grid=, or the technology's default tile."""
+        specs = [None, CoreSpec(rows=8), CoreSpec(columns=9)]
+        default = (tech.tensor.rows, tech.tensor.columns)
+        for grid, expected in (
+            (GRID, [GRID, (8, GRID[1]), (GRID[0], 9)]),
+            (None, [default, (8, default[1]), (default[0], 9)]),
+        ):
+            cluster = PhotonicCluster(cores=3, technology=tech, grid=grid,
+                                      core_specs=specs)
+            cluster.add_core(CoreSpec(rows=2))
+            expected.append((2, expected[0][1]))
+            assert [(s.rows, s.columns) for s in cluster.sessions] == expected
 
     def test_heterogeneous_capability_routing(self, tech):
         rng = np.random.default_rng(17)

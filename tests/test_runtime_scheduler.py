@@ -22,7 +22,7 @@ def scheduler(tech):
 
 @pytest.fixture()
 def session(tech):
-    return PhotonicSession(rows=4, columns=6, technology=tech, cache_capacity=2,
+    return PhotonicSession(grid=(4, 6), technology=tech, cache_capacity=2,
                            max_batch=8, flush_policy=FlushPolicy.explicit())
 
 

@@ -12,7 +12,7 @@ from repro.ml.convolution import PhotonicConv2d
 
 @pytest.fixture()
 def session(tech):
-    return PhotonicSession(rows=4, columns=6, technology=tech,
+    return PhotonicSession(grid=(4, 6), technology=tech,
                            cache_capacity=4, max_batch=16,
                            flush_policy=FlushPolicy.explicit())
 
@@ -188,7 +188,7 @@ def test_submit_validation(session):
 class TestConvRoute:
     @pytest.fixture()
     def conv_session(self, tech):
-        return PhotonicSession(rows=4, columns=9, technology=tech,
+        return PhotonicSession(grid=(4, 9), technology=tech,
                                flush_policy=FlushPolicy.explicit())
 
     def test_conv_route_matches_runtime_conv_layer(self, conv_session, tech):

@@ -399,14 +399,12 @@ class TestModelledClockPolicies:
         clock.now = 2.0
         assert session.poll() == 1 and session.pending == 0
 
-    def test_callable_clock_source(self, request_pair):
-        weights, x = request_pair
-        t = [0.0]
-        session = make_session(FlushPolicy.max_delay(0.5), clock=lambda: t[0])
-        session.submit(weights, x)
-        assert session.poll() == 0
-        t[0] = 1.0
-        assert session.poll() == 1
+    def test_clock_must_be_a_model_clock(self):
+        # A callable is no time source: inject a ModelClock and advance it.
+        for front_door in (PhotonicSession, PhotonicCluster):
+            for clock in (lambda: 0.0, 0.0):
+                with pytest.raises(ConfigurationError, match="ModelClock"):
+                    front_door(grid=GRID, clock=clock)
 
     def test_oldest_pending_at_reads_the_injected_clock(self, request_pair):
         weights, x = request_pair
