@@ -701,8 +701,9 @@ class PhotonicCluster:
                 metrics.counter(counter).inc()
             if active:
                 metrics.gauge("active_cores").set(len(self.active_cores))
-            tel.clock.now = self._fleet_now()
-            tel.instant(name, "fleet", args)
+            if tel.trace is not None:
+                tel.clock.now = self._fleet_now()
+                tel.instant(name, "fleet", args)
         obs = self.obs
         if obs is not None and kind is not None and not self._in_scale_change:
             obs.note_event(

@@ -21,7 +21,7 @@ formatting.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -88,8 +88,12 @@ class RunReport(ReportExport):
     #: ``{"count", "mean", "max", "p50", "p95", "p99", "p999"}``
     #: summary in seconds — populated only when the session carries a
     #: :class:`repro.telemetry.Telemetry` binding (None otherwise, so
-    #: uninstrumented reports stay bit-for-bit identical).
-    latency_quantiles: dict | None = None
+    #: uninstrumented reports stay bit-for-bit identical).  A flush's
+    #: summaries are exact over its window and computed on first read
+    #: (a :class:`~repro.telemetry.metrics.WindowQuantiles` mapping,
+    #: equal to the eager dict and exported like it); a cumulative
+    #: session report's are histogram-derived, a plain dict.
+    latency_quantiles: Mapping | None = None
     #: The same latency split per request label —
     #: ``{tenant: {"queue_wait": {...}, "service": {...}}}`` — again
     #: only with a telemetry binding attached (None otherwise).  Like

@@ -871,16 +871,17 @@ class PhotonicSession:
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("recalibrations").inc()
-            tel.span(
-                "recalibrate",
-                "health",
-                retrim_start,
-                retrim_time,
-                args={
-                    "epoch": self.drift.epoch + 1,
-                    "ladder_conversions": conversions,
-                },
-            )
+            if tel.trace is not None:
+                tel.span(
+                    "recalibrate",
+                    "health",
+                    retrim_start,
+                    retrim_time,
+                    args={
+                        "epoch": self.drift.epoch + 1,
+                        "ladder_conversions": conversions,
+                    },
+                )
             obs = self.obs
             if obs is not None:
                 obs.note_event(
@@ -1013,21 +1014,6 @@ class PhotonicSession:
             self._earliest_deadline = deadline_at
         self._after_submit()
 
-    # -- telemetry -----------------------------------------------------------
-    def _note_resolved(self, future: Future, resolved_at: float | None) -> None:
-        """Add one resolved request's modelled queue-wait and
-        end-to-end latency to the open flush window (telemetry only;
-        the uninstrumented path never calls into telemetry)."""
-        tel = self.telemetry
-        if tel is None:
-            return
-        if future._submitted_at is not None:
-            tel.record_request(
-                self._flush_started - future._submitted_at,
-                resolved_at - future._submitted_at,
-                label=future._tenant,
-            )
-
     # -- flush ---------------------------------------------------------------
     def _deadline_slack(self) -> float | None:
         """Seconds until the most urgent pending deadline expires, on
@@ -1129,13 +1115,10 @@ class PhotonicSession:
                     future._abandon()
                 elif future._error is None:
                     served.append(future)
-            if tel is not None:
-                for future in served:
-                    self._note_resolved(future, future._resolved_at)
             self._oldest_pending = None
             self._earliest_deadline = None
             self._flushes += 1
-            report = self._delta_report()
+            report = self._delta_report(served)
             for future in served:
                 future._attach_report(report)
         if tel is not None:
@@ -1203,15 +1186,25 @@ class PhotonicSession:
             "calibration_energy": self._calibration_energy,
         }
 
-    def _delta_report(self) -> RunReport:
+    def _delta_report(self, served: list[Future]) -> RunReport:
+        """The flush's :class:`RunReport`; with telemetry attached, its
+        served window goes to the binding as columns, once: queue wait
+        (flush start minus submit stamp), end-to-end latency (resolve
+        minus submit stamp) and tenant labels."""
         totals = self._totals()
         delta = {
             key: totals[key] - self._last_totals[key] for key in totals
         }
         self._last_totals = totals
-        quantiles = (
-            self.telemetry.drain_window() if self.telemetry is not None else None
-        )
+        quantiles = None
+        if self.telemetry is not None:
+            submitted = np.array([f._submitted_at for f in served], dtype=float)
+            resolved = np.array([f._resolved_at for f in served], dtype=float)
+            quantiles = self.telemetry.drain_window(
+                self._flush_started - submitted,
+                resolved - submitted,
+                [f._tenant for f in served],
+            )
         return RunReport(
             flush_index=self._flushes, latency_quantiles=quantiles, **delta
         )

@@ -209,8 +209,9 @@ class ProgramStore:
             raise
 
     def __len__(self) -> int:
-        """Persisted program entries (``.bin`` file count)."""
-        return sum(1 for _ in self.root.glob("*.bin"))
+        """Persisted program entries: regular ``.bin`` files (a
+        directory in an entry's place is not one)."""
+        return sum(1 for path in self.root.glob("*.bin") if path.is_file())
 
     def contains(self, key: bytes, fingerprint: str) -> bool:
         """Whether an entry exists (without validating it)."""
@@ -501,7 +502,9 @@ class ProgramStore:
         return (
             f"ProgramStore({self.root}, entries={len(self)}, "
             f"saves={self.saves}, restores={self.restores}, "
-            f"stale={self.stale_rejects}, corrupt={self.corrupt_rejects})"
+            f"misses={self.misses}, stale={self.stale_rejects}, "
+            f"corrupt={self.corrupt_rejects}, "
+            f"write_failures={self.write_failures})"
         )
 
     def __repr__(self) -> str:

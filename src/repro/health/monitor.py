@@ -216,7 +216,7 @@ class HealthMonitor:
         stream_start = clock.now
         clock.advance(stream_time)
         tel = session.telemetry
-        if tel is not None:
+        if tel is not None and tel.trace is not None:
             tel.span(
                 "compile probes",
                 "health",
@@ -274,21 +274,22 @@ class HealthMonitor:
         tel = session.telemetry
         if tel is not None:
             tel.metrics.counter("probe_runs").inc()
-            blame = (
-                max(attribution, key=attribution.get) if errors else None
-            )
-            tel.span(
-                "probe check",
-                "health",
-                probe_start,
-                probe_time,
-                args={
-                    "probes": self.probes,
-                    "code_errors": errors,
-                    "code_error_rate": errors / total,
-                    "blame": blame,
-                },
-            )
+            if tel.trace is not None:
+                blame = (
+                    max(attribution, key=attribution.get) if errors else None
+                )
+                tel.span(
+                    "probe check",
+                    "health",
+                    probe_start,
+                    probe_time,
+                    args={
+                        "probes": self.probes,
+                        "code_errors": errors,
+                        "code_error_rate": errors / total,
+                        "blame": blame,
+                    },
+                )
 
         return HealthReport(
             flush_index=session.flushes,

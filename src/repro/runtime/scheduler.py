@@ -547,7 +547,8 @@ class BatchScheduler:
             stats.weight_time_saved += program.weight_update_time
             if tel is not None:
                 tel.metrics.counter("cache_hits").inc()
-                tel.instant("cache_hit", "cache", args={"program": key[:12].hex()})
+                if tel.trace is not None:
+                    tel.instant("cache_hit", "cache", args={"program": key[:12].hex()})
             return program
         stats.cache_misses += 1
         program = cache.read_back(key)
@@ -567,17 +568,18 @@ class BatchScheduler:
             tel.metrics.counter("cache_misses").inc()
             if restored:
                 tel.metrics.counter("warm_starts").inc()
-            tel.span(
-                f"{'warm start' if restored else 'compile'} {kind}",
-                "fleet" if restored else "compile",
-                start,
-                load_time,
-                args={
-                    "program": key[:12].hex(),
-                    "tiles": program.tile_count,
-                    "load_energy_pj": program.weight_update_energy * 1e12,
-                },
-            )
+            if tel.trace is not None:
+                tel.span(
+                    f"{'warm start' if restored else 'compile'} {kind}",
+                    "fleet" if restored else "compile",
+                    start,
+                    load_time,
+                    args={
+                        "program": key[:12].hex(),
+                        "tiles": program.tile_count,
+                        "load_energy_pj": program.weight_update_energy * 1e12,
+                    },
+                )
         return program
 
     def _shed(self, handles: list, seconds: float) -> list[int] | None:
@@ -705,19 +707,20 @@ class BatchScheduler:
             tel.metrics.histogram(
                 "batch_size", lo=1.0, hi=1e6, per_decade=16
             ).observe(float(columns))
-            tel.span(
-                f"{kind} batch x{columns}",
-                "batch",
-                start,
-                clock.now - start,
-                args={
-                    "program": key[:12].hex(),
-                    "columns": columns,
-                    "passes": program.passes,
-                    "tiles": program.tile_count,
-                    "gain": gain,
-                },
-            )
+            if tel.trace is not None:
+                tel.span(
+                    f"{kind} batch x{columns}",
+                    "batch",
+                    start,
+                    clock.now - start,
+                    args={
+                        "program": key[:12].hex(),
+                        "columns": columns,
+                        "passes": program.passes,
+                        "tiles": program.tile_count,
+                        "gain": gain,
+                    },
+                )
         return len(handles)
 
     def stats(self) -> SchedulerStats:

@@ -15,7 +15,11 @@ serving benches from point estimates into auditable distributions:
 * :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` families; histograms use fixed log-spaced bins
   with p50/p95/p99/p999 quantile queries and merge bin-for-bin across
-  cores.  :func:`merged_latency_quantiles` and
+  cores.  A flush records its served window once, as columns
+  (:meth:`Telemetry.drain_window`): one vectorized pass per
+  distribution feeds the cumulative and per-tenant histograms, and
+  the window's exact quantiles are computed on first read.
+  :func:`merged_latency_quantiles` and
   :func:`merged_tenant_quantiles` are the one rollup of a set of
   bindings' histograms: :attr:`repro.api.RunReport.latency_quantiles`
   is their one-binding case, :attr:`repro.api.ClusterReport.

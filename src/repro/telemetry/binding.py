@@ -5,24 +5,33 @@ state: the :class:`~repro.telemetry.ModelClock` its timestamps read
 (the session it is attached to makes this clock its one service clock,
 ``BatchScheduler.clock``, so the binding reads the session's timeline
 rather than keeping a second one), the (optional, shared)
-:class:`~repro.telemetry.TraceRecorder` its spans land in, the
+:class:`~repro.telemetry.TraceRecorder` its spans land in, and the
 :class:`~repro.telemetry.MetricsRegistry` its counters and latency
-histograms feed, and the per-flush latency window behind
-:attr:`~repro.api.futures.RunReport.latency_quantiles`.
+histograms feed.  A flush hands its served window over once, as
+columns (:meth:`Telemetry.drain_window`): one vectorized pass bins it
+into the cumulative and per-tenant histograms, and the window's exact
+quantiles behind :attr:`~repro.api.futures.RunReport.latency_quantiles`
+are computed only when something reads them.
 
 The binding is the *only* telemetry object the hot path ever touches,
 and only behind a single ``is not None`` check — a session constructed
 without ``trace=``/``metrics=`` holds ``telemetry = None`` and makes
 zero telemetry calls; its service clock advances exactly as an
 attached one's, so attaching telemetry changes no served result.
+Span and instant names and arguments are built only behind a second
+check, ``telemetry.trace is not None``: ``metrics=`` alone fills the
+counters and histograms and makes no span call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
+from ..errors import ConfigurationError
 from .clock import ModelClock
-from .metrics import Histogram, MetricsRegistry, quantiles_from_samples
+from .metrics import Histogram, MetricsRegistry, WindowQuantiles
 from .trace import TraceRecorder
 
 #: Histogram names of the two per-request latency distributions.
@@ -39,26 +48,38 @@ def tenant_histogram_name(base: str, tenant: str) -> str:
     return f"{base}/{tenant}"
 
 
+def _clamped(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``max(value, 0.0)`` per element, as a float array: a negative
+    becomes 0.0, while -0.0 and NaN pass through as they are."""
+    values = np.asarray(values, dtype=float)
+    return np.where(values < 0.0, 0.0, values)
+
+
+def _rolled_up(bindings: Sequence[Telemetry], name: str) -> Histogram | None:
+    """Histogram ``name`` over ``bindings``: one binding's own (made
+    on first use, like every registry lookup), else a merged copy."""
+    if len(bindings) == 1:
+        return bindings[0].metrics.histogram(name)
+    return Histogram.merged(
+        [binding.metrics.histogram(name) for binding in bindings], name=name
+    )
+
+
 def merged_latency_quantiles(bindings: Sequence[Telemetry]) -> dict | None:
     """Cumulative queue-wait / end-to-end latency merged bin-for-bin
     across bindings (quantiles are not additive, so the rollup happens
-    at the histogram level, :meth:`Histogram.merged`).  Returns
-    ``{"queue_wait": summary, "end_to_end": summary}``, or None when no
-    binding resolved a request — the shape behind
-    :attr:`repro.api.RunReport.latency_quantiles` (one binding) and
-    :attr:`repro.api.ClusterReport.latency_quantiles` (every core's).
+    at the histogram level, :meth:`Histogram.merged`; one binding
+    summarises its own histograms).  Returns ``{"queue_wait": summary,
+    "end_to_end": summary}``, or None when no binding resolved a
+    request — the shape behind :attr:`repro.api.RunReport.
+    latency_quantiles` (one binding) and :attr:`repro.api.ClusterReport.
+    latency_quantiles` (every core's).
     """
-    e2e = Histogram.merged(
-        [binding.metrics.histogram(END_TO_END_HISTOGRAM) for binding in bindings],
-        name=END_TO_END_HISTOGRAM,
-    )
+    e2e = _rolled_up(bindings, END_TO_END_HISTOGRAM)
     summary = e2e.summary() if e2e is not None else None
     if summary is None:
         return None
-    wait = Histogram.merged(
-        [binding.metrics.histogram(QUEUE_WAIT_HISTOGRAM) for binding in bindings],
-        name=QUEUE_WAIT_HISTOGRAM,
-    )
+    wait = _rolled_up(bindings, QUEUE_WAIT_HISTOGRAM)
     return {"queue_wait": wait.summary(), "end_to_end": summary}
 
 
@@ -69,10 +90,10 @@ def merged_tenant_quantiles(
 
     Quantiles are not additive, so the per-core → fleet rollup happens
     at the histogram level: every binding's per-tenant queue-wait /
-    service-time histograms merge (:meth:`Histogram.merged`) before
-    summarizing.  Returns ``{tenant: {"queue_wait": summary,
-    "service": summary}}``, or None when no labelled request resolved
-    anywhere — the shape behind
+    service-time histograms merge (:meth:`Histogram.merged`; one
+    binding summarises its own) before summarizing.  Returns
+    ``{tenant: {"queue_wait": summary, "service": summary}}``, or
+    None when no labelled request resolved anywhere — the shape behind
     :attr:`repro.api.RunReport.tenant_quantiles`,
     :attr:`repro.api.ClusterReport.tenant_quantiles` and the traffic
     engine's ``"tenants"`` summary entry.
@@ -87,23 +108,11 @@ def merged_tenant_quantiles(
         return None
     merged: dict[str, dict] = {}
     for tenant in sorted(tenants):
-        wait = Histogram.merged(
-            [
-                binding.metrics.histogram(
-                    tenant_histogram_name(QUEUE_WAIT_HISTOGRAM, tenant)
-                )
-                for binding in bindings
-            ],
-            name=tenant_histogram_name(QUEUE_WAIT_HISTOGRAM, tenant),
+        wait = _rolled_up(
+            bindings, tenant_histogram_name(QUEUE_WAIT_HISTOGRAM, tenant)
         )
-        service = Histogram.merged(
-            [
-                binding.metrics.histogram(
-                    tenant_histogram_name(SERVICE_TIME_HISTOGRAM, tenant)
-                )
-                for binding in bindings
-            ],
-            name=tenant_histogram_name(SERVICE_TIME_HISTOGRAM, tenant),
+        service = _rolled_up(
+            bindings, tenant_histogram_name(SERVICE_TIME_HISTOGRAM, tenant)
         )
         merged[tenant] = {
             "queue_wait": wait.summary() if wait is not None else None,
@@ -146,14 +155,6 @@ class Telemetry:
             # submit time (before the flush span opens), so stacking
             # them on the core track would render as malformed nesting.
             self.tid_requests = trace.thread(self.pid, f"{track} requests")
-        #: Per-flush latency window [s]; drained into the histograms
-        #: and the flush's ``latency_quantiles`` by :meth:`drain_window`.
-        self._window_wait: list[float] = []
-        self._window_e2e: list[float] = []
-        #: Per-tenant window split: label -> (queue waits, service
-        #: times); drained into per-tenant histograms alongside the
-        #: fleet-wide ones.
-        self._window_tenants: dict[str, tuple[list[float], list[float]]] = {}
 
     # -- span / instant emission (no-ops without a recorder) -----------------
     def span(
@@ -197,52 +198,63 @@ class Telemetry:
                 args,
             )
 
-    # -- per-request latency window ------------------------------------------
+    # -- per-flush latency window --------------------------------------------
+    def drain_window(
+        self,
+        queue_waits: Sequence[float] | np.ndarray,
+        end_to_ends: Sequence[float] | np.ndarray,
+        tenants: Sequence[str | None] | None = None,
+    ) -> WindowQuantiles | None:
+        """Record one flush window of resolved requests in one pass.
+
+        The columns hold each request's modelled queue wait and
+        end-to-end latency [s], negative-clamped (a request submitted
+        mid-flush never waited), and optionally its tenant label (None
+        for an unlabelled request).  The cumulative queue-wait and
+        end-to-end histograms take the whole window; each label's
+        queue-wait and service-time (end-to-end minus queue wait)
+        histograms take its rows.  Returns the window's exact quantile
+        summary, ``{"queue_wait": summary, "end_to_end": summary}``,
+        computed on first read; None for an empty window (a flush that
+        resolved nothing reports no quantiles).
+        """
+        waits = _clamped(queue_waits)
+        e2es = _clamped(end_to_ends)
+        if e2es.shape != waits.shape or (
+            tenants is not None and len(tenants) != waits.size
+        ):
+            raise ConfigurationError(
+                "a latency window's columns must have one entry per request"
+            )
+        if waits.size == 0:
+            return None
+        metrics = self.metrics
+        metrics.histogram(QUEUE_WAIT_HISTOGRAM).observe_many(waits)
+        metrics.histogram(END_TO_END_HISTOGRAM).observe_many(e2es)
+        labels = dict.fromkeys(tenants) if tenants is not None else {}
+        labels.pop(None, None)
+        if labels:
+            services = _clamped(e2es - waits)
+            column = np.asarray(tenants, dtype=object)
+            for label in labels:
+                rows = column == label
+                metrics.histogram(
+                    tenant_histogram_name(QUEUE_WAIT_HISTOGRAM, label)
+                ).observe_many(waits[rows])
+                metrics.histogram(
+                    tenant_histogram_name(SERVICE_TIME_HISTOGRAM, label)
+                ).observe_many(services[rows])
+        return WindowQuantiles({"queue_wait": waits, "end_to_end": e2es})
+
     def record_request(
         self,
         queue_wait_s: float,
         end_to_end_s: float,
         label: str | None = None,
-    ) -> None:
-        """Add one resolved request's modelled latencies to the current
-        flush window (negative-clamped: a request submitted mid-flush
-        never waited).  ``label`` additionally splits the request into
-        that tenant's queue-wait / service-time histograms."""
-        wait = max(queue_wait_s, 0.0)
-        e2e = max(end_to_end_s, 0.0)
-        self._window_wait.append(wait)
-        self._window_e2e.append(e2e)
-        if label is not None:
-            bucket = self._window_tenants.get(label)
-            if bucket is None:
-                bucket = ([], [])
-                self._window_tenants[label] = bucket
-            bucket[0].append(wait)
-            bucket[1].append(max(e2e - wait, 0.0))
-
-    def drain_window(self) -> dict | None:
-        """Close the flush window: feed the cumulative histograms and
-        return the window's exact quantile summary (None for an empty
-        window — a flush that resolved nothing reports no quantiles)."""
-        if not self._window_e2e:
-            return None
-        waits, e2es = self._window_wait, self._window_e2e
-        self._window_wait, self._window_e2e = [], []
-        self.metrics.histogram(QUEUE_WAIT_HISTOGRAM).observe_many(waits)
-        self.metrics.histogram(END_TO_END_HISTOGRAM).observe_many(e2es)
-        if self._window_tenants:
-            tenants, self._window_tenants = self._window_tenants, {}
-            for label, (tenant_waits, tenant_services) in tenants.items():
-                self.metrics.histogram(
-                    tenant_histogram_name(QUEUE_WAIT_HISTOGRAM, label)
-                ).observe_many(tenant_waits)
-                self.metrics.histogram(
-                    tenant_histogram_name(SERVICE_TIME_HISTOGRAM, label)
-                ).observe_many(tenant_services)
-        return {
-            "queue_wait": quantiles_from_samples(waits),
-            "end_to_end": quantiles_from_samples(e2es),
-        }
+    ) -> WindowQuantiles:
+        """One resolved request as a window of its own: the one-request
+        case of :meth:`drain_window`."""
+        return self.drain_window((queue_wait_s,), (end_to_end_s,), (label,))
 
     def tenant_quantiles(self) -> dict | None:
         """Per-tenant cumulative latency split — ``{tenant:
@@ -260,6 +272,5 @@ class Telemetry:
     def __repr__(self) -> str:
         return (
             f"<Telemetry t={self.clock.now:.3g} s, "
-            f"trace={'on' if self.trace is not None else 'off'}, "
-            f"{len(self._window_e2e)} window samples>"
+            f"trace={'on' if self.trace is not None else 'off'}>"
         )

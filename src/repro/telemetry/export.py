@@ -4,14 +4,16 @@ RunReport, ClusterReport, HealthReport and the scheduler stats are all
 frozen dataclasses; :class:`ReportExport` gives them one JSON-ready
 export so benches and dashboards never hand-roll field lists.  The
 conversion handles what ``dataclasses.asdict`` does not: numpy scalars
-and arrays, nested report dataclasses inside tuples, and None-valued
-optional sections.
+and arrays, nested report dataclasses inside tuples, read-only mappings
+(a flush's lazily computed latency quantiles) and None-valued optional
+sections.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -28,7 +30,7 @@ def to_serializable(value: Any) -> Any:
         return value.tolist()
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(key): to_serializable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_serializable(item) for item in value]

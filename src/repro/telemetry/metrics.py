@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,41 @@ def quantiles_from_samples(samples: Sequence[float] | np.ndarray) -> dict | None
         (key, float(value)) for key, value in zip(QUANTILE_KEYS, points)
     )
     return summary
+
+
+class WindowQuantiles(Mapping):
+    """Exact quantile summaries of named sample columns, each computed
+    by :func:`quantiles_from_samples` on its first read.
+
+    A flush window's ``{"queue_wait": summary, "end_to_end": summary}``
+    (:meth:`repro.telemetry.Telemetry.drain_window`): it compares equal
+    to the eager dict and exports like it, but a window nothing reads
+    never sorts its samples.
+    """
+
+    __slots__ = ("_samples", "_summaries")
+
+    def __init__(self, samples: dict[str, np.ndarray]) -> None:
+        self._samples = samples
+        self._summaries: dict[str, dict | None] = {}
+
+    def __getitem__(self, key: str) -> dict | None:
+        summaries = self._summaries
+        if key not in summaries:
+            summaries[key] = quantiles_from_samples(self._samples[key])
+        return summaries[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._samples
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 class Counter:
@@ -124,6 +159,8 @@ class Histogram:
         decades = math.log10(self.hi / self.lo)
         bins = max(1, int(round(decades * self.per_decade)))
         self._edges = np.geomspace(self.lo, self.hi, bins + 1)
+        # Read-only: the copies :meth:`merged` makes share them.
+        self._edges.flags.writeable = False
         #: The same edges as floats, for the scalar :meth:`observe`.
         self._edge_list = self._edges.tolist()
         # bins + underflow (index 0) + overflow (index -1)
@@ -198,8 +235,12 @@ class Histogram:
             return self.min
         if q == 1.0:
             return self.max
+        return self._quantile(q, np.cumsum(self._counts))
+
+    def _quantile(self, q: float, cumulative: np.ndarray) -> float:
+        """:meth:`quantile` of a non-empty histogram at ``0 < q < 1``,
+        given the running sum of its bin counts."""
         rank = q * self.count
-        cumulative = np.cumsum(self._counts)
         index = int(np.searchsorted(cumulative, rank, side="left"))
         index = min(index, self._counts.size - 1)
         if index == 0:                      # underflow bucket
@@ -219,9 +260,10 @@ class Histogram:
         observed."""
         if self.count == 0:
             return None
+        cumulative = np.cumsum(self._counts)
         summary = {"count": self.count, "mean": self.mean, "max": self.max}
         summary.update(
-            (key, self.quantile(point))
+            (key, self._quantile(point, cumulative))
             for key, point in zip(QUANTILE_KEYS, QUANTILE_POINTS)
         )
         return summary
@@ -245,20 +287,22 @@ class Histogram:
         cls, histograms: Iterable[Histogram | None], name: str | None = None
     ) -> Histogram | None:
         """One histogram absorbing a sequence of same-layout histograms
-        — the per-core → fleet quantile rollup.  An empty sequence
-        merges to None (the empty-fleet guard), as does a sequence
-        whose members are all None."""
+        — the per-core → fleet quantile rollup.  It starts as a copy of
+        the first member (sharing its read-only edges, copying its
+        counts) and merges the rest.  An empty sequence merges to None
+        (the empty-fleet guard), as does a sequence whose members are
+        all None."""
         histograms = [hist for hist in histograms if hist is not None]
         if not histograms:
             return None
         first = histograms[0]
-        out = cls(
-            name if name is not None else first.name,
-            lo=first.lo,
-            hi=first.hi,
-            per_decade=first.per_decade,
-        )
-        for hist in histograms:
+        out = cls.__new__(cls)
+        for slot in cls.__slots__:
+            setattr(out, slot, getattr(first, slot))
+        out._counts = first._counts.copy()
+        if name is not None:
+            out.name = name
+        for hist in histograms[1:]:
             out.merge(hist)
         return out
 

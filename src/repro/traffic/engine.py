@@ -42,7 +42,7 @@ import numpy as np
 from ..api.cluster import PhotonicCluster
 from ..api.session import PhotonicSession
 from ..errors import ClusterSaturatedError, ConfigurationError
-from ..telemetry import ModelClock, merged_tenant_quantiles
+from ..telemetry import ModelClock
 from .arrivals import ArrivalProcess
 from .slo import SLO
 from .workload import WorkloadMix
@@ -105,16 +105,12 @@ class TrafficEngine:
                 "every core must share the engine's arrival clock; "
                 "construct the cluster with a single clock= instance"
             )
-        self._bindings = []
-        for session in self._sessions:
-            tel = session.telemetry
-            if tel is None:
-                raise ConfigurationError(
-                    "the traffic engine needs telemetry on every core "
-                    "(construct the target with metrics= or trace=) — "
-                    "the latency quantiles live there"
-                )
-            self._bindings.append(tel)
+        if any(session.telemetry is None for session in self._sessions):
+            raise ConfigurationError(
+                "the traffic engine needs telemetry on every core "
+                "(construct the target with metrics= or trace=) — "
+                "the latency quantiles live there"
+            )
         self.target = target
         self.workload = workload
         self.arrivals = arrivals
@@ -155,7 +151,6 @@ class TrafficEngine:
                     "(the cluster builds it when the fleet has any)"
                 )
         self._sessions = sessions
-        self._bindings = [session.telemetry for session in sessions]
         self._service_clocks = tuple(session.scheduler.clock for session in sessions)
         self._membership_seen = version
 
@@ -209,22 +204,19 @@ class TrafficEngine:
                 return
 
     # -- accounting helpers --------------------------------------------------
-    def _report_totals(self) -> tuple[int, int]:
-        """(requests, deadline_misses) cumulative on the target."""
-        if self._is_cluster:
-            total = self.target.report().total
-        else:
-            total = self.target.report()
-        return total.requests, total.deadline_misses
-
-    def _latency_quantiles(self) -> dict | None:
-        return self.target.report().latency_quantiles
-
-    def _tenant_quantiles(self) -> dict | None:
-        """Per-tenant queue-wait / service-time split, merged
-        bin-for-bin across cores (quantiles are not additive); see
-        :func:`repro.telemetry.merged_tenant_quantiles`."""
-        return merged_tenant_quantiles(self._bindings)
+    def _report(self) -> tuple[int, int, dict | None, dict | None]:
+        """One cumulative target report: (requests, deadline_misses,
+        latency quantiles, per-tenant split).  A cluster's quantiles
+        merge bin-for-bin across cores (quantiles are not additive);
+        see :func:`repro.telemetry.merged_latency_quantiles`."""
+        report = self.target.report()
+        total = report.total if self._is_cluster else report
+        return (
+            total.requests,
+            total.deadline_misses,
+            report.latency_quantiles,
+            report.tenant_quantiles,
+        )
 
     # -- the run loop --------------------------------------------------------
     def run(self, requests: int, input_pool: int = 256) -> dict:
@@ -243,7 +235,7 @@ class TrafficEngine:
         pool = self.workload.input_pool(rng, input_pool)
         buckets = [tenant.bucket() for tenant in self.workload.tenants]
         tenants = self.workload.tenants
-        requests_before, misses_before = self._report_totals()
+        requests_before, misses_before, _, _ = self._report()
         obs = self.target.obs
         if obs is not None:
             obs.note_event(
@@ -310,7 +302,7 @@ class TrafficEngine:
                 "after the final flush"
             )
 
-        requests_after, misses_after = self._report_totals()
+        requests_after, misses_after, quantiles, tenant_split = self._report()
         deadline_misses = misses_after - misses_before
         resolved = admitted - deadline_misses
         makespan = max(
@@ -319,7 +311,6 @@ class TrafficEngine:
         )
         makespan = max(makespan, last_arrival)
         offered_rate = requests / last_arrival if last_arrival > 0 else 0.0
-        quantiles = self._latency_quantiles()
         p99 = None
         p50 = None
         if quantiles is not None:
@@ -341,7 +332,7 @@ class TrafficEngine:
             "p50_e2e_s": p50,
             "p99_e2e_s": p99,
             "latency_quantiles": quantiles,
-            "tenants": self._tenant_quantiles(),
+            "tenants": tenant_split,
             "arrivals": self.arrivals.describe(),
             "workload": self.workload.describe(),
             "flush_policy": self._sessions[0].flush_policy.describe(),

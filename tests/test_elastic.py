@@ -328,6 +328,31 @@ class TestProgramStoreRejections:
         assert path.is_dir()
         assert [entry.name for entry in store.root.iterdir()] == [path.name]
 
+    def test_directory_in_an_entrys_place_is_not_an_entry(self, tech, store):
+        """Regression: ``len`` counted every ``*.bin`` name, so a
+        directory in an entry's place counted as an entry, and
+        ``describe()`` printed neither misses nor write failures: a
+        store that served nothing and wrote nothing described itself
+        as one healthy entry."""
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 8, GRID)
+        x = rng.random(GRID[1])
+        session, key, fingerprint = self.populate(tech, store)
+        expected = session.submit(weights, x).result()
+        path, _, _ = self.entry(store, key, fingerprint)
+        assert len(store) == 1
+        path.unlink()
+        path.mkdir()
+        fresh = fresh_session(tech, store)
+        assert np.array_equal(expected, fresh.submit(weights, x).result())
+        assert len(store) == 0
+        assert (store.corrupt_rejects, store.write_failures) == (1, 1)
+        assert store.describe() == (
+            f"ProgramStore({store.root}, entries=0, saves={store.saves}, "
+            f"restores=0, misses={store.misses}, stale=0, corrupt=1, "
+            f"write_failures=1)"
+        )
+
     def test_restored_program_is_not_written_back(self, tech, store):
         """Regression: every restore passed the program back to
         ``save``, which rebuilt its state and re-read the manifest only

@@ -431,7 +431,6 @@ def test_flush_telemetry_is_a_noop_without_a_binding():
     class _Uninstrumented:
         telemetry = None
 
-    # With telemetry=None both paths must return before touching the
-    # future/report arguments at all — that is the zero-overhead deal.
-    PhotonicSession._note_resolved(_Uninstrumented(), None, None)
+    # With telemetry=None the path must return before touching the
+    # report/future arguments at all — that is the zero-overhead deal.
     PhotonicSession._emit_flush_telemetry(_Uninstrumented(), None, [])

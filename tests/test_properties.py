@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tempfile
+from collections.abc import Mapping
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,10 @@ from repro.ml.mapping import iter_tile_blocks
 from repro.runtime.engine import CompiledCore, weight_key
 from repro.runtime.tiling import DifferentialProgram, TiledMatmul, auto_range_gain
 from repro.sim.transient import FirstOrderLag
-from repro.telemetry import Histogram, ModelClock
+from repro.telemetry import Histogram, ModelClock, Telemetry, quantiles_from_samples
+from repro.telemetry import metrics as telemetry_metrics
+from repro.telemetry.metrics import QUANTILE_KEYS, QUANTILE_POINTS
+from repro.traffic import Poisson, TrafficEngine, WorkloadMix
 
 TECH = default_technology()
 RING = AddDropMRR(
@@ -1153,6 +1157,229 @@ def test_histogram_observe_equals_observe_many(value, prior):
     assert [repr(scalar.total), repr(scalar.min), repr(scalar.max)] == [
         repr(batch.total), repr(batch.min), repr(batch.max)
     ]
+
+
+class _PerRequestWindow:
+    """The reference latency window: one ``record`` per resolved request
+    (negative-clamped, with its tenant's queue wait and service time
+    appended), then ``drain``, which feeds every histogram one
+    ``observe_many`` and returns the eager exact summary."""
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.waits, self.e2es, self.tenants = [], [], {}
+
+    def record(self, queue_wait_s, end_to_end_s, label=None):
+        wait = max(queue_wait_s, 0.0)
+        e2e = max(end_to_end_s, 0.0)
+        self.waits.append(wait)
+        self.e2es.append(e2e)
+        if label is not None:
+            bucket = self.tenants.setdefault(label, ([], []))
+            bucket[0].append(wait)
+            bucket[1].append(max(e2e - wait, 0.0))
+
+    def drain(self):
+        if not self.e2es:
+            return None
+        waits, e2es, tenants = self.waits, self.e2es, self.tenants
+        self.waits, self.e2es, self.tenants = [], [], {}
+        self.metrics.histogram("queue_wait_s").observe_many(waits)
+        self.metrics.histogram("end_to_end_s").observe_many(e2es)
+        for label, (tenant_waits, services) in tenants.items():
+            self.metrics.histogram(f"queue_wait_s/{label}").observe_many(tenant_waits)
+            self.metrics.histogram(f"service_s/{label}").observe_many(services)
+        return {
+            "queue_wait": quantiles_from_samples(waits),
+            "end_to_end": quantiles_from_samples(e2es),
+        }
+
+
+def _bits(value):
+    """``value`` with every float as its hex string, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Mapping):
+        return {key: _bits(item) for key, item in value.items()}
+    return value
+
+
+def _histogram_state(hist):
+    return (hist.name, hist.layout, hist._counts.tolist(), hist.count,
+            hist.total.hex(), hist.min.hex(), hist.max.hex())
+
+
+#: Latencies [s]: negatives and signed zeros, the underflow (< 1 ns) and
+#: overflow (>= 1000 s) buckets, exact bin edges and the modelled range.
+LATENCIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1e-9]),
+    st.floats(min_value=-1e3, max_value=1e4),
+    st.floats(min_value=0.0, max_value=1e-9),
+    st.sampled_from(EDGES),
+    st.floats(min_value=1e-9, max_value=1e-6),
+)
+#: Tenant label pools a window draws from: unlabelled, one tenant, and
+#: repeated labels mixed with None.
+LABEL_POOLS = st.sampled_from(
+    [(None,), ("solo",), ("a", "b", "c"), (None, "a", "a", "b")]
+)
+
+
+@given(
+    windows=st.lists(
+        st.tuples(LABEL_POOLS, st.integers(min_value=0, max_value=200)),
+        min_size=1,
+        max_size=3,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_columnar_window_record_equals_per_request_path(windows, data):
+    """``Telemetry.drain_window`` over a window's columns leaves every
+    histogram (counts, count, total, min, max) in the state the
+    per-request path leaves, window after window, and its lazy summary
+    equals the eager one bit for bit (None for an empty window)."""
+    reference = _PerRequestWindow(MetricsRegistry())
+    binding = Telemetry(metrics=MetricsRegistry())
+    for pool, size in windows:
+        rows = data.draw(
+            st.lists(
+                st.tuples(LATENCIES, LATENCIES, st.sampled_from(pool)),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        for wait, e2e, label in rows:
+            reference.record(wait, e2e, label)
+        expected = reference.drain()
+        window = binding.drain_window(
+            [wait for wait, _, _ in rows],
+            [e2e for _, e2e, _ in rows],
+            [label for _, _, label in rows],
+        )
+        if expected is None:
+            assert window is None
+            continue
+        assert window == expected
+        assert _bits(window) == _bits(expected)
+    assert binding.metrics.names == reference.metrics.names
+    assert [_histogram_state(hist) for hist in binding.metrics.histograms] == [
+        _histogram_state(hist) for hist in reference.metrics.histograms
+    ]
+
+
+def _rebuilt_merge(histograms, name=None):
+    """The reference rollup: a fresh histogram of the first member's
+    layout that merges every member."""
+    histograms = [hist for hist in histograms if hist is not None]
+    if not histograms:
+        return None
+    first = histograms[0]
+    out = Histogram(
+        name if name is not None else first.name,
+        lo=first.lo, hi=first.hi, per_decade=first.per_decade,
+    )
+    for hist in histograms:
+        out.merge(hist)
+    return out
+
+
+def _four_pass_summary(hist):
+    """The reference summary: one :meth:`Histogram.quantile` per point."""
+    if hist.count == 0:
+        return None
+    summary = {"count": hist.count, "mean": hist.mean, "max": hist.max}
+    summary.update(
+        (key, hist.quantile(point))
+        for key, point in zip(QUANTILE_KEYS, QUANTILE_POINTS)
+    )
+    return summary
+
+
+@given(
+    members=st.lists(
+        st.one_of(st.none(), st.lists(LATENCIES.map(abs), max_size=40)),
+        min_size=1,
+        max_size=5,
+    ),
+    layout=st.sampled_from([{}, {"lo": 1.0, "hi": 1e6}, {"lo": 1e-7, "hi": 1e-3, "per_decade": 3}]),
+    name=st.sampled_from([None, "fleet"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_merged_copy_and_one_pass_summary_equal_the_references(members, layout, name):
+    """``Histogram.merged`` (a copy of the first member, merging the
+    rest) equals a rebuilt histogram merging every member, leaves its
+    members untouched, and still rejects a layout mismatch; the
+    one-pass ``summary()`` equals four ``quantile()`` passes."""
+    histograms = []
+    for values in members:
+        if values is None:
+            histograms.append(None)
+            continue
+        hist = Histogram("core", **layout)
+        hist.observe_many(values)
+        histograms.append(hist)
+    before = [hist and _histogram_state(hist) for hist in histograms]
+    merged = Histogram.merged(histograms, name=name)
+    rebuilt = _rebuilt_merge(histograms, name=name)
+    if rebuilt is None:
+        assert merged is None
+        return
+    assert _histogram_state(merged) == _histogram_state(rebuilt)
+    assert _bits(merged.summary()) == _bits(rebuilt.summary())
+    assert _bits(merged.summary()) == _bits(_four_pass_summary(merged))
+    assert merged.to_dict() == rebuilt.to_dict()
+    merged.observe(1.0)
+    assert [hist and _histogram_state(hist) for hist in histograms] == before
+    with pytest.raises(ConfigurationError, match="cannot merge"):
+        Histogram.merged([*histograms, Histogram("other", lo=1e-12, hi=1.0)])
+
+
+def test_traffic_run_computes_window_quantiles_only_when_read(monkeypatch):
+    """A cluster tape with ``metrics=`` and nothing reading its flush
+    reports computes no window quantile; a later read computes the
+    summary the eager path computed at drain time."""
+    eager = quantiles_from_samples
+    calls = []
+
+    def counting(samples):
+        calls.append(len(samples))
+        return eager(samples)
+
+    monkeypatch.setattr(telemetry_metrics, "quantiles_from_samples", counting)
+    drain = Telemetry.drain_window
+    windows = []
+
+    def recording(self, queue_waits, end_to_ends, tenants=None):
+        window = drain(self, queue_waits, end_to_ends, tenants)
+        if window is not None:
+            windows.append((window, {
+                "queue_wait": eager([max(wait, 0.0) for wait in queue_waits]),
+                "end_to_end": eager([max(e2e, 0.0) for e2e in end_to_ends]),
+            }))
+        return window
+
+    monkeypatch.setattr(Telemetry, "drain_window", recording)
+    cluster = PhotonicCluster(
+        cores=2,
+        grid=(8, 8),
+        max_batch=16,
+        flush_policy=FlushPolicy.max_batch(16),
+        routing=RoutingPolicy.cache_affinity(),
+        metrics=MetricsRegistry(),
+        clock=ModelClock(),
+    )
+    engine = TrafficEngine(
+        cluster, WorkloadMix.zipf(tenants=3, deadline_s=1e-7), Poisson(2e10), seed=3
+    )
+    summary = engine.run(400)
+    assert summary["latency_quantiles"] is not None and len(windows) > 2
+    assert calls == []
+    for window, expected in windows:
+        assert window["end_to_end"] == expected["end_to_end"]
+    assert len(calls) == len(windows)
+    assert all(window == expected for window, expected in windows)
+    assert len(calls) == 2 * len(windows)
 
 
 #: Programs of the route-memo property: an in-grid, a sub-tile and a

@@ -385,15 +385,32 @@ def test_session_latency_quantiles_per_flush_and_cumulative():
     )
 
 
-def test_metrics_only_binding_works_without_recorder():
+def test_metrics_only_binding_works_without_recorder(monkeypatch):
+    """Metrics without a recorder fill the counters and histograms, and
+    make no span, instant or request-span call: their names and args
+    are built only for a recorder (compiles, cache hits, batches of
+    every route, probes and a recalibration included)."""
+    def boom(self, *args, **kwargs):
+        raise AssertionError("span call on a binding without a recorder")
+
+    for method in ("span", "instant", "request_span"):
+        monkeypatch.setattr(Telemetry, method, boom)
     registry = MetricsRegistry()
-    session = PhotonicSession(grid=(4, 6), metrics=registry)
+    session = PhotonicSession(
+        grid=(4, 6),
+        metrics=registry,
+        drift=TiaGainDrift(drift_per_s=-2e-3),
+    )
     assert session.telemetry is not None and session.telemetry.trace is None
-    rng = np.random.default_rng(5)
-    session.submit(rng.integers(0, 8, (4, 6)), rng.uniform(0.0, 1.0, 6))
-    session.flush()
-    assert registry.counter("requests").value == 1
-    assert registry.counter("flushes").value == 1
+    _, report = _mixed_workload(session, np.random.default_rng(5))
+    session.age(90.0)
+    session.check_health()
+    session.recalibrate()
+    assert registry.counter("requests").value == report.requests == 8
+    assert registry.counter("flushes").value == 2
+    assert registry.counter("cache_hits").value == report.cache_hits >= 1
+    assert registry.counter("probe_runs").value >= 1
+    assert registry.counter("recalibrations").value == 1
     assert session.report().latency_quantiles is not None
 
 
