@@ -584,7 +584,8 @@ class PhotonicSession:
         # a grid).  Requests at different gains never share a batch.
         gain = 1.0 if gain is None else gain
         # The queue holds a private input, never the caller's buffer; the
-        # scheduler pads the weights, once per flush window.
+        # scheduler pads the weights once per content while its memo
+        # holds them.
         columns = self.columns
         if out_features <= self.rows and in_features <= columns:
             padded = np.zeros(columns)
@@ -628,8 +629,8 @@ class PhotonicSession:
         """Queue one im2col convolution; returns its :class:`Future`.
 
         ``kernels`` is a float bank of finite taps, of shape (n, k, k)
-        — or (n, channels, k, k) — quantized (once per bank per flush
-        window, by the scheduler) into a differential conv program
+        — or (n, channels, k, k) — quantized (once per bank content,
+        by the scheduler's program memo) into a differential conv program
         keyed on the quantized integers, so repeated banks hit the
         shared program cache; ``image`` is a finite, non-negative
         (H, W) or (channels, H, W) intensity map, validated here and
@@ -1028,12 +1029,15 @@ class PhotonicSession:
         return self._earliest_deadline - self._stamp_now()
 
     def _after_submit(self) -> None:
-        now = self._now()
+        # The age source is read only to stamp the window's first
+        # request or for a policy that has a delay limit.
+        policy = self.flush_policy
+        age = 0.0
         if self._oldest_pending is None:
-            self._oldest_pending = now
-        if self.flush_policy.should_flush(
-            self.pending, now - self._oldest_pending, self._deadline_slack()
-        ):
+            self._oldest_pending = self._now()
+        elif policy.delay_limit is not None:
+            age = self._now() - self._oldest_pending
+        if policy.should_flush(self.pending, age, self._deadline_slack()):
             self.flush()
 
     def poll(self) -> int:

@@ -20,18 +20,20 @@ sample period per input vector.  Traffic amortizes both:
   matmuls, paying the Python/ADC dispatch once per batch.
 
 Work that depends only on a weight program is done once per program
-per *flush window* (the requests queued between two flushes): the
-first request of a window for given weight content runs the weight
-checks, pads the matrix to the tile, keys it
+per *scheduler*, not per request: the first request for given weight
+content runs the weight checks, pads the matrix to the tile, keys it
 (:func:`~repro.runtime.engine.weight_key`) and resolves its ``"auto"``
 gain; later requests with the same content — same shape, dtype and
-bytes — look that up and range-check only their own input.  A conv
-kernel bank is likewise quantized into its differential pair and
-keyed once per window, under a content key tagged ``"conv"``.  The
-memo is cleared with the pending groups on every flush exit, failures
-included, so it lives one window and needs no bound or invalidation:
-an in-place edit of the caller's array changes its bytes and misses.
-Groups stay keyed on the canonical key of the padded matrix (of the
+bytes — look that up, in this window or any later one, and
+range-check only their own input.  A conv kernel bank is likewise
+quantized into its differential pair and keyed once, under a content
+key tagged ``"conv"``.  The memo outlives flushes (failed ones too)
+and is bounded like the cluster's route memo: once it holds as many
+programs as both program caches together, it is cleared whole before
+the next insert.  Keying on content keeps it exact: an in-place edit
+of the caller's array changes its bytes and misses, and the memo's
+private arrays, which compiled programs alias, are read-only.  Groups
+stay keyed on the canonical key of the padded matrix (of the
 quantized pair, for a bank), so copies of one matrix in other integer
 dtypes or memory layouts still share one batch, as do banks that
 quantize to the same integers (each request keeps its own weight
@@ -389,10 +391,12 @@ class BatchScheduler:
         self.tiled_cache = WeightProgramCache(4)
         self.max_batch = max_batch
         self._pending: dict[str, dict[tuple, _Group]] = {kind: {} for kind in _KINDS}
-        #: The flush window's checked programs: (shape, dtype, bytes) of
-        #: dense weights as given -> (key, padded private copy, resolved
-        #: "auto" gain; None on a grid), and ("conv", shape, dtype,
-        #: bytes) of a float kernel bank -> (key, W+ over W-, scale).
+        #: Checked programs, kept across flushes: (shape, dtype, bytes)
+        #: of dense weights as given -> (key, padded read-only private
+        #: copy, resolved "auto" gain; None on a grid), and ("conv",
+        #: shape, dtype, bytes) of a float kernel bank -> (key,
+        #: read-only W+ over W-, scale).  Cleared whole when full (see
+        #: :meth:`_memoised`).
         self._checked: dict[tuple, tuple] = {}
         self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
@@ -429,13 +433,14 @@ class BatchScheduler:
         weight matrix as given (at most one tile; padded here) and the
         input padded to the tile; ``"tiled"`` — both as given (larger
         than one tile); ``"conv"`` — the validated float kernel bank
-        (n, channels, k, k), quantized once per flush window (see
+        (n, channels, k, k), quantized once per bank content (see
         :meth:`_conv_program`), and one validated image's ``(private
         (channels, H, W) copy, kernel size, stride, patch count)``,
         unrolled and encoded with its batch at flush.  Dense requests
-        are validated here (the weights once per flush window, see
-        :meth:`_dense_program`), and a native ``gain="auto"`` takes the
-        gain calibrated there.  ``handle`` is the session future the
+        are validated here (the weights once per weight content while
+        the memo holds it, see :meth:`_dense_program`; the input every
+        time), and a native ``gain="auto"`` takes the gain calibrated
+        there.  ``handle`` is the session future the
         flush resolves (or sheds, when its absolute ``_deadline`` on
         :attr:`clock` falls before its batch completes); ``rows`` keeps
         that many outputs of a native request.  The caller hands over
@@ -460,10 +465,10 @@ class BatchScheduler:
         table = self._pending[kind]
         group = table.get((key, gain))
         if group is None:
-            # Every program source is a private array made by the window
-            # memo: an in-place change to the caller's array before the
-            # flush would otherwise compile other weights under this key
-            # and poison the program cache for every later request.
+            # Every program source is a private array made by the memo:
+            # an in-place change to the caller's array before the flush
+            # would otherwise compile other weights under this key and
+            # poison the program cache for every later request.
             group = table[key, gain] = _Group(source)
         group.inputs.append(column)
         group.handles.append(handle)
@@ -474,7 +479,7 @@ class BatchScheduler:
         self._stats.requests += 1
 
     def _dense_program(self, kind: str, weights: np.ndarray) -> tuple:
-        """The window's checked program for these weights: ``(key,
+        """The memo's checked program for these weights: ``(key,
         source, auto gain)`` (see ``_checked``).
 
         Looked up by the weights' exact content as given, never by
@@ -503,11 +508,10 @@ class BatchScheduler:
             auto = auto_range_gain(source, self.columns * max_weight)
         else:
             source = checked.copy()
-        program = self._checked[content] = (weight_key(source), source, auto)
-        return program
+        return self._memoised(content, (weight_key(source), source, auto))
 
     def _conv_program(self, kernels: np.ndarray) -> tuple:
-        """The window's quantized program for a validated float64 kernel
+        """The memo's quantized program for a validated float64 kernel
         bank: ``(key, W+ stacked over W-, weight scale)`` (see
         ``_checked``).  The ``"conv:"`` key prefix keeps a bank from
         colliding with a plain weight matrix in the tiled LRU."""
@@ -518,9 +522,21 @@ class BatchScheduler:
                 kernels.reshape(len(kernels), -1), self.core.weight_bits
             )
             pair = np.concatenate([q_positive, q_negative])
-            program = self._checked[content] = (
-                b"conv:" + weight_key(pair), pair, weight_scale
+            program = self._memoised(
+                content, (b"conv:" + weight_key(pair), pair, weight_scale)
             )
+        return program
+
+    def _memoised(self, content: tuple, program: tuple) -> tuple:
+        """Store ``program`` under ``content``, its source made
+        read-only (compiled programs alias it).  A memo already holding
+        as many programs as both caches together is cleared whole
+        first, the cluster route memo's rule."""
+        program[1].flags.writeable = False
+        checked = self._checked
+        if len(checked) >= self.cache.capacity + self.tiled_cache.capacity:
+            checked.clear()
+        checked[content] = program
         return program
 
     # -- the shared flush helpers --------------------------------------------
@@ -615,11 +631,10 @@ class BatchScheduler:
         self.clock.advance(seconds)
 
     def _clear_pending(self) -> None:
-        """End the flush window: drop every pending group and the
-        window's checked programs."""
+        """End the flush window: drop every pending group (the checked
+        programs stay memoised)."""
         for table in self._pending.values():
             table.clear()
-        self._checked.clear()
         self._queued = 0
 
     # -- evaluation ----------------------------------------------------------
@@ -684,18 +699,20 @@ class BatchScheduler:
                 stop = offset + count
                 handle._resolve(raw[:, offset:stop] * weight_scale * scales[offset:stop])
                 offset = stop
-        elif kind == "tiled":
-            batch = np.stack(inputs, axis=1)
-            estimates = program.matmul(batch, gain=None if gain == "auto" else gain)
-            for offset, handle in enumerate(handles):
-                handle._resolve(estimates[:, offset])
         else:
-            batch = np.stack(inputs, axis=1)
-            result = program.tiles[0][0].matmul(batch, gain=gain)
-            for offset, (handle, kept) in enumerate(zip(handles, rows)):
-                handle._resolve(
-                    result.estimates[:kept, offset], codes=result.codes[:kept, offset]
-                )
+            # One (columns, features) copy and one C-contiguous transpose:
+            # the array ``np.stack(inputs, axis=1)`` builds, for less.
+            batch = np.ascontiguousarray(np.array(inputs).T)
+            if kind == "tiled":
+                estimates = program.matmul(batch, gain=None if gain == "auto" else gain)
+                for handle, column in zip(handles, estimates.T):
+                    handle._resolve(column)
+            else:
+                result = program.tiles[0][0].matmul(batch, gain=gain)
+                for handle, kept, column, codes in zip(
+                    handles, rows, result.estimates.T, result.codes.T
+                ):
+                    handle._resolve(column[:kept], codes=codes[:kept])
         columns = batch.shape[1]
         self._stats.batches += 1
         self._charge(columns, program.passes, program.tile_count)

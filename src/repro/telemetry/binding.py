@@ -56,13 +56,13 @@ def _clamped(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def _rolled_up(bindings: Sequence[Telemetry], name: str) -> Histogram | None:
-    """Histogram ``name`` over ``bindings``: one binding's own (made
-    on first use, like every registry lookup), else a merged copy."""
-    if len(bindings) == 1:
-        return bindings[0].metrics.histogram(name)
-    return Histogram.merged(
-        [binding.metrics.histogram(name) for binding in bindings], name=name
-    )
+    """Histogram ``name`` over ``bindings``: one binding's own, else a
+    merged copy; None where no binding has it.  Looked up without the
+    registry's get-or-create, so a report adds no histogram."""
+    found = [binding.metrics._histograms.get(name) for binding in bindings]
+    if len(found) == 1:
+        return found[0]
+    return Histogram.merged(found, name=name)
 
 
 def merged_latency_quantiles(bindings: Sequence[Telemetry]) -> dict | None:

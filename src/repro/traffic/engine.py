@@ -204,18 +204,15 @@ class TrafficEngine:
                 return
 
     # -- accounting helpers --------------------------------------------------
-    def _report(self) -> tuple[int, int, dict | None, dict | None]:
-        """One cumulative target report: (requests, deadline_misses,
-        latency quantiles, per-tenant split).  A cluster's quantiles
-        merge bin-for-bin across cores (quantiles are not additive);
-        see :func:`repro.telemetry.merged_latency_quantiles`."""
-        report = self.target.report()
-        total = report.total if self._is_cluster else report
+    def _totals(self) -> tuple[int, int]:
+        """(requests, deadline_misses) so far, summed over every core as
+        the target report's total sums them, but read from the
+        schedulers' ledgers without building any quantile summary."""
+        sessions = self.target.sessions if self._is_cluster else self._sessions
+        ledgers = [session.scheduler.stats() for session in sessions]
         return (
-            total.requests,
-            total.deadline_misses,
-            report.latency_quantiles,
-            report.tenant_quantiles,
+            sum(ledger.requests for ledger in ledgers),
+            sum(ledger.deadline_misses for ledger in ledgers),
         )
 
     # -- the run loop --------------------------------------------------------
@@ -235,7 +232,7 @@ class TrafficEngine:
         pool = self.workload.input_pool(rng, input_pool)
         buckets = [tenant.bucket() for tenant in self.workload.tenants]
         tenants = self.workload.tenants
-        requests_before, misses_before, _, _ = self._report()
+        requests_before, misses_before = self._totals()
         obs = self.target.obs
         if obs is not None:
             obs.note_event(
@@ -302,7 +299,11 @@ class TrafficEngine:
                 "after the final flush"
             )
 
-        requests_after, misses_after, quantiles, tenant_split = self._report()
+        requests_after, misses_after = self._totals()
+        # The run's one report: a cluster's quantiles merge bin-for-bin
+        # across cores (see repro.telemetry.merged_latency_quantiles).
+        report = self.target.report()
+        quantiles = report.latency_quantiles
         deadline_misses = misses_after - misses_before
         resolved = admitted - deadline_misses
         makespan = max(
@@ -332,7 +333,7 @@ class TrafficEngine:
             "p50_e2e_s": p50,
             "p99_e2e_s": p99,
             "latency_quantiles": quantiles,
-            "tenants": tenant_split,
+            "tenants": report.tenant_quantiles,
             "arrivals": self.arrivals.describe(),
             "workload": self.workload.describe(),
             "flush_policy": self._sessions[0].flush_policy.describe(),

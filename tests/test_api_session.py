@@ -522,31 +522,138 @@ class TestFlushWindowMemo:
         assert len(calls) == 2
         session.flush()
         assert futures[0].report.batches == 1
-        assert session.scheduler._checked == {}
+        # The memo outlives the window: the next one quantizes nothing.
+        again = [session.submit_conv(bank, image) for bank, image in zip(banks, images)]
+        session.flush()
+        assert len(calls) == 2
+        assert all(np.array_equal(a.value, f.value) for a, f in zip(again, futures))
         for bank, image, future in zip(banks, images, futures):
             alone = PhotonicSession(technology=tech, grid=(4, 6))
             assert np.array_equal(future.value, alone.submit_conv(bank, image).result())
 
-    def test_memo_is_empty_after_every_flush(self, session, monkeypatch):
-        """The memo lives one flush window: every flush exit clears it,
-        a flush whose kernel raised included."""
+    def test_memo_outlives_every_flush(self, session, monkeypatch):
+        """The memo lives as long as its scheduler: it survives a flush
+        and a flush whose kernel raised, and a later window makes no
+        weight check, key or quantization for content it holds."""
+        import repro.runtime.scheduler as scheduler_module
+
         rng = np.random.default_rng(33)
         scheduler = session.scheduler
+        programs = [rng.integers(0, 8, (3, 4)), rng.integers(0, 8, (7, 9))]
+        bank = rng.normal(0.0, 1.0, (2, 2, 2))
+        image = rng.uniform(0.0, 1.0, (4, 4))
+        inputs = [rng.uniform(0.0, 1.0, weights.shape[1]) for weights in programs]
 
-        def submit_both():
-            session.submit(rng.integers(0, 8, (3, 4)), rng.uniform(0.0, 1.0, 4))
-            session.submit(rng.integers(0, 8, (7, 9)), rng.uniform(0.0, 1.0, 9))
-            assert len(scheduler._checked) == 2
+        def submit_all():
+            futures = [session.submit(w, x) for w, x in zip(programs, inputs)]
+            return [*futures, session.submit_conv(bank, image)]
 
-        submit_both()
+        first = submit_all()
         session.flush()
-        assert scheduler._checked == {}
-        submit_both()
+        memo = dict(scheduler._checked)
+        assert len(memo) == 3
+        calls = []
+        for name in ("weight_key", "check_dense_weights", "quantize_weights_differential"):
+            counted = getattr(scheduler_module, name)
+            monkeypatch.setattr(
+                scheduler_module,
+                name,
+                lambda *args, name=name, counted=counted: calls.append(name) or counted(*args),
+            )
+        submit_all()
 
         def boom(*args, **kwargs):
             raise RuntimeError("kernel failed")
 
-        monkeypatch.setattr(CompiledCore, "matmul", boom)
-        with pytest.raises(RuntimeError, match="kernel failed"):
+        with monkeypatch.context() as patch:
+            patch.setattr(CompiledCore, "matmul", boom)
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                session.flush()
+        assert session.pending == 0
+        again = submit_all()
+        session.flush()
+        assert calls == []
+        assert scheduler._checked.keys() == memo.keys()
+        assert all(scheduler._checked[content] is memo[content] for content in memo)
+        for future, repeat in zip(first, again):
+            assert np.array_equal(repeat.value, future.value)
+
+    def test_memo_clears_whole_at_its_bound(self, session, tech):
+        """Once the memo holds as many programs as both program caches,
+        the next new content clears it whole before it is stored."""
+        scheduler = session.scheduler
+        bound = scheduler.cache.capacity + scheduler.tiled_cache.capacity
+        x = np.linspace(0.0, 1.0, 4)
+        programs = []
+        for index in range(bound + 1):
+            weights = np.zeros((3, 4), dtype=int)
+            weights.flat[index] = 1 + index % 7
+            programs.append(weights)
+        futures = [session.submit(weights, x) for weights in programs[:bound]]
+        assert len(scheduler._checked) == bound
+        futures.append(session.submit(programs[bound], x))
+        assert len(scheduler._checked) == 1
+        futures.append(session.submit(programs[0], x))
+        assert len(scheduler._checked) == 2
+        session.flush()
+        for weights, future in zip([*programs, programs[0]], futures):
+            alone = PhotonicSession(technology=tech, grid=(4, 6)).submit(weights, x)
+            alone.result()
+            assert np.array_equal(future.codes, alone.codes)
+
+    def test_in_place_edit_between_windows_misses(self, session, tech):
+        """The memo keys on content: a caller's array edited in place
+        after its window is a new program, served as its new weights."""
+        rng = np.random.default_rng(36)
+        for shape in ((3, 4), (7, 9)):
+            weights = rng.integers(0, 8, shape)
+            x = rng.uniform(0.0, 1.0, shape[1])
+            before = session.submit(weights, x).result()
+            weights[0] = 7 - weights[0]
+            after = session.submit(weights, x)
+            alone = PhotonicSession(technology=tech, grid=(4, 6)).submit(weights, x)
+            assert np.array_equal(after.result(), alone.result())
+            assert not np.array_equal(after.value, before)
+        assert len(session.scheduler._checked) == 4
+
+    def test_memo_arrays_are_read_only_and_callers_are_not(self, session):
+        """The memo's private arrays, which compiled programs alias,
+        are read-only; the caller's arrays stay writeable."""
+        rng = np.random.default_rng(37)
+        callers = [rng.integers(0, 8, shape) for shape in ((4, 6), (3, 4), (7, 9))]
+        callers.append(callers[0].astype(np.float64))
+        bank = rng.normal(0.0, 1.0, (2, 2, 2))
+        for weights in callers:
+            session.submit(weights, rng.uniform(0.0, 1.0, weights.shape[1]))
+        session.submit_conv(bank, rng.uniform(0.0, 1.0, (4, 4)))
+        session.flush()
+        sources = [program[1] for program in session.scheduler._checked.values()]
+        assert len(sources) == 5
+        for source in sources:
+            assert not source.flags.writeable
+            with pytest.raises(ValueError):
+                source[0, 0] = 0
+        for weights in (*callers, bank):
+            assert weights.flags.writeable
+            weights[...] = 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((3, 4), np.nan),
+            np.full((3, 4), 1e30),
+            np.full((3, 4), 99),
+            np.full((3, 4), 1, dtype=object),
+        ],
+        ids=["nan", "huge", "out-of-range", "object"],
+    )
+    def test_malformed_matrix_raises_on_every_submit(self, session, bad):
+        """A rejected matrix is never memoised: it fails typed on every
+        submit, in one window and the next."""
+        x = np.full(4, 0.5)
+        for _ in range(2):
+            for _ in range(2):
+                with pytest.raises(ConfigurationError):
+                    session.submit(bad, x)
+            assert session.pending == 0 and session.scheduler._checked == {}
             session.flush()
-        assert scheduler._checked == {} and session.pending == 0

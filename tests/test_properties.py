@@ -775,7 +775,13 @@ def _exec_session(**kwargs):
 def _device_codes(core, case):
     """Codes of :meth:`PhotonicTensorCore.matvec` on the padded problem."""
     route, program, gain, _, x, *_ = case
-    weights = EXEC_PROGRAMS[route][program]
+    return _padded_device_codes(core, EXEC_PROGRAMS[route][program], x, gain)
+
+
+def _padded_device_codes(core, weights, x, gain):
+    """Codes of :meth:`PhotonicTensorCore.matvec` on in-grid ``weights``
+    and ``x`` padded to :data:`EXEC_GRID`, at the session's ``gain``."""
+    weights = np.asarray(weights, dtype=int)
     padded_w = np.zeros(EXEC_GRID, dtype=int)
     padded_w[: weights.shape[0], : weights.shape[1]] = weights
     padded_x = np.zeros(EXEC_GRID[1])
@@ -908,6 +914,99 @@ def test_flush_executor_matches_requests_served_alone(requests, data):
     assert broken.flush() == len(cases)
     for future, reference in zip(retry, alone):
         assert np.array_equal(future.value, reference.value)
+
+
+#: Caller-held dense shapes of the long-lived session property, per route.
+LIVE_SHAPES = {"native": (4, 6), "sub-tile": (3, 4), "tiled": (7, 9)}
+
+
+def _live_program(route, rng):
+    if route == "conv":
+        return rng.normal(0.0, 1.0, (2, 2, 2))
+    return rng.integers(0, 8, LIVE_SHAPES[route])
+
+
+_LIVE_REQUEST = st.tuples(
+    st.sampled_from(("native", "sub-tile", "tiled", "conv")),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from(tuple(EXEC_LAYOUTS)),
+    st.sampled_from((None, 2.0, "auto")),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    # Each window: the caller arrays edited in place before it, then
+    # its requests.
+    windows=st.lists(
+        st.tuples(
+            st.lists(_LIVE_REQUEST, max_size=2),
+            st.lists(_LIVE_REQUEST, min_size=1, max_size=5),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+@settings(max_examples=15, deadline=None)
+def test_long_lived_session_matches_requests_served_alone(seed, windows):
+    """One session serves many windows on its program memo: more
+    distinct programs than the memo holds (every dense route in every
+    layout variant, plus conv banks; the first window submits each
+    once), while the caller edits its arrays in place between windows.
+    Every value and code equals the request served alone by a fresh
+    session, and in-grid codes equal the device loop."""
+    rng = np.random.default_rng(seed)
+    held = {}
+    for route in ("native", "sub-tile", "tiled", "conv"):
+        for program in range(2):
+            weights = _live_program(route, rng)
+            for layout in (None,) if route == "conv" else EXEC_LAYOUTS:
+                held[route, program, layout] = (
+                    weights.copy() if layout is None else EXEC_LAYOUTS[layout](weights)
+                )
+
+    def caller(route, program, layout):
+        return held[route, program, None if route == "conv" else layout]
+
+    session = PhotonicSession(grid=EXEC_GRID, cache_capacity=2, max_batch=4)
+    scheduler = session.scheduler
+    bound = scheduler.cache.capacity + scheduler.tiled_cache.capacity
+    sweep = [(route, program, layout or "int64", None) for route, program, layout in held]
+    served = []
+    for edits, requests in [([], sweep), *windows]:
+        for route, program, layout, _ in edits:
+            caller(route, program, layout)[...] = _live_program(route, rng)
+        for route, program, layout, gain in requests:
+            weights = caller(route, program, layout)
+            if route == "conv":
+                gain = None if gain == "auto" else gain
+                x = rng.uniform(0.0, 1.0, (3, 4))
+                future = session.submit_conv(weights, x, gain=gain)
+            else:
+                x = rng.uniform(0.0, 1.0, weights.shape[1])
+                future = session.submit(weights, x, gain=gain)
+            served.append((route, weights.copy(order="K"), x, gain, future))
+        session.flush()
+        assert len(scheduler._checked) <= bound
+        assert not any(source.flags.writeable for _, source, _ in scheduler._checked.values())
+    assert all(weights.flags.writeable for weights in held.values())
+    contents = {(w.shape, w.dtype, w.tobytes()) for _, w, *_ in served}
+    assert len(contents) > bound
+
+    core = PhotonicTensorCore(rows=EXEC_GRID[0], columns=EXEC_GRID[1])
+    for route, weights, x, gain, future in served:
+        alone = _exec_session()
+        if route == "conv":
+            reference = alone.submit_conv(weights, x, gain=gain)
+        else:
+            reference = alone.submit(weights, x, gain=gain)
+        reference.result()
+        assert np.array_equal(future.value, reference.value)
+        if route in ("native", "sub-tile"):
+            assert np.array_equal(future.codes, reference.codes)
+            assert np.array_equal(future.codes, _padded_device_codes(core, weights, x, gain))
+        else:
+            assert future.codes is None
 
 
 # -- the program store: a round trip is exact ---------------------------------

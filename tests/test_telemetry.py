@@ -579,6 +579,37 @@ def test_cluster_with_telemetry_but_no_traffic_reports_no_quantiles():
     assert cluster.report().latency_quantiles is None
 
 
+def test_reports_have_no_side_effects():
+    """Regression: a fleet roll-up looked tenant histograms up through
+    the registry's get-or-create, so the first report gave every core
+    an empty histogram per tenant it never served, and the second
+    report listed every tenant on every core."""
+    cluster = PhotonicCluster(
+        cores=2, grid=(4, 6), routing=RoutingPolicy.cache_affinity(),
+        metrics=MetricsRegistry(),
+    )
+    rng = np.random.default_rng(0)
+    programs = [rng.integers(0, 8, (4, 6)) for _ in range(4)]
+    for index, weights in enumerate(programs):
+        cluster.submit(weights, rng.uniform(0.0, 1.0, 6), tenant=f"t{index}")
+    cluster.flush()
+    registries = [session.telemetry.metrics for session in cluster.sessions]
+    names = [registry.names for registry in registries]
+    first = cluster.report()
+    assert [registry.names for registry in registries] == names
+    second = cluster.report()
+    assert [registry.names for registry in registries] == names
+    assert second.to_dict() == first.to_dict()
+    # Each tenant's program routed to one core: no core lists them all.
+    served = [sorted(report.tenant_quantiles) for report in first.per_core]
+    assert all(0 < len(tenants) < 4 for tenants in served)
+    assert sorted(sum(served, [])) == ["t0", "t1", "t2", "t3"]
+    assert sorted(first.tenant_quantiles) == ["t0", "t1", "t2", "t3"]
+    for session in cluster.sessions:
+        assert session.report().to_dict() == session.report().to_dict()
+    assert [registry.names for registry in registries] == names
+
+
 def test_cluster_fleet_instants_shed_drain_restore():
     recorder = TraceRecorder()
     cluster = PhotonicCluster(

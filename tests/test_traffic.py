@@ -184,6 +184,63 @@ class TestTrafficEngine:
         assert report.total.requests == summary["admitted"]
         assert all(core.requests > 0 for core in report.per_core)
 
+    @pytest.mark.parametrize("cores", [None, 3], ids=["session", "cluster"])
+    def test_run_builds_one_report(self, monkeypatch, cores):
+        """A run reads its opening totals from the schedulers' ledgers
+        and builds one report, at its close; its summary equals that of
+        a run on a twin target first asked for a full report."""
+        deadline = 1e-6
+        mix = WorkloadMix.zipf(tenants=3, rows=8, columns=8, deadline_s=deadline)
+        arrivals = Poisson(16 / (2.0 * deadline))
+
+        def served_target():
+            target = make_session() if cores is None else make_cluster(cores=cores)
+            TrafficEngine(target, mix, arrivals, seed=5).run(200)
+            return target
+
+        twin = served_target()
+        twin.report()
+        expected = TrafficEngine(twin, mix, arrivals, seed=6).run(300)
+        target = served_target()
+        calls = []
+        report = type(target).report
+        monkeypatch.setattr(
+            type(target), "report", lambda self: calls.append(self) or report(self)
+        )
+        summary = TrafficEngine(target, mix, arrivals, seed=6).run(300)
+        assert calls == [target]
+        assert summary == expected
+        assert summary["deadline_misses"] > 0 and summary["resolved"] > 0
+
+    def test_opening_totals_equal_the_report_total(self):
+        """The ledger sums a run opens with equal ``report().total``'s
+        requests and deadline misses, for a session and for a cluster
+        with drained, parked and added cores."""
+        mix = WorkloadMix.zipf(tenants=2, rows=8, columns=8, deadline_s=1e-6)
+        arrivals = Poisson(8e6)
+
+        def check(engine, target):
+            report = target.report()
+            total = report.total if isinstance(target, PhotonicCluster) else report
+            assert engine._totals() == (total.requests, total.deadline_misses)
+            assert total.deadline_misses > 0
+
+        session = make_session()
+        engine = TrafficEngine(session, mix, arrivals, seed=8)
+        engine.run(200)
+        check(engine, session)
+        cluster = make_cluster(cores=3)
+        engine = TrafficEngine(cluster, mix, arrivals, seed=9)
+        engine.run(200)
+        cluster.drain(0)
+        assert cluster.scale_down(1) == 1
+        cluster.add_core()
+        check(engine, cluster)
+        engine.run(200)
+        assert cluster.draining == (0, 1) and cluster.parked == (1,)
+        assert cluster.report().per_core[3].requests > 0
+        check(engine, cluster)
+
     def test_token_bucket_sheds_over_limit_tenants(self):
         tenant = Tenant(
             name="capped", share=1.0, shape=(4, 6), rate_limit=1e3, burst=1.0
