@@ -67,6 +67,7 @@ from ..health.monitor import HealthPolicy, HealthReport
 from ..runtime.engine import weight_key
 from ..runtime.scheduler import check_dense_weights
 from ..telemetry import (
+    Counter,
     MetricsRegistry,
     ModelClock,
     ReportExport,
@@ -507,6 +508,9 @@ class PhotonicCluster:
         self.membership_version = 0
         self._cursor = 0
         self._routed = [0] * int(cores)
+        #: The fleet binding's ``routed`` counter, looked up on the
+        #: first routed request (so none exists before it) and kept.
+        self._routed_counter: Counter | None = None
         self._shed = 0
         #: Highest priority admitted per core since its last fleet flush
         #: (None = only default traffic); orders flush() across cores.
@@ -739,15 +743,23 @@ class PhotonicCluster:
         clock = self._clock
         return clock.now if clock is not None else self._fleet_now()
 
-    def _accrue_core_seconds(self) -> None:
-        """Advance the core-seconds integral to 'now' at the *current*
-        active-core count; call before any membership change so each
-        interval is billed at the fleet size that actually served it."""
+    def _core_seconds_now(self) -> tuple[float, float]:
+        """'Now' and the core-seconds integral up to it: the closed
+        intervals plus the open one, billed at the *current* active-core
+        count.  Reading it changes nothing, so a report does not split
+        the integral."""
         now = self._elastic_now()
         elapsed = now - self._seconds_accrued_at
         if elapsed > 0.0:
-            self._core_seconds += elapsed * len(self.active_cores)
-            self._seconds_accrued_at = now
+            return now, self._core_seconds + elapsed * len(self.active_cores)
+        return self._seconds_accrued_at, self._core_seconds
+
+    def _accrue_core_seconds(self) -> None:
+        """Close the open core-seconds interval at 'now'.  Every rotation
+        change (:meth:`drain`, :meth:`restore`, :meth:`add_core`) calls
+        it first, so each interval is billed at the fleet size that
+        actually served it."""
+        self._seconds_accrued_at, self._core_seconds = self._core_seconds_now()
 
     # -- QoS -----------------------------------------------------------------
     def _admit(
@@ -804,7 +816,10 @@ class PhotonicCluster:
         self._routed[core] += 1
         self._submit_seq += 1
         if self.telemetry is not None:
-            self.telemetry.metrics.counter("routed").inc()
+            counter = self._routed_counter
+            if counter is None:
+                counter = self._routed_counter = self.telemetry.metrics.counter("routed")
+            counter.inc()
         if self._sessions[core].pending == 0:
             # The submit tripped the core's own flush policy and the
             # request already resolved: nothing pending to prioritize.
@@ -1100,6 +1115,7 @@ class PhotonicCluster:
                 f"cannot drain core {core}: it is the last active core; "
                 "restore another core first"
             )
+        self._accrue_core_seconds()
         self._sessions[core].flush()
         self._pending_priority[core] = None
         self._pending_since[core] = None
@@ -1114,6 +1130,7 @@ class PhotonicCluster:
         """Return a drained (or parked) core to the routing rotation."""
         core = self._validated_core(core)
         if core in self._drained:
+            self._accrue_core_seconds()
             self._record(f"restore core {core}", {"core": core}, kind="restore")
         self._drained.discard(core)
         self._parked.discard(core)
@@ -1175,7 +1192,6 @@ class PhotonicCluster:
         is attached, else cold).  ``spec`` defaults to the autoscaler's
         ``spec`` for grown slots.
         """
-        self._accrue_core_seconds()
         self._in_scale_change = True
         try:
             if self._parked:
@@ -1233,7 +1249,6 @@ class PhotonicCluster:
             core = self._validated_core(core)
             if core not in active:
                 return None
-        self._accrue_core_seconds()
         self._in_scale_change = True
         try:
             self.drain(core)
@@ -1409,7 +1424,6 @@ class PhotonicCluster:
         """Cumulative fleet accounting: per-core RunReports plus their
         rolled-up totals, routing spread, shed count and (with
         telemetry) the merged fleet latency distributions."""
-        self._accrue_core_seconds()
         per_core = tuple(session.report() for session in self._sessions)
         bindings = [
             session.telemetry
@@ -1427,7 +1441,7 @@ class PhotonicCluster:
             drains=self._drains,
             scale_ups=self._scale_ups,
             scale_downs=self._scale_downs,
-            core_seconds=self._core_seconds,
+            core_seconds=self._core_seconds_now()[1],
             pending=tuple(session.pending for session in self._sessions),
             deadline_shed=tuple(
                 report.deadline_misses for report in per_core

@@ -31,8 +31,6 @@ from ..errors import DeadlineExceededError, PendingFlushError
 from ..telemetry.export import ReportExport
 
 if TYPE_CHECKING:
-    from numpy.typing import ArrayLike
-
     from .session import PhotonicSession
 
 
@@ -256,13 +254,21 @@ class Future:
         self._tenant: str | None = None
 
     # -- resolution (session-internal) ---------------------------------------
-    def _resolve(self, value: ArrayLike, codes: ArrayLike | None = None) -> None:
-        self._value = np.asarray(value, dtype=float)
-        if self.shape is not None:
-            self._value = self._value.reshape(self.shape)
-        if codes is not None:
-            self._codes = np.asarray(codes, dtype=int)
+    def _resolve(
+        self,
+        value: np.ndarray,
+        codes: np.ndarray | None = None,
+        at: float | None = None,
+    ) -> None:
+        """Finalize with a payload, taken as given: ``value`` a float
+        array already in its final shape (:attr:`shape` on the conv
+        route), ``codes`` the int ADC codes of an in-grid request (None
+        elsewhere), ``at`` the resolve stamp on the service clock (a
+        model drain stamps its futures once its last group has run)."""
+        self._value = value
+        self._codes = codes
         self._done = True
+        self._resolved_at = at
 
     def _attach_report(self, report: RunReport) -> None:
         self._report = report

@@ -51,7 +51,7 @@ from ..ml.convolution import (
 from ..ml.layers import PhotonicDense, relu
 from ..runtime.engine import check_unit_inputs, weight_key
 from ..runtime.scheduler import BatchScheduler, WeightProgramCache, check_dense_weights
-from ..telemetry import MetricsRegistry, ModelClock, Telemetry, TraceRecorder
+from ..telemetry import Counter, MetricsRegistry, ModelClock, Telemetry, TraceRecorder
 from ..telemetry.profiling import wall_clock
 from .futures import Future, RunReport
 from .graph import AvgPool, Conv2d, Dense, Flatten, Model, ReLU
@@ -391,6 +391,9 @@ class PhotonicSession:
         #: (queue-wait = flush start - submit stamp).
         self._flush_started = 0.0
         self._submit_count = 0
+        #: The binding's ``requests`` counter, looked up on the first
+        #: queued request (so none exists before it) and kept.
+        self._requests_counter: Counter | None = None
 
         # -- health loop (repro.health) ----------------------------------
         #: Live degradation state of the core (None = ageless hardware).
@@ -585,12 +588,14 @@ class PhotonicSession:
         gain = 1.0 if gain is None else gain
         # The queue holds a private input, never the caller's buffer; the
         # scheduler pads the weights once per content while its memo
-        # holds them.
+        # holds them.  An in-grid input queues as one list of Python
+        # floats zero-padded to the tile: the private copy, the padding
+        # and the operand of the scheduler's range check in one.
         columns = self.columns
         if out_features <= self.rows and in_features <= columns:
-            padded = np.zeros(columns)
-            padded[:in_features] = x
-            self.scheduler.submit("native", weights, padded, future, gain, out_features)
+            column = x.tolist()
+            column += [0.0] * (columns - in_features)
+            self.scheduler.submit("native", weights, column, future, gain, out_features)
             self._queued(future, "native")
         else:
             self.scheduler.submit("tiled", weights, x.copy(), future, gain)
@@ -1006,7 +1011,10 @@ class PhotonicSession:
         if tel is not None:
             future._submitted_at = self._stamp_now()
             future._route = route
-            tel.metrics.counter("requests").inc()
+            counter = self._requests_counter
+            if counter is None:
+                counter = self._requests_counter = tel.metrics.counter("requests")
+            counter.inc()
         deadline_at = future._deadline
         if deadline_at is not None and (
             self._earliest_deadline is None

@@ -382,17 +382,21 @@ class EoAdc:
         static conversion reaches code ``k`` (k = 1 .. 2^p - 1), found
         by bisecting :meth:`convert` down to floating-point resolution:
         every code starts from [0, full scale) and all of them bisect in
-        lockstep, one array conversion per step.  Because the settled
-        transfer function is a non-decreasing staircase (ring activation
-        windows ordered along the reference ladder, ceiling-priority
-        decoding, ramp-hold in the trim dead zones),
-        ``np.searchsorted(boundaries, v, side="right")`` reproduces
-        ``convert(v)`` exactly for every in-range ``v`` — this ladder is
-        what the :mod:`repro.runtime` compiler bins whole batches
-        against.  The read-only result is memoised on the bank, so
-        converters sharing a bank bisect once, until
-        :meth:`invalidate_boundaries`.  A bank without a ladder first
-        looks its content up in the process-wide memo (at most
+        lockstep, one array conversion per step.  This ladder is what
+        the :mod:`repro.runtime` compiler bins whole batches against,
+        and ``np.searchsorted(boundaries, v, side="right")`` reproduces
+        ``convert(v)`` exactly for every in-range ``v`` only while the
+        settled transfer function is a non-decreasing staircase (ring
+        activation windows ordered along the reference ladder,
+        ceiling-priority decoding, ramp-hold in the trim dead zones).
+        Default parts are monotone.  A converter mistrimmed by 0.3 LSB
+        or more with a non-strict decoder can convert non-monotonically;
+        binning against its ladder then returns, for some voltages,
+        codes ``convert`` would not emit, so compiled codes of such a
+        part may differ from the device loop's.  The read-only result
+        is memoised on the bank, so converters sharing a bank bisect
+        once, until :meth:`invalidate_boundaries`.  A bank without a
+        ladder first looks its content up in the process-wide memo (at most
         ``_LADDER_MEMO_SIZE`` ladders, the oldest evicted first), keyed
         by a digest of everything a bisection reads: the technology's
         values, the spec, the reference ladder, the trims and the

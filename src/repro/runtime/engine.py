@@ -92,14 +92,28 @@ class BatchResult:
 
 
 def check_unit_inputs(batch: np.ndarray) -> None:
-    """Reject a batch of analog inputs reaching outside [0, 1].  The
-    test is a negated in-range comparison, so a NaN (false under every
-    comparison) fails it, as it fails the device loop."""
-    if batch.size and not (0.0 <= batch.min() and batch.max() <= 1.0):
-        raise ConfigurationError(
-            "analog inputs must lie in [0, 1], got range "
-            f"[{batch.min():.6g}, {batch.max():.6g}]"
-        )
+    """Reject an array of analog inputs reaching outside [0, 1].  The
+    test is a negated in-range comparison on the whole-array ufunc
+    reductions ``ndarray.min``/``max`` wrap (without the wrapper's
+    per-call cost), so a NaN (false under every comparison) fails it,
+    as it fails the device loop.  The in-grid submit route checks its
+    Python-float queue entries by the same rule
+    (:meth:`~repro.runtime.scheduler.BatchScheduler.submit`)."""
+    if batch.size and not (
+        0.0 <= np.minimum.reduce(batch, axis=None)
+        and np.maximum.reduce(batch, axis=None) <= 1.0
+    ):
+        raise unit_range_error(batch)
+
+
+def unit_range_error(values) -> ConfigurationError:
+    """The error an out-of-range or NaN analog input raises, naming the
+    range of ``values`` (an array, or a list of floats)."""
+    values = np.asarray(values, dtype=float)
+    return ConfigurationError(
+        "analog inputs must lie in [0, 1], got range "
+        f"[{values.min():.6g}, {values.max():.6g}]"
+    )
 
 
 def common_ladder(boundaries: np.ndarray) -> np.ndarray | None:

@@ -39,6 +39,19 @@ dtypes or memory layouts still share one batch, as do banks that
 quantize to the same integers (each request keeps its own weight
 scale).
 
+Per-request dense work is the input's range check.  An in-grid input
+queues as one list of Python floats zero-padded to the tile (its
+private copy), checked by C-level ``min``/``max`` and a NaN-catching
+``sum``; a tiled input, which has no width bound, queues as an array
+copy checked by the two ufunc reductions, as
+:func:`~repro.runtime.engine.check_unit_inputs` checks a batch.  Both
+reject what the reductions reject, a NaN anywhere or an entry outside
+[0, 1], with one message.  The flush builds each dense batch with one
+``np.array`` of the queued entries and one C-contiguous transpose (the
+same float64 bytes either way, so programs of different declared
+widths that pad to one matrix share a batch), and each future takes
+its view of the result, sliced once per batch.
+
 Per-image conv work is done once per batch: a conv group queues each
 request's validated image (a private copy), and the flush unrolls the
 batch's images with one :func:`~repro.ml.convolution.im2col_channels`
@@ -62,7 +75,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -74,7 +87,7 @@ from ..errors import ConfigurationError, ProgramStoreError
 from ..ml.convolution import encode_patch_batch, im2col_channels
 from ..ml.layers import compile_differential_program
 from ..telemetry.clock import ModelClock
-from .engine import weight_key
+from .engine import unit_range_error, weight_key
 from .tiling import TiledMatmul, auto_range_gain
 
 
@@ -431,20 +444,22 @@ class BatchScheduler:
 
         ``kind`` says what the other arguments hold: ``"native"`` — the
         weight matrix as given (at most one tile; padded here) and the
-        input padded to the tile; ``"tiled"`` — both as given (larger
-        than one tile); ``"conv"`` — the validated float kernel bank
-        (n, channels, k, k), quantized once per bank content (see
+        input as a list of Python floats zero-padded to the tile's
+        columns; ``"tiled"`` — both as given, the input a float array
+        (larger than one tile); ``"conv"`` — the validated float kernel
+        bank (n, channels, k, k), quantized once per bank content (see
         :meth:`_conv_program`), and one validated image's ``(private
         (channels, H, W) copy, kernel size, stride, patch count)``,
         unrolled and encoded with its batch at flush.  Dense requests
         are validated here (the weights once per weight content while
         the memo holds it, see :meth:`_dense_program`; the input every
-        time), and a native ``gain="auto"`` takes the gain calibrated
-        there.  ``handle`` is the session future the
-        flush resolves (or sheds, when its absolute ``_deadline`` on
-        :attr:`clock` falls before its batch completes); ``rows`` keeps
-        that many outputs of a native request.  The caller hands over
-        ``column``.
+        time: a native list by ``min``/``max``/``sum``, a tiled array by
+        the two ufunc reductions; one rule and one message), and a
+        native ``gain="auto"`` takes the gain calibrated there.
+        ``handle`` is the session future the flush resolves (or sheds,
+        when its absolute ``_deadline`` on :attr:`clock` falls before
+        its batch completes); ``rows`` keeps that many outputs of a
+        native request.  The caller hands over ``column``.
         """
         if kind == "conv":
             key, source, weight_scale = self._conv_program(source)
@@ -453,15 +468,24 @@ class BatchScheduler:
             key, source, auto = self._dense_program(kind, source)
             if gain == "auto" and auto is not None:
                 gain = auto
-            # The ufunc reductions ``ndarray.min``/``max`` wrap, without the
+            if kind == "native":
+                # At most one tile of Python floats: C-level min/max reject
+                # entries outside [0, 1], and a sum of entries in [0, 1]
+                # never exceeds their count unless one is a NaN (which
+                # min/max skip when it is not the first entry).
+                if not (
+                    0.0 <= min(column)
+                    and max(column) <= 1.0
+                    and sum(column) <= len(column)
+                ):
+                    raise unit_range_error(column)
+            # A tiled column is a 1-D array of any width: the ufunc
+            # reductions ``ndarray.min``/``max`` wrap, without the
             # wrapper's per-call cost; a NaN fails the negated test.
-            if column.size and not (
+            elif column.size and not (
                 0.0 <= np.minimum.reduce(column) and np.maximum.reduce(column) <= 1.0
             ):
-                raise ConfigurationError(
-                    f"analog inputs must lie in [0, 1], got range "
-                    f"[{column.min():.6g}, {column.max():.6g}]"
-                )
+                raise unit_range_error(column)
         table = self._pending[kind]
         group = table.get((key, gain))
         if group is None:
@@ -674,8 +698,9 @@ class BatchScheduler:
         the batch's completion — one ADC sample period per column and
         pass of the *pre-shed* batch from the service clock's now, so a
         shed never resurrects a later request.  The survivors run as one
-        matmul, each handle resolves with its slice and the ledger and
-        clock are charged.
+        matmul, the ledger and clock are charged, and each handle
+        resolves with its view of the result, stamped at the batch's
+        completion.
         """
         inputs, handles, rows = group.inputs[part], group.handles[part], group.rows[part]
         if group.has_deadline:
@@ -691,33 +716,42 @@ class BatchScheduler:
                     return 0
         clock = self.clock
         start = clock.now
+        codes = repeat(None)
         if kind == "conv":
             batch, scales = encode_patch_batch(_unroll(inputs))
             raw = program.matmul(batch, gain=gain)
+            values = []
             offset = 0
             for (_, _, _, count, weight_scale), handle in zip(inputs, handles):
                 stop = offset + count
-                handle._resolve(raw[:, offset:stop] * weight_scale * scales[offset:stop])
+                value = raw[:, offset:stop] * weight_scale * scales[offset:stop]
+                values.append(value.reshape(handle.shape))
                 offset = stop
         else:
-            # One (columns, features) copy and one C-contiguous transpose:
-            # the array ``np.stack(inputs, axis=1)`` builds, for less.
-            batch = np.ascontiguousarray(np.array(inputs).T)
+            # One (requests, columns) float64 array of the queued entries
+            # (lists or arrays; the dtype spares the type discovery) and
+            # one C-contiguous transpose: the array
+            # ``np.stack(inputs, axis=1)`` builds, for less.
+            batch = np.ascontiguousarray(np.array(inputs, dtype=float).T)
             if kind == "tiled":
-                estimates = program.matmul(batch, gain=None if gain == "auto" else gain)
-                for handle, column in zip(handles, estimates.T):
-                    handle._resolve(column)
+                values = program.matmul(batch, gain=None if gain == "auto" else gain).T
             else:
                 result = program.tiles[0][0].matmul(batch, gain=gain)
-                for handle, kept, column, codes in zip(
-                    handles, rows, result.estimates.T, result.codes.T
-                ):
-                    handle._resolve(column[:kept], codes=codes[:kept])
+                values, codes = result.estimates.T, result.codes.T
+                kept = rows[0]
+                if rows.count(kept) == len(rows):
+                    values, codes = values[:, :kept], codes[:, :kept]
+                else:
+                    # Programs of different declared rows padded to one
+                    # matrix share the group: each keeps its own rows.
+                    values = [value[:count] for value, count in zip(values, rows)]
+                    codes = [code[:count] for code, count in zip(codes, rows)]
         columns = batch.shape[1]
         self._stats.batches += 1
         self._charge(columns, program.passes, program.tile_count)
-        for handle in handles:
-            handle._resolved_at = clock.now
+        now = clock.now
+        for handle, value, code in zip(handles, values, codes):
+            handle._resolve(value, code, now)
         tel = self.telemetry
         if tel is not None:
             tel.metrics.counter("batches").inc()

@@ -3,6 +3,7 @@ multi-core clusters, QoS admission control, replicated model
 endpoints and the aggregated ClusterReport."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.api.routing import HashRing
 from repro.elastic import ProgramStore
 from repro.errors import ClusterSaturatedError, ConfigurationError
 from repro.obs import Observer
-from repro.telemetry import MetricsRegistry, TraceRecorder
+from repro.telemetry import MetricsRegistry, ModelClock, TraceRecorder
 from repro.traffic import synthetic_trace
 
 
@@ -554,6 +555,148 @@ class TestClusterFlushAndPoll:
         time.sleep(0.01)
         assert cluster.poll() == 1            # lone request now past deadline
         assert future.done
+
+
+class TestCoreSeconds:
+    @staticmethod
+    def tape(tech, report_every):
+        """A 3-core fleet on an injected clock: 60 submits at uneven
+        gaps, core 1 drained before submit 20 and restored before
+        submit 40, a ``report()`` after every ``report_every``-th
+        submit (0 = none).  Returns the final core-seconds and the
+        drain, restore and end times."""
+        clock = ModelClock()
+        cluster = PhotonicCluster(cores=3, technology=tech, grid=(8, 8), clock=clock)
+        rng = np.random.default_rng(7)
+        weights = rng.integers(0, 8, (4, 6))
+        stamps = []
+        for index in range(60):
+            if index == 20:
+                stamps.append(clock.now)
+                cluster.drain(1)
+            elif index == 40:
+                stamps.append(clock.now)
+                cluster.restore(1)
+            clock.advance((index % 5 + 1) * 1e-9)
+            cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
+            if report_every and (index + 1) % report_every == 0:
+                cluster.report()
+        cluster.flush()
+        stamps.append(clock.now)
+        return cluster.report().core_seconds, stamps
+
+    @pytest.mark.parametrize("report_every", [0, 7, 1])
+    def test_reports_do_not_split_the_integral(self, tech, report_every):
+        """Every rotation change closes the open interval and a report
+        only reads it, so the integral is the same sum of interval x
+        active cores however often the fleet is reported (regression:
+        drain/restore did not close it and each report did, so the
+        reading depended on the report cadence)."""
+        core_seconds, (drained, restored, end) = self.tape(tech, report_every)
+        assert core_seconds.hex() == "0x1.01b2b29a4692dp-21"
+        assert core_seconds == 3 * drained + 2 * (restored - drained) + 3 * (end - restored)
+
+
+def metrics_tape(tech):
+    """A 3-core cache-affinity fleet with metrics on an injected clock:
+    90 submits over three programs (in-grid and tiled), two tenants,
+    every fourth with a tight deadline, a flush after every tenth,
+    admission sheds at ``max_pending=6``, core 2 drained and restored.
+    Returns the cluster, the fleet registry and every registry's
+    contents before the first request."""
+    metrics = MetricsRegistry()
+    clock = ModelClock()
+    cluster = PhotonicCluster(
+        cores=3, technology=tech, grid=(8, 8), metrics=metrics, clock=clock,
+        routing=RoutingPolicy.cache_affinity(), max_pending=6,
+    )
+    before = [metrics.to_dict()] + [
+        session.telemetry.metrics.to_dict() for session in cluster.sessions
+    ]
+    rng = np.random.default_rng(3)
+    programs = [rng.integers(0, 8, shape) for shape in ((8, 8), (4, 6), (12, 12))]
+    for index in range(90):
+        clock.advance(2e-9)
+        weights = programs[index % 3]
+        try:
+            cluster.submit(weights, rng.uniform(0.0, 1.0, weights.shape[1]),
+                           tenant=f"t{index % 2}",
+                           deadline=None if index % 4 else 5e-9)
+        except ClusterSaturatedError:
+            pass
+        if index % 10 == 9:
+            cluster.flush()
+        if index == 30:
+            cluster.drain(2)
+        elif index == 60:
+            cluster.restore(2)
+    cluster.flush()
+    return cluster, metrics, before
+
+
+#: :func:`metrics_tape`'s registries as the per-request counter lookups
+#: left them: the fleet's in full, each core's counters, gauges and
+#: histogram counts.
+FLEET_METRICS = {
+    "counters": {"drains": 1, "routed": 54, "shed": 36},
+    "gauges": {},
+    "histograms": {},
+}
+CORE_METRICS = [
+    (
+        {"batches": 12, "cache_hits": 10, "cache_misses": 2, "deadline_misses": 8,
+         "flushes": 10, "requests": 24},
+        {"pending": 0.0},
+        {"batch_size": 12, "end_to_end_s": 16, "queue_wait_s": 16, "queue_wait_s/t0": 4,
+         "queue_wait_s/t1": 12, "service_s/t0": 4, "service_s/t1": 12},
+    ),
+    (
+        {"batches": 9, "cache_hits": 8, "cache_misses": 1, "deadline_misses": 4,
+         "flushes": 10, "requests": 18},
+        {"pending": 0.0},
+        {"batch_size": 9, "end_to_end_s": 14, "queue_wait_s": 14, "queue_wait_s/t0": 5,
+         "queue_wait_s/t1": 9, "service_s/t0": 5, "service_s/t1": 9},
+    ),
+    (
+        {"batches": 6, "cache_hits": 5, "cache_misses": 1, "deadline_misses": 2,
+         "flushes": 11, "requests": 12},
+        {"pending": 0.0},
+        {"batch_size": 6, "end_to_end_s": 10, "queue_wait_s": 10, "queue_wait_s/t0": 4,
+         "queue_wait_s/t1": 6, "service_s/t0": 4, "service_s/t1": 6},
+    ),
+]
+
+
+class TestFleetMetrics:
+    def test_registries_export_the_same_names_and_values(self, tech):
+        """The ``requests`` and ``routed`` counters are looked up once
+        per binding, on its first request: no counter exists before it,
+        and after a fleet tape every registry exports the names and
+        values it did when each request looked its counter up."""
+        lookups = []
+        lookup = MetricsRegistry.counter
+
+        def counted(registry, name):
+            lookups.append(name)
+            return lookup(registry, name)
+
+        with mock.patch.object(MetricsRegistry, "counter", counted):
+            cluster, metrics, before = metrics_tape(tech)
+        assert lookups.count("requests") == 3 and lookups.count("routed") == 1
+        empty = {"counters": {}, "gauges": {}, "histograms": {}}
+        assert before == [empty] * 4
+        fleet = metrics.to_dict()
+        assert fleet == FLEET_METRICS
+        cores = [
+            (
+                registry["counters"],
+                registry["gauges"],
+                {name: summary["count"] for name, summary in registry["histograms"].items()},
+            )
+            for registry in (session.telemetry.metrics.to_dict()
+                             for session in cluster.sessions)
+        ]
+        assert cores == CORE_METRICS
 
 
 def affinity(tech, cores=4, **kwargs):

@@ -1009,6 +1009,107 @@ def test_long_lived_session_matches_requests_served_alone(seed, windows):
             assert future.codes is None
 
 
+#: Inputs at and just past the edges of [0, 1]: signed zeros, the unit,
+#: the doubles either side of the interval, subnormals and non-finites.
+EDGE_INPUTS = (
+    0.0,
+    -0.0,
+    1.0,
+    float(np.nextafter(1.0, 2.0)),
+    float(np.nextafter(0.0, -1.0)),
+    5e-324,
+    1e-310,
+    -1e-310,
+    math.nan,
+    math.inf,
+    -math.inf,
+)
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=EXEC_GRID[0] + 2),
+    width=st.integers(min_value=1, max_value=EXEC_GRID[1] + 2),
+    seed=st.integers(min_value=0, max_value=2**16),
+    edges=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7), st.sampled_from(EDGE_INPUTS)),
+        max_size=4,
+    ),
+)
+@example(rows=4, width=6, seed=0, edges=[(3, math.nan)])    # a NaN min/max skip
+@example(rows=4, width=6, seed=0, edges=[(0, math.nan)])
+@example(rows=2, width=3, seed=0, edges=[(1, -0.0), (2, 1.0)])
+@example(rows=4, width=6, seed=0, edges=[(5, -1e-310)])      # the tile's last column
+@settings(max_examples=120, deadline=None)
+def test_range_check_rejects_exactly_what_the_reductions_reject(rows, width, seed, edges):
+    """An input is rejected, with the message the two ufunc reductions
+    of the queued column give, exactly when ``not (0.0 <= min and max
+    <= 1.0)`` over it: a NaN anywhere, or an entry outside [0, 1]
+    (``-0.0`` passes).  The in-grid route checks its padded Python
+    floats by min/max/sum, the tiled route its array by the reductions.
+    An accepted in-grid request serves the device loop's values and
+    codes."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 8, (rows, width))
+    x = rng.uniform(0.0, 1.0, width)
+    for position, value in edges:
+        x[position % width] = value
+    in_grid = rows <= EXEC_GRID[0] and width <= EXEC_GRID[1]
+    queued = np.zeros(EXEC_GRID[1]) if in_grid else np.zeros(width)
+    queued[:width] = x
+    session = _exec_session()
+    if not (0.0 <= np.minimum.reduce(x) and np.maximum.reduce(x) <= 1.0):
+        with pytest.raises(ConfigurationError) as raised:
+            session.submit(weights, x)
+        assert str(raised.value) == (
+            "analog inputs must lie in [0, 1], got range "
+            f"[{queued.min():.6g}, {queued.max():.6g}]"
+        )
+        assert session.pending == 0
+        return
+    future = session.submit(weights, x)
+    value = future.result()
+    if not in_grid:
+        assert value.shape == (rows,) and future.codes is None
+        return
+    core = PhotonicTensorCore(rows=EXEC_GRID[0], columns=EXEC_GRID[1])
+    padded = np.zeros(EXEC_GRID, dtype=int)
+    padded[:rows, :width] = weights
+    core.load_weight_matrix(padded)
+    reference = core.matvec(queued)
+    assert np.array_equal(value, reference.estimates[:rows])
+    assert np.array_equal(future.codes, reference.codes[:rows])
+
+
+def test_programs_padding_to_one_matrix_share_one_batch():
+    """4x6, 4x7 (a zero last column) and 5x6 (a zero last row) programs
+    pad to one tile matrix, so their requests join one group and run
+    as one batch; each future keeps its own rows and codes, equal to
+    that request served alone."""
+    rng = np.random.default_rng(11)
+    base = rng.integers(1, 8, (4, 6))
+    programs = [
+        base,
+        np.hstack([base, np.zeros((4, 1), dtype=base.dtype)]),
+        np.vstack([base, np.zeros((1, 6), dtype=base.dtype)]),
+    ]
+    cases = [
+        (weights, rng.uniform(0.0, 1.0, weights.shape[1]))
+        for _ in range(3)
+        for weights in programs
+    ]
+    session = PhotonicSession(grid=(8, 8))
+    futures = [session.submit(weights, x) for weights, x in cases]
+    assert len(session.scheduler._pending["native"]) == 1
+    session.flush()
+    assert session.report().batches == 1
+    for (weights, x), future in zip(cases, futures):
+        alone = PhotonicSession(grid=(8, 8)).submit(weights, x)
+        alone.result()
+        assert future.value.shape == future.codes.shape == (len(weights),)
+        assert np.array_equal(future.value, alone.value)
+        assert np.array_equal(future.codes, alone.codes)
+
+
 # -- the program store: a round trip is exact ---------------------------------
 
 

@@ -363,6 +363,25 @@ def test_session_trace_covers_the_request_lifecycle():
     assert all(span.args["requests"] >= 1 for span in flush_spans)
 
 
+def test_requests_resolve_at_their_batch_completion():
+    """Each request span ends where its batch's span ends: a future is
+    stamped resolved at its batch's completion on the service clock,
+    on every route (two in-grid batches at ``max_batch=2``, a tiled and
+    a conv batch)."""
+    recorder = TraceRecorder()
+    session = PhotonicSession(grid=(4, 6), max_batch=2, trace=recorder)
+    rng = np.random.default_rng(8)
+    native, tiled = rng.integers(0, 8, (4, 6)), rng.integers(0, 8, (7, 9))
+    for _ in range(3):
+        session.submit(native, rng.uniform(0.0, 1.0, 6))
+    session.submit(tiled, rng.uniform(0.0, 1.0, 9))
+    session.submit_conv(rng.normal(0.0, 1.0, (2, 2, 2)), rng.uniform(0.0, 1.0, (4, 4)))
+    session.flush()
+    batches = [event.start_s + event.duration_s for event in recorder.events_in("batch")]
+    requests = [span.start_s + span.duration_s for span in recorder.events_in("request")]
+    assert len(batches) == 4
+    assert requests == pytest.approx([batches[0], *batches], rel=1e-12, abs=0.0)
+
 def test_session_latency_quantiles_per_flush_and_cumulative():
     session = PhotonicSession(grid=(4, 6), trace=TraceRecorder())
     rng = np.random.default_rng(3)
