@@ -479,6 +479,10 @@ class PhotonicCluster:
             flush_policy=flush_policy,
             drift=drift,
         )
+        #: Requests pending fleet-wide (:attr:`pending`): each core's
+        #: session adds the requests it books and drops its window as
+        #: its flush starts.
+        self._backlog = 0
         # Sessions only ever *grow*: scale-down parks a slot (drain +
         # out of rotation) rather than deleting it, so core indices —
         # and every consumer holding them (hash ring members, replica
@@ -564,10 +568,11 @@ class PhotonicCluster:
     def _build_session(self, index: int, spec: CoreSpec | None) -> PhotonicSession:
         """Build slot ``index`` from the cluster defaults with the
         spec's per-dimension overrides; the shared program store (when
-        attached) rides in so the slot warm-starts its programs."""
+        attached) rides in so the slot warm-starts its programs, and the
+        slot keeps this cluster's backlog (:attr:`pending`) current."""
         defaults = self._core_defaults
         spec = spec if spec is not None else CoreSpec()
-        return PhotonicSession(
+        session = PhotonicSession(
             technology=defaults["technology"],
             grid=(
                 spec.rows if spec.rows is not None else defaults["rows"],
@@ -591,6 +596,8 @@ class PhotonicCluster:
             obs=self.obs,
             label=f"{self.label}/core{index}",
         )
+        session._fleet = self
+        return session
 
     @staticmethod
     def _session_caps(session: PhotonicSession) -> tuple[int, int, int]:
@@ -626,8 +633,12 @@ class PhotonicCluster:
 
     @property
     def pending(self) -> int:
-        """Fleet-wide requests submitted but not yet flushed."""
-        return sum(session.pending for session in self._sessions)
+        """Fleet-wide requests submitted but not yet flushed: the
+        running backlog every core's session keeps current as it books
+        a request and as its flush starts (by whatever path: a blocking
+        ``result()``, a core's own ``flush()``, :meth:`poll`,
+        :meth:`drain`, a failed flush), so a read sums no core."""
+        return self._backlog
 
     @property
     def next_deadline(self) -> float | None:
@@ -771,7 +782,8 @@ class PhotonicCluster:
     ) -> int:
         """Admission control, the one gate of every submit route:
         returns the checked ``priority`` of a request that may queue.
-        Once ``max_pending`` requests are queued fleet-wide, best-effort
+        Once ``max_pending`` requests are queued fleet-wide (the running
+        backlog, :attr:`pending`, one read however many cores), best-effort
         traffic (priority <= 0) is shed; positive priority bypasses.  A
         request about to be shed first meets the validation its session
         would run, ``check(*request)`` and the deadline check, so a
@@ -779,23 +791,24 @@ class PhotonicCluster:
         nothing; a well-formed one is counted and recorded, and raises
         :class:`ClusterSaturatedError`.  An admitted request is
         validated by its session alone."""
-        if not isinstance(priority, (int, np.integer)) or isinstance(priority, bool):
-            raise ConfigurationError(
-                f"priority must be an integer (0 = best-effort, higher "
-                f"flushes first and bypasses shedding), got {priority!r}"
-            )
-        priority = int(priority)
+        if priority.__class__ is not int:
+            if not isinstance(priority, (int, np.integer)) or isinstance(priority, bool):
+                raise ConfigurationError(
+                    f"priority must be an integer (0 = best-effort, higher "
+                    f"flushes first and bypasses shedding), got {priority!r}"
+                )
+            priority = int(priority)
         if (
             self.max_pending is None
             or priority > 0
-            or self.pending < self.max_pending
+            or self._backlog < self.max_pending
         ):
             return priority
         check(*request)
         if deadline is not None:
             PhotonicSession._check_deadline(deadline)
         self._shed += 1
-        pending = self.pending
+        pending = self._backlog
         self._record(
             "shed",
             {"pending": pending, "max_pending": self.max_pending},
@@ -812,7 +825,8 @@ class PhotonicCluster:
         """Bookkeeping for one *successfully queued* request (call
         after the session accepted it, so a rejected submit neither
         counts as routed nor pins a phantom priority).  Its health or
-        autoscale step may change the rotation."""
+        autoscale step, run only when that policy is attached, may
+        change the rotation."""
         self._routed[core] += 1
         self._submit_seq += 1
         if self.telemetry is not None:
@@ -820,7 +834,7 @@ class PhotonicCluster:
             if counter is None:
                 counter = self._routed_counter = self.telemetry.metrics.counter("routed")
             counter.inc()
-        if self._sessions[core].pending == 0:
+        if not self._sessions[core]._window:
             # The submit tripped the core's own flush policy and the
             # request already resolved: nothing pending to prioritize.
             self._pending_priority[core] = None
@@ -831,8 +845,10 @@ class PhotonicCluster:
                 self._pending_priority[core] = priority
             if self._pending_since[core] is None:
                 self._pending_since[core] = self._submit_seq
-        self._maybe_run_health()
-        self._maybe_autoscale()
+        if self.health_policy is not None:
+            self._maybe_run_health()
+        if self.autoscaler is not None:
+            self._maybe_autoscale()
 
     # -- routed request paths ------------------------------------------------
     def _placement_cost(self, core: int, shape: tuple[int, int]) -> tuple[int, int]:
@@ -893,7 +909,7 @@ class PhotonicCluster:
 
     def _route(
         self, kind: str, program: np.ndarray, min_adc_bits: int | None
-    ) -> tuple[int, tuple | None]:
+    ) -> tuple[int, tuple | None, tuple | None]:
         """Pick the core for one request: ``program`` is the dense
         weight matrix (``kind`` ``"dense"``) or the conv kernel bank
         (``"conv"``), as the caller gave it.
@@ -910,26 +926,28 @@ class PhotonicCluster:
         answer is memoised on the program's exact content (numeric
         dtypes only; an object array's bytes are pointers), so a repeat
         costs one ``tobytes`` and one dict probe instead of a
-        serialization, a hash and a ring walk.  Returns the core and,
-        for a miss the memo should learn, its memo key (None
-        otherwise); :meth:`_accept` stores it once the session has
-        accepted the request, so a rejected request leaves no entry.
+        serialization, a hash and a ring walk.  Returns the core, the
+        program's content key ``(shape, dtype, bytes)`` when one was
+        built (the routed session's program memo takes it as its own
+        key, see :meth:`submit`) and, for a miss the memo should learn,
+        its route key (None on a hit or under a stateless policy);
+        :meth:`_accept` stores it once the session has accepted the
+        request, so a rejected request leaves no entry.
         """
-        content = None
+        content = route = None
         needs_key = self.routing.needs_key
         if needs_key and program.dtype.kind in "biuf":
-            content = (
-                kind, min_adc_bits, program.shape, program.dtype, program.tobytes()
-            )
-            core = self._routes.get(content)
+            content = (program.shape, program.dtype, program.tobytes())
+            route = (kind, min_adc_bits, *content)
+            core = self._routes.get(route)
             if core is not None:
-                return core, None
+                return core, content, None
         # A bank is placed as its (kernels, taps) matrix.
         placed = program.ndim == 2 or (kind == "conv" and program.ndim > 2)
         shape = (program.shape[0], math.prod(program.shape[1:])) if placed else None
         candidates = self._capable_cores(shape, min_adc_bits)
         if len(candidates) == 1:
-            return candidates[0], content
+            return candidates[0], content, route
         if needs_key:
             if kind == "conv":
                 key = self._conv_route_key(program)
@@ -939,12 +957,12 @@ class PhotonicCluster:
                 # the key's int64 cast.
                 check_dense_weights(program, self._widest_weight())
                 key = b"dense-route:" + weight_key(program)
-            return self._ring.lookup(key, allowed=candidates), content
+            return self._ring.lookup(key, allowed=candidates), content, route
         if self.routing.needs_loads:
             loads = [self._sessions[index].pending for index in candidates]
         else:
             loads = [0] * len(candidates)     # only the length is read
-        return candidates[self.routing.select(loads, self._cursor)], None
+        return candidates[self.routing.select(loads, self._cursor)], None, None
 
     def _widest_weight(self) -> int:
         """The largest weight any core of the fleet holds."""
@@ -957,9 +975,9 @@ class PhotonicCluster:
         against the fleet's widest weight."""
         PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
 
-    def _accept(self, core: int, priority: int, content: tuple | None) -> None:
+    def _accept(self, core: int, priority: int, route: tuple | None) -> None:
         """Bookkeeping for one routed request its session accepted.  A
-        miss's route is memoised *before* :meth:`_note_routed`, whose
+        miss's ``route`` key is memoised *before* :meth:`_note_routed`, whose
         health or autoscale step may change the rotation and so clear
         the memo.  The memo is cleared whole once it holds as many
         routes as the fleet's program caches hold programs: a program
@@ -967,14 +985,14 @@ class PhotonicCluster:
         next to which routing it again costs nothing.  The round-robin
         cursor advances here too, so a rejected request does not use
         up a core's turn."""
-        if content is not None:
+        if route is not None:
             if len(self._routes) >= sum(
                 session.scheduler.cache.capacity
                 + session.scheduler.tiled_cache.capacity
                 for session in self._sessions
             ):
                 self.invalidate_routes()
-            self._routes[content] = core
+            self._routes[route] = core
         self._cursor += 1
         self._note_routed(core, priority)
 
@@ -997,14 +1015,24 @@ class PhotonicCluster:
         heterogeneous fleet (graceful fallback to the best available
         cores when none reaches it).  Under cache-affinity each
         weight program is routed once per rotation (see
-        :meth:`_route`)."""
+        :meth:`_route`), and the content key the route memo built is
+        handed to the core's program memo
+        (``BatchScheduler._content_key``, set for this one
+        :meth:`PhotonicSession.submit` call), so the weights are keyed
+        once per request."""
         priority = self._admit(priority, deadline, self._check_dense, weights, x, gain)
         weights = np.asarray(weights)
-        index, content = self._route("dense", weights, min_adc_bits)
-        future = self._sessions[index].submit(
-            weights, x, gain=gain, deadline=deadline, tenant=tenant
-        )
-        self._accept(index, priority, content)
+        index, content, route = self._route("dense", weights, min_adc_bits)
+        session = self._sessions[index]
+        scheduler = session.scheduler
+        scheduler._content_key = content
+        try:
+            future = session.submit(
+                weights, x, gain=gain, deadline=deadline, tenant=tenant
+            )
+        finally:
+            scheduler._content_key = None
+        self._accept(index, priority, route)
         return future
 
     def _conv_route_key(self, kernels: ArrayLike) -> bytes:
@@ -1044,12 +1072,12 @@ class PhotonicCluster:
             kernels, image, stride, gain,
         )
         bank = np.asarray(kernels)
-        index, content = self._route("conv", bank, min_adc_bits)
+        index, _, route = self._route("conv", bank, min_adc_bits)
         future = self._sessions[index].submit_conv(
             bank, image, stride=stride, gain=gain,
             deadline=deadline, tenant=tenant,
         )
-        self._accept(index, priority, content)
+        self._accept(index, priority, route)
         return future
 
     # -- replicated model endpoints ------------------------------------------

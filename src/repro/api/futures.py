@@ -240,7 +240,8 @@ class Future:
         self._abandoned = False
         #: Modelled-clock submit/resolve timestamps [s] and the request
         #: route, read back for request lifecycle spans (the submit
-        #: stamp and route only with a telemetry binding attached).
+        #: stamp only when a ``deadline=`` or a telemetry binding reads
+        #: the stamp clock, the route only with a telemetry binding).
         self._submitted_at: float | None = None
         self._resolved_at: float | None = None
         self._route: str | None = None
@@ -264,7 +265,8 @@ class Future:
         array already in its final shape (:attr:`shape` on the conv
         route), ``codes`` the int ADC codes of an in-grid request (None
         elsewhere), ``at`` the resolve stamp on the service clock (a
-        model drain stamps its futures once its last group has run)."""
+        model drain stamps the futures it resolved as it ends, or as a
+        failing group stops it)."""
         self._value = value
         self._codes = codes
         self._done = True

@@ -63,6 +63,7 @@ if TYPE_CHECKING:
     from ..core.performance import PerformanceModel
     from ..core.tensor_core import PhotonicTensorCore
     from ..obs import Observer
+    from .cluster import PhotonicCluster
 
 #: Everything the ``drift`` knob accepts: a ready state, one model, an
 #: iterable of models (wrapped into a fresh state), or None.
@@ -197,7 +198,10 @@ class DeployedModel:
 
         Endpoint batches shed on the simple rule: a deadline already
         past when the drain begins cannot be met (whole-network
-        forwards have no cheap completion estimate).
+        forwards have no cheap completion estimate).  Every future the
+        drain resolved is stamped at its end, also when a later group's
+        forward raises, so the failed flush reports finite latencies for
+        what it served.
         """
         queue, self._queue = self._queue, []
         scheduler = self._session.scheduler
@@ -207,17 +211,20 @@ class DeployedModel:
         groups: dict[tuple, list[tuple[np.ndarray, Future]]] = {}
         for batch, future in queue:
             groups.setdefault(batch.shape[1:], []).append((batch, future))
-        for entries in groups.values():
-            stack = np.concatenate([batch for batch, _ in entries], axis=0)
-            outputs = self._forward(stack)
-            scheduler._stats.batches += 1
-            offset = 0
-            for batch, future in entries:
-                future._resolve(outputs[offset : offset + len(batch)])
-                offset += len(batch)
-        resolved_at = scheduler.clock.now
-        for _, future in queue:
-            future._resolved_at = resolved_at
+        try:
+            for entries in groups.values():
+                stack = np.concatenate([batch for batch, _ in entries], axis=0)
+                outputs = self._forward(stack)
+                scheduler._stats.batches += 1
+                offset = 0
+                for batch, future in entries:
+                    future._resolve(outputs[offset : offset + len(batch)])
+                    offset += len(batch)
+        finally:
+            resolved_at = scheduler.clock.now
+            for _, future in queue:
+                if future.done:
+                    future._resolved_at = resolved_at
         return len(queue)
 
     def _forward(self, batch: np.ndarray) -> np.ndarray:
@@ -299,7 +306,7 @@ class PhotonicSession:
     ) -> None:
         rows, columns = self._validated_grid(grid)
         self.technology = technology if technology is not None else default_technology()
-        self.flush_policy = (
+        self._flush_policy = (
             flush_policy if flush_policy is not None else FlushPolicy.explicit()
         )
         self.label = str(label)
@@ -380,12 +387,19 @@ class PhotonicSession:
         self.rows = self.scheduler.rows
         self.columns = self.scheduler.columns
         self._endpoints: list[DeployedModel] = []
-        #: Futures queued since the last flush, in submit order.
+        #: Futures queued since the last flush, in submit order: every
+        #: request pending on any route, so its length is :attr:`pending`.
         self._window: list[Future] = []
+        #: The cluster whose running backlog counts this window (set by
+        #: the cluster that builds the session; None for a lone session).
+        self._fleet: PhotonicCluster | None = None
         self._oldest_pending: float | None = None
         #: Most urgent absolute deadline among pending requests (None =
         #: no pending request carries one); feeds the SLO-aware policy.
         self._earliest_deadline: float | None = None
+        #: When the flush policy next trips on its own, from the two
+        #: stamps above (see :meth:`_policy_due`); None when it cannot.
+        self._due: float | None = None
         self._flushes = 0
         #: Service-clock timestamp the current flush started at
         #: (queue-wait = flush start - submit stamp).
@@ -464,11 +478,22 @@ class PhotonicSession:
 
     @property
     def pending(self) -> int:
-        """Requests submitted but not yet flushed, across all routes."""
-        queued = self.scheduler._queued
-        if self._endpoints:
-            queued += sum(len(endpoint._queue) for endpoint in self._endpoints)
-        return queued
+        """Requests submitted but not yet flushed, across all routes:
+        the flush window's length (every booked request joins it, and a
+        flush empties it), so a read sums no queue."""
+        return len(self._window)
+
+    @property
+    def flush_policy(self) -> FlushPolicy:
+        """When pending traffic flushes on its own (see
+        :class:`~repro.api.policy.FlushPolicy`).  Assigning a new policy
+        re-derives the published due time of the current window."""
+        return self._flush_policy
+
+    @flush_policy.setter
+    def flush_policy(self, policy: FlushPolicy) -> None:
+        self._flush_policy = policy
+        self._due = self._policy_due()
 
     @property
     def endpoints(self) -> tuple:
@@ -569,14 +594,12 @@ class PhotonicSession:
                 f"input must have shape ({in_features},), got {x.shape}"
             )
         gain = self._validated_gain(gain)
-        if deadline is not None and isinstance(deadline, (int, float)) and deadline <= 0.0:
+        if deadline is not None and self._check_deadline(deadline):
             # Shed at submit, before the scheduler would check the weights
             # and the input: check them here, so a malformed request
             # raises instead of counting as a deadline miss.
             check_dense_weights(weights, self.core.max_weight)
             check_unit_inputs(x)
-        if deadline is not None:
-            self._check_deadline(deadline)
         self._submit_count += 1
         label = ("dense {}x{} request #{}", out_features, in_features, self._submit_count)
         future = self._new_future(label, deadline, tenant)
@@ -951,16 +974,18 @@ class PhotonicSession:
         stamps [s]: the injected clock when one is set, else the
         modelled service clock, so a deadline is always judged on
         modelled time."""
-        if self.clock is None:
+        clock = self.clock
+        if clock is None:
             return self.scheduler.clock.now
-        return self._now()
+        return clock.now
 
     @staticmethod
-    def _check_deadline(deadline: float) -> None:
+    def _check_deadline(deadline: float) -> bool:
         """Reject a ``deadline=`` [s] that is not a number, or is NaN:
         every submit route runs this before it counts or numbers the
         request, and fleet admission before it sheds one, so all share
-        one error message."""
+        one error message.  Returns whether the deadline has already
+        passed (it is not positive)."""
         if (
             not isinstance(deadline, (int, float))
             or isinstance(deadline, bool)
@@ -970,6 +995,7 @@ class PhotonicSession:
                 f"deadline must be seconds from now (a number) or None, "
                 f"got {deadline!r}"
             )
+        return deadline <= 0.0
 
     def _new_future(
         self,
@@ -978,18 +1004,22 @@ class PhotonicSession:
         tenant: str | None,
         shape: tuple | None = None,
     ) -> Future:
-        """A future for the next flush, carrying its absolute deadline
-        (the relative ``deadline``, already checked by
-        :meth:`_check_deadline`, past :meth:`_stamp_now`); shed at once
-        (it never enters a queue) when ``deadline`` is already
-        non-positive.  ``label`` is the ``(template, *args)`` its label
-        formats from on first read."""
-        deadline_at = None if deadline is None else self._stamp_now() + float(deadline)
+        """A future for the next flush.  Given a ``deadline`` (already
+        checked by :meth:`_check_deadline`), it reads :meth:`_stamp_now`
+        once and carries the absolute deadline past it: shed at once (it
+        never enters a queue) when ``deadline`` is already non-positive,
+        else keeping the stamp as its submit stamp for :meth:`_queued`.
+        ``label`` is the ``(template, *args)`` its label formats from
+        on first read."""
         future = Future(self, label, self._flushes + 1, shape=shape)
-        future._deadline = deadline_at
         future._tenant = tenant
-        if deadline is not None and deadline <= 0.0:
-            self._shed_future(future)
+        if deadline is not None:
+            stamp = self._stamp_now()
+            future._deadline = stamp + float(deadline)
+            if deadline <= 0.0:
+                self._shed_future(future)
+            else:
+                future._submitted_at = stamp
         return future
 
     def _shed_future(self, future: Future) -> None:
@@ -1003,50 +1033,87 @@ class PhotonicSession:
             tel.metrics.counter("deadline_misses").inc()
 
     def _queued(self, future: Future, route: str) -> None:
-        """Book one request into the flush window: its telemetry submit
-        stamp, the most urgent pending deadline (for the SLO-aware
-        flush policy), then the flush policy itself."""
-        self._window.append(future)
+        """Book one request into the flush window (and its cluster's
+        backlog): its telemetry submit stamp, the most urgent pending
+        deadline and the oldest stamp (republishing the due time when
+        either moves under a policy that reads it), then the flush
+        policy itself.  A request reads the stamp clock at most once,
+        kept on the future: the deadline stamp, the telemetry submit
+        stamp and the deadline slack share it.  With no deadline, no
+        telemetry and no delay or headroom limit it reads neither the
+        stamp clock nor builds a due time."""
+        window = self._window
+        window.append(future)
+        fleet = self._fleet
+        if fleet is not None:
+            fleet._backlog += 1
+        stamp = future._submitted_at
         tel = self.telemetry
         if tel is not None:
-            future._submitted_at = self._stamp_now()
+            if stamp is None:
+                stamp = future._submitted_at = self._stamp_now()
             future._route = route
             counter = self._requests_counter
             if counter is None:
                 counter = self._requests_counter = tel.metrics.counter("requests")
             counter.inc()
+        policy = self._flush_policy
+        moved = False
         deadline_at = future._deadline
         if deadline_at is not None and (
             self._earliest_deadline is None
             or deadline_at < self._earliest_deadline
         ):
             self._earliest_deadline = deadline_at
-        self._after_submit()
+            moved = policy.deadline_headroom is not None
+        # The age source is read only to stamp the window's first
+        # request or for a policy that has a delay limit.
+        age = 0.0
+        if self._oldest_pending is None:
+            self._oldest_pending = self._now()
+            moved = moved or policy.delay_limit is not None
+        elif policy.delay_limit is not None:
+            age = self._now() - self._oldest_pending
+        if moved:
+            self._due = self._policy_due()
+        slack = None
+        if policy.deadline_headroom is not None and self._earliest_deadline is not None:
+            if stamp is None:
+                stamp = self._stamp_now()
+            slack = self._earliest_deadline - stamp
+        if policy.should_flush(len(window), age, slack):
+            self.flush()
 
     # -- flush ---------------------------------------------------------------
+    def _policy_due(self) -> float | None:
+        """The modelled time the flush policy next trips on its own:
+        the oldest stamp plus the delay limit or the earliest deadline
+        minus the headroom, whichever comes first; None when neither
+        applies.  An event loop polls at it
+        (:meth:`repro.traffic.TrafficEngine._next_trigger`)."""
+        policy = self._flush_policy
+        due = None
+        oldest = self._oldest_pending
+        if policy.delay_limit is not None and oldest is not None:
+            due = oldest + policy.delay_limit
+        deadline = self._earliest_deadline
+        if policy.deadline_headroom is not None and deadline is not None:
+            slack_due = deadline - policy.deadline_headroom
+            if due is None or slack_due < due:
+                due = slack_due
+        return due
+
     def _deadline_slack(self) -> float | None:
         """Seconds until the most urgent pending deadline expires, on
         the deadlines' own timeline (:meth:`_stamp_now`); None = no
         pending deadline, or the policy ignores them — skipping the
         arithmetic keeps the common path free."""
         if (
-            self.flush_policy.deadline_headroom is None
+            self._flush_policy.deadline_headroom is None
             or self._earliest_deadline is None
         ):
             return None
         return self._earliest_deadline - self._stamp_now()
-
-    def _after_submit(self) -> None:
-        # The age source is read only to stamp the window's first
-        # request or for a policy that has a delay limit.
-        policy = self.flush_policy
-        age = 0.0
-        if self._oldest_pending is None:
-            self._oldest_pending = self._now()
-        elif policy.delay_limit is not None:
-            age = self._now() - self._oldest_pending
-        if policy.should_flush(self.pending, age, self._deadline_slack()):
-            self.flush()
 
     def poll(self) -> int:
         """Re-check the flush policy's deadline without submitting.
@@ -1063,8 +1130,8 @@ class PhotonicSession:
         if self._oldest_pending is None:
             return 0
         now = self._now()
-        if self.flush_policy.should_flush(
-            self.pending, now - self._oldest_pending, self._deadline_slack()
+        if self._flush_policy.should_flush(
+            len(self._window), now - self._oldest_pending, self._deadline_slack()
         ):
             return self.flush()
         return 0
@@ -1072,16 +1139,18 @@ class PhotonicSession:
     @property
     def next_deadline(self) -> float | None:
         """The most urgent pending absolute deadline (None = no pending
-        request carries one); event loops read this to schedule their
-        next :meth:`poll`."""
+        request carries one); with ``deadline_headroom`` the flush
+        policy trips at ``next_deadline - deadline_headroom``."""
         return self._earliest_deadline
 
     @property
     def oldest_pending_at(self) -> float | None:
         """Session-clock timestamp the oldest pending request was
         submitted at (None = nothing pending); with ``delay_limit`` the
-        flush policy trips at ``oldest_pending_at + delay_limit``, the
-        other timestamp event loops schedule :meth:`poll` around."""
+        flush policy trips at ``oldest_pending_at + delay_limit``.  The
+        session publishes the earlier of the two due times as it books
+        requests (:meth:`_policy_due`), and the traffic engine schedules
+        its :meth:`poll` calls on that."""
         return self._oldest_pending
 
     def flush(self) -> int:
@@ -1096,7 +1165,9 @@ class PhotonicSession:
         carrying a ``deadline=`` are shed instead of evaluated when
         their batch's modelled completion time falls past the deadline
         (the estimate uses the *pre-shed* batch size, so a shed never
-        resurrects a later request).
+        resurrects a later request).  The window leaves :attr:`pending`
+        (and its cluster's backlog) as the flush starts, served or not,
+        and the due time is cleared as it ends.
         """
         tel = self.telemetry
         clock = self.scheduler.clock
@@ -1106,6 +1177,9 @@ class PhotonicSession:
                 clock.now = now
         self._flush_started = clock.now
         window, self._window = self._window, []
+        fleet = self._fleet
+        if fleet is not None:
+            fleet._backlog -= len(window)
         try:
             resolved = self.scheduler.flush()
             for endpoint in self._endpoints:
@@ -1129,6 +1203,7 @@ class PhotonicSession:
                     served.append(future)
             self._oldest_pending = None
             self._earliest_deadline = None
+            self._due = None
             self._flushes += 1
             report = self._delta_report(served)
             for future in served:

@@ -411,6 +411,12 @@ class BatchScheduler:
         #: read-only W+ over W-, scale).  Cleared whole when full (see
         #: :meth:`_memoised`).
         self._checked: dict[tuple, tuple] = {}
+        #: The (shape, dtype, bytes) content key of the next dense
+        #: request's weights when its caller has already built it: a
+        #: cluster sets it around the one session submit it routes (its
+        #: route memo keys on the same tuple) and clears it after, so
+        #: the program memo does not key the weights a second time.
+        self._content_key: tuple | None = None
         self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
         #: Optional :class:`repro.telemetry.Telemetry` binding (set by
@@ -515,10 +521,13 @@ class BatchScheduler:
         error reports the caller's range; then it takes a private int
         copy (``"native"``: padded to the tile, with its ``"auto"``
         gain range-calibrated; a grid calibrates per tile at compile)
-        and keys it.
+        and keys it.  A content key the caller already built
+        (``_content_key``) is used as given.
         """
-        if weights.dtype.kind in "biuf":
+        content = self._content_key
+        if content is None and weights.dtype.kind in "biuf":
             content = (weights.shape, weights.dtype, weights.tobytes())
+        if content is not None:
             program = self._checked.get(content)
             if program is not None:
                 return program

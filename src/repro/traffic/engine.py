@@ -18,10 +18,15 @@ clocks:
   event the engine pre-advances idle service clocks to the event time,
   so a backlogged core shows queue-wait and an idle one does not;
 * between arrivals the engine fires the target's flush-policy triggers
-  (``delay_limit`` ages, ``deadline_headroom`` slack) at their exact
+  (``delay_limit`` ages, ``deadline_headroom`` slack) at their
   modelled due-times via :meth:`~repro.api.PhotonicSession.poll` —
   the discrete-event half that makes latency-bounding policies work
-  in an open loop.
+  in an open loop.  Each core's session publishes its own next due
+  time as it books requests, so finding the next trigger reads one
+  float per core; a poll lands one part per billion past its due time
+  (the slack subtraction can round just above the headroom exactly
+  at it) and never past the next arrival, so the arrival clock only
+  moves forward.
 
 Admission runs tenant-by-tenant through token buckets
 (:class:`~repro.traffic.workload.TokenBucket`), cluster admission
@@ -37,6 +42,8 @@ million-request runs are memory-flat.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from ..api.cluster import PhotonicCluster
@@ -46,6 +53,22 @@ from ..telemetry import ModelClock
 from .arrivals import ArrivalProcess
 from .slo import SLO
 from .workload import WorkloadMix
+
+#: How many arrivals :func:`_arrivals` converts to Python scalars at once.
+_TAPE_BLOCK = 4096
+
+
+def _arrivals(
+    times: np.ndarray, tenants: np.ndarray
+) -> Iterator[tuple[int, tuple[float, int]]]:
+    """``(index, (time, tenant))`` of every arrival as Python scalars
+    (``tolist`` is exact), converted one block at a time so a long tape
+    is never held a second time as Python objects."""
+    for start in range(0, len(times), _TAPE_BLOCK):
+        stop = start + _TAPE_BLOCK
+        yield from enumerate(
+            zip(times[start:stop].tolist(), tenants[start:stop].tolist()), start
+        )
 
 
 class TrafficEngine:
@@ -168,34 +191,34 @@ class TrafficEngine:
     def _next_trigger(self) -> float | None:
         """The earliest modelled time any session's flush policy will
         trip on its own (delay-limit age or deadline-headroom slack);
-        None when no pending traffic carries a trigger."""
+        None when no pending traffic carries a trigger.  Each session
+        publishes its own due time as it books requests
+        (``PhotonicSession._due``: ``oldest_pending_at + delay_limit``
+        or ``next_deadline - deadline_headroom``, whichever is earlier),
+        so this reads one float per core."""
         trigger: float | None = None
         for session in self._sessions:
-            policy = session.flush_policy
-            oldest = session.oldest_pending_at
-            if policy.delay_limit is not None and oldest is not None:
-                due = oldest + policy.delay_limit
-                if trigger is None or due < trigger:
-                    trigger = due
-            deadline = session.next_deadline
-            if policy.deadline_headroom is not None and deadline is not None:
-                due = deadline - policy.deadline_headroom
-                if trigger is None or due < trigger:
-                    trigger = due
+            due = session._due
+            if due is not None and (trigger is None or due < trigger):
+                trigger = due
         return trigger
 
     def _fire_triggers_until(self, t: float) -> None:
         """Fire every flush-policy trigger due before modelled time
-        ``t``, each at its exact due-time (the event-queue pop of a
-        classical DES, with the policy as the event source)."""
+        ``t``, each just past its due-time but never past ``t`` (the
+        event-queue pop of a classical DES, with the policy as the
+        event source), so a poll never lands after the arrival it
+        precedes and the arrival clock never moves backwards."""
         while True:
             trigger = self._next_trigger()
             if trigger is None or trigger >= t:
                 return
-            # Land a hair *past* the due-time (1 ppb): at exactly
-            # `deadline - headroom` the slack subtraction can round to
-            # just above the headroom and the policy would not trip.
-            trigger += 1e-9 * (1.0 + abs(trigger))
+            # Land a hair *past* the due-time: at exactly `deadline -
+            # headroom` the slack subtraction can round to just above
+            # the headroom and the policy would not trip.  The hair is
+            # relative (1 ppb of the due time): at sub-microsecond
+            # modelled times an absolute one would be whole ADC periods.
+            trigger = min(trigger + 1e-9 * abs(trigger), t)
             self._advance_to(max(trigger, self.clock.now))
             if self.target.poll() == 0:
                 # The policy disagreed with our estimate (e.g. slack
@@ -251,15 +274,13 @@ class TrafficEngine:
         admission_shed = 0
         target = self.target
         is_cluster = self._is_cluster
-        for i in range(int(requests)):
-            t = float(times[i])
+        for i, (t, k) in _arrivals(times, tenant_index):
             self._fire_triggers_until(t)
             # Pick up cores the autoscaler added during the previous
             # event *before* advancing clocks, so a fresh core's idle
             # service clock starts at this arrival rather than at 0.
             self._refresh_membership()
             self._advance_to(t)
-            k = int(tenant_index[i])
             tenant = tenants[k]
             bucket = buckets[k]
             if bucket is not None and not bucket.admit(t):

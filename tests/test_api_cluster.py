@@ -731,6 +731,26 @@ class TestRouteMemo:
         assert (routes["dense", None, (4, 6), narrow.dtype, narrow.tobytes()]
                 == routes["dense", None, (4, 6), programs[0].dtype, programs[0].tobytes()])
 
+    def test_a_rejected_routed_request_leaves_no_content_key(self, tech):
+        """The route memo's content key reaches the routed core's
+        program memo for one session submit only: a request its session
+        rejects or sheds at submit leaves no key behind, so a later
+        request on that core is keyed on its own weights."""
+        cluster = affinity(tech, cores=2)
+        rng = np.random.default_rng(64)
+        weights, other = rng.integers(0, 8, (2, 4, 6))
+        x = rng.uniform(0.0, 1.0, 6)
+        with pytest.raises(ConfigurationError, match="input must have shape"):
+            cluster.submit(weights, np.ones(5))
+        assert cluster.submit(weights, x, deadline=0.0).expired
+        home = cluster._routes["dense", None, (4, 6), weights.dtype, weights.tobytes()]
+        assert all(s.scheduler._content_key is None for s in cluster.sessions)
+        served = cluster.sessions[home].submit(other, x).result()
+        again = cluster.submit(weights, x).result()
+        for matrix, value in ((other, served), (weights, again)):
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            np.testing.assert_array_equal(value, alone.submit(matrix, x).result())
+
     def test_rotation_changes_clear_the_memo(self, tech):
         cluster = affinity(tech)
         rng = np.random.default_rng(62)

@@ -25,6 +25,7 @@ from repro.ml.convolution import PhotonicConv2d
 from repro.ml.datasets import gaussian_blobs
 from repro.ml.network import MLP, PhotonicMLP
 from repro.runtime.engine import CompiledCore
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture()
@@ -311,6 +312,37 @@ class TestDeployedModels:
         fresh = session.submit(rng.integers(0, 8, (4, 6)),
                                rng.uniform(0.0, 1.0, 6))
         assert len(fresh.result()) == 4
+
+    def test_failed_later_group_keeps_the_served_groups_latency(
+        self, tech, monkeypatch
+    ):
+        """A model drain whose second input-shape group raises still
+        stamps the group it served: a metrics session reports a finite
+        latency for it and the flush raises the group's own error."""
+        session = PhotonicSession(technology=tech, grid=(4, 6),
+                                  metrics=MetricsRegistry())
+        rng = np.random.default_rng(20)
+        endpoint = session.compile(
+            Model.sequential(Conv2d(rng.normal(0.0, 1.0, (2, 3, 3)))))
+        first = endpoint.submit(rng.uniform(0.0, 1.0, (2, 4, 4)))
+        second = endpoint.submit(rng.uniform(0.0, 1.0, (2, 5, 5)))
+        forward = endpoint._forward
+        calls = []
+
+        def failing_second(batch):
+            calls.append(batch.shape)
+            if len(calls) == 2:
+                raise RuntimeError("injected forward failure")
+            return forward(batch)
+
+        monkeypatch.setattr(endpoint, "_forward", failing_second)
+        with pytest.raises(RuntimeError, match="injected forward failure"):
+            session.flush()
+        assert first.done and first.value.shape == (2, 2, 2, 2)
+        end_to_end = first.report.latency_quantiles["end_to_end"]
+        assert end_to_end["count"] == 1
+        assert np.isfinite(end_to_end["max"]) and end_to_end["max"] >= 0.0
+        assert second.abandoned and not second.done
 
     def test_model_accounting_reaches_report(self, session):
         rng = np.random.default_rng(17)

@@ -10,10 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.api import (
+    Dense,
     FlushPolicy,
     MetricsRegistry,
+    Model,
     PhotonicCluster,
     PhotonicSession,
     RoutingPolicy,
@@ -32,7 +41,13 @@ from repro.core.quantization import (
 )
 from repro.electronics.adc_metrics import differential_nonlinearity
 from repro.elastic import Autoscaler, CoreSpec, ProgramStore
-from repro.errors import ConfigurationError, ConversionError, DeadlineExceededError
+from repro.errors import (
+    ClusterSaturatedError,
+    ConfigurationError,
+    ConversionError,
+    DeadlineExceededError,
+    ReproError,
+)
 from repro.electronics.elements import StorageNode
 from repro.electronics.rom_decoder import CeilingPriorityRomDecoder, code_to_bits
 from repro.photonics.coupler import BinaryScaledSplitterTree, PowerSplitter
@@ -1721,3 +1736,186 @@ def test_cluster_routes_match_the_ring_oracle(specs, autoscale, health, seed, da
         assert len(cluster._routes) <= bound
         if rotated or _rotation_events(cluster) != before:
             assert cluster._routes == {}
+
+
+def _parent_trigger(sessions):
+    """The traffic engine's next trigger derived from every core's
+    policy and stamps, as the engine computed it before sessions
+    published their due times."""
+    trigger = None
+    for session in sessions:
+        policy = session.flush_policy
+        oldest = session.oldest_pending_at
+        if policy.delay_limit is not None and oldest is not None:
+            due = oldest + policy.delay_limit
+            if trigger is None or due < trigger:
+                trigger = due
+        deadline = session.next_deadline
+        if policy.deadline_headroom is not None and deadline is not None:
+            due = deadline - policy.deadline_headroom
+            if trigger is None or due < trigger:
+                trigger = due
+    return trigger
+
+
+def _true_backlog(session):
+    """What a session has queued, read from the queues themselves."""
+    return session.scheduler._queued + sum(
+        len(endpoint._queue) for endpoint in session._endpoints
+    )
+
+
+#: Dense programs of the fleet machine on its (4, 6) tile: in-grid,
+#: sub-tile and tiled.
+FLEET_SHAPES = ((4, 6), (3, 4), (5, 8))
+FLEET_PRIORITIES = st.sampled_from([-1, 0, 0, 1])
+FLEET_DEADLINES = st.sampled_from([None, None, 1e-9, 4e-10, 2e-10, 0.0])
+
+
+class FleetBacklogMachine(RuleBasedStateMachine):
+    """A 2-3 core cache-affinity fleet on an injected clock, with
+    ``max_pending``, a deadline-aware policy with a delay limit and one
+    replicated endpoint, driven through every path that queues or
+    flushes.  After every step each session's :attr:`pending` equals
+    what its queues hold, the cluster's running backlog is their sum,
+    and the engine's next trigger (read from the cores' published due
+    times) equals the one derived from every core's policy and stamps.
+    Admission sheds a request exactly when that true backlog is at
+    ``max_pending`` and its priority is not positive."""
+
+    @initialize(
+        cores=st.integers(min_value=2, max_value=3),
+        max_pending=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def build(self, cores, max_pending, seed):
+        self.rng = np.random.default_rng(seed)
+        self.clock = ModelClock()
+        self.cluster = PhotonicCluster(
+            cores=cores,
+            technology=TECH,
+            grid=(4, 6),
+            max_batch=4,
+            flush_policy=FlushPolicy(
+                batch_limit=6, delay_limit=2e-9, deadline_headroom=2e-10
+            ),
+            routing=RoutingPolicy.cache_affinity(),
+            max_pending=max_pending,
+            metrics=MetricsRegistry(),
+            clock=self.clock,
+        )
+        self.programs = [self.rng.integers(0, 8, shape) for shape in FLEET_SHAPES]
+        self.bank = self.rng.normal(0.0, 1.0, (2, 3, 3))
+        self.model = self.cluster.compile(
+            Model.sequential(Dense(self.rng.normal(0.0, 1.0, (3, 6)))), replicas=2
+        )
+        self.engine = TrafficEngine(
+            self.cluster, WorkloadMix.zipf(tenants=1, rows=4, columns=6), Poisson(1e9)
+        )
+        self.futures = []
+
+    def _admitted(self, priority, submit):
+        """Run one routed submit and check the admission decision
+        against the true backlog it met."""
+        backlog = sum(_true_backlog(session) for session in self.cluster.sessions)
+        shed = backlog >= self.cluster.max_pending and priority <= 0
+        try:
+            future = submit()
+        except ClusterSaturatedError:
+            assert shed
+            return
+        assert not shed
+        self.futures = (self.futures + [future])[-32:]
+
+    @rule(program=st.integers(0, len(FLEET_SHAPES) - 1), priority=FLEET_PRIORITIES,
+          deadline=FLEET_DEADLINES)
+    def submit(self, program, priority, deadline):
+        weights = self.programs[program]
+        x = self.rng.uniform(0.0, 1.0, weights.shape[1])
+        self._admitted(priority, lambda: self.cluster.submit(
+            weights, x, priority=priority, deadline=deadline))
+
+    @rule(priority=FLEET_PRIORITIES, deadline=FLEET_DEADLINES)
+    def submit_conv(self, priority, deadline):
+        image = self.rng.uniform(0.0, 1.0, (5, 5))
+        self._admitted(priority, lambda: self.cluster.submit_conv(
+            self.bank, image, priority=priority, deadline=deadline))
+
+    @rule(rows=st.integers(1, 3), priority=FLEET_PRIORITIES, deadline=FLEET_DEADLINES)
+    def submit_batch(self, rows, priority, deadline):
+        batch = self.rng.uniform(0.0, 1.0, (rows, 6))
+        self._admitted(priority, lambda: self.model.submit(
+            batch, priority=priority, deadline=deadline))
+
+    @rule(seconds=st.sampled_from([0.0, 1e-10, 5e-10, 3e-9]))
+    def tick(self, seconds):
+        self.clock.now += seconds
+
+    @precondition(lambda self: self.futures)
+    @rule(data=st.data())
+    def result(self, data):
+        future = data.draw(st.sampled_from(self.futures))
+        try:
+            future.result()
+        except ReproError:
+            pass
+
+    @rule(data=st.data())
+    def flush_core(self, data):
+        self.cluster.sessions[data.draw(st.integers(0, self.cluster.cores - 1))].flush()
+
+    @rule()
+    def flush(self):
+        self.cluster.flush()
+
+    @rule()
+    def poll(self):
+        self.cluster.poll()
+
+    @rule()
+    def age(self):
+        self.cluster.age(1e-9)
+
+    @rule(data=st.data())
+    def drain(self, data):
+        active = self.cluster.active_cores
+        if len(active) > 1:
+            self.cluster.drain(data.draw(st.sampled_from(active)))
+
+    @precondition(lambda self: self.cluster.draining)
+    @rule(data=st.data())
+    def restore(self, data):
+        self.cluster.restore(data.draw(st.sampled_from(self.cluster.draining)))
+
+    @precondition(lambda self: self.cluster.cores < 4)
+    @rule()
+    def add_core(self):
+        self.cluster.add_core()
+
+    @rule()
+    def failed_flush(self):
+        with mock.patch.object(
+            CompiledCore, "matmul", side_effect=ConversionError("injected")
+        ):
+            try:
+                self.cluster.flush()
+            except ConversionError:
+                pass
+
+    @invariant()
+    def backlog_is_the_queues(self):
+        sessions = self.cluster.sessions
+        for session in sessions:
+            assert session.pending == _true_backlog(session)
+        assert self.cluster.pending == sum(session.pending for session in sessions)
+
+    @invariant()
+    def trigger_is_the_policies(self):
+        self.engine._refresh_membership()
+        assert self.engine._next_trigger() == _parent_trigger(self.cluster.sessions)
+
+
+FleetBacklogMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
+test_fleet_backlog_and_due_times = FleetBacklogMachine.TestCase

@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.telemetry import ModelClock
 from repro.traffic import (
     SLO,
+    ArrivalProcess,
     Bursty,
     Diurnal,
     Poisson,
@@ -240,6 +241,37 @@ class TestTrafficEngine:
         assert cluster.draining == (0, 1) and cluster.parked == (1,)
         assert cluster.report().per_core[3].requests > 0
         check(engine, cluster)
+
+    def test_polls_never_move_the_arrival_clock_backwards(self, monkeypatch):
+        """Regression: a due trigger was bumped 1 ns past its due time,
+        8 ADC periods at 8 GS/s, so a poll could land after the next
+        arrival and that arrival then moved the clock backwards.  The
+        bump is relative to the due time and never passes the arrival:
+        the arrival clock read at every submit and poll only rises."""
+
+        class Tape(ArrivalProcess):
+            def times(self, n, rng):
+                return np.array([1e-6, 1.0805e-6, 1.2e-6])[:n]
+
+        session = make_session(FlushPolicy.deadline_aware(headroom=2e-8))
+        tenant = Tenant(name="t", share=1.0, shape=(8, 8), deadline_s=1e-7)
+        clock = session.clock
+        seen = []
+        for name in ("submit", "poll"):
+            method = getattr(session, name)
+
+            def stamped(*args, _method=method, _name=name, **kwargs):
+                seen.append((clock.now, _name))
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(session, name, stamped)
+        summary = TrafficEngine(session, WorkloadMix((tenant,)), Tape(), seed=3).run(3)
+        assert [name for _, name in seen] == [
+            "submit", "poll", "submit", "poll", "submit"
+        ]
+        stamps = [now for now, _ in seen]
+        assert stamps == sorted(stamps)
+        assert summary["deadline_misses"] == 0 and summary["resolved"] == 3
 
     def test_token_bucket_sheds_over_limit_tenants(self):
         tenant = Tenant(
