@@ -17,7 +17,8 @@ On top of the per-core sessions the cluster adds:
   least-loaded / cache-affinity consistent hashing of weight-program
   keys) deciding which slot each routed request lands on;
 * per-request QoS — ``priority=`` on every submit route orders which
-  cores flush first, and admission control (``max_pending``) sheds
+  cores flush first, by the requests each core's flush window holds
+  now, and admission control (``max_pending``) sheds
   best-effort traffic with a typed
   :class:`~repro.errors.ClusterSaturatedError` once the fleet backlog
   hits the cap (positive-priority requests bypass the shed gate);
@@ -122,9 +123,9 @@ class ClusterReport(ReportExport):
     #: savings here.  Timed on the injected ``clock=`` when one is
     #: shared, else on the furthest-along core's service clock.
     core_seconds: float = 0.0
-    #: Requests pending per core at report time (the per-core
-    #: :attr:`~repro.runtime.scheduler.SchedulerStats.pending` signal
-    #: the autoscaler and least-loaded routing watch), in core order.
+    #: Requests pending per core at report time (each core's
+    #: :attr:`PhotonicSession.pending`, its flush window's length, which
+    #: least-loaded routing reads live), in core order.
     pending: tuple[int, ...] = ()
     #: Deadline-shed requests per core (each core's cumulative
     #: ``RunReport.deadline_misses``), in core order.
@@ -297,7 +298,7 @@ class ReplicatedModel:
         # Only a successfully queued batch advances the rotation and
         # the cluster bookkeeping — a rejected batch routes nowhere.
         self._cursor += 1
-        self._cluster._note_routed(self._core_indices[slot], priority)
+        self._cluster._note_routed(self._core_indices[slot], priority, future)
         return future
 
     def predict(self, batch: ArrayLike, priority: int = 0) -> np.ndarray:
@@ -516,14 +517,9 @@ class PhotonicCluster:
         #: first routed request (so none exists before it) and kept.
         self._routed_counter: Counter | None = None
         self._shed = 0
-        #: Highest priority admitted per core since its last fleet flush
-        #: (None = only default traffic); orders flush() across cores.
-        self._pending_priority: list[int | None] = [None] * int(cores)
-        #: Fleet-wide submit sequence number of each core's oldest
-        #: pending request (None = nothing pending); breaks priority
-        #: ties in :meth:`_flush_order` deterministically by submit
-        #: order instead of the unstable core index alone.
-        self._pending_since: list[int | None] = [None] * int(cores)
+        #: Fleet submit number of the last routed request; each core's
+        #: session keeps its window's flush order (highest priority,
+        #: first number) for :meth:`_flush_order`.
         self._submit_seq = 0
         self._replicated: list[ReplicatedModel] = []
         self._drained: set[int] = set()
@@ -821,10 +817,12 @@ class PhotonicCluster:
             "raise max_pending, or submit with priority > 0 to bypass"
         )
 
-    def _note_routed(self, core: int, priority: int) -> None:
-        """Bookkeeping for one *successfully queued* request (call
-        after the session accepted it, so a rejected submit neither
-        counts as routed nor pins a phantom priority).  Its health or
+    def _note_routed(self, core: int, priority: int, future: Future) -> None:
+        """Bookkeeping for one request its session accepted (so a rejected
+        submit neither counts as routed nor takes a submit number).  Only
+        a still-pending ``future`` ranks its core's window
+        (``PhotonicSession._fleet_order``): one shed at submit or served
+        by the flush its submit tripped is in no window.  Its health or
         autoscale step, run only when that policy is attached, may
         change the rotation."""
         self._routed[core] += 1
@@ -834,17 +832,13 @@ class PhotonicCluster:
             if counter is None:
                 counter = self._routed_counter = self.telemetry.metrics.counter("routed")
             counter.inc()
-        if not self._sessions[core]._window:
-            # The submit tripped the core's own flush policy and the
-            # request already resolved: nothing pending to prioritize.
-            self._pending_priority[core] = None
-            self._pending_since[core] = None
-        else:
-            current = self._pending_priority[core]
-            if current is None or priority > current:
-                self._pending_priority[core] = priority
-            if self._pending_since[core] is None:
-                self._pending_since[core] = self._submit_seq
+        if not future._done:
+            session = self._sessions[core]
+            order = session._fleet_order
+            if order is None:
+                session._fleet_order = (priority, self._submit_seq)
+            elif priority > order[0]:
+                session._fleet_order = (priority, order[1])
         if self.health_policy is not None:
             self._maybe_run_health()
         if self.autoscaler is not None:
@@ -975,7 +969,9 @@ class PhotonicCluster:
         against the fleet's widest weight."""
         PhotonicSession._check_dense(weights, x, gain, self._widest_weight())
 
-    def _accept(self, core: int, priority: int, route: tuple | None) -> None:
+    def _accept(
+        self, core: int, priority: int, route: tuple | None, future: Future
+    ) -> None:
         """Bookkeeping for one routed request its session accepted.  A
         miss's ``route`` key is memoised *before* :meth:`_note_routed`, whose
         health or autoscale step may change the rotation and so clear
@@ -994,7 +990,7 @@ class PhotonicCluster:
                 self.invalidate_routes()
             self._routes[route] = core
         self._cursor += 1
-        self._note_routed(core, priority)
+        self._note_routed(core, priority, future)
 
     def submit(
         self,
@@ -1032,7 +1028,7 @@ class PhotonicCluster:
             )
         finally:
             scheduler._content_key = None
-        self._accept(index, priority, route)
+        self._accept(index, priority, route, future)
         return future
 
     def _conv_route_key(self, kernels: ArrayLike) -> bytes:
@@ -1077,7 +1073,7 @@ class PhotonicCluster:
             bank, image, stride=stride, gain=gain,
             deadline=deadline, tenant=tenant,
         )
-        self._accept(index, priority, route)
+        self._accept(index, priority, route, future)
         return future
 
     # -- replicated model endpoints ------------------------------------------
@@ -1129,10 +1125,10 @@ class PhotonicCluster:
     def drain(self, core: int) -> None:
         """Take one core out of the routing rotation for maintenance.
 
-        Its pending requests flush first so nothing is stranded; new
-        traffic then routes to the remaining cores (the replicas absorb
-        it) until :meth:`restore`.  The last active core cannot drain —
-        the fleet must keep accepting traffic.
+        Its pending requests (and so its flush order) flush first so
+        nothing is stranded; new traffic then routes to the remaining
+        cores (the replicas absorb it) until :meth:`restore`.  The last
+        active core cannot drain — the fleet must keep accepting traffic.
         """
         core = self._validated_core(core)
         if core in self._drained:
@@ -1145,8 +1141,6 @@ class PhotonicCluster:
             )
         self._accrue_core_seconds()
         self._sessions[core].flush()
-        self._pending_priority[core] = None
-        self._pending_since[core] = None
         self._drained.add(core)
         self.invalidate_routes()
         self._drains += 1
@@ -1191,8 +1185,6 @@ class PhotonicCluster:
         self._core_caps.append(self._session_caps(session))
         self._heterogeneous = len(set(self._core_caps)) > 1
         self._routed.append(0)
-        self._pending_priority.append(None)
-        self._pending_since.append(None)
         self._ring.add(index)
         self.invalidate_routes()
         self.membership_version += 1
@@ -1395,35 +1387,29 @@ class PhotonicCluster:
 
     # -- flush / poll --------------------------------------------------------
     def _flush_order(self) -> list[int]:
-        """Cores ordered for flushing: highest admitted priority first;
-        equal priorities break by submit order (the core whose oldest
-        pending request arrived first flushes first), then core index —
-        a fully deterministic key, so traced runs replay identically
-        across platforms (best-effort-only cores still flush last)."""
-        return sorted(
-            range(self.cores),
-            key=lambda index: (
-                -(
-                    self._pending_priority[index]
-                    if self._pending_priority[index] is not None
-                    else float("-inf")
-                ),
-                (
-                    self._pending_since[index]
-                    if self._pending_since[index] is not None
-                    else float("inf")
-                ),
-                index,
-            ),
-        )
+        """Cores ordered for flushing by the routed requests each one's
+        window holds now (``PhotonicSession._fleet_order``): highest
+        priority first; equal priorities break by submit order (the
+        core whose first routed request arrived first flushes first),
+        then core index — a fully deterministic key, so traced runs
+        replay identically across platforms.  A core whose window holds
+        no routed request sorts last, as ``(inf, inf, index)``."""
+
+        def key(index: int) -> tuple:
+            order = self._sessions[index]._fleet_order
+            if order is None:
+                return (math.inf, math.inf, index)
+            return (-order[0], order[1], index)
+
+        return sorted(range(self.cores), key=key)
 
     def flush(self) -> int:
-        """Flush every core (priority order); returns resolved count."""
+        """Flush every core in :meth:`_flush_order`; returns resolved
+        count.  A core flush that raises stops the fleet flush: the
+        cores after it keep their windows and their order."""
         resolved = 0
         for index in self._flush_order():
             resolved += self._sessions[index].flush()
-            self._pending_priority[index] = None
-            self._pending_since[index] = None
         self._maybe_run_health()
         self._maybe_autoscale()
         return resolved
@@ -1435,14 +1421,12 @@ class PhotonicCluster:
             session.age(seconds)
 
     def poll(self) -> int:
-        """Re-check every core's flush-policy deadline (the cluster
-        twin of :meth:`PhotonicSession.poll`); returns resolved count."""
+        """Re-check every core's flush-policy deadline, in
+        :meth:`_flush_order` (the cluster twin of
+        :meth:`PhotonicSession.poll`); returns resolved count."""
         resolved = 0
         for index in self._flush_order():
             resolved += self._sessions[index].poll()
-            if self._sessions[index].pending == 0:
-                self._pending_priority[index] = None
-                self._pending_since[index] = None
         self._maybe_run_health()
         self._maybe_autoscale()
         return resolved

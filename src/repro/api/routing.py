@@ -10,9 +10,8 @@ routed request lands on — the cluster-level twin of
   submit order; perfectly even request spread, blind to weight reuse.
 * :meth:`RoutingPolicy.least_loaded` — send each request to the core
   with the fewest pending requests (ties break to the lowest index),
-  reading the same load signal
-  :class:`~repro.runtime.scheduler.SchedulerStats` snapshots as
-  ``pending``.
+  reading each candidate core's :attr:`~repro.api.PhotonicSession.pending`
+  (its flush window's length) at the request.
 * :meth:`RoutingPolicy.cache_affinity` — consistent-hash the request's
   weight-program key onto the fleet, so every request for one weight
   program lands on one core: hot programs stay resident in that core's

@@ -181,7 +181,6 @@ class DeployedModel:
         if future.done:
             return future
         self._queue.append((batch, future))
-        session.scheduler._stats.requests += 1
         session._queued(future, "model")
         return future
 
@@ -389,6 +388,8 @@ class PhotonicSession:
         self._endpoints: list[DeployedModel] = []
         #: Futures queued since the last flush, in submit order: every
         #: request pending on any route, so its length is :attr:`pending`.
+        #: It owns the four stamps derived from it below; :meth:`flush`
+        #: clears all five in one statement.
         self._window: list[Future] = []
         #: The cluster whose running backlog counts this window (set by
         #: the cluster that builds the session; None for a lone session).
@@ -400,6 +401,10 @@ class PhotonicSession:
         #: When the flush policy next trips on its own, from the two
         #: stamps above (see :meth:`_policy_due`); None when it cannot.
         self._due: float | None = None
+        #: The cluster's flush order for the window's routed requests:
+        #: (highest priority, fleet submit number of the first), or None
+        #: (set by ``PhotonicCluster._note_routed``).
+        self._fleet_order: tuple[int, int] | None = None
         self._flushes = 0
         #: Service-clock timestamp the current flush started at
         #: (queue-wait = flush start - submit stamp).
@@ -1034,16 +1039,18 @@ class PhotonicSession:
 
     def _queued(self, future: Future, route: str) -> None:
         """Book one request into the flush window (and its cluster's
-        backlog): its telemetry submit stamp, the most urgent pending
-        deadline and the oldest stamp (republishing the due time when
-        either moves under a policy that reads it), then the flush
-        policy itself.  A request reads the stamp clock at most once,
-        kept on the future: the deadline stamp, the telemetry submit
-        stamp and the deadline slack share it.  With no deadline, no
-        telemetry and no delay or headroom limit it reads neither the
-        stamp clock nor builds a due time."""
+        backlog) and count it on the ``requests`` ledger, the one place
+        every route counts it: its telemetry submit stamp, the most
+        urgent pending deadline and the oldest stamp (republishing the
+        due time when either moves under a policy that reads it), then
+        the flush policy itself.  A request reads the stamp clock at
+        most once, kept on the future: the deadline stamp, the
+        telemetry submit stamp and the deadline slack share it.  With no
+        deadline, no telemetry and no delay or headroom limit it reads
+        neither the stamp clock nor builds a due time."""
         window = self._window
         window.append(future)
+        self.scheduler._stats.requests += 1
         fleet = self._fleet
         if fleet is not None:
             fleet._backlog += 1
@@ -1165,9 +1172,11 @@ class PhotonicSession:
         carrying a ``deadline=`` are shed instead of evaluated when
         their batch's modelled completion time falls past the deadline
         (the estimate uses the *pre-shed* batch size, so a shed never
-        resurrects a later request).  The window leaves :attr:`pending`
-        (and its cluster's backlog) as the flush starts, served or not,
-        and the due time is cleared as it ends.
+        resurrects a later request).  The window and everything derived
+        from it (the oldest stamp, the earliest deadline, the due time
+        and the fleet flush order) leave in one statement as the flush
+        starts, served or not, and the window leaves its cluster's
+        backlog with them.
         """
         tel = self.telemetry
         clock = self.scheduler.clock
@@ -1176,7 +1185,8 @@ class PhotonicSession:
             if clock.now < now:
                 clock.now = now
         self._flush_started = clock.now
-        window, self._window = self._window, []
+        (window, self._window, self._oldest_pending, self._earliest_deadline,
+         self._due, self._fleet_order) = (self._window, [], None, None, None, None)
         fleet = self._fleet
         if fleet is not None:
             fleet._backlog -= len(window)
@@ -1188,11 +1198,10 @@ class PhotonicSession:
                         self._rebind_endpoint(endpoint)
                     resolved += endpoint._drain()
         finally:
-            # Never leave a stale group behind: a failed evaluation must
-            # not wedge every subsequent flush.  Futures the failure
-            # left unresolved are marked abandoned so their reads say
-            # "re-submit" instead of suggesting a futile re-flush.
-            self.scheduler._clear_pending()
+            # Never leave a stale endpoint queue behind (the scheduler
+            # clears its own groups): a failed evaluation must not wedge
+            # every subsequent flush.  Futures the failure left unresolved
+            # are marked abandoned so their reads say "re-submit".
             for endpoint in self._endpoints:
                 endpoint._queue.clear()
             served = []
@@ -1201,9 +1210,6 @@ class PhotonicSession:
                     future._abandon()
                 elif future._error is None:
                     served.append(future)
-            self._oldest_pending = None
-            self._earliest_deadline = None
-            self._due = None
             self._flushes += 1
             report = self._delta_report(served)
             for future in served:

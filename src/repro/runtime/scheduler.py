@@ -298,15 +298,14 @@ _KINDS = ("native", "tiled", "conv")
 @dataclass
 class SchedulerStats:
     """Aggregate accounting of a scheduler's traffic so far (every group
-    kind, plus whatever the owning session charges through it)."""
+    kind, plus whatever the owning session charges through it); what is
+    pending is the session's flush window, not a ledger field."""
 
+    #: Requests the owning session booked into its window, on any route.
     requests: int = 0
     flushed: int = 0
     batches: int = 0
     max_batch: int = 0
-    #: Requests queued but not yet flushed at snapshot time — the
-    #: per-core load signal least-loaded cluster routing reads.
-    pending: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -362,7 +361,8 @@ class BatchScheduler:
     grids and differential pairs live in ``tiled_cache``.  Requests
     queue per (weight program, gain) and :meth:`flush` runs every
     group: in-grid groups as dense batches of at most ``max_batch``
-    columns, tiled and conv groups whole.
+    columns, tiled and conv groups whole.  The owning session counts
+    and books the requests (:attr:`repro.api.PhotonicSession.pending`).
     """
 
     def __init__(
@@ -417,7 +417,6 @@ class BatchScheduler:
         #: route memo keys on the same tuple) and clears it after, so
         #: the program memo does not key the weights a second time.
         self._content_key: tuple | None = None
-        self._queued = 0
         self._stats = SchedulerStats(max_batch=max_batch)
         #: Optional :class:`repro.telemetry.Telemetry` binding (set by
         #: the owning session).  None = zero telemetry calls on the
@@ -428,11 +427,6 @@ class BatchScheduler:
         #: binding makes the binding's clock this clock, so telemetry
         #: stamps the same timeline.
         self.clock = ModelClock()
-
-    @property
-    def pending(self) -> int:
-        """Requests submitted but not yet flushed."""
-        return self._queued
 
     # -- request path --------------------------------------------------------
     def submit(
@@ -465,13 +459,14 @@ class BatchScheduler:
         ``handle`` is the session future the flush resolves (or sheds,
         when its absolute ``_deadline`` on :attr:`clock` falls before
         its batch completes); ``rows`` keeps that many outputs of a
-        native request.  The caller hands over ``column``.
+        native request.  The caller hands over ``column`` and books the
+        request.
         """
         if kind == "conv":
-            key, source, weight_scale = self._conv_program(source)
+            key, program, weight_scale = self._conv_program(source)
             column = (*column, weight_scale)
         else:
-            key, source, auto = self._dense_program(kind, source)
+            key, program, auto = self._dense_program(kind, source)
             if gain == "auto" and auto is not None:
                 gain = auto
             if kind == "native":
@@ -484,7 +479,8 @@ class BatchScheduler:
                     and max(column) <= 1.0
                     and sum(column) <= len(column)
                 ):
-                    raise unit_range_error(column)
+                    # Name the caller's entries, not the tile padding.
+                    raise unit_range_error(column[: source.shape[1]])
             # A tiled column is a 1-D array of any width: the ufunc
             # reductions ``ndarray.min``/``max`` wrap, without the
             # wrapper's per-call cost; a NaN fails the negated test.
@@ -499,14 +495,12 @@ class BatchScheduler:
             # an in-place change to the caller's array before the flush
             # would otherwise compile other weights under this key and
             # poison the program cache for every later request.
-            group = table[key, gain] = _Group(source)
+            group = table[key, gain] = _Group(program)
         group.inputs.append(column)
         group.handles.append(handle)
         group.rows.append(rows)
         if handle._deadline is not None:
             group.has_deadline = True
-        self._queued += 1
-        self._stats.requests += 1
 
     def _dense_program(self, kind: str, weights: np.ndarray) -> tuple:
         """The memo's checked program for these weights: ``(key,
@@ -663,13 +657,6 @@ class BatchScheduler:
         stats.analog_energy += columns * period * self._tile_power * tiles
         self.clock.advance(seconds)
 
-    def _clear_pending(self) -> None:
-        """End the flush window: drop every pending group (the checked
-        programs stay memoised)."""
-        for table in self._pending.values():
-            table.clear()
-        self._queued = 0
-
     # -- evaluation ----------------------------------------------------------
     def flush(self) -> int:
         """Evaluate every pending group; returns resolved request count.
@@ -693,8 +680,10 @@ class BatchScheduler:
                         resolved += self._run(kind, key, gain, program, group, part)
         finally:
             # Never leave a stale group behind: a failed compile or
-            # evaluation must not wedge every subsequent flush.
-            self._clear_pending()
+            # evaluation must not wedge every subsequent flush (the
+            # checked programs stay memoised).
+            for table in self._pending.values():
+                table.clear()
             self._stats.flushed += resolved
         return resolved
 
@@ -785,7 +774,7 @@ class BatchScheduler:
 
     def stats(self) -> SchedulerStats:
         """Detached snapshot of the accounting so far."""
-        return dataclasses.replace(self._stats, pending=self.pending)
+        return dataclasses.replace(self._stats)
 
 
 def _unroll(inputs: list) -> np.ndarray:

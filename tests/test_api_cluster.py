@@ -22,8 +22,9 @@ from repro.api import (
 )
 from repro.api.routing import HashRing
 from repro.elastic import ProgramStore
-from repro.errors import ClusterSaturatedError, ConfigurationError
+from repro.errors import ClusterSaturatedError, ConfigurationError, ConversionError
 from repro.obs import Observer
+from repro.runtime.engine import CompiledCore
 from repro.telemetry import MetricsRegistry, ModelClock, TraceRecorder
 from repro.traffic import synthetic_trace
 
@@ -33,6 +34,20 @@ def pair(tech):
     """A 2-core round-robin cluster on small tiles."""
     return PhotonicCluster(cores=2, technology=tech, grid=(4, 6),
                            cache_capacity=4, max_batch=16)
+
+
+def flushed_order(cluster):
+    """The cores ``cluster.flush()`` flushes, in the order it flushes
+    them (each session's ``flush`` wrapped to log its index)."""
+    order = []
+    for index, session in enumerate(cluster.sessions):
+        original = session.flush
+        def tracked(index=index, original=original):
+            order.append(index)
+            return original()
+        session.flush = tracked
+    cluster.flush()
+    return order
 
 
 def replay(front_door, trace):
@@ -318,15 +333,7 @@ class TestQoS:
         # Core 0 gets best-effort traffic, core 1 a priority request.
         cluster.submit(weights, rng.uniform(0.0, 1.0, 6))
         cluster.submit(weights, rng.uniform(0.0, 1.0, 6), priority=3)
-        order = []
-        for index, session in enumerate(cluster.sessions):
-            original = session.flush
-            def tracked(index=index, original=original):
-                order.append(index)
-                return original()
-            session.flush = tracked
-        cluster.flush()
-        assert order == [1, 0]        # priority core drains first
+        assert flushed_order(cluster) == [1, 0]   # priority core drains first
 
     def test_rejected_submit_leaves_no_bookkeeping(self, pair):
         """A submit the session rejects must neither count as routed
@@ -337,7 +344,7 @@ class TestQoS:
                         priority=9)
         report = pair.report()
         assert report.routed == (0, 0) and report.total.requests == 0
-        assert pair._pending_priority == [None, None]
+        assert [session._fleet_order for session in pair.sessions] == [None, None]
         # ... nor use up a core's round-robin turn: good, bad, good
         # lands the second good request on core 1.
         weights = rng.integers(0, 8, (4, 6))
@@ -357,7 +364,55 @@ class TestQoS:
         future = cluster.submit(rng.integers(0, 8, (4, 6)),
                                 rng.uniform(0.0, 1.0, 6), priority=5)
         assert future.done                     # max_batch(1) flushed inline
-        assert cluster._pending_priority == [None, None]
+        assert [session._fleet_order for session in cluster.sessions] == [None, None]
+
+    def test_failed_fleet_flush_leaves_no_stale_order(self, tech):
+        """A fleet flush that fails on its priority core stops there:
+        that core's window and its order are gone, the cores after it
+        keep theirs, and a new best-effort request on the failed core
+        ranks behind the older ones."""
+        cluster = PhotonicCluster(cores=3, technology=tech, grid=(4, 6))
+        rng = np.random.default_rng(28)
+        weights = rng.integers(0, 8, (4, 6))
+        for priority in (5, 0, 0):
+            cluster.submit(weights, rng.uniform(0.0, 1.0, 6), priority=priority)
+        with mock.patch.object(
+            CompiledCore, "matmul", side_effect=ConversionError("injected")
+        ):
+            with pytest.raises(ConversionError):
+                cluster.flush()
+        assert [session.pending for session in cluster.sessions] == [0, 1, 1]
+        cluster.submit(weights, rng.uniform(0.0, 1.0, 6))    # round robin: core 0
+        assert flushed_order(cluster) == [1, 2, 0]
+
+    @pytest.mark.parametrize("path", ["result", "core_flush"])
+    def test_a_core_flushed_alone_drops_its_order(self, pair, path):
+        """A core flushed outside the fleet flush (a blocking
+        ``result()`` or its own session's ``flush()``) holds nothing
+        to rank: its next best-effort request ranks behind an older
+        one on another core."""
+        rng = np.random.default_rng(29)
+        weights = rng.integers(0, 8, (4, 6))
+        urgent = pair.submit(weights, rng.uniform(0.0, 1.0, 6), priority=5)
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6))
+        if path == "result":
+            urgent.result()
+        else:
+            pair.sessions[0].flush()
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6))       # round robin: core 0
+        assert flushed_order(pair) == [1, 0]
+
+    def test_a_request_shed_at_submit_ranks_nothing(self, pair):
+        """A request shed at submit (``deadline=0.0``) never queues, so
+        its priority must not rank the core it was routed to."""
+        rng = np.random.default_rng(30)
+        weights = rng.integers(0, 8, (4, 6))
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6))
+        pair.submit(weights, rng.uniform(0.0, 1.0, 6), priority=1)
+        shed = pair.submit(weights, rng.uniform(0.0, 1.0, 6), priority=9,
+                           deadline=0.0)                      # core 0
+        assert shed.expired and pair.pending == 2
+        assert flushed_order(pair) == [1, 0]
 
     def test_priority_validation(self, pair):
         rng = np.random.default_rng(25)
@@ -910,6 +965,29 @@ class TestMalformedWeights:
         door = front_door(tech, "cache_affinity")
         with pytest.raises(ConfigurationError, match=r"got range \[-1e\+30, 3.0\]"):
             door.submit(np.where(np.eye(4, 6) > 0, -1e30, 3.0), np.zeros(6))
+
+    def test_in_grid_input_names_one_range_on_every_path(self, tech):
+        """A malformed sub-tile input names the range of the caller's
+        entries, never the tile padding's zeros, whether it is queued,
+        admitted by a fleet, shed at submit or shed at admission."""
+        weights = np.ones((4, 6), dtype=int)
+        x = [0.5, 0.6, 0.7, 0.8, 0.9, 2.0]
+        session = PhotonicSession(technology=tech, grid=(8, 8))
+        cluster = PhotonicCluster(cores=2, technology=tech, grid=(8, 8),
+                                  max_pending=1)
+        cluster.submit(weights, np.full(6, 0.5))              # fills the cap
+        paths = {
+            "queued": lambda: session.submit(weights, x),
+            "shed at submit": lambda: session.submit(weights, x, deadline=0.0),
+            "admitted": lambda: cluster.submit(weights, x, priority=1),
+            "shed at admission": lambda: cluster.submit(weights, x),
+        }
+        for name, submit in paths.items():
+            with pytest.raises(ConfigurationError) as raised:
+                submit()
+            assert str(raised.value).endswith("got range [0.5, 2]"), name
+        assert session.pending == 0 and cluster.pending == 1
+        assert cluster.report().shed == 0
 
 
 class TestFleetTransitions:

@@ -1056,10 +1056,10 @@ EDGE_INPUTS = (
 @example(rows=4, width=6, seed=0, edges=[(5, -1e-310)])      # the tile's last column
 @settings(max_examples=120, deadline=None)
 def test_range_check_rejects_exactly_what_the_reductions_reject(rows, width, seed, edges):
-    """An input is rejected, with the message the two ufunc reductions
-    of the queued column give, exactly when ``not (0.0 <= min and max
-    <= 1.0)`` over it: a NaN anywhere, or an entry outside [0, 1]
-    (``-0.0`` passes).  The in-grid route checks its padded Python
+    """An input is rejected exactly when ``not (0.0 <= min and max <=
+    1.0)`` over it: a NaN anywhere, or an entry outside [0, 1] (``-0.0``
+    passes).  The message names the range of the caller's own entries,
+    never the tile padding.  The in-grid route checks its padded Python
     floats by min/max/sum, the tiled route its array by the reductions.
     An accepted in-grid request serves the device loop's values and
     codes."""
@@ -1077,7 +1077,7 @@ def test_range_check_rejects_exactly_what_the_reductions_reject(rows, width, see
             session.submit(weights, x)
         assert str(raised.value) == (
             "analog inputs must lie in [0, 1], got range "
-            f"[{queued.min():.6g}, {queued.max():.6g}]"
+            f"[{x.min():.6g}, {x.max():.6g}]"
         )
         assert session.pending == 0
         return
@@ -1759,10 +1759,14 @@ def _parent_trigger(sessions):
 
 
 def _true_backlog(session):
-    """What a session has queued, read from the queues themselves."""
-    return session.scheduler._queued + sum(
-        len(endpoint._queue) for endpoint in session._endpoints
+    """What a session has queued, read from the queues themselves: the
+    scheduler's groups and the endpoint queues."""
+    groups = sum(
+        len(group.handles)
+        for table in session.scheduler._pending.values()
+        for group in table.values()
     )
+    return groups + sum(len(endpoint._queue) for endpoint in session._endpoints)
 
 
 #: Dense programs of the fleet machine on its (4, 6) tile: in-grid,
@@ -1778,10 +1782,13 @@ class FleetBacklogMachine(RuleBasedStateMachine):
     replicated endpoint, driven through every path that queues or
     flushes.  After every step each session's :attr:`pending` equals
     what its queues hold, the cluster's running backlog is their sum,
-    and the engine's next trigger (read from the cores' published due
-    times) equals the one derived from every core's policy and stamps.
-    Admission sheds a request exactly when that true backlog is at
-    ``max_pending`` and its priority is not positive."""
+    the engine's next trigger (read from the cores' published due
+    times) equals the one derived from every core's policy and stamps,
+    and each core's fleet flush order is (the highest priority, the
+    first submit number) of the routed requests its window still holds,
+    None when it holds none.  Admission sheds a request exactly when
+    that true backlog is at ``max_pending`` and its priority is not
+    positive."""
 
     @initialize(
         cores=st.integers(min_value=2, max_value=3),
@@ -1813,6 +1820,8 @@ class FleetBacklogMachine(RuleBasedStateMachine):
             self.cluster, WorkloadMix.zipf(tenants=1, rows=4, columns=6), Poisson(1e9)
         )
         self.futures = []
+        #: Every routed future with its priority and fleet submit number.
+        self.routed = []
 
     def _admitted(self, priority, submit):
         """Run one routed submit and check the admission decision
@@ -1826,6 +1835,7 @@ class FleetBacklogMachine(RuleBasedStateMachine):
             return
         assert not shed
         self.futures = (self.futures + [future])[-32:]
+        self.routed.append((future, priority, len(self.routed) + 1))
 
     @rule(program=st.integers(0, len(FLEET_SHAPES) - 1), priority=FLEET_PRIORITIES,
           deadline=FLEET_DEADLINES)
@@ -1908,6 +1918,23 @@ class FleetBacklogMachine(RuleBasedStateMachine):
         for session in sessions:
             assert session.pending == _true_backlog(session)
         assert self.cluster.pending == sum(session.pending for session in sessions)
+
+    @invariant()
+    def order_is_the_windows(self):
+        for session in self.cluster.sessions:
+            window = {id(future) for future in session._window}
+            held = [
+                (priority, number)
+                for future, priority, number in self.routed
+                if id(future) in window
+            ]
+            expected = None
+            if held:
+                expected = (
+                    max(priority for priority, _ in held),
+                    min(number for _, number in held),
+                )
+            assert session._fleet_order == expected
 
     @invariant()
     def trigger_is_the_policies(self):
