@@ -125,12 +125,13 @@ class DeployedModel:
 
     # -- request path --------------------------------------------------------
     def _validated_batch(self, batch: ArrayLike) -> np.ndarray:
-        """The batch as float, checked at submit so a bad batch is never
-        queued: its shape for the model's input domain, finite entries,
-        and the input checks a compute first stage makes at drain (a
-        Dense layer's feature count and non-negative intensities, a
-        Conv2d's channel count and non-negative intensities)."""
-        batch = np.asarray(batch, dtype=float)
+        """The batch as a private float copy, checked at submit so a bad
+        batch is never queued and a queued one never changes: its shape
+        for the model's input domain, finite entries, and the input
+        checks a compute first stage would make (a Dense layer's feature
+        count and non-negative intensities, a Conv2d's channel count and
+        non-negative intensities, which the drain does not repeat)."""
+        batch = np.array(batch, dtype=float)
         if self.model.input_domain == "vector":
             if batch.ndim != 2 or len(batch) == 0:
                 raise ConfigurationError(
@@ -180,6 +181,7 @@ class DeployedModel:
         future = session._new_future(label, deadline, tenant)
         if future.done:
             return future
+        # ``batch`` is the private copy ``_validated_batch`` made.
         self._queue.append((batch, future))
         session._queued(future, "model")
         return future
@@ -194,6 +196,7 @@ class DeployedModel:
     def _drain(self) -> int:
         """Serve the queue as one forward per input shape on the
         scheduler's ledger and service clock; returns resolved count.
+        Each shape's group counts as one batch of its requests.
 
         Endpoint batches shed on the simple rule: a deadline already
         past when the drain begins cannot be met (whole-network
@@ -215,6 +218,7 @@ class DeployedModel:
                 stack = np.concatenate([batch for batch, _ in entries], axis=0)
                 outputs = self._forward(stack)
                 scheduler._stats.batches += 1
+                scheduler._stats.flushed += len(entries)
                 offset = 0
                 for batch, future in entries:
                     future._resolve(outputs[offset : offset + len(batch)])
@@ -231,7 +235,9 @@ class DeployedModel:
         passes to the scheduler ledger as the compiled engines evaluate:
         one ADC sample period per pass per input column, the active
         grid burning its tile count times one tile's power (the same
-        model as the conv route)."""
+        model as the conv route).  A first-stage Conv2d takes the
+        drained stack as checked at submit; later ones check their
+        activations."""
         current = batch
         for stage in self.stages:
             spec, layer = stage.spec, stage.layer
@@ -240,7 +246,10 @@ class DeployedModel:
                 current = layer.forward(current)
                 self._charge(layer, samples)
             elif isinstance(spec, Conv2d):
-                current = layer.forward_batch(current)
+                if current is batch:
+                    current = layer._forward_checked(current)
+                else:
+                    current = layer.forward_batch(current)
                 self._charge(layer, len(current) * current.shape[2] * current.shape[3])
             elif isinstance(spec, ReLU):
                 current = relu(current)
@@ -634,21 +643,31 @@ class PhotonicSession:
     @staticmethod
     def _validated_conv(
         kernels: ArrayLike, image: ArrayLike, stride: int, gain: float | None
-    ) -> tuple[np.ndarray, np.ndarray, float, tuple[int, int]]:
-        """A conv request checked whole: the kernel bank
-        (:func:`~repro.ml.convolution.normalize_kernel_bank`), its
-        numeric gain (None = native 1.0), the image against the bank's
-        channels and its output shape at ``stride``.  Returns the bank,
-        the image, the gain and the (rows, columns) output shape."""
-        kernels = normalize_kernel_bank(kernels)
+    ) -> tuple[np.ndarray, float, tuple[int, int]]:
+        """A conv request checked whole without a scheduler (one shed at
+        fleet admission): the kernel bank
+        (:func:`~repro.ml.convolution.normalize_kernel_bank`), then the
+        rest as :meth:`_checked_conv` checks it."""
+        bank = normalize_kernel_bank(kernels)
+        return PhotonicSession._checked_conv(bank.shape, image, stride, gain)
+
+    @staticmethod
+    def _checked_conv(
+        bank_shape: tuple, image: ArrayLike, stride: int, gain: float | None
+    ) -> tuple[np.ndarray, float, tuple[int, int]]:
+        """A conv request past its checked kernel bank of normalized
+        (n, channels, k, k) ``bank_shape``: its numeric gain (None =
+        native 1.0), the image against the bank's channels and its
+        output shape at ``stride``.  Returns the image, the gain and
+        the (rows, columns) output shape."""
         gain = PhotonicSession._validated_gain(gain)
         if gain == "auto":
             raise ConfigurationError(
                 "the conv route takes a numeric gain (or None for native 1.0)"
             )
         gain = 1.0 if gain is None else float(gain)
-        image = normalize_image(image, kernels.shape[1])
-        return kernels, image, gain, output_shape(image.shape[1:], kernels.shape[2], stride)
+        image = normalize_image(image, bank_shape[1])
+        return image, gain, output_shape(image.shape[1:], bank_shape[2], stride)
 
     def submit_conv(
         self,
@@ -662,37 +681,40 @@ class PhotonicSession:
         """Queue one im2col convolution; returns its :class:`Future`.
 
         ``kernels`` is a float bank of finite taps, of shape (n, k, k)
-        — or (n, channels, k, k) — quantized (once per bank content,
-        by the scheduler's program memo) into a differential conv program
-        keyed on the quantized integers, so repeated banks hit the
-        shared program cache; ``image`` is a finite, non-negative
-        (H, W) or (channels, H, W) intensity map, validated here and
-        queued as a private copy: the flush unrolls and encodes the
-        batch's images together.  ``gain`` is the row-TIA range
+        — or (n, channels, k, k) — checked and quantized (once per bank
+        content as given, by the scheduler's program memo) into a
+        differential conv program keyed on the quantized integers, so
+        repeated banks hit the shared program cache; ``image`` is a
+        finite, non-negative (H, W) or (channels, H, W) intensity map,
+        validated here and queued as a private copy: the flush unrolls
+        and encodes the batch's images together.  ``gain`` is the row-TIA range
         setting applied to every tile (None = native 1.0); the
         per-tile ``"auto"`` calibration is not offered here because
         differential halves must digitize at one common gain to
         subtract exactly.  ``deadline`` / ``tenant`` follow the
         :meth:`submit` semantics; a request already expired at submit
-        is shed before any quantization or im2col work.
+        is shed before any im2col work.
         """
-        kernels, image, gain, (out_rows, out_cols) = self._validated_conv(
-            kernels, image, stride, gain
+        program = self.scheduler._conv_program(kernels)
+        bank_shape = program[2][1]
+        count, _, kernel_size, _ = bank_shape
+        image, gain, (out_rows, out_cols) = self._checked_conv(
+            bank_shape, image, stride, gain
         )
-        kernel_size = kernels.shape[2]
         if deadline is not None:
             self._check_deadline(deadline)
         self._submit_count += 1
-        label = ("conv {}-kernel request #{}", kernels.shape[0], self._submit_count)
-        shape = (kernels.shape[0], out_rows, out_cols)
-        future = self._new_future(label, deadline, tenant, shape=shape)
+        label = ("conv {}-kernel request #{}", count, self._submit_count)
+        future = self._new_future(
+            label, deadline, tenant, shape=(count, out_rows, out_cols)
+        )
         if future.done:
             return future
         # A private copy: ``normalize_image`` may return a view of the
         # caller's array, which could change before the flush unrolls it.
         self.scheduler.submit(
             "conv",
-            kernels,
+            program,
             (image.copy(), kernel_size, stride, out_rows * out_cols),
             future,
             gain,

@@ -100,9 +100,13 @@ def encode_patch_batch(patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each patch column is peak-normalized into the [0, 1] analog range
     with its own scale, exactly as the per-patch loop does: column p of
-    the result times ``scales[p]`` reproduces ``patches[:, p]``.
+    the result times ``scales[p]`` reproduces ``patches[:, p]``.  The
+    patches are taken C-ordered first (:func:`im2col_channels` returns
+    a transposed view), so the per-patch peaks reduce down rows and the
+    encoded batch comes out C-ordered, the layout the compiled kernel
+    chunks without a padded copy.
     """
-    patches = np.asarray(patches, dtype=float)
+    patches = np.ascontiguousarray(patches, dtype=float)
     if np.any(patches < 0.0):
         raise ConfigurationError(
             "analog intensity encoding requires non-negative inputs; "
@@ -176,9 +180,17 @@ def _checked_images(
         raise ConfigurationError(
             f"image must be (H, W) or ({channels}, H, W), got shape {images.shape[1:]}"
         )
-    # A negated in-range test: NaN fails every comparison, so it is
-    # rejected too.
-    if require_non_negative and not (np.isfinite(images) & (images >= 0.0)).all():
+    # A negated in-range test on two whole-array reductions: a NaN
+    # reaches both results and fails every comparison, so it is rejected
+    # too.  An empty stack has nothing to reject (and no reduction).
+    if (
+        require_non_negative
+        and images.size
+        and not (
+            0.0 <= np.minimum.reduce(images, axis=None)
+            and np.maximum.reduce(images, axis=None) < np.inf
+        )
+    ):
         raise ConfigurationError("image intensities must be finite and non-negative")
     return images
 
@@ -292,7 +304,14 @@ class PhotonicConv2d:
         validated and unrolled once; on the runtime path every patch of
         every image lands in one compiled differential pass.
         """
-        images = normalize_image_batch(images, self.in_channels)
+        return self._forward_checked(normalize_image_batch(images, self.in_channels))
+
+    def _forward_checked(self, images: np.ndarray) -> np.ndarray:
+        """:meth:`forward_batch` of a stack :func:`normalize_image_batch`
+        has already checked: (batch, channels, H, W), or (batch, H, W)
+        for one input channel."""
+        if images.ndim == 3:
+            images = images[:, np.newaxis]
         rows, cols = output_shape(images.shape[2:], self.kernel_size, self.stride)
         outputs = self._forward_patches(self._patches(images))
         return outputs.reshape(self.num_kernels, len(images), rows, cols).transpose(

@@ -324,7 +324,7 @@ class CompiledCore:
         return current / unit * 2.0**self.weight_bits
 
     def evaluate(
-        self, responses, chunks, gains, boundaries, ladder, residual=None
+        self, responses, chunks, gains, boundaries, ladder, residual=None, rows=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one dense kernel: tiles compiled on this program's core,
         evaluated at once.
@@ -337,14 +337,23 @@ class CompiledCore:
         their shared ``ladder``; then the dequantisation table, divided
         by the gain.  Every step is elementwise or one BLAS call per
         contiguous tile, so each tile's result is bit-for-bit its own
-        evaluation.  Returns ``(currents, codes, estimates)``;
-        ``residual`` as in :meth:`matmul`.
+        evaluation.  ``rows`` (None = every row) keeps the first
+        ``rows`` rows of each tile: the product and the ladders are
+        sliced after the full-stack ``np.matmul`` (a sliced operand
+        would change the BLAS call), so only the kept rows are read out,
+        binned and dequantised, bit for bit as in the full evaluation.
+        Returns ``(currents, codes, estimates)``; ``residual`` as in
+        :meth:`matmul`.
         """
         if residual is None and self._drift is not None:
             residual = self._drift.truth().relative_to(self._calibration)
+        products = np.matmul(responses, chunks)
+        if rows is not None and rows < self.rows:
+            products = products[..., :rows, :]
+            boundaries = boundaries[..., :rows, :]
         currents, voltages = apply_read_out(
             residual,
-            np.matmul(responses, chunks),
+            products,
             gains * self._tia_gain,
             self._full_scale_voltage,
         )

@@ -26,13 +26,15 @@ content runs the weight checks, pads the matrix to the tile, keys it
 gain; later requests with the same content — same shape, dtype and
 bytes — look that up, in this window or any later one, and
 range-check only their own input.  A conv kernel bank is likewise
-quantized into its differential pair and keyed once, under a content
-key tagged ``"conv"``.  The memo outlives flushes (failed ones too)
-and is bounded like the cluster's route memo: once it holds as many
-programs as both program caches together, it is cleared whole before
-the next insert.  Keying on content keeps it exact: an in-place edit
-of the caller's array changes its bytes and misses, and the memo's
-private arrays, which compiled programs alias, are read-only.  Groups
+checked, quantized into its differential pair and keyed once, under a
+content key tagged ``"conv"`` of the bank as given, which the session
+probes before it checks anything else.  The memo outlives flushes
+(failed ones too) and is bounded like the cluster's route memo: once
+it holds as many programs as both program caches together, it is
+cleared whole before the next insert.  Keying on content keeps it
+exact: an in-place edit of the caller's array changes its bytes and
+misses, and the memo's private arrays, which compiled programs alias,
+are read-only.  Groups
 stay keyed on the canonical key of the padded matrix (of the
 quantized pair, for a bank), so copies of one matrix in other integer
 dtypes or memory layouts still share one batch, as do banks that
@@ -57,8 +59,15 @@ request's validated image (a private copy), and the flush unrolls the
 batch's images with one :func:`~repro.ml.convolution.im2col_channels`
 call per run of consecutive requests sharing an image shape, kernel
 size and stride, peak-encodes every patch with one
-:func:`~repro.ml.convolution.encode_patch_batch` call and evaluates
-the pair in one stacked kernel pass.
+:func:`~repro.ml.convolution.encode_patch_batch` call (a C-ordered
+batch, which the kernel chunks without padding it) and evaluates the
+pair in one stacked kernel pass, which reads out only the bank's
+rows.  The batch is scaled once, ``(raw * weight scale) * patch
+scale`` as each request's own product would be, with one scalar weight
+scale when the group shares it and one per patch column otherwise;
+each image then takes a copy of its columns in its own output shape,
+so equal patch counts never share a shape and a kept value never pins
+the batch.
 
 Accounting rides on the device models: load energy is one pSRAM switch
 per set weight bit of the program, analog time/energy come from
@@ -84,7 +93,7 @@ from ..core.performance import PerformanceModel
 from ..core.quantization import quantize_weights_differential
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
-from ..ml.convolution import encode_patch_batch, im2col_channels
+from ..ml.convolution import encode_patch_batch, im2col_channels, normalize_kernel_bank
 from ..ml.layers import compile_differential_program
 from ..telemetry.clock import ModelClock
 from .engine import unit_range_error, weight_key
@@ -407,9 +416,9 @@ class BatchScheduler:
         #: Checked programs, kept across flushes: (shape, dtype, bytes)
         #: of dense weights as given -> (key, padded read-only private
         #: copy, resolved "auto" gain; None on a grid), and ("conv",
-        #: shape, dtype, bytes) of a float kernel bank -> (key,
-        #: read-only W+ over W-, scale).  Cleared whole when full (see
-        #: :meth:`_memoised`).
+        #: shape, dtype, bytes) of a kernel bank as given -> (key,
+        #: read-only W+ over W-, (scale, normalized bank shape)).
+        #: Cleared whole when full (see :meth:`_memoised`).
         self._checked: dict[tuple, tuple] = {}
         #: The (shape, dtype, bytes) content key of the next dense
         #: request's weights when its caller has already built it: a
@@ -446,9 +455,9 @@ class BatchScheduler:
         weight matrix as given (at most one tile; padded here) and the
         input as a list of Python floats zero-padded to the tile's
         columns; ``"tiled"`` — both as given, the input a float array
-        (larger than one tile); ``"conv"`` — the validated float kernel
-        bank (n, channels, k, k), quantized once per bank content (see
-        :meth:`_conv_program`), and one validated image's ``(private
+        (larger than one tile); ``"conv"`` — the kernel bank's memo
+        entry (:meth:`_conv_program`, which the session probes before it
+        checks the image) and one validated image's ``(private
         (channels, H, W) copy, kernel size, stride, patch count)``,
         unrolled and encoded with its batch at flush.  Dense requests
         are validated here (the weights once per weight content while
@@ -463,7 +472,7 @@ class BatchScheduler:
         request.
         """
         if kind == "conv":
-            key, program, weight_scale = self._conv_program(source)
+            key, program, (weight_scale, _) = source
             column = (*column, weight_scale)
         else:
             key, program, auto = self._dense_program(kind, source)
@@ -537,29 +546,44 @@ class BatchScheduler:
             source = checked.copy()
         return self._memoised(content, (weight_key(source), source, auto))
 
-    def _conv_program(self, kernels: np.ndarray) -> tuple:
-        """The memo's quantized program for a validated float64 kernel
-        bank: ``(key, W+ stacked over W-, weight scale)`` (see
-        ``_checked``).  The ``"conv:"`` key prefix keeps a bank from
-        colliding with a plain weight matrix in the tiled LRU."""
-        content = ("conv", kernels.shape, kernels.dtype, kernels.tobytes())
-        program = self._checked.get(content)
-        if program is None:
-            q_positive, q_negative, weight_scale = quantize_weights_differential(
-                kernels.reshape(len(kernels), -1), self.core.weight_bits
-            )
-            pair = np.concatenate([q_positive, q_negative])
-            program = self._memoised(
-                content, (b"conv:" + weight_key(pair), pair, weight_scale)
-            )
-        return program
+    def _conv_program(self, kernels) -> tuple:
+        """The memo's checked program for a kernel bank as its caller
+        gave it: ``(key, W+ stacked over W-, (weight scale, (n, channels,
+        k, k) shape of the normalized bank))`` (see ``_checked``).
 
-    def _memoised(self, content: tuple, program: tuple) -> tuple:
-        """Store ``program`` under ``content``, its source made
+        Looked up by the bank's exact content as given, before any
+        check, and only for numeric dtypes, as dense weights are.  A
+        miss checks and promotes the bank with
+        :func:`~repro.ml.convolution.normalize_kernel_bank` (a bank
+        that fails raises and is never memoised), quantizes it into its
+        differential pair and keys the pair; the ``"conv:"`` key prefix
+        keeps a bank from colliding with a plain weight matrix in the
+        tiled LRU."""
+        kernels = np.asarray(kernels)
+        content = None
+        if kernels.dtype.kind in "biuf":
+            content = ("conv", kernels.shape, kernels.dtype, kernels.tobytes())
+            program = self._checked.get(content)
+            if program is not None:
+                return program
+        bank = normalize_kernel_bank(kernels)
+        q_positive, q_negative, weight_scale = quantize_weights_differential(
+            bank.reshape(len(bank), -1), self.core.weight_bits
+        )
+        pair = np.concatenate([q_positive, q_negative])
+        return self._memoised(
+            content, (b"conv:" + weight_key(pair), pair, (weight_scale, bank.shape))
+        )
+
+    def _memoised(self, content: tuple | None, program: tuple) -> tuple:
+        """Store ``program`` under ``content`` (None: a bank of a dtype
+        the memo does not key, returned unstored), its source made
         read-only (compiled programs alias it).  A memo already holding
         as many programs as both caches together is cleared whole
         first, the cluster route memo's rule."""
         program[1].flags.writeable = False
+        if content is None:
+            return program
         checked = self._checked
         if len(checked) >= self.cache.capacity + self.tiled_cache.capacity:
             checked.clear()
@@ -718,12 +742,21 @@ class BatchScheduler:
         if kind == "conv":
             batch, scales = encode_patch_batch(_unroll(inputs))
             raw = program.matmul(batch, gain=gain)
+            counts = [entry[3] for entry in inputs]
+            # One scale per batch, in the per-request product's order:
+            # (raw * weight scale) * patch scale.  Banks that quantize to
+            # the same integers share a group with their own scales.
+            weight_scale = inputs[0][4]
+            if any(entry[4] != weight_scale for entry in inputs):
+                weight_scale = np.repeat([entry[4] for entry in inputs], counts)
+            scaled = raw * weight_scale * scales
             values = []
             offset = 0
-            for (_, _, _, count, weight_scale), handle in zip(inputs, handles):
+            for count, handle in zip(counts, handles):
                 stop = offset + count
-                value = raw[:, offset:stop] * weight_scale * scales[offset:stop]
-                values.append(value.reshape(handle.shape))
+                # Each image's own array, in its own output shape: a kept
+                # value never pins the batch.
+                values.append(scaled[:, offset:stop].reshape(handle.shape).copy())
                 offset = stop
         else:
             # One (requests, columns) float64 array of the queued entries

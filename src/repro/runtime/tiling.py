@@ -27,13 +27,16 @@ each tile's ``response`` and ``boundaries`` are views into it, so
 there is one copy, and :meth:`TiledMatmul.matmul` evaluates the whole
 stack in one pass of
 :meth:`~repro.runtime.engine.CompiledCore.evaluate`: the batch
-is padded once and split into per-column-tile chunks, every tile's
-codes come from one stacked matmul and read-out, and the column
-tiles' estimates are summed in order.  An in-grid program is a
-one-tile grid.  A :class:`DifferentialProgram` stacks its two grids
-once more, ``(2, row_tiles, column_tiles, rows, columns)``, so a
-signed program is one pass too: one padded chunk set, one matmul, one
-read-out under one drift residual and one ``searchsorted`` when every
+is split into per-column-tile chunks (padded once, unless it is
+already C-ordered and spans every column tile), every tile's codes
+come from one stacked matmul and read-out, and the column tiles'
+estimates are summed in order.  A one-band program reads out only
+the rows it has: a 4-row program on an 8-row tile bins and
+dequantises 4 rows.  An in-grid program is a one-tile grid.  A
+:class:`DifferentialProgram` stacks its two grids once more, ``(2,
+row_tiles, column_tiles, rows, columns)``, so a signed program is one
+pass too: one chunk set, one matmul, one read-out of the kept rows
+under one drift residual and one ``searchsorted`` when every
 row of both halves shares a ladder, each half's column tiles summed
 in order before the halves are subtracted.  Per-tile row-TIA gains
 are chosen from the tile's own weight block (``gain="auto"``): a
@@ -445,9 +448,10 @@ class TiledMatmul:
 
         Returns dequantized estimates (out_features, samples).  ``gain``
         overrides every tile's calibrated TIA gain when given.  The
-        batch is validated and zero-padded once, every tile evaluates in
-        one :meth:`~repro.runtime.engine.CompiledCore.evaluate` pass,
-        and each row band sums its column tiles' estimates in column
+        batch is validated and chunked once (see :meth:`_evaluate`),
+        every tile evaluates in one
+        :meth:`~repro.runtime.engine.CompiledCore.evaluate` pass, and
+        each row band sums its column tiles' estimates in column
         order.
         """
         total = self._evaluate(
@@ -462,8 +466,12 @@ class TiledMatmul:
         their ``boundaries``, shared ``ladder`` and per-tile ``gains``
         (..., row_tiles, column_tiles), this grid's own or a
         differential pair's stack of two.  Returns the (...,
-        row_tiles * rows, samples) estimates, each row band's column
-        tiles summed in column order."""
+        row_tiles * kept, samples) estimates, each row band's column
+        tiles summed in column order, ``kept`` being
+        ``min(tile_rows, out_features)``: a one-band program reads out
+        only the rows it has, and a multi-band one every row.  A batch
+        that is already C-contiguous and spans every column tile is
+        chunked as it is; any other is zero-padded once."""
         batch = self._validated_batch(batch)
         if gain is None:
             gains = gains[..., np.newaxis, np.newaxis]
@@ -473,16 +481,20 @@ class TiledMatmul:
                 raise ConfigurationError(f"TIA gain must be positive, got {gains}")
         check_unit_inputs(batch)
         samples = batch.shape[1]
-        padded = np.zeros((self.column_tiles * self.tile_columns, samples))
-        padded[: self.in_features] = batch
-        chunks = padded.reshape(self.column_tiles, self.tile_columns, samples)
+        span = self.column_tiles * self.tile_columns
+        if self.in_features != span or not batch.flags.c_contiguous:
+            padded = np.zeros((span, samples))
+            padded[: self.in_features] = batch
+            batch = padded
+        chunks = batch.reshape(self.column_tiles, self.tile_columns, samples)
+        kept = min(self.tile_rows, self.out_features)
         _, _, estimates = self.tiles[0][0].evaluate(
-            responses, chunks, gains, boundaries, ladder
+            responses, chunks, gains, boundaries, ladder, rows=kept
         )
         total = estimates[..., 0, :, :]
         for col_tile in range(1, self.column_tiles):
             total = total + estimates[..., col_tile, :, :]
-        return total.reshape(total.shape[:-3] + (self.row_tiles * self.tile_rows, samples))
+        return total.reshape(total.shape[:-3] + (self.row_tiles * kept, samples))
 
     def matvec(self, x, gain: float | None = None) -> np.ndarray:
         """Tiled W @ x for a single input vector."""

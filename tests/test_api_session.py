@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    AvgPool,
     Conv2d,
     Dense,
+    Flatten,
     FlushPolicy,
     Model,
     PhotonicCluster,
@@ -409,6 +411,43 @@ class TestDeployedModels:
         batch = rng.uniform(-1.0, 1.0, (2, 6))
         assert endpoint.predict(batch).shape == (2, 3)
 
+    @pytest.mark.parametrize("edit", ["values", "negative pixel"])
+    def test_endpoint_queues_a_private_copy_of_the_batch(self, tech, edit):
+        """An endpoint batch is copied at submit: an edit of the caller's
+        array before the flush neither changes the served value nor
+        reaches the drain, which does not check the first stage's input
+        again (a negative pixel used to fail the flush)."""
+        rng = np.random.default_rng(23)
+        model = Model.sequential(
+            Conv2d(rng.normal(0.0, 1.0, (4, 3, 3))), ReLU(), AvgPool(2), Flatten(),
+            Dense(rng.normal(0.0, 1.0 / 6.0, (3, 36))),
+        )
+        session = PhotonicSession(technology=tech, grid=(8, 9),
+                                  flush_policy=FlushPolicy.explicit())
+        endpoint = session.compile(model)
+        x = rng.uniform(0.0, 1.0, (2, 8, 8))
+        original = x.copy()
+        future = endpoint.submit(x)
+        if edit == "values":
+            x[:] = 0.5
+        else:
+            x[0, 0, 0] = -1.0
+        session.flush()
+        assert np.array_equal(future.value, endpoint.predict(original))
+
+    def test_endpoint_batches_count_as_flushed(self, tech):
+        """Each endpoint batch counts its requests on the scheduler's
+        ``flushed`` ledger, so ``batch_fill`` covers model traffic."""
+        rng = np.random.default_rng(24)
+        session = PhotonicSession(technology=tech, grid=(4, 6), max_batch=8)
+        endpoint = session.compile(Model.sequential(Dense(rng.normal(0.0, 1.0, (3, 6)))))
+        futures = [endpoint.submit(rng.uniform(0.0, 1.0, (2, 6))) for _ in range(4)]
+        session.flush()
+        assert all(future.done for future in futures)
+        stats = session.scheduler.stats()
+        assert (stats.requests, stats.flushed, stats.batches) == (4, 4, 1)
+        assert stats.batch_fill == 0.5
+
 
 @pytest.mark.parametrize("tap", [np.nan, np.inf, -np.inf])
 def test_non_finite_kernel_taps_are_rejected_at_every_entry_point(tech, tap):
@@ -532,6 +571,63 @@ class TestFlushWindowMemo:
             session.flush()
             alone = PhotonicSession(technology=tech, grid=(4, 6))
             assert np.array_equal(future.value, alone.submit_conv(kernels, original).result())
+
+    def test_transposed_images_in_one_batch_keep_their_own_shapes(self, session, tech):
+        """A 3x4 and a 4x3 image under a 2x2 kernel unroll to the same
+        patch count and share one batch; each future takes its own
+        output shape and the value it has served alone."""
+        rng = np.random.default_rng(38)
+        kernels = rng.normal(0.0, 1.0, (2, 2, 2))
+        images = [rng.uniform(0.0, 1.0, shape) for shape in ((3, 4), (4, 3), (3, 4))]
+        futures = [session.submit_conv(kernels, image) for image in images]
+        session.flush()
+        assert futures[0].report.batches == 1
+        for image, future, shape in zip(images, futures, ((2, 2, 3), (2, 3, 2), (2, 2, 3))):
+            assert future.value.shape == shape
+            # Its own array: a kept value never pins the batch's.
+            base = future.value.base
+            assert base is None or base.size == future.value.size
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            assert np.array_equal(future.value, alone.submit_conv(kernels, image).result())
+
+    def test_in_place_bank_edit_after_submit_conv_changes_the_next_value(
+        self, session, tech
+    ):
+        """The memo keys a kernel bank on its content as given and keeps
+        private arrays: an edit of the caller's bank after a submit
+        serves the next request the edited bank, in the same window or
+        a later one, and the earlier request its original bank."""
+        rng = np.random.default_rng(39)
+        kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+        image = rng.uniform(0.0, 1.0, (6, 6))
+        banks = [kernels.copy()]
+        futures = [session.submit_conv(kernels, image)]
+        for flush in (False, True):
+            kernels[0] = -kernels[0]
+            banks.append(kernels.copy())
+            futures.append(session.submit_conv(kernels, image))
+            if flush:
+                session.flush()
+        values = []
+        for bank, future in zip(banks, futures):
+            alone = PhotonicSession(technology=tech, grid=(4, 6))
+            values.append(alone.submit_conv(bank, image).result())
+            assert np.array_equal(future.value, values[-1])
+        assert not np.array_equal(values[0], values[1])
+        assert not np.array_equal(values[1], values[2])
+
+    def test_rejected_bank_is_never_memoised(self, session):
+        """A bank that fails its check raises on every submit and never
+        enters the memo; its valid edit then serves."""
+        bank = np.random.default_rng(40).normal(0.0, 1.0, (2, 2, 2))
+        bank[1, 0, 1] = np.nan
+        image = np.full((4, 4), 0.5)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="finite"):
+                session.submit_conv(bank, image)
+            assert session.scheduler._checked == {} and session.pending == 0
+        bank[1, 0, 1] = 0.25
+        assert session.submit_conv(bank, image).result().shape == (2, 3, 3)
 
     def test_conv_bank_quantizes_once_per_window(self, session, tech, monkeypatch):
         """A kernel bank is quantized and keyed once per flush window; a

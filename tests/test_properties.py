@@ -57,7 +57,7 @@ from repro.obs import Observer
 from repro.photonics.wdm import usable_channels
 from repro.health import DriftState, HealthPolicy, LaserPowerDecay, TiaGainDrift
 from repro.health.drift import apply_read_out
-from repro.ml.convolution import PhotonicConv2d, im2col_channels, output_shape
+from repro.ml.convolution import PhotonicConv2d, _checked_images, im2col_channels, output_shape
 from repro.ml.layers import compile_differential_engines
 from repro.ml.mapping import iter_tile_blocks
 from repro.runtime.engine import CompiledCore, weight_key
@@ -736,8 +736,11 @@ EXEC_PROGRAMS = {
     "native": [_EXEC_RNG.integers(0, 8, (4, 6)) for _ in range(2)],
     "sub-tile": [_EXEC_RNG.integers(0, 8, (3, 4)) for _ in range(2)],
     "tiled": [_EXEC_RNG.integers(0, 8, (7, 9)) for _ in range(2)],
-    "conv": [_EXEC_RNG.normal(0.0, 1.0, (2, 2, 2)) for _ in range(2)],
+    "conv": [_EXEC_RNG.normal(0.0, 1.0, (2, 2, 2)) for _ in range(3)],
 }
+#: A bank and twice that bank quantize to the same integers with twice
+#: the weight scale, so they share a group that mixes weight scales.
+EXEC_PROGRAMS["conv"].append(2.0 * EXEC_PROGRAMS["conv"][2])
 #: The class whose matmul evaluates each group kind's batches, and the
 #: kinds a failure there breaks (in-grid batches run on a one-tile
 #: grid's CompiledCore, a grid evaluates its tile stack itself, and a
@@ -760,9 +763,11 @@ EXEC_LAYOUTS = {
 
 def _exec_case(route, program, gain, frac, seed, layout, geometry):
     """(route, program, gain, deadline fraction, input, weight layout,
-    conv stride) of one request; a conv image takes the drawn
-    (height, width, stride) ``geometry``."""
+    conv stride) of one request; ``program`` wraps round the route's
+    programs, and a conv image takes the drawn (height, width, stride)
+    ``geometry``."""
     rng = np.random.default_rng(seed)
+    program %= len(EXEC_PROGRAMS[route])
     if route == "conv":
         height, width, stride = geometry
         x = rng.uniform(0.0, 1.0, (height, width))
@@ -813,18 +818,23 @@ def _padded_device_codes(core, weights, x, gain):
     requests=st.lists(
         st.tuples(
             st.sampled_from(("native", "sub-tile", "tiled", "conv")),
-            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=3),
             st.sampled_from((None, 1.0, 2.0, "auto")),
             # Deadline as a fraction of the flush's unshed service time.
             st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.25)),
             st.integers(min_value=0, max_value=2**16),
             st.sampled_from(tuple(EXEC_LAYOUTS)),
             # A conv image's (height, width, stride): one group mixes
-            # geometries, so the flush unrolls several runs.
-            st.tuples(
-                st.integers(min_value=2, max_value=6),
-                st.integers(min_value=2, max_value=6),
-                st.integers(min_value=1, max_value=3),
+            # geometries, so the flush unrolls several runs, and a 3x4
+            # and a 4x3 image (equal patch counts, transposed outputs)
+            # often share a group.
+            st.one_of(
+                st.tuples(
+                    st.integers(min_value=2, max_value=6),
+                    st.integers(min_value=2, max_value=6),
+                    st.integers(min_value=1, max_value=3),
+                ),
+                st.sampled_from(((3, 4, 1), (4, 3, 1))),
             ),
         ),
         min_size=1,
@@ -1093,6 +1103,64 @@ def test_range_check_rejects_exactly_what_the_reductions_reject(rows, width, see
     reference = core.matvec(queued)
     assert np.array_equal(value, reference.estimates[:rows])
     assert np.array_equal(future.codes, reference.codes[:rows])
+
+
+#: Image intensities at and past the edges of "finite and non-negative".
+EDGE_PIXELS = (
+    0.0, -0.0, 5e-324, -5e-324, -1e-310, 1.0, 1e308, -1.0, math.nan, math.inf, -math.inf,
+)
+
+
+@given(
+    shape=st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+    edges=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=95), st.sampled_from(EDGE_PIXELS)),
+        max_size=3,
+    ),
+)
+@example(shape=(2, 1, 3, 3), seed=0, edges=[(17, math.nan)])     # the last pixel
+@example(shape=(2, 1, 3, 3), seed=0, edges=[(0, math.nan)])
+@example(shape=(1, 2, 2, 2), seed=0, edges=[(3, -0.0), (5, math.inf)])
+@example(shape=(1, 1, 2, 2), seed=0, edges=[(1, -0.0)])
+@example(shape=(0, 1, 4, 4), seed=0, edges=[])
+@example(shape=(1, 1, 0, 3), seed=0, edges=[(1, math.nan)])
+@settings(max_examples=120, deadline=None)
+def test_image_check_rejects_exactly_what_the_elementwise_test_rejects(shape, seed, edges):
+    """``_checked_images`` rejects a (batch, channels, H, W) stack
+    exactly when ``(isfinite & (>= 0)).all()`` is false over it: a NaN
+    anywhere, an infinity or a negative entry (``-0.0`` passes), all
+    with one message.  An empty stack passes the check, and a conv of
+    it still fails typed, as before the check took two reductions."""
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0.0, 1.0, shape)
+    flat = images.reshape(-1)
+    for position, value in edges:
+        if flat.size:
+            flat[position % flat.size] = value
+    channels = shape[1]
+    if (np.isfinite(images) & (images >= 0.0)).all():
+        assert _checked_images(images, channels, True) is images
+    else:
+        with pytest.raises(ConfigurationError) as raised:
+            _checked_images(images, channels, True)
+        assert str(raised.value) == "image intensities must be finite and non-negative"
+    assert _checked_images(images, channels, False) is images
+    if images.size == 0:
+        core = PhotonicTensorCore(rows=EXEC_GRID[0], columns=EXEC_GRID[1])
+        conv = PhotonicConv2d(np.ones((2, channels, 2, 2)), core, runtime=True)
+        with pytest.raises(ConfigurationError):
+            conv.forward_batch(images)
+        if shape[0]:
+            session = _exec_session()
+            with pytest.raises(ConfigurationError):
+                session.submit_conv(np.ones((2, channels, 2, 2)), images[0])
+            assert session.pending == 0
 
 
 def test_programs_padding_to_one_matrix_share_one_batch():
