@@ -264,9 +264,8 @@ class Future:
         """Finalize with a payload, taken as given: ``value`` a float
         array already in its final shape (:attr:`shape` on the conv
         route), ``codes`` the int ADC codes of an in-grid request (None
-        elsewhere), ``at`` the resolve stamp on the service clock (a
-        model drain stamps the futures it resolved as it ends, or as a
-        failing group stops it)."""
+        elsewhere), ``at`` the resolve stamp on the service clock (its
+        batch's end, on every route)."""
         self._value = value
         self._codes = codes
         self._done = True

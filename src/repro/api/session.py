@@ -14,14 +14,14 @@ it and returns a :class:`~repro.api.futures.Future`:
   :class:`~repro.api.graph.Model` into a :class:`DeployedModel`
   endpoint whose ``submit(batch)`` serves whole network forwards.
 
-Dense and conv requests queue in the session's
+Dense, conv and endpoint requests all queue in the session's
 :class:`~repro.runtime.scheduler.BatchScheduler`, whose one flush loop
-compiles, sheds, evaluates and accounts every group on one modelled
-service clock; endpoint batches drain after it on the same clock and
-ledger.  A pluggable :class:`~repro.api.policy.FlushPolicy` replaces
-hand-called ``flush()``: requests queue until the policy trips
-(max_batch / max_delay) or a blocking ``Future.result()`` forces the
-evaluation.  Each flush produces one unified
+compiles, sheds, evaluates, stamps and accounts every group on one
+modelled service clock.  A pluggable
+:class:`~repro.api.policy.FlushPolicy` replaces hand-called
+``flush()``: requests queue until the policy trips (max_batch /
+max_delay) or a blocking ``Future.result()`` forces the evaluation.
+Each flush produces one unified
 :class:`~repro.api.futures.RunReport` carried by every future it
 resolves.
 """
@@ -91,10 +91,11 @@ class CompiledStage:
 class DeployedModel:
     """A compiled model graph serving as a session endpoint.
 
-    ``submit(batch)`` queues a whole-network forward and returns a
-    :class:`~repro.api.futures.Future`; pending batches coalesce at the
-    next flush into one dense evaluation per input shape.  ``predict``
-    (also ``__call__``) is the blocking convenience: submit + result.
+    ``submit(batch)`` queues a whole-network forward on the session's
+    scheduler and returns a :class:`~repro.api.futures.Future`; the
+    scheduler groups pending batches per input shape and runs each group
+    at the next flush as one forward.  ``predict`` (also ``__call__``)
+    is the blocking convenience: submit + result.
     """
 
     def __init__(
@@ -108,10 +109,9 @@ class DeployedModel:
         self.model = model
         self.stages = stages
         self.label = label
-        self._queue: list[tuple[np.ndarray, Future]] = []
         self._submitted = 0
         #: Set by a session recalibration: the compute layers must be
-        #: re-attached to fresh cached programs before the next drain.
+        #: re-attached to fresh cached programs before the next forward.
         self._needs_rebind = False
 
     @property
@@ -127,10 +127,11 @@ class DeployedModel:
     def _validated_batch(self, batch: ArrayLike) -> np.ndarray:
         """The batch as a private float copy, checked at submit so a bad
         batch is never queued and a queued one never changes: its shape
-        for the model's input domain, finite entries, and the input
-        checks a compute first stage would make (a Dense layer's feature
-        count and non-negative intensities, a Conv2d's channel count and
-        non-negative intensities, which the drain does not repeat)."""
+        for the model's input domain, then the input checks a compute
+        first stage would make, which the flush does not repeat (a Dense
+        layer's feature count, a Conv2d's channel count, and finite
+        non-negative intensities for either), or finite entries for any
+        other first stage.  Each entry is checked once."""
         batch = np.array(batch, dtype=float)
         if self.model.input_domain == "vector":
             if batch.ndim != 2 or len(batch) == 0:
@@ -143,8 +144,6 @@ class DeployedModel:
                 f"model '{self.label}' expects a non-empty image batch "
                 f"(batch, H, W) or (batch, channels, H, W), got shape {batch.shape}"
             )
-        if not np.isfinite(batch).all():
-            raise ConfigurationError(f"model '{self.label}' inputs must be finite")
         first = self.stages[0]
         if isinstance(first.spec, Conv2d):
             normalize_image_batch(batch, first.layer.in_channels)
@@ -154,11 +153,17 @@ class DeployedModel:
                     f"model '{self.label}' expects {first.layer.in_features} "
                     f"features, got shape {batch.shape}"
                 )
-            if (batch < 0.0).any():
+            # A negated in-range test: NaN, +-inf and negatives all fail it.
+            if not (
+                0.0 <= np.minimum.reduce(batch, axis=None)
+                and np.maximum.reduce(batch, axis=None) < np.inf
+            ):
                 raise ConfigurationError(
-                    f"model '{self.label}' inputs are analog intensities "
-                    f"for its Dense input layer and must be non-negative"
+                    f"model '{self.label}' inputs are analog intensities for "
+                    f"its Dense input layer and must be finite and non-negative"
                 )
+        elif not np.isfinite(batch).all():
+            raise ConfigurationError(f"model '{self.label}' inputs must be finite")
         return batch
 
     def submit(
@@ -171,7 +176,7 @@ class DeployedModel:
         flush (or immediately if the session flush policy trips).
         ``deadline`` / ``tenant`` follow the
         :meth:`PhotonicSession.submit` semantics — an endpoint batch
-        whose deadline expires before its drain begins is shed."""
+        whose deadline has passed when its batch starts is shed."""
         batch = self._validated_batch(batch)
         session = self._session
         if deadline is not None:
@@ -182,7 +187,7 @@ class DeployedModel:
         if future.done:
             return future
         # ``batch`` is the private copy ``_validated_batch`` made.
-        self._queue.append((batch, future))
+        session.scheduler.submit("model", self, batch, future)
         session._queued(future, "model")
         return future
 
@@ -192,52 +197,23 @@ class DeployedModel:
 
     __call__ = predict
 
-    # -- evaluation (session flush internals) --------------------------------
-    def _drain(self) -> int:
-        """Serve the queue as one forward per input shape on the
-        scheduler's ledger and service clock; returns resolved count.
-        Each shape's group counts as one batch of its requests.
-
-        Endpoint batches shed on the simple rule: a deadline already
-        past when the drain begins cannot be met (whole-network
-        forwards have no cheap completion estimate).  Every future the
-        drain resolved is stamped at its end, also when a later group's
-        forward raises, so the failed flush reports finite latencies for
-        what it served.
-        """
-        queue, self._queue = self._queue, []
-        scheduler = self._session.scheduler
-        live = scheduler._shed([future for _, future in queue], 0.0)
-        if live is not None:
-            queue = [queue[index] for index in live]
-        groups: dict[tuple, list[tuple[np.ndarray, Future]]] = {}
-        for batch, future in queue:
-            groups.setdefault(batch.shape[1:], []).append((batch, future))
-        try:
-            for entries in groups.values():
-                stack = np.concatenate([batch for batch, _ in entries], axis=0)
-                outputs = self._forward(stack)
-                scheduler._stats.batches += 1
-                scheduler._stats.flushed += len(entries)
-                offset = 0
-                for batch, future in entries:
-                    future._resolve(outputs[offset : offset + len(batch)])
-                    offset += len(batch)
-        finally:
-            resolved_at = scheduler.clock.now
-            for _, future in queue:
-                if future.done:
-                    future._resolved_at = resolved_at
-        return len(queue)
-
+    # -- evaluation (run by the scheduler's flush) ---------------------------
     def _forward(self, batch: np.ndarray) -> np.ndarray:
-        """Run the stage chain, charging each compute stage's analog
-        passes to the scheduler ledger as the compiled engines evaluate:
-        one ADC sample period per pass per input column, the active
-        grid burning its tile count times one tile's power (the same
-        model as the conv route).  A first-stage Conv2d takes the
-        drained stack as checked at submit; later ones check their
-        activations."""
+        """Run the stage chain over one scheduler batch, charging each
+        compute stage's analog passes to the scheduler ledger as the
+        compiled engines evaluate: one ADC sample period per pass per
+        input column, the active grid burning its tile count times one
+        tile's power (the same model as the conv route).  After a
+        recalibration the compute layers first rebind to fresh cached
+        programs (misses recompile and are charged as usual).  A
+        first-stage Conv2d takes the stack as checked at submit; later
+        ones check their activations."""
+        if self._needs_rebind:
+            for stage in self.stages:
+                if stage.layer is not None:
+                    prefix = b"dense:" if isinstance(stage.spec, Dense) else b"conv:"
+                    self._session._bind_program(stage.layer, prefix)
+            self._needs_rebind = False
         current = batch
         for stage in self.stages:
             spec, layer = stage.spec, stage.layer
@@ -270,8 +246,7 @@ class DeployedModel:
     def __repr__(self) -> str:
         return (
             f"<DeployedModel '{self.label}': "
-            f"{len(self.model.compute_layers)} compute layers, "
-            f"{len(self._queue)} pending>"
+            f"{len(self.model.compute_layers)} compute layers>"
         )
 
 
@@ -900,7 +875,7 @@ class PhotonicSession:
         calibration epoch.  Cached weight programs compiled under an
         older epoch are evicted so hot programs recompile lazily on
         their next request; deployed model endpoints rebind at their
-        next flush.  Returns the post-trim verification probe check
+        next forward.  Returns the post-trim verification probe check
         (bit-for-bit against golden on a healthy trim) when a monitor
         exists.
         """
@@ -976,16 +951,6 @@ class PhotonicSession:
                 self.recalibrate()
         finally:
             self._in_maintenance = False
-
-    def _rebind_endpoint(self, endpoint: DeployedModel) -> None:
-        """Re-attach a recalibrated endpoint's compute layers to fresh
-        cached programs (misses recompile and are charged as usual)."""
-        for stage in endpoint.stages:
-            if stage.layer is None:
-                continue
-            prefix = b"dense:" if isinstance(stage.spec, Dense) else b"conv:"
-            self._bind_program(stage.layer, prefix=prefix)
-        endpoint._needs_rebind = False
 
     # -- clocks & deadlines --------------------------------------------------
     def _now(self) -> float:
@@ -1185,20 +1150,21 @@ class PhotonicSession:
     def flush(self) -> int:
         """Evaluate every pending request; returns resolved count.
 
-        The scheduler's one loop serves every dense and conv group, then
-        model endpoints drain, all on the one modelled service clock
-        (``scheduler.clock``), attached or not.  With an injected
-        ``clock=`` the flush first pulls the service clock up to its
-        'now' (never backwards): an idle core starts serving at the
-        present, a backlogged one keeps its later time.  Requests
+        The scheduler's one loop serves every dense, conv and model
+        group on the one modelled service clock (``scheduler.clock``),
+        attached or not, and clears every group, served or not.  With an
+        injected ``clock=`` the flush first pulls the service clock up
+        to its 'now' (never backwards): an idle core starts serving at
+        the present, a backlogged one keeps its later time.  Requests
         carrying a ``deadline=`` are shed instead of evaluated when
         their batch's modelled completion time falls past the deadline
         (the estimate uses the *pre-shed* batch size, so a shed never
-        resurrects a later request).  The window and everything derived
-        from it (the oldest stamp, the earliest deadline, the due time
-        and the fleet flush order) leave in one statement as the flush
-        starts, served or not, and the window leaves its cluster's
-        backlog with them.
+        resurrects a later request; a model batch, whose forward has no
+        cheap estimate, sheds the deadlines already past at its start).
+        The window and everything derived from it (the oldest stamp, the
+        earliest deadline, the due time and the fleet flush order) leave
+        in one statement as the flush starts, served or not, and the
+        window leaves its cluster's backlog with them.
         """
         tel = self.telemetry
         clock = self.scheduler.clock
@@ -1214,18 +1180,9 @@ class PhotonicSession:
             fleet._backlog -= len(window)
         try:
             resolved = self.scheduler.flush()
-            for endpoint in self._endpoints:
-                if endpoint._queue:
-                    if endpoint._needs_rebind:
-                        self._rebind_endpoint(endpoint)
-                    resolved += endpoint._drain()
         finally:
-            # Never leave a stale endpoint queue behind (the scheduler
-            # clears its own groups): a failed evaluation must not wedge
-            # every subsequent flush.  Futures the failure left unresolved
-            # are marked abandoned so their reads say "re-submit".
-            for endpoint in self._endpoints:
-                endpoint._queue.clear()
+            # Futures a failed evaluation left unresolved are marked
+            # abandoned so their reads say "re-submit".
             served = []
             for future in window:
                 if not future.done:

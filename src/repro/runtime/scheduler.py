@@ -10,14 +10,17 @@ sample period per input vector.  Traffic amortizes both:
   entirely (the weights are already latched and compiled); only misses
   pay load energy and compile time.
 * :class:`BatchScheduler` — the one pending-group executor behind
-  :class:`repro.api.PhotonicSession`.  Requests queue per (weight
-  program, TIA gain) in three group kinds: in-grid dense requests on
-  one-tile :class:`~repro.runtime.tiling.TiledMatmul` grids (the only
-  kind that returns ADC codes and chunks at ``max_batch``), larger
-  dense requests on multi-tile grids, and im2col convolutions on
-  :class:`~repro.runtime.tiling.DifferentialProgram` pairs.  One
-  :meth:`~BatchScheduler.flush` loop evaluates every group as batched
-  matmuls, paying the Python/ADC dispatch once per batch.
+  :class:`repro.api.PhotonicSession`, and the one store of its queued
+  requests.  Requests queue in four group kinds, flushed in this
+  order: in-grid dense requests on one-tile
+  :class:`~repro.runtime.tiling.TiledMatmul` grids (the only kind that
+  returns ADC codes and chunks at ``max_batch``), larger dense
+  requests on multi-tile grids, im2col convolutions on
+  :class:`~repro.runtime.tiling.DifferentialProgram` pairs, each per
+  (weight program, TIA gain), and model endpoint batches per
+  (endpoint, per-sample input shape).  One
+  :meth:`~BatchScheduler.flush` loop sheds, evaluates, stamps and
+  clears every group, paying the Python/ADC dispatch once per batch.
 
 Work that depends only on a weight program is done once per program
 per *scheduler*, not per request: the first request for given weight
@@ -69,6 +72,13 @@ each image then takes a copy of its columns in its own output shape,
 so equal patch counts never share a shape and a kept value never pins
 the batch.
 
+A model group queues each endpoint batch as the private copy its
+endpoint checked at submit; the flush stacks a group's batches and
+runs them through the endpoint's stage chain in one forward, which
+charges each compute stage to the ledger and clock itself.  A
+whole-network forward has no cheap completion estimate, so a model
+batch sheds only the deadlines already past at its start.
+
 Accounting rides on the device models: load energy is one pSRAM switch
 per set weight bit of the program, analog time/energy come from
 :class:`~repro.core.performance.PerformanceModel`, and every cache hit
@@ -84,7 +94,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, pairwise, repeat
 
 import numpy as np
 
@@ -287,12 +297,13 @@ class WeightProgramCache:
 
 
 class _Group:
-    """One pending (program, gain) group: the weight source its program
-    compiles from, and per request its input, handle and kept rows."""
+    """One pending group: the weight source its (program, gain) compiles
+    from, or the endpoint a model group runs, and per request its input,
+    handle and kept rows."""
 
     __slots__ = ("source", "inputs", "handles", "rows", "has_deadline")
 
-    def __init__(self, source: np.ndarray) -> None:
+    def __init__(self, source) -> None:
         self.source = source
         self.inputs: list = []
         self.handles: list = []
@@ -300,8 +311,8 @@ class _Group:
         self.has_deadline = False
 
 
-#: Group kinds in flush order: in-grid, tiled, then conv.
-_KINDS = ("native", "tiled", "conv")
+#: Group kinds in flush order: in-grid, tiled, conv, then model.
+_KINDS = ("native", "tiled", "conv", "model")
 
 
 @dataclass
@@ -368,10 +379,11 @@ class BatchScheduler:
     compiles every program on itself; each distinct in-grid weight
     matrix becomes a one-tile grid in the LRU ``cache``, and larger
     grids and differential pairs live in ``tiled_cache``.  Requests
-    queue per (weight program, gain) and :meth:`flush` runs every
-    group: in-grid groups as dense batches of at most ``max_batch``
-    columns, tiled and conv groups whole.  The owning session counts
-    and books the requests (:attr:`repro.api.PhotonicSession.pending`).
+    queue per (weight program, gain), endpoint batches per (endpoint,
+    per-sample shape), and :meth:`flush` runs every group: in-grid
+    groups as dense batches of at most ``max_batch`` columns, tiled,
+    conv and model groups whole.  The owning session counts and books
+    the requests (:attr:`repro.api.PhotonicSession.pending`).
     """
 
     def __init__(
@@ -459,7 +471,10 @@ class BatchScheduler:
         entry (:meth:`_conv_program`, which the session probes before it
         checks the image) and one validated image's ``(private
         (channels, H, W) copy, kernel size, stride, patch count)``,
-        unrolled and encoded with its batch at flush.  Dense requests
+        unrolled and encoded with its batch at flush; ``"model"`` — the
+        :class:`~repro.api.DeployedModel` and the private batch copy it
+        checked at submit, grouped on the batch's per-sample shape
+        (``gain`` is unused).  Dense requests
         are validated here (the weights once per weight content while
         the memo holds it, see :meth:`_dense_program`; the input every
         time: a native list by ``min``/``max``/``sum``, a tiled array by
@@ -471,7 +486,10 @@ class BatchScheduler:
         native request.  The caller hands over ``column`` and books the
         request.
         """
-        if kind == "conv":
+        if kind == "model":
+            # The per-sample shape takes the gain's place in the group key.
+            key, program, gain = source, source, column.shape[1:]
+        elif kind == "conv":
             key, program, (weight_scale, _) = source
             column = (*column, weight_scale)
         else:
@@ -500,7 +518,7 @@ class BatchScheduler:
         table = self._pending[kind]
         group = table.get((key, gain))
         if group is None:
-            # Every program source is a private array made by the memo:
+            # Every weight source is a private array made by the memo:
             # an in-place change to the caller's array before the flush
             # would otherwise compile other weights under this key and
             # poison the program cache for every later request.
@@ -685,18 +703,24 @@ class BatchScheduler:
     def flush(self) -> int:
         """Evaluate every pending group; returns resolved request count.
 
-        Groups run by kind — in-grid, tiled, conv — each in first-submit
-        order: the program is fetched, restored or compiled
-        (:meth:`_program`), then each batch (in-grid groups chunk at
-        ``max_batch``, the others run whole) goes through :meth:`_run`.
-        Everything runs on :attr:`clock`, which carries on from where the
-        last flush, probe or idle gap left it.
+        Groups run by kind — in-grid, tiled, conv, model — each in
+        first-submit order: a weight group's program is fetched,
+        restored or compiled (:meth:`_program`; a model group runs its
+        endpoint, which binds its own), then each batch (in-grid groups
+        chunk at ``max_batch``, the others run whole) goes through
+        :meth:`_run`.  Everything runs on :attr:`clock`, which carries on
+        from where the last flush, probe or idle gap left it.  Every
+        group is cleared as the flush ends, served or not.
         """
         resolved = 0
         try:
             for kind, table in self._pending.items():
                 for (key, gain), group in table.items():
-                    program = self._program(kind, key, group.source)
+                    program = (
+                        group.source
+                        if kind == "model"
+                        else self._program(kind, key, group.source)
+                    )
                     size = len(group.handles)
                     step = self.max_batch if kind == "native" else size
                     for start in range(0, size, step):
@@ -711,25 +735,28 @@ class BatchScheduler:
             self._stats.flushed += resolved
         return resolved
 
-    def _run(
-        self, kind: str, key: bytes, gain, program, group: _Group, part: slice
-    ) -> int:
+    def _run(self, kind: str, key, gain, program, group: _Group, part: slice) -> int:
         """One batch of a group; returns its resolved count.
 
         Requests carrying a deadline are shed first when it falls before
         the batch's completion — one ADC sample period per column and
         pass of the *pre-shed* batch from the service clock's now, so a
-        shed never resurrects a later request.  The survivors run as one
-        matmul, the ledger and clock are charged, and each handle
-        resolves with its view of the result, stamped at the batch's
-        completion.
+        shed never resurrects a later request; a model batch, whose
+        whole-network forward has no cheap estimate, is judged at its
+        start (a 0 s estimate).  The survivors run as one matmul (a model
+        batch as one forward, which charges its own stages), the ledger
+        and clock are charged, and each handle resolves with its view of
+        the result, stamped at the batch's completion.
         """
         inputs, handles, rows = group.inputs[part], group.handles[part], group.rows[part]
         if group.has_deadline:
-            columns = (
-                sum(entry[3] for entry in inputs) if kind == "conv" else len(inputs)
-            )
-            live = self._shed(handles, columns * self._period * program.passes)
+            seconds = 0.0
+            if kind != "model":
+                columns = (
+                    sum(entry[3] for entry in inputs) if kind == "conv" else len(inputs)
+                )
+                seconds = columns * self._period * program.passes
+            live = self._shed(handles, seconds)
             if live is not None:
                 inputs = [inputs[index] for index in live]
                 handles = [handles[index] for index in live]
@@ -739,7 +766,13 @@ class BatchScheduler:
         clock = self.clock
         start = clock.now
         codes = repeat(None)
-        if kind == "conv":
+        if kind == "model":
+            stack = np.concatenate(inputs)
+            outputs = program._forward(stack)
+            columns = len(stack)
+            bounds = pairwise([0, *accumulate(map(len, inputs))])
+            values = [outputs[lo:hi] for lo, hi in bounds]
+        elif kind == "conv":
             batch, scales = encode_patch_batch(_unroll(inputs))
             raw = program.matmul(batch, gain=gain)
             counts = [entry[3] for entry in inputs]
@@ -777,9 +810,10 @@ class BatchScheduler:
                     # matrix share the group: each keeps its own rows.
                     values = [value[:count] for value, count in zip(values, rows)]
                     codes = [code[:count] for code, count in zip(codes, rows)]
-        columns = batch.shape[1]
+        if kind != "model":
+            columns = batch.shape[1]
+            self._charge(columns, program.passes, program.tile_count)
         self._stats.batches += 1
-        self._charge(columns, program.passes, program.tile_count)
         now = clock.now
         for handle, value, code in zip(handles, values, codes):
             handle._resolve(value, code, now)
@@ -790,19 +824,18 @@ class BatchScheduler:
                 "batch_size", lo=1.0, hi=1e6, per_decade=16
             ).observe(float(columns))
             if tel.trace is not None:
-                tel.span(
-                    f"{kind} batch x{columns}",
-                    "batch",
-                    start,
-                    clock.now - start,
-                    args={
+                if kind == "model":
+                    args = {"endpoint": program.label, "samples": columns}
+                else:
+                    args = {
                         "program": key[:12].hex(),
                         "columns": columns,
                         "passes": program.passes,
                         "tiles": program.tile_count,
                         "gain": gain,
-                    },
-                )
+                    }
+                duration = clock.now - start
+                tel.span(f"{kind} batch x{columns}", "batch", start, duration, args)
         return len(handles)
 
     def stats(self) -> SchedulerStats:

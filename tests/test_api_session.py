@@ -22,7 +22,7 @@ from repro.api import (
 from repro.core.psram import PsramBitcell
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.elastic import ProgramStore
-from repro.errors import ConfigurationError, PendingFlushError
+from repro.errors import ConfigurationError, DeadlineExceededError, PendingFlushError
 from repro.ml.convolution import PhotonicConv2d
 from repro.ml.datasets import gaussian_blobs
 from repro.ml.network import MLP, PhotonicMLP
@@ -346,6 +346,31 @@ class TestDeployedModels:
         assert np.isfinite(end_to_end["max"]) and end_to_end["max"] >= 0.0
         assert second.abandoned and not second.done
 
+    def test_each_endpoint_batch_sheds_at_its_own_start(self, tech):
+        """An endpoint's input-shape batches are judged one by one, each
+        at its own start: a second batch whose deadline falls inside the
+        first batch's forward is shed and counts once on
+        ``deadline_misses``, instead of being served late."""
+        rng = np.random.default_rng(25)
+        model = Model.sequential(Conv2d(rng.normal(0.0, 1.0, (2, 3, 3))))
+        small = rng.uniform(0.0, 1.0, (2, 4, 4))
+        large = rng.uniform(0.0, 1.0, (2, 5, 5))
+        alone = PhotonicSession(technology=tech, grid=(4, 6))
+        alone_endpoint = alone.compile(model)
+        started = alone.scheduler.clock.now
+        alone_endpoint.predict(small)
+        service = alone.scheduler.clock.now - started
+        session = PhotonicSession(technology=tech, grid=(4, 6))
+        endpoint = session.compile(model)
+        first = endpoint.submit(small)
+        second = endpoint.submit(large, deadline=service / 2)
+        session.flush()
+        assert np.array_equal(first.value, alone_endpoint.predict(small))
+        assert second.expired
+        with pytest.raises(DeadlineExceededError):
+            second.value
+        assert session.report().deadline_misses == 1
+
     def test_model_accounting_reaches_report(self, session):
         rng = np.random.default_rng(17)
         endpoint = session.compile(
@@ -364,16 +389,20 @@ class TestDeployedModels:
         "first, bad",
         [
             ("conv", "nan pixel"),
+            ("conv", "inf pixel"),
+            ("conv", "-inf pixel"),
             ("conv", "channels"),
             ("conv", "negative"),
             ("dense", "negative"),
             ("dense", "nan sample"),
+            ("dense", "inf sample"),
+            ("dense", "-inf sample"),
             ("dense", "features"),
             ("relu", "nan sample"),
         ],
     )
     def test_bad_batch_raises_at_submit_and_queues_nothing(self, session, first, bad):
-        """A batch the drain would choke on (or serve as NaN rows) is
+        """A batch the flush would choke on (or serve as NaN rows) is
         refused at submit: nothing is queued, and a good batch queued
         before it on the same endpoint still resolves."""
         rng = np.random.default_rng(20)
@@ -387,8 +416,8 @@ class TestDeployedModels:
             good = rng.uniform(0.0, 1.0, (2, 6))
         endpoint = session.compile(Model.sequential(*layers))
         batch = good.copy()
-        if bad in ("nan pixel", "nan sample"):
-            batch[1, 2] = np.nan
+        if bad.split()[0] in ("nan", "inf", "-inf"):
+            batch[1, 2] = float(bad.split()[0])
         elif bad == "negative":
             batch[0, 1] = -0.5
         elif bad == "channels":

@@ -1827,14 +1827,13 @@ def _parent_trigger(sessions):
 
 
 def _true_backlog(session):
-    """What a session has queued, read from the queues themselves: the
-    scheduler's groups and the endpoint queues."""
-    groups = sum(
+    """What a session has queued, read from the one store of queued
+    requests: the scheduler's groups, endpoint batches included."""
+    return sum(
         len(group.handles)
         for table in session.scheduler._pending.values()
         for group in table.values()
     )
-    return groups + sum(len(endpoint._queue) for endpoint in session._endpoints)
 
 
 #: Dense programs of the fleet machine on its (4, 6) tile: in-grid,

@@ -25,7 +25,7 @@ from repro.api import (
     RoutingPolicy,
     RunReport,
 )
-from repro.api.graph import Dense, ReLU
+from repro.api.graph import Conv2d, Dense, ReLU
 from repro.elastic import Autoscaler
 from repro.errors import ClusterSaturatedError, ConfigurationError
 from repro.health import HealthPolicy, ThermalDetuning, TiaGainDrift
@@ -367,7 +367,8 @@ def test_requests_resolve_at_their_batch_completion():
     """Each request span ends where its batch's span ends: a future is
     stamped resolved at its batch's completion on the service clock,
     on every route (two in-grid batches at ``max_batch=2``, a tiled and
-    a conv batch)."""
+    a conv batch, and a conv-first endpoint's two input-shape batches,
+    each stamped at its own end)."""
     recorder = TraceRecorder()
     session = PhotonicSession(grid=(4, 6), max_batch=2, trace=recorder)
     rng = np.random.default_rng(8)
@@ -376,11 +377,32 @@ def test_requests_resolve_at_their_batch_completion():
         session.submit(native, rng.uniform(0.0, 1.0, 6))
     session.submit(tiled, rng.uniform(0.0, 1.0, 9))
     session.submit_conv(rng.normal(0.0, 1.0, (2, 2, 2)), rng.uniform(0.0, 1.0, (4, 4)))
+    endpoint = session.compile(Model.sequential(Conv2d(rng.normal(0.0, 1.0, (2, 3, 3)))))
+    endpoint.submit(rng.uniform(0.0, 1.0, (2, 4, 4)))
+    endpoint.submit(rng.uniform(0.0, 1.0, (2, 5, 5)))
     session.flush()
     batches = [event.start_s + event.duration_s for event in recorder.events_in("batch")]
     requests = [span.start_s + span.duration_s for span in recorder.events_in("request")]
-    assert len(batches) == 4
+    assert len(batches) == 6
     assert requests == pytest.approx([batches[0], *batches], rel=1e-12, abs=0.0)
+    assert requests[-2] < requests[-1]
+
+def test_endpoint_batches_count_on_the_batch_metrics():
+    """An endpoint batch counts once on the ``batches`` counter and once
+    on the ``batch_size`` histogram (its sample count), like a batch of
+    any other route, so the counter equals the report's ``batches``; a
+    recorder gets one ``model batch`` span naming the endpoint."""
+    registry, recorder = MetricsRegistry(), TraceRecorder()
+    session = PhotonicSession(grid=(4, 6), trace=recorder, metrics=registry)
+    _, report = _mixed_workload(session, np.random.default_rng(11))
+    spans = recorder.events_in("batch")
+    sizes = [span.args.get("columns", span.args.get("samples")) for span in spans]
+    assert registry.counter("batches").value == report.batches == len(spans) == 5
+    histogram = registry.histogram("batch_size")
+    assert (histogram.count, histogram.total) == (len(sizes), sum(sizes))
+    model = [(span.name, span.args) for span in spans if span.name.startswith("model")]
+    assert model == [("model batch x2", {"endpoint": "model-0", "samples": 2})]
+
 
 def test_session_latency_quantiles_per_flush_and_cumulative():
     session = PhotonicSession(grid=(4, 6), trace=TraceRecorder())
