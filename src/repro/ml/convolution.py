@@ -112,6 +112,14 @@ def encode_patch_batch(patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "analog intensity encoding requires non-negative inputs; "
             "shift or split signed activations first"
         )
+    return _encode_checked_patches(patches)
+
+
+def _encode_checked_patches(patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_patch_batch` without its sign scan, for patches
+    unrolled from images already checked finite and non-negative (the
+    serving conv route and the conv layer's validated forwards)."""
+    patches = np.ascontiguousarray(patches, dtype=float)
     peaks = patches.max(axis=0, initial=0.0)
     scales = np.where(peaks > 0.0, peaks, 1.0)
     return patches / scales, scales
@@ -333,7 +341,8 @@ class PhotonicConv2d:
         return outputs
 
     def _forward_patches_runtime(self, patches: np.ndarray) -> np.ndarray:
-        encoded, scales = encode_patch_batch(patches)
+        # Every forward checks its images before unrolling them.
+        encoded, scales = _encode_checked_patches(patches)
         raw = self.runtime_program().matmul(encoded, gain=self.gain)
         return raw * self.weight_scale * scales
 

@@ -17,9 +17,8 @@ Every photonic device in :mod:`repro.photonics` implements this.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Any
-
-import networkx as nx
 
 from ..errors import PortConnectionError
 from .signal import WDMSignal, merge_signals
@@ -75,13 +74,20 @@ class PhotonicCircuit:
 
     # -- evaluation ------------------------------------------------------------
     def _ordered_names(self) -> list[str]:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._components)
-        for (dst, _), (src, _) in self._wires_to.items():
-            graph.add_edge(src, dst)
+        # Kahn's algorithm in waves: the components with no upstream
+        # wiring in registration order, then each wave's members release
+        # their downstream components in first-wire order.  Components
+        # joined by several wires share one edge, as in a directed graph.
+        sorter: TopologicalSorter[str] = TopologicalSorter()
+        for name in self._components:
+            sorter.add(name)
+        for dst, src in dict.fromkeys(
+            (dst, src) for (dst, _), (src, _) in self._wires_to.items()
+        ):
+            sorter.add(dst, src)
         try:
-            return list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+            return list(sorter.static_order())
+        except CycleError as exc:
             raise PortConnectionError(
                 "optical feedback loop detected; this evaluator only supports "
                 "feed-forward networks (the pSRAM loop closes electrically)"

@@ -61,10 +61,11 @@ Per-image conv work is done once per batch: a conv group queues each
 request's validated image (a private copy), and the flush unrolls the
 batch's images with one :func:`~repro.ml.convolution.im2col_channels`
 call per run of consecutive requests sharing an image shape, kernel
-size and stride, peak-encodes every patch with one
-:func:`~repro.ml.convolution.encode_patch_batch` call (a C-ordered
-batch, which the kernel chunks without padding it) and evaluates the
-pair in one stacked kernel pass, which reads out only the bank's
+size and stride, peak-encodes every patch in one call
+(:func:`~repro.ml.convolution.encode_patch_batch` minus its sign scan,
+since submit checked each image) into a C-ordered batch, which the
+kernel chunks without padding it, and evaluates the pair in one
+stacked kernel pass, which reads out only the bank's
 rows.  The batch is scaled once, ``(raw * weight scale) * patch
 scale`` as each request's own product would be, with one scalar weight
 scale when the group shares it and one per patch column otherwise;
@@ -103,7 +104,7 @@ from ..core.performance import PerformanceModel
 from ..core.quantization import quantize_weights_differential
 from ..core.tensor_core import PhotonicTensorCore
 from ..errors import ConfigurationError, ProgramStoreError
-from ..ml.convolution import encode_patch_batch, im2col_channels, normalize_kernel_bank
+from ..ml.convolution import _encode_checked_patches, im2col_channels, normalize_kernel_bank
 from ..ml.layers import compile_differential_program
 from ..telemetry.clock import ModelClock
 from .engine import unit_range_error, weight_key
@@ -773,7 +774,8 @@ class BatchScheduler:
             bounds = pairwise([0, *accumulate(map(len, inputs))])
             values = [outputs[lo:hi] for lo, hi in bounds]
         elif kind == "conv":
-            batch, scales = encode_patch_batch(_unroll(inputs))
+            # Submit checked each image finite and non-negative.
+            batch, scales = _encode_checked_patches(_unroll(inputs))
             raw = program.matmul(batch, gain=gain)
             counts = [entry[3] for entry in inputs]
             # One scale per batch, in the per-request product's order:

@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.api import PhotonicSession
 from repro.core.tensor_core import PhotonicTensorCore
 from repro.errors import ConfigurationError
+from repro.ml import convolution
 from repro.ml.convolution import (
     PhotonicConv2d,
+    _encode_checked_patches,
     avg_pool2d,
+    encode_patch_batch,
     im2col,
     im2col_channels,
     output_shape,
     sobel_kernels,
 )
+from repro.runtime import scheduler
 
 
 def im2col_loop(image, kernel_size, stride=1):
@@ -264,3 +269,44 @@ def test_avg_pool2d():
         avg_pool2d(maps, 0)
     with pytest.raises(ConfigurationError):
         avg_pool2d(maps, 5)
+
+
+def test_encode_patch_batch_scans_for_negative_patches():
+    patches = im2col_channels(np.random.default_rng(9).uniform(0.0, 1.0, (2, 1, 5, 5)), 3)
+    encoded, scales = encode_patch_batch(patches)
+    checked = _encode_checked_patches(patches)
+    assert encoded.tobytes() == checked[0].tobytes()
+    assert scales.tobytes() == checked[1].tobytes()
+    assert encoded.flags.c_contiguous
+    patches = patches.copy()
+    patches[4, 3] = -0.1
+    with pytest.raises(ConfigurationError, match="requires non-negative inputs"):
+        encode_patch_batch(patches)
+
+
+def test_checked_conv_routes_skip_the_sign_scan(tech, monkeypatch):
+    """The runtime conv layer's forwards and the session's conv route
+    encode images they checked on entry, so neither calls the scanning
+    ``encode_patch_batch``; their values stay the layer's bits."""
+    rng = np.random.default_rng(10)
+    kernels = rng.normal(0.0, 1.0, (2, 3, 3))
+    images = rng.uniform(0.0, 1.0, (3, 6, 6))
+    session = PhotonicSession(technology=tech, grid=(4, 9))
+    conv = PhotonicConv2d(kernels, session.core, runtime=True)
+    expected = [conv.forward(image) for image in images]
+
+    def scanning_encode(patches):
+        raise AssertionError("a checked conv batch was scanned again")
+
+    # The scheduler module too, should it import the function by name.
+    for module in (convolution, scheduler):
+        monkeypatch.setattr(module, "encode_patch_batch", scanning_encode, raising=False)
+    batched = conv.forward_batch(images)
+    futures = [session.submit_conv(kernels, image) for image in images]
+    session.flush()
+    for index, image in enumerate(images):
+        assert conv.forward(image).tobytes() == expected[index].tobytes()
+        assert batched[index].tobytes() == expected[index].tobytes()
+        assert futures[index].value.tobytes() == expected[index].tobytes()
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        conv.forward(-images[0])
